@@ -84,10 +84,10 @@ class Immersion:
         return self.evaluator(float(s), float(t))
 
 
-def induced_metric(imm: Immersion, p: tuple[float, float], check: bool = True) -> MetricCoeffs:
-    """E, F, G of the induced metric at p; degeneracy error if not space-like."""
-    jp = imm.evaluate(*p)
-    vs, vt = jp.velocity_s(), jp.velocity_t()
+def metric_from_velocities(
+    imm: Immersion, p: tuple[float, float], vs: PVector, vt: PVector, check: bool = True
+) -> MetricCoeffs:
+    """E, F, G from the coordinate velocities at p; degeneracy error if not space-like."""
     m = MetricCoeffs(vs.inner(vs), vs.inner(vt), vt.inner(vt))
     if check and not m.positive_definite:
         raise DegeneracyError(
@@ -95,6 +95,12 @@ def induced_metric(imm: Immersion, p: tuple[float, float], check: bool = True) -
             f"E={m.E:.6g}, EG-F^2={m.det:.6g}"
         )
     return m
+
+
+def induced_metric(imm: Immersion, p: tuple[float, float], check: bool = True) -> MetricCoeffs:
+    """E, F, G of the induced metric at p; degeneracy error if not space-like."""
+    jp = imm.evaluate(*p)
+    return metric_from_velocities(imm, p, jp.velocity_s(), jp.velocity_t(), check)
 
 
 def check_membership(imm: Immersion, points: list[tuple[float, float]]) -> float:

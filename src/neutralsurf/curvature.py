@@ -20,12 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import Immersion, MetricCoeffs
+from .catalog import Immersion, MetricCoeffs, metric_from_velocities
 from .errors import DegeneracyError
 from .pseudo_linalg import (
     SPACE_LIKE,
     TIME_LIKE,
     LIGHTLIKE_RTOL,
+    SPAN_RTOL,
     PVector,
     Sym2,
     eigen_sym2,
@@ -43,6 +44,9 @@ from .pseudo_linalg import (
 _ORIENT_SIGN = {"flat": 1.0, "pseudo_sphere": -1.0, "pseudo_hyperbolic": -1.0}
 
 _DUALITY_TOL = 1e-8
+
+# Below this norm of (tr A3, tr A4) the mean curvature is treated as zero.
+_TRACE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -68,9 +72,6 @@ class FrameData:
     def branch(self) -> tuple:
         return (*self.scan, self.flipped)
 
-    def vectors(self) -> tuple[PVector, PVector, PVector, PVector]:
-        return (self.e1, self.e2, self.e3, self.e4)
-
 
 @dataclass(frozen=True)
 class SecondFF:
@@ -89,9 +90,11 @@ class CanonicalFrame:
     """Parameters of the rotated frame with diagonal A3 and trace-free A4.
 
     residual is the Frobenius distance to the nearest exact equality-case
-    pair (A3 = diag(2*gamma + mu, mu), A4 = offdiag(gamma)); flip records
-    whether e4 was negated (the frame search covers both normal
-    orientations, since only one of them can realize the equality form).
+    pair (A3 = diag(2*gamma + mu, mu), A4 = offdiag(gamma)); at H = 0 it
+    equals sigma1 - sigma2 of the trace-free parts, i.e. the axis gap
+    a - b of the ellipse of curvature.  flip records whether e4 was negated
+    (both normal orientations are evaluated, since only one of them can
+    realize the equality form).
     """
 
     alpha: float
@@ -158,12 +161,7 @@ def build_frames(imm: Immersion, p: tuple[float, float]) -> FrameData:
     jp = imm.evaluate(*p)
     sig = imm.ambient.signature
     vs, vt = jp.velocity_s(), jp.velocity_t()
-    metric = MetricCoeffs(inner(vs, vs), inner(vs, vt), inner(vt, vt))
-    if not metric.positive_definite:
-        raise DegeneracyError(
-            f"surface {imm.name!r} is not space-like at (s,t)={p}: "
-            f"E={metric.E:.6g}, EG-F^2={metric.det:.6g}"
-        )
+    metric = metric_from_velocities(imm, p, vs, vt)
     base: list[PVector] = []
     chars: list[str] = []
     if not imm.ambient.is_flat:
@@ -180,7 +178,7 @@ def build_frames(imm: Immersion, p: tuple[float, float]) -> FrameData:
         for w in frame + normals:
             r = r - (inner(r, w) / inner(w, w)) * w
         scale = float(np.dot(r.coords, r.coords))
-        if scale <= 1e-12:
+        if scale <= SPAN_RTOL:
             continue  # basis vector lies in the current span
         q = r.self_inner()
         if abs(q) < LIGHTLIKE_RTOL * scale:
@@ -324,12 +322,6 @@ def _mix_sym2(a3: Sym2, a4: Sym2, rho: float) -> tuple[Sym2, Sym2]:
     return mixed3, mixed4
 
 
-def rotate_pair(a3: Sym2, a4: Sym2, theta: float, rho: float) -> tuple[Sym2, Sym2]:
-    """Express the pair in the frame rotated by theta (tangent), rho (normal)."""
-    mixed3, mixed4 = _mix_sym2(a3, a4, rho)
-    return rotate_sym2(mixed3, theta), rotate_sym2(mixed4, theta)
-
-
 def _canonical_at_rho(a3: Sym2, a4: Sym2, rho: float, flip: bool) -> CanonicalFrame:
     mixed3, mixed4 = _mix_sym2(a3, a4, rho)
     if flip:
@@ -343,48 +335,34 @@ def _canonical_at_rho(a3: Sym2, a4: Sym2, rho: float, flip: bool) -> CanonicalFr
     return CanonicalFrame(alpha, gamma, delta, mu, theta, rho, residual, flip)
 
 
-def canonical_equality_frame(
-    a3: Sym2, a4: Sym2, h: PVector | None = None, trace_tol: float = 1e-9
-) -> CanonicalFrame:
+def canonical_equality_frame(a3: Sym2, a4: Sym2) -> CanonicalFrame:
     """Frame rotations bringing the pair to diagonal A3 / trace-free A4 form.
 
-    A nonzero mean curvature fixes the normal angle (e3 aligns with the H
-    direction, leaving only the e4 sign free); with H = 0 every normal
-    angle keeps both operators trace-free, so the angle minimizing the
-    equality residual is found by a dense scan of the 2*pi-periodic
-    objective polished by ternary search.  Both e4 orientations are tried
-    and the unflipped one wins ties.  The optional mean curvature vector
-    only duplicates the trace data, so the branch is decided from the
-    traces.
+    The normal angle rho is closed-form.  A nonzero mean curvature fixes it:
+    e3 aligns with the H direction.  With H = 0 every normal angle keeps
+    both operators trace-free; write the trace-free parts as the rows
+    u = ((a11 - a22)/2, a12) of A3 and w of A4.  Aligning e3 with the top
+    left singular vector of [u; w],
+
+        rho = atan2(2 u.w, |u|^2 - |w|^2) / 2,
+
+    makes the rotated rows orthogonal with lengths sigma1 >= sigma2, so
+    the equality residual is sigma1 - sigma2.  These are the semi-axes
+    a, b of the ellipse of curvature: equality is the circle condition.
+    Both e4 orientations are evaluated at that rho and the unflipped one
+    wins ties.
     """
-    del h
-    trace_norm = math.hypot(a3.trace, a4.trace)
-    if trace_norm > trace_tol:
+    if math.hypot(a3.trace, a4.trace) > _TRACE_TOL:
         rho = math.atan2(a4.trace, a3.trace)
-        plain = _canonical_at_rho(a3, a4, rho, flip=False)
-        flipped = _canonical_at_rho(a3, a4, rho, flip=True)
-        return plain if plain.residual <= flipped.residual else flipped
-    samples = 720
-    best = None
-    for flip in (False, True):
-        for k in range(samples):
-            cand = _canonical_at_rho(a3, a4, 2.0 * math.pi * k / samples, flip)
-            if best is None or cand.residual < best.residual:
-                best = cand
-    width = 2.0 * math.pi / samples
-    lo, hi = best.rho - width, best.rho + width
-    for _ in range(120):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if (
-            _canonical_at_rho(a3, a4, m1, best.flip).residual
-            <= _canonical_at_rho(a3, a4, m2, best.flip).residual
-        ):
-            hi = m2
-        else:
-            lo = m1
-    polished = _canonical_at_rho(a3, a4, 0.5 * (lo + hi), best.flip)
-    return polished if polished.residual <= best.residual else best
+    else:
+        u1, u2 = 0.5 * (a3.a11 - a3.a22), a3.a12
+        w1, w2 = 0.5 * (a4.a11 - a4.a22), a4.a12
+        rho = 0.5 * math.atan2(
+            2.0 * (u1 * w1 + u2 * w2), u1 * u1 + u2 * u2 - w1 * w1 - w2 * w2
+        )
+    plain = _canonical_at_rho(a3, a4, rho, flip=False)
+    flipped = _canonical_at_rho(a3, a4, rho, flip=True)
+    return plain if plain.residual <= flipped.residual else flipped
 
 
 def ellipse_of_curvature(
@@ -410,42 +388,6 @@ def ellipse_of_curvature(
     scale = max(1.0, uu + vv)
     is_circle = (not is_point) and abs(uu - vv) <= tol * scale and abs(uv) <= tol * scale
     return EllipseInfo(a=a, b=b, center=center, is_circle=is_circle, is_point=is_point)
-
-
-def ellipse_sweep(h: SecondFF, center: PVector, samples: int = 360):
-    """Direct sweep of h(v,v) over the unit tangent circle.
-
-    Measures the extreme distances of h(v,v) from the center in the
-    positive normal metric as v = cos(theta) e1 + sin(theta) e2 runs
-    around the circle, sampling the stated number of directions and then
-    polishing each extremum bracket by ternary search.  Independent
-    cross-check of the closed-form axis lengths.
-    """
-    u = 0.5 * (h.h11 - h.h22)
-    v = h.h12
-
-    def dist(theta: float) -> float:
-        w = math.cos(2.0 * theta) * u + math.sin(2.0 * theta) * v
-        return math.sqrt(max(-inner(w, w), 0.0))
-
-    step = math.pi / samples  # h(v,v) has period pi in theta
-    values = [dist(k * step) for k in range(samples)]
-
-    def polish(idx: int, sign: float) -> float:
-        lo = (idx - 1) * step
-        hi = (idx + 1) * step
-        for _ in range(80):
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            if sign * dist(m1) >= sign * dist(m2):
-                hi = m2
-            else:
-                lo = m1
-        return dist(0.5 * (lo + hi))
-
-    imax = max(range(samples), key=values.__getitem__)
-    imin = min(range(samples), key=values.__getitem__)
-    return polish(imax, 1.0), polish(imin, -1.0)
 
 
 def point_report(
@@ -638,9 +580,9 @@ def codazzi_residual(
     s, t = p
     center = build_frames(imm, p)
 
-    def h_at(q, frame_check=True):
+    def h_at(q):
         fr = build_frames(imm, q)
-        if frame_check and fr.branch != center.branch:
+        if fr.branch != center.branch:
             raise DegeneracyError(
                 f"frame branch switch within the stencil at (s,t)={p}"
             )

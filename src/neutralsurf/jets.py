@@ -208,26 +208,3 @@ def seed(s: float, t: float) -> tuple[Jet2, Jet2]:
     """Jets of the coordinate functions at the point (s, t)."""
     return Jet2.var_s(s), Jet2.var_t(t)
 
-
-def finite_difference_jet(f, s: float, t: float, h: float = 1e-4) -> Jet2:
-    """Independent second-order central-difference estimate of a scalar map's jet.
-
-    Used as an oracle against the AD path; 9 evaluations of f.
-    """
-    f00 = f(s, t)
-    fp0 = f(s + h, t)
-    fm0 = f(s - h, t)
-    f0p = f(s, t + h)
-    f0m = f(s, t - h)
-    fpp = f(s + h, t + h)
-    fpm = f(s + h, t - h)
-    fmp = f(s - h, t + h)
-    fmm = f(s - h, t - h)
-    return Jet2(
-        val=f00,
-        d_s=(fp0 - fm0) / (2 * h),
-        d_t=(f0p - f0m) / (2 * h),
-        d_ss=(fp0 - 2 * f00 + fm0) / (h * h),
-        d_st=(fpp - fpm - fmp + fmm) / (4 * h * h),
-        d_tt=(f0p - 2 * f00 + f0m) / (h * h),
-    )

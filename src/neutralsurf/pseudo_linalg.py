@@ -177,9 +177,6 @@ class Sym2:
     def from_array(m: np.ndarray) -> "Sym2":
         return Sym2(float(m[0, 0]), 0.5 * float(m[0, 1] + m[1, 0]), float(m[1, 1]))
 
-    def apply(self, x: float, y: float) -> tuple[float, float]:
-        return (self.a11 * x + self.a12 * y, self.a12 * x + self.a22 * y)
-
 
 def rotation2(theta: float) -> np.ndarray:
     c, s = math.cos(theta), math.sin(theta)

@@ -1,0 +1,101 @@
+"""Independent oracles used only by the tests.
+
+Each one recomputes a quantity the engine produces by a different route
+(sampling, finite differences, explicit matrix products), so a test that
+compares the two does not check the engine against its own code.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from neutralsurf.curvature import SecondFF
+from neutralsurf.jets import Jet2
+from neutralsurf.pseudo_linalg import PVector, Sym2, inner
+
+
+def finite_difference_jet(f, s: float, t: float, h: float = 1e-4) -> Jet2:
+    """Independent second-order central-difference estimate of a scalar map's jet.
+
+    Used as an oracle against the AD path; 9 evaluations of f.
+    """
+    f00 = f(s, t)
+    fp0 = f(s + h, t)
+    fm0 = f(s - h, t)
+    f0p = f(s, t + h)
+    f0m = f(s, t - h)
+    fpp = f(s + h, t + h)
+    fpm = f(s + h, t - h)
+    fmp = f(s - h, t + h)
+    fmm = f(s - h, t - h)
+    return Jet2(
+        val=f00,
+        d_s=(fp0 - fm0) / (2 * h),
+        d_t=(f0p - f0m) / (2 * h),
+        d_ss=(fp0 - 2 * f00 + fm0) / (h * h),
+        d_st=(fpp - fpm - fmp + fmm) / (4 * h * h),
+        d_tt=(f0p - 2 * f00 + f0m) / (h * h),
+    )
+
+
+def rotate_pair(a3: Sym2, a4: Sym2, theta: float, rho: float) -> tuple[Sym2, Sym2]:
+    """Express the pair in the frame rotated by theta (tangent), rho (normal).
+
+    The normal rotation mixes the operators as e3' = cos(rho) e3 + sin(rho) e4,
+    e4' = -sin(rho) e3 + cos(rho) e4; the tangent rotation R(theta) acts on
+    each as R^T A R.  Written with explicit 2x2 matrices.
+    """
+    m3 = np.array([[a3.a11, a3.a12], [a3.a12, a3.a22]])
+    m4 = np.array([[a4.a11, a4.a12], [a4.a12, a4.a22]])
+    cr, sr = math.cos(rho), math.sin(rho)
+    ct, st = math.cos(theta), math.sin(theta)
+    r = np.array([[ct, -st], [st, ct]])
+    out = []
+    for m in (cr * m3 + sr * m4, -sr * m3 + cr * m4):
+        rotated = r.T @ m @ r
+        out.append(
+            Sym2(
+                float(rotated[0, 0]),
+                0.5 * float(rotated[0, 1] + rotated[1, 0]),
+                float(rotated[1, 1]),
+            )
+        )
+    return out[0], out[1]
+
+
+def ellipse_sweep(h: SecondFF, center: PVector, samples: int = 360):
+    """Direct sweep of h(v,v) over the unit tangent circle.
+
+    Measures the extreme distances of h(v,v) from the center in the
+    positive normal metric as v = cos(theta) e1 + sin(theta) e2 runs
+    around the circle, sampling the stated number of directions and then
+    polishing each extremum bracket by ternary search.  Independent
+    cross-check of the closed-form axis lengths.
+    """
+    u = 0.5 * (h.h11 - h.h22)
+    v = h.h12
+
+    def dist(theta: float) -> float:
+        w = math.cos(2.0 * theta) * u + math.sin(2.0 * theta) * v
+        return math.sqrt(max(-inner(w, w), 0.0))
+
+    step = math.pi / samples  # h(v,v) has period pi in theta
+    values = [dist(k * step) for k in range(samples)]
+
+    def polish(idx: int, sign: float) -> float:
+        lo = (idx - 1) * step
+        hi = (idx + 1) * step
+        for _ in range(80):
+            m1 = lo + (hi - lo) / 3.0
+            m2 = hi - (hi - lo) / 3.0
+            if sign * dist(m1) >= sign * dist(m2):
+                hi = m2
+            else:
+                lo = m1
+        return dist(0.5 * (lo + hi))
+
+    imax = max(range(samples), key=values.__getitem__)
+    imin = min(range(samples), key=values.__getitem__)
+    return polish(imax, 1.0), polish(imin, -1.0)

@@ -18,9 +18,7 @@ from neutralsurf.curvature import (
     build_frames,
     canonical_equality_frame,
     codazzi_residual,
-    ellipse_sweep,
     point_report,
-    rotate_pair,
     second_fundamental_form,
     shape_operators,
     structure_equation_check,
@@ -34,6 +32,7 @@ from neutralsurf.fields import (
     verify_identity,
 )
 from neutralsurf.pseudo_linalg import Sym2
+from oracles import ellipse_sweep, rotate_pair
 
 PHI_FILE = """\
 ambient H(3,2; -1)

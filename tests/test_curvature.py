@@ -13,10 +13,8 @@ from neutralsurf.curvature import (
     codazzi_residual,
     connection_forms,
     ellipse_of_curvature,
-    ellipse_sweep,
     equality_frame,
     point_report,
-    rotate_pair,
     second_fundamental_form,
     shape_operators,
     structure_equation_check,
@@ -24,6 +22,7 @@ from neutralsurf.curvature import (
 )
 from neutralsurf.expr import parse_surface
 from neutralsurf.pseudo_linalg import PVector, Signature, Sym2, inner
+from oracles import ellipse_sweep, rotate_pair
 
 SIG22 = Signature(2, 4)
 GAMMA_PHI = 1.0 / math.sqrt(3.0)
@@ -270,6 +269,46 @@ class TestCanonicalEqualityFrame:
             assert can.residual <= 1e-8
             assert abs(can.delta) <= 1e-8
             assert abs(can.alpha - (2 * can.gamma + can.mu)) <= 1e-8
+
+    def test_minimal_residual_is_ellipse_axis_gap(self):
+        # at H = 0 the residual is sigma1 - sigma2 of the trace-free rows
+        # [u; w], which are the semi-axes a, b of the ellipse of curvature
+        fr = synthetic_frame()
+        center = 0.0 * fr.e1
+        rng = np.random.default_rng(16)
+        pairs = []
+        for _ in range(100):
+            x, y, z, w = rng.uniform(-2, 2, size=4)
+            pairs.append((Sym2(x, y, -x), Sym2(z, w, -z), False))
+        for eps in (0.0, 1e-6, 1e-9):
+            for _ in range(50):
+                gamma = rng.uniform(-1.5, 1.5)
+                theta, rho = rng.uniform(0, 2 * math.pi, size=2)
+                a3, a4 = rotate_pair(Sym2(gamma, 0.0, -gamma), Sym2(0.0, gamma, 0.0), theta, rho)
+                x, y, z, w = eps * rng.standard_normal(4)
+                pairs.append(
+                    (
+                        Sym2(a3.a11 + x, a3.a12 + y, a3.a22 - x),
+                        Sym2(a4.a11 + z, a4.a12 + w, a4.a22 - z),
+                        eps == 0.0,
+                    )
+                )
+        for a3, a4, exact in pairs:
+            h = SecondFF(
+                h11=-a3.a11 * fr.e3 - a4.a11 * fr.e4,
+                h12=-a3.a12 * fr.e3 - a4.a12 * fr.e4,
+                h22=-a3.a22 * fr.e3 - a4.a22 * fr.e4,
+            )
+            can = canonical_equality_frame(*shape_operators(h, fr))
+            ell = ellipse_of_curvature(h, center)
+            rows = np.array(
+                [[0.5 * (a3.a11 - a3.a22), a3.a12], [0.5 * (a4.a11 - a4.a22), a4.a12]]
+            )
+            sigma = np.linalg.svd(rows, compute_uv=False)
+            assert abs(can.residual - (sigma[0] - sigma[1])) <= 1e-12
+            assert abs(can.residual - (ell.a - ell.b)) <= 1e-12
+            if exact:
+                assert abs(can.delta) <= 1e-12
 
     def test_nonequality_residual_positive(self):
         imm = catalog_get("random_polynomial", {"seed": 7})

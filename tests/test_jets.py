@@ -8,7 +8,6 @@ from neutralsurf.errors import SingularityError
 from neutralsurf.jets import (
     FUNCTIONS,
     Jet2,
-    finite_difference_jet,
     jexp,
     jlog,
     jpow,
@@ -17,6 +16,7 @@ from neutralsurf.jets import (
     jtan,
     seed,
 )
+from oracles import finite_difference_jet
 
 FIELDS = ("val", "d_s", "d_t", "d_ss", "d_st", "d_tt")
 
