@@ -2,12 +2,14 @@
 
 Every entry evaluates to a JetPoint: the ambient coordinates of the map
 together with their first and second partials at the requested parameter
-point.  Construction validates space-likeness on a 33x33 sample of the
-default domain; non-space-like parameter choices are rejected.
+point, or at every node of a batch when s and t are arrays.  Construction
+validates space-likeness on a 33x33 sample of the default domain in one
+batched evaluation; non-space-like parameter choices are rejected.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -15,10 +17,10 @@ from typing import Callable
 import numpy as np
 
 from .ambient import AmbientSpace, DomainRect
-from .errors import DegeneracyError, InputMismatchError
+from .errors import DegeneracyError, InputMismatchError, first_flagged
 from .expr import SurfaceDefinition, eval_numeric, eval_on_jets, parse_expression
-from .jets import Jet2, jcosh, jexp, jsinh, seed
-from .pseudo_linalg import PVector
+from .jets import FIELDS, Jet2, jcosh, jexp, jsinh, seed
+from .pseudo_linalg import PVector, inner
 
 _SQRT3 = math.sqrt(3.0)
 _VALIDATION_GRID = 33
@@ -26,14 +28,25 @@ _VALIDATION_GRID = 33
 
 @dataclass(frozen=True)
 class JetPoint:
-    """Ambient coordinates of an immersion with partials at one (s,t)."""
+    """Ambient coordinates of an immersion with partials at one (s,t) or a batch.
+
+    A component that does not depend on (s, t) may hold scalar fields; the
+    vectors broadcast every component to the batch shape and stack them
+    along the last axis.
+    """
 
     ambient: AmbientSpace
     components: tuple
 
+    @functools.cached_property
+    def shape(self) -> tuple:
+        return np.broadcast_shapes(
+            *(np.shape(getattr(c, f)) for c in self.components for f in FIELDS)
+        )
+
     def _vector(self, attr: str) -> PVector:
-        vals = np.array([getattr(c, attr) for c in self.components])
-        return PVector(vals, self.ambient.signature)
+        vals = [np.broadcast_to(getattr(c, attr), self.shape) for c in self.components]
+        return PVector(np.stack(vals, axis=-1), self.ambient.signature)
 
     def position(self) -> PVector:
         return self._vector("val")
@@ -56,49 +69,55 @@ class JetPoint:
 
 @dataclass(frozen=True)
 class MetricCoeffs:
-    """First fundamental form coefficients E, F, G at a point."""
+    """First fundamental form coefficients E, F, G at a point or per node."""
 
-    E: float
-    F: float
-    G: float
+    E: float | np.ndarray
+    F: float | np.ndarray
+    G: float | np.ndarray
 
     @property
-    def det(self) -> float:
+    def det(self):
         return self.E * self.G - self.F * self.F
 
     @property
-    def positive_definite(self) -> bool:
-        return self.E > 0.0 and self.det > 0.0
+    def positive_definite(self):
+        return (self.E > 0.0) & (self.det > 0.0)
 
 
 @dataclass(frozen=True)
 class Immersion:
     name: str
     ambient: AmbientSpace
-    evaluator: Callable[[float, float], JetPoint]
+    evaluator: Callable[..., JetPoint]
     domain: DomainRect
     params: dict = field(default_factory=dict)
     expected: dict = field(default_factory=dict)
 
-    def evaluate(self, s: float, t: float) -> JetPoint:
-        return self.evaluator(float(s), float(t))
+    def evaluate(self, s, t) -> JetPoint:
+        """Jets at the node (s, t), or at every node of s and t broadcast together."""
+        return self.evaluator(*np.broadcast_arrays(np.asarray(s, float), np.asarray(t, float)))
 
 
 def metric_from_velocities(
-    imm: Immersion, p: tuple[float, float], vs: PVector, vt: PVector, check: bool = True
+    imm: Immersion, p: tuple, vs: PVector, vt: PVector, check: bool = True
 ) -> MetricCoeffs:
-    """E, F, G from the coordinate velocities at p; degeneracy error if not space-like."""
-    m = MetricCoeffs(vs.inner(vs), vs.inner(vt), vt.inner(vt))
-    if check and not m.positive_definite:
+    """E, F, G from the coordinate velocities at p; degeneracy error if not space-like.
+
+    Over a batch the error names the first node (C order) that is not.
+    """
+    m = MetricCoeffs(inner(vs, vs), inner(vs, vt), inner(vt, vt))
+    bad = ~m.positive_definite
+    if check and np.any(bad):
+        s, t, e, det = first_flagged(bad, *p, m.E, m.det)
         raise DegeneracyError(
-            f"surface {imm.name!r} is not space-like at (s,t)={p}: "
-            f"E={m.E:.6g}, EG-F^2={m.det:.6g}"
+            f"surface {imm.name!r} is not space-like at (s,t)={(s, t)}: "
+            f"E={e:.6g}, EG-F^2={det:.6g}"
         )
     return m
 
 
-def induced_metric(imm: Immersion, p: tuple[float, float], check: bool = True) -> MetricCoeffs:
-    """E, F, G of the induced metric at p; degeneracy error if not space-like."""
+def induced_metric(imm: Immersion, p: tuple, check: bool = True) -> MetricCoeffs:
+    """E, F, G of the induced metric at p, a node or a batch; error if not space-like."""
     jp = imm.evaluate(*p)
     return metric_from_velocities(imm, p, jp.velocity_s(), jp.velocity_t(), check)
 
@@ -107,22 +126,15 @@ def check_membership(imm: Immersion, points: list[tuple[float, float]]) -> float
     """Max over points of |<x,x> - 1/c| for a non-flat ambient."""
     if imm.ambient.is_flat:
         raise InputMismatchError("membership check only applies to non-flat ambients")
-    target = imm.ambient.membership_target
-    worst = 0.0
-    for p in points:
-        x = imm.evaluate(*p).position()
-        worst = max(worst, abs(x.inner(x) - target))
-    return worst
+    s, t = np.reshape(np.asarray(points, dtype=float), (-1, 2)).T
+    x = imm.evaluate(s, t).position()
+    return float(np.max(np.abs(inner(x, x) - imm.ambient.membership_target), initial=0.0))
 
 
 def _validate_spacelike(imm: Immersion, n: int = _VALIDATION_GRID) -> bool:
     ss, ts = imm.domain.grid(n, n)
-    for s in ss:
-        for t in ts:
-            m = induced_metric(imm, (s, t), check=False)
-            if not m.positive_definite:
-                return False
-    return True
+    grid = np.meshgrid(ss, ts, indexing="ij")
+    return bool(np.all(induced_metric(imm, grid, check=False).positive_definite))
 
 
 def _require_spacelike(imm: Immersion) -> Immersion:
@@ -136,8 +148,8 @@ def _require_spacelike(imm: Immersion) -> Immersion:
 # -- built-in surfaces -------------------------------------------------
 
 
-def _phi_h42_eval(ambient: AmbientSpace) -> Callable[[float, float], JetPoint]:
-    def evaluate(s: float, t: float) -> JetPoint:
+def _phi_h42_eval(ambient: AmbientSpace) -> Callable[..., JetPoint]:
+    def evaluate(s, t) -> JetPoint:
         js, jt = seed(s, t)
         u = (2.0 / _SQRT3) * js
         sh = jsinh(u)
@@ -173,10 +185,10 @@ def _build_phi_h42(params: dict) -> Immersion:
     )
 
 
-def _flat_l_eval(ambient: AmbientSpace) -> Callable[[float, float], JetPoint]:
+def _flat_l_eval(ambient: AmbientSpace) -> Callable[..., JetPoint]:
     r = 1.0 / math.sqrt(2.0)
 
-    def evaluate(s: float, t: float) -> JetPoint:
+    def evaluate(s, t) -> JetPoint:
         js, jt = seed(s, t)
         zero = Jet2.constant(0.0)
         return JetPoint(
@@ -201,8 +213,8 @@ def _build_flat_l(params: dict) -> Immersion:
     )
 
 
-def _geodesic_eval(ambient: AmbientSpace) -> Callable[[float, float], JetPoint]:
-    def evaluate(s: float, t: float) -> JetPoint:
+def _geodesic_eval(ambient: AmbientSpace) -> Callable[..., JetPoint]:
+    def evaluate(s, t) -> JetPoint:
         js, jt = seed(s, t)
         zero = Jet2.constant(0.0)
         cs, ss_ = jcosh(js), jsinh(js)
@@ -248,9 +260,9 @@ def _poly_coeffs_from_param(f) -> np.ndarray:
 
 def _holomorphic_eval(
     ambient: AmbientSpace, coeffs: np.ndarray
-) -> Callable[[float, float], JetPoint]:
+) -> Callable[..., JetPoint]:
     # complex jets as (re, im) pairs; Horner evaluation of f(s + i t)
-    def evaluate(s: float, t: float) -> JetPoint:
+    def evaluate(s, t) -> JetPoint:
         js, jt = seed(s, t)
         acc_re = Jet2.constant(coeffs[-1].real)
         acc_im = Jet2.constant(coeffs[-1].imag)
@@ -288,8 +300,8 @@ def _build_holomorphic_graph(params: dict) -> Immersion:
 
 def _umbilical_eval(
     ambient: AmbientSpace, radius: float
-) -> Callable[[float, float], JetPoint]:
-    def evaluate(s: float, t: float) -> JetPoint:
+) -> Callable[..., JetPoint]:
+    def evaluate(s, t) -> JetPoint:
         js, jt = seed(s, t)
         zero = Jet2.constant(0.0)
         cs, ss_ = jcosh(js), jsinh(js)
@@ -322,8 +334,8 @@ _MONOMIALS = [(i, j) for total in range(4) for i in range(total + 1) for j in [t
 
 def _random_poly_eval(
     ambient: AmbientSpace, coeff_p: np.ndarray, coeff_q: np.ndarray
-) -> Callable[[float, float], JetPoint]:
-    def evaluate(s: float, t: float) -> JetPoint:
+) -> Callable[..., JetPoint]:
+    def evaluate(s, t) -> JetPoint:
         js, jt = seed(s, t)
         # monomial jets s^i t^j, shared between the two perturbations
         p = Jet2.constant(0.0)
@@ -448,7 +460,7 @@ def from_definition(defn: SurfaceDefinition) -> Immersion:
     """Wrap a parsed surface definition as an evaluable immersion."""
     ambient = defn.ambient
 
-    def evaluate(s: float, t: float) -> JetPoint:
+    def evaluate(s, t) -> JetPoint:
         js, jt = seed(s, t)
         return JetPoint(ambient, tuple(eval_on_jets(c, js, jt) for c in defn.components))
 

@@ -275,11 +275,10 @@ def build_verification_report(
         )
 
     # canonical frame residual where the surface achieves equality
-    canonical_max = 0.0
+    fd_points = _fd_sample_points(domain, tols["fd_step"])
     if equality:
-        for p in _fd_sample_points(domain, tols["fd_step"])[::2]:
-            rep = point_report(imm, p, with_ellipse=False)
-            canonical_max = max(canonical_max, rep.canonical.residual)
+        rep = point_report(imm, np.transpose(fd_points[::2]), with_ellipse=False)
+        canonical_max = float(np.max(rep.canonical.residual))
         add_check(
             "canonical equality-frame residual",
             canonical_max,
@@ -289,13 +288,11 @@ def build_verification_report(
 
     # finite-difference consistency checks on an interior subsample
     step = tols["fd_step"]
-    structure_k = structure_kd = codazzi_max = 0.0
-    for p in _fd_sample_points(domain, step):
-        rep = point_report(imm, p, with_canonical=False, with_ellipse=False)
-        kw, kdw = structure_equation_check(imm, p, step)
-        structure_k = max(structure_k, abs(kw - rep.K))
-        structure_kd = max(structure_kd, abs(kdw - rep.KD))
-        codazzi_max = max(codazzi_max, codazzi_residual(imm, p, step))
+    rep = point_report(imm, np.transpose(fd_points), with_canonical=False, with_ellipse=False)
+    kw, kdw = np.transpose([structure_equation_check(imm, p, step) for p in fd_points])
+    structure_k = float(np.max(np.abs(kw - rep.K)))
+    structure_kd = float(np.max(np.abs(kdw - rep.KD)))
+    codazzi_max = max(codazzi_residual(imm, p, step) for p in fd_points)
     add_check(
         "structure equation K agreement",
         structure_k,

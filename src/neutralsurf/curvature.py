@@ -11,17 +11,22 @@ which is nonnegative for every space-like surface and zero exactly on the
 equality cases.  Frame-derivative quantities (connection forms, structure
 equations, Codazzi residual) are estimated by central differences of the
 deterministic frame field.
+
+Every stage takes a point or a batch of nodes alike: p = (s, t) may hold
+floats or arrays, and each field then holds one value per node.  The
+finite-difference checks evaluate all nodes of their stencil in one
+batched call.
 """
 
 from __future__ import annotations
 
-import math
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import Immersion, MetricCoeffs, metric_from_velocities
-from .errors import DegeneracyError
+from .catalog import Immersion, JetPoint, MetricCoeffs, metric_from_velocities
+from .errors import DegeneracyError, first_flagged
 from .pseudo_linalg import (
     SPACE_LIKE,
     TIME_LIKE,
@@ -48,16 +53,29 @@ _DUALITY_TOL = 1e-8
 # Below this norm of (tr A3, tr A4) the mean curvature is treated as zero.
 _TRACE_TOL = 1e-9
 
+# Finite-difference stencils as offsets in units of the step.  The 5-point
+# stencil is (center, +s, -s, +t, -t); the structure equations nest it: the
+# 5-point stencils around the four neighbours, as indices (stencil, neighbour)
+# into their 13 distinct nodes.
+_STENCIL = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]
+_NESTED_NODES = sorted({(i + k, j + l) for i, j in _STENCIL for k, l in _STENCIL[1:]})
+_NESTED = np.array(
+    [[_NESTED_NODES.index((i + k, j + l)) for k, l in _STENCIL[1:]] for i, j in _STENCIL]
+)
+_NESTED_CENTER = _NESTED_NODES.index((0, 0))
+
 
 @dataclass(frozen=True)
 class FrameData:
-    """Adapted orthonormal frame at a point.
+    """Adapted orthonormal frame at a point, or one per node of a batch.
 
     e1, e2 span the tangent plane (<ei,ej> = delta_ij); e3, e4 span the
     normal plane inside the space form (<e3,e3> = <e4,e4> = -1) and are
     orthogonal to the position vector for a non-flat ambient.  scan records
-    which ambient basis vectors seeded the normal pair; flipped records the
-    orientation normalization applied to e4.
+    which ambient basis vectors seeded the normal pair (shape (..., 2));
+    flipped records the orientation normalization applied to e4.  jets are
+    the jets the frame was built from, so later stages do not evaluate the
+    immersion again.
     """
 
     e1: PVector
@@ -65,12 +83,9 @@ class FrameData:
     e3: PVector
     e4: PVector
     metric: MetricCoeffs
-    scan: tuple[int, int]
-    flipped: bool
-
-    @property
-    def branch(self) -> tuple:
-        return (*self.scan, self.flipped)
+    scan: tuple | np.ndarray
+    flipped: bool | np.ndarray
+    jets: JetPoint | None = None
 
 
 @dataclass(frozen=True)
@@ -123,6 +138,8 @@ class EllipseInfo:
 
 @dataclass(frozen=True)
 class CurvatureReport:
+    """Invariants at a point or per node; point_report also keeps the frames and h."""
+
     A3: Sym2
     A4: Sym2
     H: PVector
@@ -132,6 +149,8 @@ class CurvatureReport:
     defect: float
     canonical: CanonicalFrame | None = None
     ellipse: EllipseInfo | None = None
+    frames: FrameData | None = None
+    h: SecondFF | None = None
 
 
 @dataclass(frozen=True)
@@ -149,14 +168,15 @@ def ambient_curvature(x: PVector, y: PVector, z: PVector, c: float) -> PVector:
     return c * (inner(x, z) * y - inner(y, z) * x)
 
 
-def build_frames(imm: Immersion, p: tuple[float, float]) -> FrameData:
-    """Deterministic adapted frame at p.
+def build_frames(imm: Immersion, p: tuple) -> FrameData:
+    """Deterministic adapted frame at p, a node (s, t) or a batch of nodes.
 
     e1 follows the s-velocity; e2 completes the tangent pair with the (s,t)
     orientation; the normal pair comes from Gram-Schmidt over the first two
     ambient basis vectors carrying a direction outside the tangent (and
     position) span, in coordinate order, then e4 is sign-normalized so the
-    full ambient frame has determinant sign +1.
+    full ambient frame has determinant sign +1.  Over a batch every node
+    runs its own scan, with masks; errors name the first offending node.
     """
     jp = imm.evaluate(*p)
     sig = imm.ambient.signature
@@ -168,75 +188,82 @@ def build_frames(imm: Immersion, p: tuple[float, float]) -> FrameData:
         base.append(jp.position())
         chars.append(TIME_LIKE if imm.ambient.curvature < 0 else SPACE_LIKE)
     frame = orthonormalize(base + [vs, vt], chars + [SPACE_LIKE, SPACE_LIKE])
-    normals: list[PVector] = []
-    scan: list[int] = []
-    for i in range(sig.total_dim):
-        if len(normals) == 2:
-            break
-        u = PVector(np.eye(sig.total_dim)[i], sig)
-        r = u
-        for w in frame + normals:
-            r = r - (inner(r, w) / inner(w, w)) * w
-        scale = float(np.dot(r.coords, r.coords))
-        if scale <= SPAN_RTOL:
-            continue  # basis vector lies in the current span
+    # the ambient basis vectors (leading axis) with the frame projected off
+    dim = sig.total_dim
+    rest = PVector(np.eye(dim).reshape((dim,) + (1,) * len(jp.shape) + (dim,)), sig)
+    for w in frame:
+        rest = rest - (inner(rest, w) / inner(w, w)) * w
+    # normals not found yet are zero, found ones have <n,n> = -1, so adding
+    # <r,n> n projects r off the normals a node already has
+    normals = [PVector(np.zeros(jp.shape + (dim,)), sig) for _ in range(2)]
+    found = np.zeros(jp.shape, dtype=int)
+    scan = np.zeros(jp.shape + (2,), dtype=int)
+    for i in range(dim):
+        r = rest[i]
+        for n in normals:
+            r = r + inner(r, n) * n
+        scale = np.sum(r.coords * r.coords, axis=-1)
         q = r.self_inner()
-        if abs(q) < LIGHTLIKE_RTOL * scale:
+        # basis vectors in the current span are skipped
+        take = (found < 2) & (scale > SPAN_RTOL)
+        light = take & (np.abs(q) < LIGHTLIKE_RTOL * scale)
+        if np.any(light):
             raise DegeneracyError(
-                f"degenerate normal plane at (s,t)={p}: light-like remainder"
+                f"degenerate normal plane at (s,t)={first_flagged(light, *p)}: "
+                "light-like remainder"
             )
-        if q > 0:
+        spacelike = take & (q > 0)
+        if np.any(spacelike):
             raise DegeneracyError(
-                f"normal plane is not negative definite at (s,t)={p}"
+                f"normal plane is not negative definite at (s,t)={first_flagged(spacelike, *p)}"
             )
-        normals.append(r * (1.0 / math.sqrt(-q)))
-        scan.append(i)
-    if len(normals) < 2:
-        raise DegeneracyError(f"could not complete a normal frame at (s,t)={p}")
+        unit = r * (1.0 / np.sqrt(np.where(take, -q, 1.0)))
+        for k in range(2):
+            now = take & (found == k)
+            normals[k] = PVector(np.where(now[..., None], unit.coords, normals[k].coords), sig)
+            scan[..., k] = np.where(now, i, scan[..., k])
+        found = found + take
+    if np.any(found < 2):
+        raise DegeneracyError(
+            f"could not complete a normal frame at (s,t)={first_flagged(found < 2, *p)}"
+        )
     e1, e2 = frame[-2], frame[-1]
     e3, e4 = normals
-    rows = [v.coords for v in frame[: len(base)]] + [
-        e1.coords,
-        e2.coords,
-        e3.coords,
-        e4.coords,
-    ]
-    flipped = float(np.linalg.det(np.array(rows))) * _ORIENT_SIGN[imm.ambient.kind] < 0
-    if flipped:
-        e4 = -e4
-    return FrameData(e1, e2, e3, e4, metric, (scan[0], scan[1]), flipped)
+    rows = np.stack([v.coords for v in frame[: len(base)] + [e1, e2, e3, e4]], axis=-2)
+    flipped = np.linalg.det(rows) * _ORIENT_SIGN[imm.ambient.kind] < 0
+    e4 = np.where(flipped, -1.0, 1.0) * e4
+    return FrameData(e1, e2, e3, e4, metric, scan, flipped, jp)
 
 
-def _tangent_coeffs(metric: MetricCoeffs) -> tuple[float, float, float]:
+def _tangent_coeffs(metric: MetricCoeffs) -> tuple:
     """Coefficients expressing the frame in coordinate velocities.
 
     e1 = a * psi_s,  e2 = b * psi_s + c * psi_t.
     """
-    a = 1.0 / math.sqrt(metric.E)
-    nu = math.sqrt(metric.G - metric.F * metric.F / metric.E)
+    a = 1.0 / np.sqrt(metric.E)
+    nu = np.sqrt(metric.G - metric.F * metric.F / metric.E)
     b = -metric.F / (metric.E * nu)
     c = 1.0 / nu
     return a, b, c
 
 
-def _normal_project(w: PVector, frames: FrameData) -> PVector:
+def _normal_project(w: PVector, e3: PVector, e4: PVector) -> PVector:
     """Projection onto the normal plane span(e3, e4) (time-like unit normals)."""
-    return -inner(w, frames.e3) * frames.e3 - inner(w, frames.e4) * frames.e4
+    return -inner(w, e3) * e3 - inner(w, e4) * e4
 
 
-def second_fundamental_form(
-    imm: Immersion, p: tuple[float, float], frames: FrameData
-) -> SecondFF:
+def second_fundamental_form(imm: Immersion, p: tuple, frames: FrameData) -> SecondFF:
     """h(ei, ej): normal projections of the second coordinate derivatives.
 
-    For a non-flat ambient the projection onto span(e3, e4) also removes
-    the position-direction (umbilical) term, so h is the second fundamental
+    The jets are the ones frames was built from at p.  For a non-flat
+    ambient the projection onto span(e3, e4) also removes the
+    position-direction (umbilical) term, so h is the second fundamental
     form of the surface inside the space form.
     """
-    jp = imm.evaluate(*p)
-    hss = _normal_project(jp.accel_ss(), frames)
-    hst = _normal_project(jp.accel_st(), frames)
-    htt = _normal_project(jp.accel_tt(), frames)
+    jp = frames.jets
+    hss = _normal_project(jp.accel_ss(), frames.e3, frames.e4)
+    hst = _normal_project(jp.accel_st(), frames.e3, frames.e4)
+    htt = _normal_project(jp.accel_tt(), frames.e3, frames.e4)
     a, b, c = _tangent_coeffs(frames.metric)
     h11 = (a * a) * hss
     h12 = a * (b * hss + c * hst)
@@ -253,24 +280,18 @@ def shape_operators(h: SecondFF, frames: FrameData) -> tuple[Sym2, Sym2]:
         inner(h.h11, frames.e4), inner(h.h12, frames.e4), inner(h.h22, frames.e4)
     )
     # duality check: h must be recovered from the operators and the normal frame
-    scale = max(1.0, max(v.euclid_norm() for v in h.components()))
+    scale = np.maximum(1.0, np.max([v.euclid_norm() for v in h.components()], axis=0))
     for hij, a3ij, a4ij in (
         (h.h11, a3.a11, a4.a11),
         (h.h12, a3.a12, a4.a12),
         (h.h22, a3.a22, a4.a22),
     ):
         rebuilt = -a3ij * frames.e3 - a4ij * frames.e4
-        if (rebuilt - hij).euclid_norm() > _DUALITY_TOL * scale:
+        if np.any((rebuilt - hij).euclid_norm() > _DUALITY_TOL * scale):
             raise DegeneracyError(
                 "second fundamental form is not normal-valued; frame is inconsistent"
             )
     return a3, a4
-
-
-def _commutator_21(a3: Sym2, a4: Sym2) -> float:
-    """Entry <[A3, A4] e1, e2> of the commutator."""
-    m3, m4 = a3.as_array(), a4.as_array()
-    return float((m3 @ m4 - m4 @ m3)[1, 0])
 
 
 def invariants(a3: Sym2, a4: Sym2, frames: FrameData, c: float) -> CurvatureReport:
@@ -282,7 +303,8 @@ def invariants(a3: Sym2, a4: Sym2, frames: FrameData, c: float) -> CurvatureRepo
     the e4 -> -e4 flip, so it is orientation-free.
     """
     k = c - a3.det - a4.det
-    kd = _commutator_21(a3, a4)
+    # KD = <[A3, A4] e1, e2>
+    kd = (a3.a12 * a4.a11 + a3.a22 * a4.a12) - (a4.a12 * a3.a11 + a4.a22 * a3.a12)
     h = -0.5 * (a3.trace * frames.e3 + a4.trace * frames.e4)
     h2 = -0.25 * (a3.trace ** 2 + a4.trace ** 2)
     defect = k - abs(kd) - h2 - c
@@ -306,9 +328,9 @@ def wintgen_defect_formula(
     return k, kd, h2, defect
 
 
-def _mix_sym2(a3: Sym2, a4: Sym2, rho: float) -> tuple[Sym2, Sym2]:
+def _mix_sym2(a3: Sym2, a4: Sym2, rho) -> tuple[Sym2, Sym2]:
     """Shape-operator pair after rotating the normal frame by rho."""
-    cr, sr = math.cos(rho), math.sin(rho)
+    cr, sr = np.cos(rho), np.sin(rho)
     mixed3 = Sym2(
         cr * a3.a11 + sr * a4.a11,
         cr * a3.a12 + sr * a4.a12,
@@ -322,14 +344,14 @@ def _mix_sym2(a3: Sym2, a4: Sym2, rho: float) -> tuple[Sym2, Sym2]:
     return mixed3, mixed4
 
 
-def _canonical_at_rho(a3: Sym2, a4: Sym2, rho: float, flip: bool) -> CanonicalFrame:
+def _canonical_at_rho(a3: Sym2, a4: Sym2, rho, flip: bool) -> CanonicalFrame:
     mixed3, mixed4 = _mix_sym2(a3, a4, rho)
     if flip:
         mixed4 = Sym2(-mixed4.a11, -mixed4.a12, -mixed4.a22)
     (alpha, mu), theta = eigen_sym2(mixed3)
     rotated4 = rotate_sym2(mixed4, theta)
     delta, gamma = rotated4.a11, rotated4.a12
-    residual = math.sqrt(
+    residual = np.sqrt(
         0.25 * (2.0 * gamma + mu - alpha) ** 2 + 2.0 * delta * delta
     )
     return CanonicalFrame(alpha, gamma, delta, mu, theta, rho, residual, flip)
@@ -352,17 +374,18 @@ def canonical_equality_frame(a3: Sym2, a4: Sym2) -> CanonicalFrame:
     Both e4 orientations are evaluated at that rho and the unflipped one
     wins ties.
     """
-    if math.hypot(a3.trace, a4.trace) > _TRACE_TOL:
-        rho = math.atan2(a4.trace, a3.trace)
-    else:
-        u1, u2 = 0.5 * (a3.a11 - a3.a22), a3.a12
-        w1, w2 = 0.5 * (a4.a11 - a4.a22), a4.a12
-        rho = 0.5 * math.atan2(
-            2.0 * (u1 * w1 + u2 * w2), u1 * u1 + u2 * u2 - w1 * w1 - w2 * w2
-        )
+    u1, u2 = 0.5 * (a3.a11 - a3.a22), a3.a12
+    w1, w2 = 0.5 * (a4.a11 - a4.a22), a4.a12
+    rho = np.where(
+        np.hypot(a3.trace, a4.trace) > _TRACE_TOL,
+        np.arctan2(a4.trace, a3.trace),
+        0.5 * np.arctan2(2.0 * (u1 * w1 + u2 * w2), u1 * u1 + u2 * u2 - w1 * w1 - w2 * w2),
+    )[()]
     plain = _canonical_at_rho(a3, a4, rho, flip=False)
     flipped = _canonical_at_rho(a3, a4, rho, flip=True)
-    return plain if plain.residual <= flipped.residual else flipped
+    keep = plain.residual <= flipped.residual
+    pairs = zip(dataclasses.astuple(plain), dataclasses.astuple(flipped))
+    return CanonicalFrame(*(np.where(keep, a, b)[()] for a, b in pairs))
 
 
 def ellipse_of_curvature(
@@ -382,44 +405,38 @@ def ellipse_of_curvature(
     uv = -inner(u, v)
     gram = Sym2(uu, uv, vv)
     (lam1, lam2), _ = eigen_sym2(gram)
-    a = math.sqrt(max(lam1, 0.0))
-    b = math.sqrt(max(lam2, 0.0))
-    is_point = math.sqrt(max(uu + vv, 0.0)) <= point_tol
-    scale = max(1.0, uu + vv)
-    is_circle = (not is_point) and abs(uu - vv) <= tol * scale and abs(uv) <= tol * scale
+    a = np.sqrt(np.maximum(lam1, 0.0))
+    b = np.sqrt(np.maximum(lam2, 0.0))
+    is_point = np.sqrt(np.maximum(uu + vv, 0.0)) <= point_tol
+    scale = np.maximum(1.0, uu + vv)
+    is_circle = ~is_point & (np.abs(uu - vv) <= tol * scale) & (np.abs(uv) <= tol * scale)
     return EllipseInfo(a=a, b=b, center=center, is_circle=is_circle, is_point=is_point)
 
 
 def point_report(
     imm: Immersion,
-    p: tuple[float, float],
+    p: tuple,
     with_canonical: bool = True,
     with_ellipse: bool = True,
 ) -> CurvatureReport:
-    """Full pointwise pipeline: frames, h, shape operators, invariants."""
+    """Full pointwise pipeline at a node or a batch: frames, h, shape operators, invariants."""
     frames = build_frames(imm, p)
     h = second_fundamental_form(imm, p, frames)
     a3, a4 = shape_operators(h, frames)
     rep = invariants(a3, a4, frames, imm.ambient.curvature)
-    canonical = canonical_equality_frame(a3, a4) if with_canonical else None
-    ellipse = ellipse_of_curvature(h, rep.H) if with_ellipse else None
-    return CurvatureReport(
-        A3=rep.A3,
-        A4=rep.A4,
-        H=rep.H,
-        H2=rep.H2,
-        K=rep.K,
-        KD=rep.KD,
-        defect=rep.defect,
-        canonical=canonical,
-        ellipse=ellipse,
+    return dataclasses.replace(
+        rep,
+        canonical=canonical_equality_frame(a3, a4) if with_canonical else None,
+        ellipse=ellipse_of_curvature(h, rep.H) if with_ellipse else None,
+        frames=frames,
+        h=h,
     )
 
 
 # -- frame-derivative quantities ----------------------------------------
 
 
-def equality_frame(imm: Immersion, p: tuple[float, float]) -> FrameData:
+def equality_frame(imm: Immersion, p: tuple) -> FrameData:
     """Frame rotated pointwise into the equality-case shape of the operators.
 
     The tangent pair is rotated by the angle diagonalizing A_{e3} and e4 is
@@ -427,81 +444,71 @@ def equality_frame(imm: Immersion, p: tuple[float, float]) -> FrameData:
     surfaces this produces the frame field in which the Codazzi consequence
     "normal form = twice the tangent form" can be checked componentwise.
     """
-    fr = build_frames(imm, p)
-    h = second_fundamental_form(imm, p, fr)
-    a3, a4 = shape_operators(h, fr)
-    e4 = fr.e4
-    extra_flip = False
-    if _commutator_21(a3, a4) > 0:
-        e4 = -e4
-        extra_flip = True
-    _, theta = eigen_sym2(a3)
-    ct, st = math.cos(theta), math.sin(theta)
+    rep = point_report(imm, p, with_canonical=False, with_ellipse=False)
+    fr, extra_flip = rep.frames, rep.KD > 0
+    _, theta = eigen_sym2(rep.A3)
+    ct, st = np.cos(theta), np.sin(theta)
     e1 = ct * fr.e1 + st * fr.e2
     e2 = -st * fr.e1 + ct * fr.e2
-    return FrameData(e1, e2, fr.e3, e4, fr.metric, fr.scan, fr.flipped ^ extra_flip)
+    e4 = np.where(extra_flip, -1.0, 1.0) * fr.e4
+    return FrameData(e1, e2, fr.e3, e4, fr.metric, fr.scan, fr.flipped ^ extra_flip, fr.jets)
 
 
-def _aligned_frame(frame_fn, imm: Immersion, q, center: FrameData, p) -> FrameData:
-    """Stencil frame with signs matched to the center frame.
+def _stencil_nodes(p: tuple, step: float, offsets: list) -> tuple:
+    """(s, t) arrays of the nodes p + step * offset, one per (i, j) offset."""
+    di, dj = np.transpose(offsets)
+    return p[0] + step * di, p[1] + step * dj
 
-    Negating the tangent pair (a rotation by pi) or e4 leaves every frame
-    invariant we compute unchanged, so alignment only removes angle
-    wrap-arounds of derived frame fields.  A change of Gram-Schmidt scan
-    branch cannot be repaired and raises.
-    """
-    fr = frame_fn(imm, q)
-    if fr.scan != center.scan:
+
+def _require_one_branch(same: bool, p: tuple) -> None:
+    """A change of Gram-Schmidt scan branch within a stencil cannot be repaired."""
+    if not same:
         raise DegeneracyError(f"frame branch switch within the stencil at (s,t)={p}")
-    e1, e2, e3, e4 = fr.e1, fr.e2, fr.e3, fr.e4
-    if inner(e1, center.e1) < 0:
-        e1, e2 = -e1, -e2
-    if inner(e4, center.e4) > 0:  # time-like pair: aligned means inner < 0
-        e4 = -e4
-    return FrameData(e1, e2, e3, e4, fr.metric, fr.scan, fr.flipped)
 
 
-def _frame_on_coordinates(center: FrameData, jp) -> tuple[float, float, float, float]:
-    """Coefficients (a1, b1, a2, b2) with e1 = a1 d_s + b1 d_t, e2 = a2 d_s + b2 d_t."""
-    vs, vt = jp.velocity_s(), jp.velocity_t()
-    gram = np.array(
-        [[center.metric.E, center.metric.F], [center.metric.F, center.metric.G]]
-    )
-    rhs = np.array(
-        [
-            [inner(center.e1, vs), inner(center.e1, vt)],
-            [inner(center.e2, vs), inner(center.e2, vt)],
-        ]
-    )
-    coeff = np.linalg.solve(gram, rhs.T).T
-    return coeff[0, 0], coeff[0, 1], coeff[1, 0], coeff[1, 1]
+def _coordinate_forms(e1: PVector, e2: PVector, e3: PVector, e4: PVector, step: float):
+    """Connection forms on the coordinate directions at 5-point stencil centers.
 
-
-def _coordinate_form_components(
-    imm: Immersion, p: tuple[float, float], step: float, frame_fn
-) -> tuple[float, float, float, float, FrameData]:
-    """Connection forms on the coordinate directions at p.
-
-    Returns (w12(d_s), w12(d_t), w34(d_s), w34(d_t), center frame), using
-    central differences of the frame field given by frame_fn.  All five
-    stencil frames must come from the same Gram-Schmidt branch.
+    The frame vectors carry the stencil axis first (center, +s, -s, +t,
+    -t).  Returns (w12(d_s), w12(d_t), w34(d_s), w34(d_t)) by central
+    differences.  Negating the tangent pair (a rotation by pi) leaves every
+    frame invariant we compute unchanged, so e1 is first sign-matched to
+    the center; this only removes angle wrap-arounds of derived frame fields.
     """
-    s, t = p
-    center = frame_fn(imm, p)
-    fp_s = _aligned_frame(frame_fn, imm, (s + step, t), center, p)
-    fm_s = _aligned_frame(frame_fn, imm, (s - step, t), center, p)
-    fp_t = _aligned_frame(frame_fn, imm, (s, t + step), center, p)
-    fm_t = _aligned_frame(frame_fn, imm, (s, t - step), center, p)
+    e1 = np.where(inner(e1, e1[0]) < 0, -1.0, 1.0) * e1
     inv2h = 1.0 / (2.0 * step)
-    de1_s = inv2h * (fp_s.e1 - fm_s.e1)
-    de1_t = inv2h * (fp_t.e1 - fm_t.e1)
-    de3_s = inv2h * (fp_s.e3 - fm_s.e3)
-    de3_t = inv2h * (fp_t.e3 - fm_t.e3)
-    w12_s = inner(de1_s, center.e2)
-    w12_t = inner(de1_t, center.e2)
-    w34_s = -inner(de3_s, center.e4)
-    w34_t = -inner(de3_t, center.e4)
-    return w12_s, w12_t, w34_s, w34_t, center
+
+    def diff(v: PVector, plus: int, minus: int) -> PVector:
+        return inv2h * (v[plus] - v[minus])
+
+    return (
+        inner(diff(e1, 1, 2), e2[0]),
+        inner(diff(e1, 3, 4), e2[0]),
+        -inner(diff(e3, 1, 2), e4[0]),
+        -inner(diff(e3, 3, 4), e4[0]),
+    )
+
+
+def _stencil_connection(fr: FrameData, step: float) -> ConnectionSample:
+    """Connection forms on (e1, e2) at the center of a 5-point stencil of frames."""
+    w12_s, w12_t, w34_s, w34_t = _coordinate_forms(fr.e1, fr.e2, fr.e3, fr.e4, step)
+    vs, vt = fr.jets.velocity_s()[0], fr.jets.velocity_t()[0]
+    E, F, G = fr.metric.E[0], fr.metric.F[0], fr.metric.G[0]
+    det = E * G - F * F
+
+    def on_coordinates(e: PVector) -> tuple:
+        """(a, b) with e = a d_s + b d_t, from the Gram system of the velocities."""
+        x, y = inner(e, vs), inner(e, vt)
+        return (G * x - F * y) / det, (E * y - F * x) / det
+
+    a1, b1 = on_coordinates(fr.e1[0])
+    a2, b2 = on_coordinates(fr.e2[0])
+    return ConnectionSample(
+        w12_e1=a1 * w12_s + b1 * w12_t,
+        w12_e2=a2 * w12_s + b2 * w12_t,
+        w34_e1=a1 * w34_s + b1 * w34_t,
+        w34_e2=a2 * w34_s + b2 * w34_t,
+    )
 
 
 def connection_forms(
@@ -515,18 +522,13 @@ def connection_forms(
     Defined by nabla_X e1 = w12(X) e2 and D_X e3 = w34(X) e4; with the
     time-like normals this evaluates as w34(X) = -<D_X e3, e4>.  frame_fn
     selects the frame field (the default deterministic frame, or
-    equality_frame for equality-adapted checks).
+    equality_frame for equality-adapted checks); it builds the five
+    stencil frames in one batched call, and they must share one
+    Gram-Schmidt branch.
     """
-    w12_s, w12_t, w34_s, w34_t, center = _coordinate_form_components(
-        imm, p, step, frame_fn
-    )
-    a1, b1, a2, b2 = _frame_on_coordinates(center, imm.evaluate(*p))
-    return ConnectionSample(
-        w12_e1=a1 * w12_s + b1 * w12_t,
-        w12_e2=a2 * w12_s + b2 * w12_t,
-        w34_e1=a1 * w34_s + b1 * w34_t,
-        w34_e2=a2 * w34_s + b2 * w34_t,
-    )
+    fr = frame_fn(imm, _stencil_nodes(p, step, _STENCIL))
+    _require_one_branch(np.all(fr.scan == fr.scan[0]), p)
+    return _stencil_connection(fr, step)
 
 
 def structure_equation_check(
@@ -536,92 +538,54 @@ def structure_equation_check(
 
     Estimates the exterior derivatives of the connection forms by nested
     central differences and returns (-d w12 / area form, -d w34 / area
-    form), which must reproduce K and KD.
+    form), which must reproduce K and KD.  The frames of the 13 distinct
+    nested-stencil nodes come from one batched call.
     """
-    s, t = p
-    center = build_frames(imm, p)
-
-    def forms_at(q):
-        w12_s, w12_t, w34_s, w34_t, fr = _coordinate_form_components(
-            imm, q, step, build_frames
-        )
-        if fr.branch != center.branch:
-            raise DegeneracyError(
-                f"frame branch switch within the stencil at (s,t)={p}"
-            )
-        return w12_s, w12_t, w34_s, w34_t
-
-    plus_s = forms_at((s + step, t))
-    minus_s = forms_at((s - step, t))
-    plus_t = forms_at((s, t + step))
-    minus_t = forms_at((s, t - step))
+    fr = build_frames(imm, _stencil_nodes(p, step, _NESTED_NODES))
+    c = _NESTED_CENTER
+    _require_one_branch(
+        np.all(fr.scan == fr.scan[c]) and np.all(fr.flipped[_NESTED[0]] == fr.flipped[c]), p
+    )
+    # forms at the neighbours (+s, -s, +t, -t) of p
+    w12_s, w12_t, w34_s, w34_t = _coordinate_forms(
+        *(v[_NESTED] for v in (fr.e1, fr.e2, fr.e3, fr.e4)), step
+    )
     inv2h = 1.0 / (2.0 * step)
     # d(P ds + Q dt) = (dQ/ds - dP/dt) ds^dt, evaluated for both forms
-    d_w12 = inv2h * (plus_s[1] - minus_s[1]) - inv2h * (plus_t[0] - minus_t[0])
-    d_w34 = inv2h * (plus_s[3] - minus_s[3]) - inv2h * (plus_t[2] - minus_t[2])
-    area = math.sqrt(center.metric.det)
+    d_w12 = inv2h * (w12_t[0] - w12_t[1]) - inv2h * (w12_s[2] - w12_s[3])
+    d_w34 = inv2h * (w34_t[0] - w34_t[1]) - inv2h * (w34_s[2] - w34_s[3])
+    area = np.sqrt(fr.metric.det[c])
     return -d_w12 / area, -d_w34 / area
 
 
-def codazzi_residual(
-    imm: Immersion,
-    p: tuple[float, float],
-    step: float = 1e-3,
-    h12_scale: float = 1.0,
-) -> float:
+def codazzi_residual(imm: Immersion, p: tuple[float, float], step: float = 1e-3) -> float:
     """Finite-difference residual of the Codazzi symmetry of the covariant
     derivative of h.
 
     Compares (nabla-bar_{e1} h)(e2, .) against (nabla-bar_{e2} h)(e1, .) on
     both tangent slots and returns the larger coordinate norm; O(step^2)
-    for a genuine immersion.  h12_scale deliberately corrupts the h12 field
-    for fault-injection tests.
+    for a genuine immersion.  One batched call builds the five stencil
+    frames, which serve both h and the connection forms.
     """
-    s, t = p
-    center = build_frames(imm, p)
-
-    def h_at(q):
-        fr = build_frames(imm, q)
-        if fr.branch != center.branch:
-            raise DegeneracyError(
-                f"frame branch switch within the stencil at (s,t)={p}"
-            )
-        h = second_fundamental_form(imm, q, fr)
-        return SecondFF(h.h11, h12_scale * h.h12, h.h22)
-
-    h0 = h_at(p)
-    hp_s = h_at((s + step, t))
-    hm_s = h_at((s - step, t))
-    hp_t = h_at((s, t + step))
-    hm_t = h_at((s, t - step))
+    nodes = _stencil_nodes(p, step, _STENCIL)
+    fr = build_frames(imm, nodes)
+    _require_one_branch(np.all(fr.scan == fr.scan[0]) and np.all(fr.flipped == fr.flipped[0]), p)
+    h = second_fundamental_form(imm, nodes, fr)
     inv2h = 1.0 / (2.0 * step)
+    e3, e4 = fr.e3[0], fr.e4[0]
 
-    def derivative(plus: SecondFF, minus: SecondFF):
-        return tuple(
-            _normal_project(inv2h * (pc - mc), center)
-            for pc, mc in zip(plus.components(), minus.components())
-        )
+    def derivative(plus: int, minus: int) -> tuple:
+        return tuple(_normal_project(inv2h * (v[plus] - v[minus]), e3, e4) for v in h.components())
 
-    dh_s = derivative(hp_s, hm_s)  # (D_s h11, D_s h12, D_s h22)
-    dh_t = derivative(hp_t, hm_t)
-    a, b, c = _tangent_coeffs(center.metric)
+    dh_s = derivative(1, 2)  # (D_s h11, D_s h12, D_s h22)
+    dh_t = derivative(3, 4)
+    a, b, c = (x[0] for x in _tangent_coeffs(fr.metric))
     d_e1 = tuple(a * v for v in dh_s)
     d_e2 = tuple(b * vs + c * vt for vs, vt in zip(dh_s, dh_t))
-    w = connection_forms(imm, p, step)
+    w = _stencil_connection(fr, step)
+    h11, h12, h22 = (v[0] for v in h.components())
     # (nabla-bar_{e1} h)(e2, e1) - (nabla-bar_{e2} h)(e1, e1)
-    r1 = (
-        d_e1[1]
-        + w.w12_e1 * h0.h11
-        - w.w12_e1 * h0.h22
-        - d_e2[0]
-        + 2.0 * w.w12_e2 * h0.h12
-    )
+    r1 = d_e1[1] + w.w12_e1 * h11 - w.w12_e1 * h22 - d_e2[0] + 2.0 * w.w12_e2 * h12
     # (nabla-bar_{e1} h)(e2, e2) - (nabla-bar_{e2} h)(e1, e2)
-    r2 = (
-        d_e1[2]
-        + 2.0 * w.w12_e1 * h0.h12
-        - d_e2[1]
-        + w.w12_e2 * h0.h22
-        - w.w12_e2 * h0.h11
-    )
+    r2 = d_e1[2] + 2.0 * w.w12_e1 * h12 - d_e2[1] + w.w12_e2 * h22 - w.w12_e2 * h11
     return max(r1.euclid_norm(), r2.euclid_norm())

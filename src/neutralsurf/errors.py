@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class NeutralSurfError(Exception):
     """Base class for all package errors."""
@@ -46,3 +48,17 @@ class FieldDomainError(NeutralSurfError):
 
 class PreconditionError(NeutralSurfError):
     """An identity check was asked for on data that violates its hypotheses."""
+
+
+def first_flagged(flags, *values) -> tuple:
+    """The values at the first node, in C order, where flags holds.
+
+    Over a batch each value is broadcast to the shape of flags and read at
+    that node; at a single node (0-d flags) the values come back as given,
+    so messages read the same for a point and for a batch.
+    """
+    flags = np.asarray(flags)
+    if flags.ndim == 0:
+        return values
+    k = int(np.argmax(flags))
+    return tuple(np.broadcast_to(v, flags.shape).flat[k] for v in values)

@@ -236,7 +236,7 @@ def parse_expression(
 
 
 def eval_on_jets(ast: Expr, s: Jet2, t: Jet2) -> Jet2:
-    """Evaluate the tree on jet-valued s, t.
+    """Evaluate the tree on jet-valued s, t (floats, or arrays over a batch).
 
     Jet singularities (division by zero, function-domain violations) are
     re-raised with the location of the responsible node attached.

@@ -16,7 +16,6 @@ minimal equality-case surfaces, with shift +1, 0, -1 for ambient curvature
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
 
@@ -24,13 +23,7 @@ import numpy as np
 
 from .ambient import DomainRect
 from .catalog import Immersion
-from .curvature import (
-    build_frames,
-    ellipse_of_curvature,
-    invariants,
-    second_fundamental_form,
-    shape_operators,
-)
+from .curvature import point_report
 from .errors import FieldDomainError, InputMismatchError, PreconditionError
 
 QUANTITIES = ("K", "KD", "H2", "defect", "ln(K+1)", "ln(K)", "ln(K-1)")
@@ -129,45 +122,25 @@ def sample_surface(
     grid: tuple[int, int] = (33, 33),
     domain: DomainRect | None = None,
 ) -> SurfaceSample:
-    """Evaluate the pointwise curvature pipeline on every grid node."""
+    """Evaluate the pointwise curvature pipeline on every grid node.
+
+    Each s-row of the grid is one batched point_report call, which keeps
+    the working set small and reports errors at the first offending node
+    in s-major order.
+    """
     domain = domain or imm.domain
     nx, ny = grid
     ss, ts = domain.grid(nx, ny)
-    shape = (nx, ny)
-    out = {
-        name: np.empty(shape)
-        for name in ("K", "KD", "H2", "defect", "E", "F", "G", "H_norm", "h_max")
-    }
-    circle = np.empty(shape, dtype=bool)
-    point = np.empty(shape, dtype=bool)
-    c = imm.ambient.curvature
-    for i, s in enumerate(ss):
-        for j, t in enumerate(ts):
-            frames = build_frames(imm, (s, t))
-            h = second_fundamental_form(imm, (s, t), frames)
-            a3, a4 = shape_operators(h, frames)
-            rep = invariants(a3, a4, frames, c)
-            ell = ellipse_of_curvature(h, rep.H)
-            out["K"][i, j] = rep.K
-            out["KD"][i, j] = rep.KD
-            out["H2"][i, j] = rep.H2
-            out["defect"][i, j] = rep.defect
-            out["E"][i, j] = frames.metric.E
-            out["F"][i, j] = frames.metric.F
-            out["G"][i, j] = frames.metric.G
-            out["H_norm"][i, j] = rep.H.euclid_norm()
-            out["h_max"][i, j] = max(v.euclid_norm() for v in h.components())
-            circle[i, j] = ell.is_circle
-            point[i, j] = ell.is_point
-    return SurfaceSample(
-        imm=imm,
-        domain=domain,
-        nx=nx,
-        ny=ny,
-        ellipse_circle=circle,
-        ellipse_point=point,
-        **out,
-    )
+    rows = []
+    for s in ss:
+        rep = point_report(imm, (s, ts), with_canonical=False)
+        metric, norms = rep.frames.metric, [v.euclid_norm() for v in rep.h.components()]
+        # in the order of SurfaceSample's fields after imm, domain, nx, ny
+        rows.append((
+            rep.K, rep.KD, rep.H2, rep.defect, metric.E, metric.F, metric.G,
+            rep.H.euclid_norm(), np.max(norms, axis=0), rep.ellipse.is_circle, rep.ellipse.is_point,
+        ))
+    return SurfaceSample(imm, domain, nx, ny, *(np.array(field) for field in zip(*rows)))
 
 
 def _log_field(base: np.ndarray, shift: float, sample: SurfaceSample, label: str) -> np.ndarray:
@@ -409,14 +382,9 @@ def convergence_ratios(
 
 def grid_to_csv(f: GridField) -> str:
     """CSV with one row per node: s, t, value, E, F, G (round-trip exact)."""
-    ss, ts = f.node_coords()
-    buf = io.StringIO()
-    buf.write("s,t,value,E,F,G\n")
-    for i in range(f.nx):
-        for j in range(f.ny):
-            row = (ss[i], ts[j], f.values[i, j], f.E[i, j], f.F[i, j], f.G[i, j])
-            buf.write(",".join(repr(float(x)) for x in row) + "\n")
-    return buf.getvalue()
+    nodes = np.meshgrid(*f.node_coords(), indexing="ij")
+    table = np.stack([*nodes, f.values, f.E, f.F, f.G], axis=-1).reshape(-1, 6)
+    return "s,t,value,E,F,G\n" + "".join(",".join(map(repr, row)) + "\n" for row in table.tolist())
 
 
 def grid_from_csv(text: str) -> GridField:

@@ -6,45 +6,63 @@ structural: there is a single d_st slot.  Arithmetic propagates the
 exact Leibniz/chain rules through second order, which is all the
 pointwise curvature pipeline needs; higher derivatives are obtained
 elsewhere by finite differences of pointwise fields.
+
+The fields are floats at one node or arrays over a batch of nodes
+(vector-mode forward differentiation): every rule is elementwise, and
+the domain guards raise on the first offending node in C order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import SingularityError
+import numpy as np
 
-_NUMERIC = (int, float)
+from .errors import SingularityError, first_flagged
+
+FIELDS = ("val", "d_s", "d_t", "d_ss", "d_st", "d_tt")
+
+_LIFTABLE = (int, float, np.number, np.ndarray)
+
+
+def _value(v):
+    """A float at one node, a float array over a batch."""
+    return v.astype(float, copy=False) if isinstance(v, np.ndarray) and v.ndim else float(v)
 
 
 @dataclass(frozen=True)
 class Jet2:
-    val: float
-    d_s: float = 0.0
-    d_t: float = 0.0
-    d_ss: float = 0.0
-    d_st: float = 0.0
-    d_tt: float = 0.0
+    val: float | np.ndarray
+    d_s: float | np.ndarray = 0.0
+    d_t: float | np.ndarray = 0.0
+    d_ss: float | np.ndarray = 0.0
+    d_st: float | np.ndarray = 0.0
+    d_tt: float | np.ndarray = 0.0
+
+    # numpy operands defer to the reflected jet operators
+    __array_ufunc__ = None
 
     # -- seeds ---------------------------------------------------------
 
     @staticmethod
-    def constant(v: float) -> "Jet2":
-        return Jet2(float(v))
+    def constant(v) -> "Jet2":
+        return Jet2(_value(v))
 
     @staticmethod
-    def var_s(v: float) -> "Jet2":
-        return Jet2(float(v), d_s=1.0)
+    def var_s(v) -> "Jet2":
+        return Jet2(_value(v), d_s=1.0)
 
     @staticmethod
-    def var_t(v: float) -> "Jet2":
-        return Jet2(float(v), d_t=1.0)
+    def var_t(v) -> "Jet2":
+        return Jet2(_value(v), d_t=1.0)
 
     # -- ring operations ------------------------------------------------
+    # operands that are neither jets, numbers nor arrays give NotImplemented,
+    # so Python raises TypeError
 
     def __add__(self, other):
-        other = _coerce(other)
+        if (other := _coerce(other)) is NotImplemented:
+            return NotImplemented
         return Jet2(
             self.val + other.val,
             self.d_s + other.d_s,
@@ -60,13 +78,15 @@ class Jet2:
         return Jet2(-self.val, -self.d_s, -self.d_t, -self.d_ss, -self.d_st, -self.d_tt)
 
     def __sub__(self, other):
-        return self + (-_coerce(other))
+        return self + (-other)
 
     def __rsub__(self, other):
-        return _coerce(other) + (-self)
+        return (-self) + other
 
     def __mul__(self, other):
-        a, b = self, _coerce(other)
+        if (other := _coerce(other)) is NotImplemented:
+            return NotImplemented
+        a, b = self, other
         return Jet2(
             a.val * b.val,
             a.d_s * b.val + a.val * b.d_s,
@@ -79,24 +99,29 @@ class Jet2:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self * _reciprocal(_coerce(other))
+        if (other := _coerce(other)) is NotImplemented:
+            return NotImplemented
+        return self * _reciprocal(other)
 
     def __rtruediv__(self, other):
-        return _coerce(other) * _reciprocal(self)
+        return _reciprocal(self) * other
 
     def __pow__(self, exponent):
+        if _coerce(exponent) is NotImplemented:
+            return NotImplemented
         return jpow(self, exponent)
 
 
 def _coerce(x) -> Jet2:
+    """x as a jet; numbers and arrays lift to constants, anything else is NotImplemented."""
     if isinstance(x, Jet2):
         return x
-    if isinstance(x, _NUMERIC):
+    if isinstance(x, _LIFTABLE):
         return Jet2.constant(x)
     return NotImplemented
 
 
-def _chain(a: Jet2, f0: float, f1: float, f2: float) -> Jet2:
+def _chain(a: Jet2, f0, f1, f2) -> Jet2:
     """Second-order chain rule through f given f(a), f'(a), f''(a)."""
     return Jet2(
         f0,
@@ -109,53 +134,54 @@ def _chain(a: Jet2, f0: float, f1: float, f2: float) -> Jet2:
 
 
 def _reciprocal(a: Jet2) -> Jet2:
-    if a.val == 0.0:
+    if np.any(a.val == 0.0):
         raise SingularityError("division by a jet with zero value")
     inv = 1.0 / a.val
     return _chain(a, inv, -inv * inv, 2.0 * inv * inv * inv)
 
 
 def jexp(a: Jet2) -> Jet2:
-    e = math.exp(a.val)
+    e = np.exp(a.val)
     return _chain(a, e, e, e)
 
 
 def jsinh(a: Jet2) -> Jet2:
-    return _chain(a, math.sinh(a.val), math.cosh(a.val), math.sinh(a.val))
+    return _chain(a, np.sinh(a.val), np.cosh(a.val), np.sinh(a.val))
 
 
 def jcosh(a: Jet2) -> Jet2:
-    return _chain(a, math.cosh(a.val), math.sinh(a.val), math.cosh(a.val))
+    return _chain(a, np.cosh(a.val), np.sinh(a.val), np.cosh(a.val))
 
 
 def jsin(a: Jet2) -> Jet2:
-    return _chain(a, math.sin(a.val), math.cos(a.val), -math.sin(a.val))
+    return _chain(a, np.sin(a.val), np.cos(a.val), -np.sin(a.val))
 
 
 def jcos(a: Jet2) -> Jet2:
-    return _chain(a, math.cos(a.val), -math.sin(a.val), -math.cos(a.val))
+    return _chain(a, np.cos(a.val), -np.sin(a.val), -np.cos(a.val))
 
 
 def jtan(a: Jet2) -> Jet2:
-    c = math.cos(a.val)
-    if abs(c) < 1e-300:
+    if np.any(np.abs(np.cos(a.val)) < 1e-300):
         raise SingularityError("tan evaluated at a pole")
-    t = math.tan(a.val)
+    t = np.tan(a.val)
     sec2 = 1.0 + t * t
     return _chain(a, t, sec2, 2.0 * t * sec2)
 
 
 def jlog(a: Jet2) -> Jet2:
-    if a.val <= 0.0:
-        raise SingularityError(f"log of non-positive value {a.val}")
+    bad = a.val <= 0.0
+    if np.any(bad):
+        raise SingularityError(f"log of non-positive value {first_flagged(bad, a.val)[0]}")
     inv = 1.0 / a.val
-    return _chain(a, math.log(a.val), inv, -inv * inv)
+    return _chain(a, np.log(a.val), inv, -inv * inv)
 
 
 def jsqrt(a: Jet2) -> Jet2:
-    if a.val <= 0.0:
-        raise SingularityError(f"sqrt of non-positive value {a.val}")
-    r = math.sqrt(a.val)
+    bad = a.val <= 0.0
+    if np.any(bad):
+        raise SingularityError(f"sqrt of non-positive value {first_flagged(bad, a.val)[0]}")
+    r = np.sqrt(a.val)
     return _chain(a, r, 0.5 / r, -0.25 / (r * a.val))
 
 
@@ -167,11 +193,13 @@ def jpow(a: Jet2, exponent) -> Jet2:
     positive base and goes through the power rule.
     """
     if isinstance(exponent, Jet2):
-        if exponent.d_s or exponent.d_t or exponent.d_ss or exponent.d_st or exponent.d_tt:
+        if any(np.any(getattr(exponent, f)) for f in FIELDS[1:]):
             # general a^b = exp(b log a)
             return jexp(exponent * jlog(a))
         exponent = exponent.val
-    if isinstance(exponent, float) and exponent.is_integer():
+    if np.ndim(exponent) and np.all(exponent == np.ravel(exponent)[0]):
+        exponent = np.ravel(exponent)[0]  # a constant exponent over a batch
+    if np.ndim(exponent) == 0 and float(exponent).is_integer():
         exponent = int(exponent)
     if isinstance(exponent, int):
         if exponent == 0:
@@ -182,10 +210,11 @@ def jpow(a: Jet2, exponent) -> Jet2:
         for _ in range(exponent - 1):
             acc = acc * a
         return acc
-    p = float(exponent)
-    if a.val <= 0.0:
+    p = _value(exponent)
+    bad = a.val <= 0.0
+    if np.any(bad):
         raise SingularityError(
-            f"non-integer power {p} requires a positive base, got {a.val}"
+            f"non-integer power {p} requires a positive base, got {first_flagged(bad, a.val)[0]}"
         )
     f0 = a.val ** p
     return _chain(a, f0, p * f0 / a.val, p * (p - 1.0) * f0 / (a.val * a.val))
@@ -204,7 +233,7 @@ FUNCTIONS = {
 }
 
 
-def seed(s: float, t: float) -> tuple[Jet2, Jet2]:
-    """Jets of the coordinate functions at the point (s, t)."""
+def seed(s, t) -> tuple[Jet2, Jet2]:
+    """Jets of the coordinate functions at the node (s, t) or a batch of nodes."""
     return Jet2.var_s(s), Jet2.var_t(t)
 

@@ -8,7 +8,7 @@ of their self-inner-product: space-like (> 0), time-like (< 0), light-like
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,10 +43,11 @@ class Signature:
                 f"negative_count {self.negative_count} outside [0, {self.total_dim}]"
             )
 
-    @property
+    @functools.cached_property
     def weights(self) -> np.ndarray:
         w = np.ones(self.total_dim)
         w[: self.negative_count] = -1.0
+        w.flags.writeable = False
         return w
 
     def __str__(self):
@@ -55,19 +56,29 @@ class Signature:
 
 @dataclass(frozen=True)
 class PVector:
-    """Vector in a space with a diagonal indefinite inner product."""
+    """Vector in a space with a diagonal indefinite inner product.
+
+    coords has shape (..., dim): one vector, or one per node of a batch.
+    Indexing selects nodes.
+    """
 
     coords: np.ndarray
     signature: Signature
 
+    # numpy operands defer to the reflected vector operators
+    __array_ufunc__ = None
+
     def __post_init__(self):
         c = np.asarray(self.coords, dtype=float)
         object.__setattr__(self, "coords", c)
-        if c.shape != (self.signature.total_dim,):
+        if c.shape[-1:] != (self.signature.total_dim,):
             raise InputMismatchError(
                 f"coords shape {c.shape} does not match signature dim "
                 f"{self.signature.total_dim}"
             )
+
+    def __getitem__(self, nodes) -> "PVector":
+        return PVector(self.coords[nodes], self.signature)
 
     def __add__(self, other: "PVector") -> "PVector":
         _check_same_signature(self, other)
@@ -77,22 +88,23 @@ class PVector:
         _check_same_signature(self, other)
         return PVector(self.coords - other.coords, self.signature)
 
-    def __mul__(self, scalar: float) -> "PVector":
-        return PVector(self.coords * float(scalar), self.signature)
+    def __mul__(self, scalar) -> "PVector":
+        """Scale by a float, or node by node by an array over the batch."""
+        return PVector(self.coords * np.asarray(scalar, dtype=float)[..., None], self.signature)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "PVector":
         return PVector(-self.coords, self.signature)
 
-    def inner(self, other: "PVector") -> float:
+    def inner(self, other: "PVector"):
         return inner(self, other)
 
-    def self_inner(self) -> float:
+    def self_inner(self):
         return inner(self, self)
 
-    def euclid_norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
+    def euclid_norm(self):
+        return np.linalg.norm(self.coords, axis=-1)
 
     def causal_character(self) -> str:
         q = self.self_inner()
@@ -105,17 +117,19 @@ class PVector:
 
 
 def _check_same_signature(u: PVector, v: PVector) -> None:
-    if u.signature != v.signature:
+    if u.signature is not v.signature and u.signature != v.signature:
         raise InputMismatchError(
             f"signature mismatch: {u.signature} vs {v.signature}"
         )
 
 
-def inner(u: PVector, v: PVector) -> float:
-    """Indefinite inner product sum_i w_i u_i v_i with w_i = +-1 per the signature."""
+def inner(u: PVector, v: PVector):
+    """Indefinite inner product sum_i w_i u_i v_i with w_i = +-1 per the signature.
+
+    A float for single vectors, an array over the nodes of a batch.
+    """
     _check_same_signature(u, v)
-    w = u.signature.weights
-    return float(np.dot(w * u.coords, v.coords))
+    return (u.coords * v.coords) @ u.signature.weights
 
 
 def orthonormalize(vectors: list[PVector], required_characters: list[str]) -> list[PVector]:
@@ -124,10 +138,11 @@ def orthonormalize(vectors: list[PVector], required_characters: list[str]) -> li
     Each output vector is normalized to self-inner-product +1 (space-like)
     or -1 (time-like) and must match its requested character.  No pivoting:
     processing order is the input order, so frames built from smoothly
-    varying inputs vary smoothly.
+    varying inputs vary smoothly.  Batches are processed node by node in
+    the same order, with one array operation per step.
 
     Raises DegeneracyError if a remainder is light-like (the configuration
-    is degenerate) or has the wrong causal character.
+    is degenerate) or has the wrong causal character at any node.
     """
     if len(vectors) != len(required_characters):
         raise InputMismatchError("one required character per input vector")
@@ -139,57 +154,53 @@ def orthonormalize(vectors: list[PVector], required_characters: list[str]) -> li
         for u in out:
             r = r - (inner(r, u) / inner(u, u)) * u
         q = r.self_inner()
-        scale = float(np.dot(r.coords, r.coords))
-        if scale == 0.0 or abs(q) < LIGHTLIKE_RTOL * scale:
+        scale = np.sum(r.coords * r.coords, axis=-1)
+        if np.any((scale == 0.0) | (np.abs(q) < LIGHTLIKE_RTOL * scale)):
             raise DegeneracyError(
                 "light-like Gram-Schmidt remainder: input is degenerate "
                 "(not linearly independent, or the plane metric is singular)"
             )
-        got = SPACE_LIKE if q > 0 else TIME_LIKE
-        if got != want:
+        if np.any((q > 0) != (want == SPACE_LIKE)):
+            got = TIME_LIKE if want == SPACE_LIKE else SPACE_LIKE
             raise DegeneracyError(
                 f"remainder is {got}, required {want}"
             )
-        out.append(r * (1.0 / math.sqrt(abs(q))))
+        out.append(r * (1.0 / np.sqrt(np.abs(q))))
     return out
 
 
 @dataclass(frozen=True)
 class Sym2:
-    """Symmetric 2x2 matrix in an orthonormal tangent frame."""
+    """Symmetric 2x2 matrix in an orthonormal tangent frame (entries per node)."""
 
-    a11: float
-    a12: float
-    a22: float
+    a11: float | np.ndarray
+    a12: float | np.ndarray
+    a22: float | np.ndarray
 
     @property
-    def trace(self) -> float:
+    def trace(self):
         return self.a11 + self.a22
 
     @property
-    def det(self) -> float:
+    def det(self):
         return self.a11 * self.a22 - self.a12 * self.a12
 
     def as_array(self) -> np.ndarray:
-        return np.array([[self.a11, self.a12], [self.a12, self.a22]])
-
-    @staticmethod
-    def from_array(m: np.ndarray) -> "Sym2":
-        return Sym2(float(m[0, 0]), 0.5 * float(m[0, 1] + m[1, 0]), float(m[1, 1]))
+        """The matrix, shape (..., 2, 2)."""
+        m = np.stack([self.a11, self.a12, self.a12, self.a22], axis=-1)
+        return m.reshape(m.shape[:-1] + (2, 2))
 
 
-def rotation2(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
-def rotate_sym2(m: Sym2, theta: float) -> Sym2:
+def rotate_sym2(m: Sym2, theta) -> Sym2:
     """Express m in the frame rotated by theta: R(theta)^T m R(theta)."""
-    r = rotation2(theta)
-    return Sym2.from_array(r.T @ m.as_array() @ r)
+    c2, s2 = np.cos(2.0 * theta), np.sin(2.0 * theta)
+    mean = 0.5 * (m.a11 + m.a22)
+    half_diff = 0.5 * (m.a11 - m.a22)
+    swing = half_diff * c2 + m.a12 * s2
+    return Sym2(mean + swing, m.a12 * c2 - half_diff * s2, mean - swing)
 
 
-def eigen_sym2(m: Sym2) -> tuple[tuple[float, float], float]:
+def eigen_sym2(m: Sym2) -> tuple[tuple, float | np.ndarray]:
     """Eigenvalues (descending) and the frame rotation angle that diagonalizes m.
 
     Rotating the frame by the returned theta in [0, pi) turns m into
@@ -198,11 +209,8 @@ def eigen_sym2(m: Sym2) -> tuple[tuple[float, float], float]:
     """
     mean = 0.5 * (m.a11 + m.a22)
     half_diff = 0.5 * (m.a11 - m.a22)
-    radius = math.hypot(half_diff, m.a12)
-    if radius == 0.0:
-        return (mean, mean), 0.0
-    theta = 0.5 * math.atan2(2.0 * m.a12, m.a11 - m.a22)
-    theta = theta % math.pi
-    if theta >= math.pi:  # (-tiny) % pi can round up to pi exactly
-        theta = 0.0
+    radius = np.hypot(half_diff, m.a12)
+    theta = (0.5 * np.arctan2(2.0 * m.a12, m.a11 - m.a22)) % np.pi
+    # (-tiny) % pi can round up to pi exactly
+    theta = np.where((radius == 0.0) | (theta >= np.pi), 0.0, theta)[()]
     return (mean + radius, mean - radius), theta

@@ -257,7 +257,7 @@ def test_criterion_07_structure_equations():
     report(7, "; ".join(details))
 
 
-def test_criterion_08_codazzi():
+def test_criterion_08_codazzi(scale_h12):
     specs = [
         ("phi_h42", {}),
         ("flat_L", {}),
@@ -279,7 +279,8 @@ def test_criterion_08_codazzi():
             assert residual <= 1e-4, (name, p, residual)
             worst = max(worst, residual)
     phi = catalog_get("phi_h42")
-    injected = codazzi_residual(phi, (0.3, -0.4), step=1e-3, h12_scale=1.1)
+    scale_h12(1.1)
+    injected = codazzi_residual(phi, (0.3, -0.4), step=1e-3)
     assert injected > 1e-2
     report(8, f"max residual {worst:.2e} across catalog; fault-injected {injected:.2e}")
 

@@ -1,0 +1,22 @@
+"""The benchmark's self-test: its tracer still finds every layer it patches,
+and every workload's outcomes still match the recorded reference."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("workload", ["grid_fields", "verify_catalog", "point_probe"])
+def test_tiny_traced_run_is_correct(workload):
+    argv = ["bench/run.py", "--workload", workload, "--seed", "1", "--seconds", "1",
+            "--tiny", "--trace", "1"]
+    done = subprocess.run([sys.executable, *argv], cwd=ROOT, capture_output=True,
+                          text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, done.stderr

@@ -418,9 +418,10 @@ class TestCodazzi:
         imm = catalog_get("holomorphic_graph", {"f": "z^2/2"})
         assert codazzi_residual(imm, (1.5, 1.0), step=1e-3) <= 1e-4
 
-    def test_fault_injection(self):
+    def test_fault_injection(self, scale_h12):
         phi = catalog_get("phi_h42")
-        assert codazzi_residual(phi, (0.3, -0.4), step=1e-3, h12_scale=1.1) > 1e-2
+        scale_h12(1.1)
+        assert codazzi_residual(phi, (0.3, -0.4), step=1e-3) > 1e-2
 
 
 class TestAmbientCurvature:

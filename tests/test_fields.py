@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from neutralsurf.ambient import DomainRect
-from neutralsurf.catalog import catalog_get
-from neutralsurf.errors import FieldDomainError, InputMismatchError, PreconditionError
+from neutralsurf.catalog import catalog_get, from_definition
+from neutralsurf.curvature import build_frames, point_report
+from neutralsurf.errors import (
+    DegeneracyError,
+    FieldDomainError,
+    InputMismatchError,
+    PreconditionError,
+)
+from neutralsurf.expr import parse_surface
 from neutralsurf.fields import (
     GridField,
     convergence_ratios,
@@ -59,6 +66,71 @@ class TestSampleField:
     def test_unknown_quantity(self):
         with pytest.raises(InputMismatchError):
             sample_field(catalog_get("phi_h42"), "bogus", grid=(5, 5))
+
+
+# totally geodesic 2-sphere in the unit pseudo-sphere: metric ds^2 + cos(s)^2 dt^2
+SPHERE_FILE = """\
+ambient S(2,3; 1)
+x1 = 0
+x2 = 0
+x3 = cos(s)*cos(t)
+x4 = cos(s)*sin(t)
+x5 = sin(s)
+"""
+
+GRID_SURFACES = [
+    ("phi_h42", {}),
+    ("flat_L", {}),
+    ("totally_geodesic_h42", {}),
+    ("holomorphic_graph", {"f": "z^2/2"}),
+    ("umbilical_flat", {}),
+    ("random_polynomial", {"seed": 3}),
+    ("file", {}),
+]
+
+
+class TestSampleSurfaceBatches:
+    @pytest.mark.parametrize("name,params", GRID_SURFACES)
+    def test_grid_matches_point_reports(self, name, params):
+        if name == "file":
+            imm = from_definition(parse_surface(SPHERE_FILE, name="sphere"))
+        else:
+            imm = catalog_get(name, params)
+        sample = sample_surface(imm, (9, 9))
+        ss, ts = imm.domain.grid(9, 9)
+        for i, s in enumerate(ss):
+            for j, t in enumerate(ts):
+                rep = point_report(imm, (s, t), with_canonical=False)
+                metric = rep.frames.metric
+                want = {
+                    "K": rep.K,
+                    "KD": rep.KD,
+                    "H2": rep.H2,
+                    "defect": rep.defect,
+                    "E": metric.E,
+                    "F": metric.F,
+                    "G": metric.G,
+                    "H_norm": rep.H.euclid_norm(),
+                    "h_max": max(v.euclid_norm() for v in rep.h.components()),
+                }
+                for field, value in want.items():
+                    assert abs(getattr(sample, field)[i, j] - value) <= 1e-12, (field, i, j)
+                assert sample.ellipse_circle[i, j] == rep.ellipse.is_circle
+                assert sample.ellipse_point[i, j] == rep.ellipse.is_point
+
+    def test_degenerate_node_reported_in_s_major_order(self):
+        # |f'(z)| = |z| for f = z^2/2: not space-like on the closed unit disk,
+        # which this grid crosses; in t-major order (-0.45, -0.8) would come first
+        imm = catalog_get("holomorphic_graph", {"f": "z^2/2"})
+        domain = DomainRect(-1.65, -0.05, -0.8, 0.8)
+        ss, ts = domain.grid(9, 9)
+        first = next((s, t) for s in ss for t in ts if s * s + t * t <= 1.0)
+        with pytest.raises(DegeneracyError) as at_node:
+            build_frames(imm, first)
+        with pytest.raises(DegeneracyError) as on_grid:
+            sample_surface(imm, (9, 9), domain)
+        assert str(on_grid.value) == str(at_node.value)
+        assert f"not space-like at (s,t)={first}" in str(on_grid.value)
 
 
 class TestIntrinsicLaplacian:

@@ -1,10 +1,12 @@
 import math
+import operator
 
 import numpy as np
 import pytest
 
 from neutralsurf.catalog import catalog_get
 from neutralsurf.errors import SingularityError
+from neutralsurf.expr import eval_on_jets, parse_expression
 from neutralsurf.jets import (
     FUNCTIONS,
     Jet2,
@@ -51,6 +53,15 @@ class TestArithmetic:
         s, t = seed(0.0, 1.0)
         with pytest.raises(SingularityError):
             t / s
+
+    @pytest.mark.parametrize(
+        "op", [operator.add, operator.sub, operator.mul, operator.truediv, operator.pow]
+    )
+    def test_foreign_operand_raises_type_error(self, op):
+        with pytest.raises(TypeError):
+            op(Jet2(1.0), "a")
+        with pytest.raises(TypeError):
+            op("a", Jet2(1.0))
 
 
 class TestFunctions:
@@ -115,6 +126,32 @@ class TestFunctions:
         fd = finite_difference_jet(f, 0.35, -0.2, h=1e-4)
         s, t = seed(0.35, -0.2)
         assert_jets_close(jet_fn(0.4 * s + 0.3 * t * t + 0.9), fd, 1e-5)
+
+
+class TestArrayJets:
+    """A batch of nodes gives what each node gives on its own."""
+
+    S = np.linspace(-0.5, 0.5, 7)
+    T = np.linspace(0.4, -0.3, 7)
+
+    @pytest.mark.parametrize(
+        "text",
+        [f"{name}(0.4*s + 0.3*t*t + 0.9)" for name in sorted(FUNCTIONS)] + ["pow(s + 1, t)"],
+    )
+    def test_batch_matches_pointwise(self, text):
+        ast = parse_expression(text)
+        batch = eval_on_jets(ast, *seed(self.S, self.T))
+        for k, (s, t) in enumerate(zip(self.S, self.T)):
+            point = eval_on_jets(ast, *seed(s, t))
+            for name in FIELDS:
+                got = np.broadcast_to(getattr(batch, name), self.S.shape)[k]
+                assert got == getattr(point, name), (text, name, k)
+
+    def test_log_domain_error_names_first_node_and_expression(self):
+        ast = parse_expression("s + log(s)")
+        s = np.array([0.5, -0.2, 0.3, -1.0])
+        with pytest.raises(SingularityError, match=r"^1:5: log of non-positive value -0\.2$"):
+            eval_on_jets(ast, *seed(s, np.zeros(4)))
 
 
 CATALOG_SPECS = [
