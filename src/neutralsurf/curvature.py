@@ -14,7 +14,7 @@ deterministic frame field.
 
 Every stage takes a point or a batch of nodes alike: p = (s, t) may hold
 floats or arrays, and each field then holds one value per node.  The
-finite-difference checks evaluate all nodes of their stencil in one
+finite-difference checks evaluate the stencils of all their points in one
 batched call.
 """
 
@@ -455,15 +455,18 @@ def equality_frame(imm: Immersion, p: tuple) -> FrameData:
 
 
 def _stencil_nodes(p: tuple, step: float, offsets: list) -> tuple:
-    """(s, t) arrays of the nodes p + step * offset, one per (i, j) offset."""
+    """(s, t) arrays of the nodes p + step * offset, shape (offsets,) + batch shape."""
     di, dj = np.transpose(offsets)
-    return p[0] + step * di, p[1] + step * dj
+    s, t = np.broadcast_arrays(*p)
+    return np.add.outer(step * di, s), np.add.outer(step * dj, t)
 
 
-def _require_one_branch(same: bool, p: tuple) -> None:
-    """A change of Gram-Schmidt scan branch within a stencil cannot be repaired."""
-    if not same:
-        raise DegeneracyError(f"frame branch switch within the stencil at (s,t)={p}")
+def _require_one_branch(same, p: tuple) -> None:
+    """A scan branch change within a stencil cannot be repaired; same holds per point of p."""
+    if not np.all(same):
+        raise DegeneracyError(
+            f"frame branch switch within the stencil at (s,t)={first_flagged(~same, *p)}"
+        )
 
 
 def _coordinate_forms(e1: PVector, e2: PVector, e3: PVector, e4: PVector, step: float):
@@ -513,7 +516,7 @@ def _stencil_connection(fr: FrameData, step: float) -> ConnectionSample:
 
 def connection_forms(
     imm: Immersion,
-    p: tuple[float, float],
+    p: tuple,
     step: float = 1e-3,
     frame_fn=build_frames,
 ) -> ConnectionSample:
@@ -522,30 +525,29 @@ def connection_forms(
     Defined by nabla_X e1 = w12(X) e2 and D_X e3 = w34(X) e4; with the
     time-like normals this evaluates as w34(X) = -<D_X e3, e4>.  frame_fn
     selects the frame field (the default deterministic frame, or
-    equality_frame for equality-adapted checks); it builds the five
-    stencil frames in one batched call, and they must share one
-    Gram-Schmidt branch.
+    equality_frame for equality-adapted checks).  p is a point or a batch
+    of points; one batched call builds the five stencil frames of every
+    point, and each stencil must share one Gram-Schmidt branch.
     """
     fr = frame_fn(imm, _stencil_nodes(p, step, _STENCIL))
-    _require_one_branch(np.all(fr.scan == fr.scan[0]), p)
+    _require_one_branch(np.all(fr.scan == fr.scan[0], axis=(0, -1)), p)
     return _stencil_connection(fr, step)
 
 
 def structure_equation_check(
-    imm: Immersion, p: tuple[float, float], step: float = 1e-3
+    imm: Immersion, p: tuple, step: float = 1e-3
 ) -> tuple[float, float]:
     """Curvatures recovered from the structure equations.
 
     Estimates the exterior derivatives of the connection forms by nested
     central differences and returns (-d w12 / area form, -d w34 / area
-    form), which must reproduce K and KD.  The frames of the 13 distinct
-    nested-stencil nodes come from one batched call.
+    form) at each point of p, which must reproduce K and KD.  One batched
+    call builds the frames of the 13 distinct nested-stencil nodes of every point.
     """
     fr = build_frames(imm, _stencil_nodes(p, step, _NESTED_NODES))
     c = _NESTED_CENTER
-    _require_one_branch(
-        np.all(fr.scan == fr.scan[c]) and np.all(fr.flipped[_NESTED[0]] == fr.flipped[c]), p
-    )
+    same_scan = np.all(fr.scan == fr.scan[c], axis=(0, -1))
+    _require_one_branch(same_scan & np.all(fr.flipped[_NESTED[0]] == fr.flipped[c], axis=0), p)
     # forms at the neighbours (+s, -s, +t, -t) of p
     w12_s, w12_t, w34_s, w34_t = _coordinate_forms(
         *(v[_NESTED] for v in (fr.e1, fr.e2, fr.e3, fr.e4)), step
@@ -558,18 +560,18 @@ def structure_equation_check(
     return -d_w12 / area, -d_w34 / area
 
 
-def codazzi_residual(imm: Immersion, p: tuple[float, float], step: float = 1e-3) -> float:
+def codazzi_residual(imm: Immersion, p: tuple, step: float = 1e-3) -> float:
     """Finite-difference residual of the Codazzi symmetry of the covariant
     derivative of h.
 
     Compares (nabla-bar_{e1} h)(e2, .) against (nabla-bar_{e2} h)(e1, .) on
-    both tangent slots and returns the larger coordinate norm; O(step^2)
-    for a genuine immersion.  One batched call builds the five stencil
-    frames, which serve both h and the connection forms.
+    both tangent slots and returns the larger coordinate norm per point of
+    p; O(step^2) for a genuine immersion.  One batched call builds the five
+    stencil frames of every point for h and w12.  h, D h and w12 do not
+    depend on the normal basis, so the stencil needs no common scan branch.
     """
     nodes = _stencil_nodes(p, step, _STENCIL)
     fr = build_frames(imm, nodes)
-    _require_one_branch(np.all(fr.scan == fr.scan[0]) and np.all(fr.flipped == fr.flipped[0]), p)
     h = second_fundamental_form(imm, nodes, fr)
     inv2h = 1.0 / (2.0 * step)
     e3, e4 = fr.e3[0], fr.e4[0]
@@ -588,4 +590,4 @@ def codazzi_residual(imm: Immersion, p: tuple[float, float], step: float = 1e-3)
     r1 = d_e1[1] + w.w12_e1 * h11 - w.w12_e1 * h22 - d_e2[0] + 2.0 * w.w12_e2 * h12
     # (nabla-bar_{e1} h)(e2, e2) - (nabla-bar_{e2} h)(e1, e2)
     r2 = d_e1[2] + 2.0 * w.w12_e1 * h12 - d_e2[1] + w.w12_e2 * h22 - w.w12_e2 * h11
-    return max(r1.euclid_norm(), r2.euclid_norm())
+    return np.maximum(r1.euclid_norm(), r2.euclid_norm())

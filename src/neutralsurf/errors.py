@@ -53,12 +53,10 @@ class PreconditionError(NeutralSurfError):
 def first_flagged(flags, *values) -> tuple:
     """The values at the first node, in C order, where flags holds.
 
-    Over a batch each value is broadcast to the shape of flags and read at
-    that node; at a single node (0-d flags) the values come back as given,
-    so messages read the same for a point and for a batch.
+    Each value is broadcast to the shape of flags (0-d at a single node)
+    and read at that node as a Python scalar, so messages read the same
+    for a point and for a batch.
     """
     flags = np.asarray(flags)
-    if flags.ndim == 0:
-        return values
     k = int(np.argmax(flags))
-    return tuple(np.broadcast_to(v, flags.shape).flat[k] for v in values)
+    return tuple(np.broadcast_to(v, flags.shape).flat[k].item() for v in values)

@@ -20,3 +20,9 @@ def test_tiny_traced_run_is_correct(workload):
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, done.stderr
+    if workload == "verify_catalog":
+        # one batched call of each finite-difference check per verify report
+        metrics = {name: m["value"] for name, m in result["metrics"].items()}
+        reports = metrics["cli.build_verification_report.calls"]
+        assert metrics["curvature.structure_equation_check.calls"] == reports
+        assert metrics["curvature.codazzi_residual.calls"] == reports

@@ -113,6 +113,12 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "phi_h42", "--tol", "bogus=1")
         assert code == 2
 
+    @pytest.mark.parametrize("step", ["0", "-1e-3", "nan", "inf"])
+    def test_fd_step_must_be_finite_and_positive(self, capsys, step):
+        code, _, err = run(capsys, "verify", "phi_h42", "--grid", "5x5", "--tol", f"fd_step={step}")
+        assert code == 2
+        assert "fd_step must be finite and > 0" in err
+
     def test_tolerance_override_can_fail(self, capsys):
         code, out, _ = run(
             capsys, "verify", "random_polynomial", "--seed", "7", "--grid", "5x5",

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from neutralsurf import curvature
 from neutralsurf.catalog import MetricCoeffs, catalog_get, from_definition
 from neutralsurf.curvature import (
     FrameData,
@@ -20,12 +22,22 @@ from neutralsurf.curvature import (
     structure_equation_check,
     wintgen_defect_formula,
 )
+from neutralsurf.errors import DegeneracyError
 from neutralsurf.expr import parse_surface
 from neutralsurf.pseudo_linalg import PVector, Signature, Sym2, inner
 from oracles import ellipse_sweep, rotate_pair
 
 SIG22 = Signature(2, 4)
 GAMMA_PHI = 1.0 / math.sqrt(3.0)
+
+# (surface, parameters, point) where the FD checks must agree with the invariants
+FD_CASES = [
+    ("phi_h42", {}, (0.25, 0.3)),
+    ("totally_geodesic_h42", {}, (0.3, -0.3)),
+    ("holomorphic_graph", {"f": "z^2/2"}, (1.6, 1.0)),
+    ("umbilical_flat", {}, (0.2, 0.5)),
+    ("random_polynomial", {"seed": 4}, (0.1, -0.2)),
+]
 
 
 def flat_plane():
@@ -394,19 +406,52 @@ class TestStructureEquations:
         assert abs(kdw) <= 1e-8
 
     def test_agreement_with_invariants_across_catalog(self):
-        cases = [
-            ("phi_h42", {}, (0.25, 0.3)),
-            ("totally_geodesic_h42", {}, (0.3, -0.3)),
-            ("holomorphic_graph", {"f": "z^2/2"}, (1.6, 1.0)),
-            ("umbilical_flat", {}, (0.2, 0.5)),
-            ("random_polynomial", {"seed": 4}, (0.1, -0.2)),
-        ]
-        for name, params, p in cases:
+        for name, params, p in FD_CASES:
             imm = catalog_get(name, params)
             rep = point_report(imm, p, with_canonical=False, with_ellipse=False)
             kw, kdw = structure_equation_check(imm, p, step=1e-3)
             assert kw == pytest.approx(rep.K, abs=1e-3)
             assert kdw == pytest.approx(rep.KD, abs=1e-3)
+
+    def test_batch_equals_points(self):
+        # s is an array and t a float: the FD checks broadcast them together
+        for name, params, p in FD_CASES:
+            imm = catalog_get(name, params)
+            ss = p[0] + np.array([0.0, 0.04, -0.03])
+            kw, kdw = structure_equation_check(imm, (ss, p[1]))
+            codazzi = codazzi_residual(imm, (ss, p[1]))
+            forms = np.array(dataclasses.astuple(connection_forms(imm, (ss, p[1]))))
+            for i, s in enumerate(ss):
+                q = (float(s), p[1])
+                assert np.allclose(structure_equation_check(imm, q), (kw[i], kdw[i]), rtol=0, atol=1e-12)
+                assert abs(codazzi_residual(imm, q) - codazzi[i]) <= 1e-12, name
+                at_q = dataclasses.astuple(connection_forms(imm, q))
+                assert np.allclose(at_q, forms[:, i], rtol=0, atol=1e-12), name
+
+    def test_branch_switch_in_a_batch_names_that_point(self, monkeypatch):
+        imm = catalog_get("phi_h42")
+        target, step = (-0.2, 0.5), 1e-3
+
+        def switched(imm, p):
+            """Frames with the scan pair swapped at nodes on the +s side of target."""
+            fr = build_frames(imm, p)
+            s, t = p
+            near = (np.abs(s - target[0]) < 3 * step) & (np.abs(t - target[1]) < 3 * step)
+            swap = near & (s > target[0] + 0.5 * step)
+            return dataclasses.replace(fr, scan=np.where(swap[..., None], fr.scan[..., ::-1], fr.scan))
+
+        monkeypatch.setattr(curvature, "build_frames", switched)
+        points = (np.array([0.3, target[0], 0.1]), np.array([-0.4, target[1], 0.0]))
+        for check in (
+            curvature.structure_equation_check,
+            lambda imm, p: connection_forms(imm, p, frame_fn=switched),
+        ):
+            with pytest.raises(DegeneracyError) as at_point:
+                check(imm, target)
+            with pytest.raises(DegeneracyError) as in_batch:
+                check(imm, points)
+            assert str(at_point.value) == "frame branch switch within the stencil at (s,t)=(-0.2, 0.5)"
+            assert str(in_batch.value) == str(at_point.value)
 
 
 class TestCodazzi:
@@ -417,6 +462,32 @@ class TestCodazzi:
     def test_holomorphic(self):
         imm = catalog_get("holomorphic_graph", {"f": "z^2/2"})
         assert codazzi_residual(imm, (1.5, 1.0), step=1e-3) <= 1e-4
+
+    def test_independent_of_normal_basis_at_stencil_nodes(self, monkeypatch):
+        # rotate and reflect (e3, e4) at the +s node and record another
+        # scan branch and orientation there: h, D h and w12 do not change
+        def regauged(imm, p):
+            fr = build_frames(imm, p)
+            at = np.arange(len(fr.flipped)) == 1  # +s node of the 5-point stencil
+            c, s = np.where(at, math.cos(0.9), 1.0), np.where(at, math.sin(0.9), 0.0)
+            return dataclasses.replace(
+                fr,
+                e3=c * fr.e3 + s * fr.e4,
+                e4=np.where(at, -1.0, 1.0) * (c * fr.e4 - s * fr.e3),
+                scan=np.where(at[:, None], fr.scan[:, ::-1], fr.scan),
+                flipped=fr.flipped ^ at,
+            )
+
+        for name, params, p in [
+            ("phi_h42", {}, (0.3, -0.4)),
+            ("holomorphic_graph", {"f": "z^2/2"}, (1.5, 1.0)),
+            ("random_polynomial", {"seed": 7}, (0.2, 0.1)),
+        ]:
+            imm = catalog_get(name, params)
+            want = codazzi_residual(imm, p)
+            with monkeypatch.context() as m:
+                m.setattr(curvature, "build_frames", regauged)
+                assert abs(codazzi_residual(imm, p) - want) <= 1e-12, name
 
     def test_fault_injection(self, scale_h12):
         phi = catalog_get("phi_h42")

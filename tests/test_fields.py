@@ -124,7 +124,7 @@ class TestSampleSurfaceBatches:
         imm = catalog_get("holomorphic_graph", {"f": "z^2/2"})
         domain = DomainRect(-1.65, -0.05, -0.8, 0.8)
         ss, ts = domain.grid(9, 9)
-        first = next((s, t) for s in ss for t in ts if s * s + t * t <= 1.0)
+        first = next((float(s), float(t)) for s in ss for t in ts if s * s + t * t <= 1.0)
         with pytest.raises(DegeneracyError) as at_node:
             build_frames(imm, first)
         with pytest.raises(DegeneracyError) as on_grid:
