@@ -122,7 +122,10 @@ def _collect_tolerances(args) -> dict:
             raise InputMismatchError(
                 f"unknown tolerance {key!r}; known: {', '.join(sorted(tols))}"
             )
-        tols[key] = float(value)
+        try:
+            tols[key] = float(value)
+        except ValueError:
+            raise InputMismatchError(f"tolerance {key} must be a number, got {value!r}") from None
     if not (np.isfinite(tols["fd_step"]) and tols["fd_step"] > 0):
         raise InputMismatchError(f"tolerance fd_step must be finite and > 0, got {tols['fd_step']}")
     return tols

@@ -469,32 +469,31 @@ def _require_one_branch(same, p: tuple) -> None:
         )
 
 
-def _coordinate_forms(e1: PVector, e2: PVector, e3: PVector, e4: PVector, step: float):
-    """Connection forms on the coordinate directions at 5-point stencil centers.
+def _central(v: PVector, step: float, plus: int, minus: int) -> PVector:
+    """Central difference between two stencil nodes (stencil axis first)."""
+    return (1.0 / (2.0 * step)) * (v[plus] - v[minus])
+
+
+def _tangent_forms(e1: PVector, e2: PVector, step: float) -> tuple:
+    """w12 on the coordinate directions (d_s, d_t) at 5-point stencil centers.
 
     The frame vectors carry the stencil axis first (center, +s, -s, +t,
-    -t).  Returns (w12(d_s), w12(d_t), w34(d_s), w34(d_t)) by central
-    differences.  Negating the tangent pair (a rotation by pi) leaves every
-    frame invariant we compute unchanged, so e1 is first sign-matched to
-    the center; this only removes angle wrap-arounds of derived frame fields.
+    -t); the forms are central differences.  Negating the tangent pair (a
+    rotation by pi) leaves every frame invariant we compute unchanged, so
+    e1 is first sign-matched to the center; this only removes angle
+    wrap-arounds of derived frame fields.
     """
     e1 = np.where(inner(e1, e1[0]) < 0, -1.0, 1.0) * e1
-    inv2h = 1.0 / (2.0 * step)
-
-    def diff(v: PVector, plus: int, minus: int) -> PVector:
-        return inv2h * (v[plus] - v[minus])
-
-    return (
-        inner(diff(e1, 1, 2), e2[0]),
-        inner(diff(e1, 3, 4), e2[0]),
-        -inner(diff(e3, 1, 2), e4[0]),
-        -inner(diff(e3, 3, 4), e4[0]),
-    )
+    return inner(_central(e1, step, 1, 2), e2[0]), inner(_central(e1, step, 3, 4), e2[0])
 
 
-def _stencil_connection(fr: FrameData, step: float) -> ConnectionSample:
-    """Connection forms on (e1, e2) at the center of a 5-point stencil of frames."""
-    w12_s, w12_t, w34_s, w34_t = _coordinate_forms(fr.e1, fr.e2, fr.e3, fr.e4, step)
+def _normal_forms(e3: PVector, e4: PVector, step: float) -> tuple:
+    """w34 on (d_s, d_t) at 5-point stencil centers, as in _tangent_forms."""
+    return -inner(_central(e3, step, 1, 2), e4[0]), -inner(_central(e3, step, 3, 4), e4[0])
+
+
+def _on_frame(fr: FrameData, w_s, w_t) -> tuple:
+    """(w(e1), w(e2)) of the coordinate form (w(d_s), w(d_t)) at the stencil center."""
     vs, vt = fr.jets.velocity_s()[0], fr.jets.velocity_t()[0]
     E, F, G = fr.metric.E[0], fr.metric.F[0], fr.metric.G[0]
     det = E * G - F * F
@@ -506,12 +505,7 @@ def _stencil_connection(fr: FrameData, step: float) -> ConnectionSample:
 
     a1, b1 = on_coordinates(fr.e1[0])
     a2, b2 = on_coordinates(fr.e2[0])
-    return ConnectionSample(
-        w12_e1=a1 * w12_s + b1 * w12_t,
-        w12_e2=a2 * w12_s + b2 * w12_t,
-        w34_e1=a1 * w34_s + b1 * w34_t,
-        w34_e2=a2 * w34_s + b2 * w34_t,
-    )
+    return a1 * w_s + b1 * w_t, a2 * w_s + b2 * w_t
 
 
 def connection_forms(
@@ -531,7 +525,9 @@ def connection_forms(
     """
     fr = frame_fn(imm, _stencil_nodes(p, step, _STENCIL))
     _require_one_branch(np.all(fr.scan == fr.scan[0], axis=(0, -1)), p)
-    return _stencil_connection(fr, step)
+    w12 = _on_frame(fr, *_tangent_forms(fr.e1, fr.e2, step))
+    w34 = _on_frame(fr, *_normal_forms(fr.e3, fr.e4, step))
+    return ConnectionSample(*w12, *w34)
 
 
 def structure_equation_check(
@@ -549,9 +545,9 @@ def structure_equation_check(
     same_scan = np.all(fr.scan == fr.scan[c], axis=(0, -1))
     _require_one_branch(same_scan & np.all(fr.flipped[_NESTED[0]] == fr.flipped[c], axis=0), p)
     # forms at the neighbours (+s, -s, +t, -t) of p
-    w12_s, w12_t, w34_s, w34_t = _coordinate_forms(
-        *(v[_NESTED] for v in (fr.e1, fr.e2, fr.e3, fr.e4)), step
-    )
+    e1, e2, e3, e4 = (v[_NESTED] for v in (fr.e1, fr.e2, fr.e3, fr.e4))
+    w12_s, w12_t = _tangent_forms(e1, e2, step)
+    w34_s, w34_t = _normal_forms(e3, e4, step)
     inv2h = 1.0 / (2.0 * step)
     # d(P ds + Q dt) = (dQ/ds - dP/dt) ds^dt, evaluated for both forms
     d_w12 = inv2h * (w12_t[0] - w12_t[1]) - inv2h * (w12_s[2] - w12_s[3])
@@ -573,21 +569,20 @@ def codazzi_residual(imm: Immersion, p: tuple, step: float = 1e-3) -> float:
     nodes = _stencil_nodes(p, step, _STENCIL)
     fr = build_frames(imm, nodes)
     h = second_fundamental_form(imm, nodes, fr)
-    inv2h = 1.0 / (2.0 * step)
     e3, e4 = fr.e3[0], fr.e4[0]
 
     def derivative(plus: int, minus: int) -> tuple:
-        return tuple(_normal_project(inv2h * (v[plus] - v[minus]), e3, e4) for v in h.components())
+        return tuple(_normal_project(_central(v, step, plus, minus), e3, e4) for v in h.components())
 
     dh_s = derivative(1, 2)  # (D_s h11, D_s h12, D_s h22)
     dh_t = derivative(3, 4)
     a, b, c = (x[0] for x in _tangent_coeffs(fr.metric))
     d_e1 = tuple(a * v for v in dh_s)
     d_e2 = tuple(b * vs + c * vt for vs, vt in zip(dh_s, dh_t))
-    w = _stencil_connection(fr, step)
+    w12_e1, w12_e2 = _on_frame(fr, *_tangent_forms(fr.e1, fr.e2, step))
     h11, h12, h22 = (v[0] for v in h.components())
     # (nabla-bar_{e1} h)(e2, e1) - (nabla-bar_{e2} h)(e1, e1)
-    r1 = d_e1[1] + w.w12_e1 * h11 - w.w12_e1 * h22 - d_e2[0] + 2.0 * w.w12_e2 * h12
+    r1 = d_e1[1] + w12_e1 * h11 - w12_e1 * h22 - d_e2[0] + 2.0 * w12_e2 * h12
     # (nabla-bar_{e1} h)(e2, e2) - (nabla-bar_{e2} h)(e1, e2)
-    r2 = d_e1[2] + 2.0 * w.w12_e1 * h12 - d_e2[1] + w.w12_e2 * h22 - w.w12_e2 * h11
+    r2 = d_e1[2] + 2.0 * w12_e1 * h12 - d_e2[1] + w12_e2 * h22 - w12_e2 * h11
     return np.maximum(r1.euclid_norm(), r2.euclid_norm())

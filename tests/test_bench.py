@@ -20,9 +20,12 @@ def test_tiny_traced_run_is_correct(workload):
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, done.stderr
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    if workload == "grid_fields":
+        # a 9x9 grid fits one block: one point_report call per sample
+        assert metrics["curvature.point_report.calls"] == metrics["fields.sample_surface.calls"]
     if workload == "verify_catalog":
         # one batched call of each finite-difference check per verify report
-        metrics = {name: m["value"] for name, m in result["metrics"].items()}
         reports = metrics["cli.build_verification_report.calls"]
         assert metrics["curvature.structure_equation_check.calls"] == reports
         assert metrics["curvature.codazzi_residual.calls"] == reports

@@ -119,6 +119,18 @@ class TestVerify:
         assert code == 2
         assert "fd_step must be finite and > 0" in err
 
+    @pytest.mark.parametrize("value", ["abc", "1e-3x", ""])
+    def test_non_numeric_tolerance_exit_2(self, capsys, value):
+        code, _, err = run(capsys, "verify", "phi_h42", "--grid", "5x5", "--tol", f"structure={value}")
+        assert code == 2
+        assert f"tolerance structure must be a number, got {value!r}" in err
+
+    @pytest.mark.parametrize("value,expected", [("inf", 0), ("nan", 1), ("-1", 1)])
+    def test_any_float_tolerance_is_accepted(self, capsys, value, expected):
+        code, out, _ = run(capsys, "verify", "phi_h42", "--grid", "5x5", "--tol", f"structure={value}")
+        assert code == expected
+        assert f"(tolerance {value})" in out
+
     def test_tolerance_override_can_fail(self, capsys):
         code, out, _ = run(
             capsys, "verify", "random_polynomial", "--seed", "7", "--grid", "5x5",

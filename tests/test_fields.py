@@ -89,13 +89,16 @@ GRID_SURFACES = [
 ]
 
 
+def surface(name, params):
+    if name == "file":
+        return from_definition(parse_surface(SPHERE_FILE, name="sphere"))
+    return catalog_get(name, params)
+
+
 class TestSampleSurfaceBatches:
     @pytest.mark.parametrize("name,params", GRID_SURFACES)
     def test_grid_matches_point_reports(self, name, params):
-        if name == "file":
-            imm = from_definition(parse_surface(SPHERE_FILE, name="sphere"))
-        else:
-            imm = catalog_get(name, params)
+        imm = surface(name, params)
         sample = sample_surface(imm, (9, 9))
         ss, ts = imm.domain.grid(9, 9)
         for i, s in enumerate(ss):
@@ -118,19 +121,50 @@ class TestSampleSurfaceBatches:
                 assert sample.ellipse_circle[i, j] == rep.ellipse.is_circle
                 assert sample.ellipse_point[i, j] == rep.ellipse.is_point
 
+    @pytest.mark.parametrize("name,params", GRID_SURFACES)
+    @pytest.mark.parametrize("grid", [(70, 70), (3, 5000)], ids=["2_blocks", "rows_over_budget"])
+    def test_block_rows_equal_row_reports(self, name, params, grid):
+        # 70x70 is sampled in two blocks of 35 rows; a 5000-node row is a block of its own
+        imm = surface(name, params)
+        sample = sample_surface(imm, grid)
+        ss, ts = imm.domain.grid(*grid)
+        for i in (0, grid[0] // 2, grid[0] - 1):
+            rep = point_report(imm, (ss[i], ts), with_canonical=False)
+            metric = rep.frames.metric
+            want = {
+                "K": rep.K,
+                "KD": rep.KD,
+                "H2": rep.H2,
+                "defect": rep.defect,
+                "E": metric.E,
+                "F": metric.F,
+                "G": metric.G,
+                "H_norm": rep.H.euclid_norm(),
+                "h_max": np.max([v.euclid_norm() for v in rep.h.components()], axis=0),
+                "ellipse_circle": rep.ellipse.is_circle,
+                "ellipse_point": rep.ellipse.is_point,
+            }
+            for field, value in want.items():
+                assert np.array_equal(getattr(sample, field)[i], value), (field, i)
+
     def test_degenerate_node_reported_in_s_major_order(self):
         # |f'(z)| = |z| for f = z^2/2: not space-like on the closed unit disk,
-        # which this grid crosses; in t-major order (-0.45, -0.8) would come first
+        # which these grids cross.  On 9x9, (-0.45, -0.8) would come first in
+        # t-major order; on 70x70 the first offending row (43) is in the
+        # second of two 35-row blocks.
         imm = catalog_get("holomorphic_graph", {"f": "z^2/2"})
-        domain = DomainRect(-1.65, -0.05, -0.8, 0.8)
-        ss, ts = domain.grid(9, 9)
-        first = next((float(s), float(t)) for s in ss for t in ts if s * s + t * t <= 1.0)
-        with pytest.raises(DegeneracyError) as at_node:
-            build_frames(imm, first)
-        with pytest.raises(DegeneracyError) as on_grid:
-            sample_surface(imm, (9, 9), domain)
-        assert str(on_grid.value) == str(at_node.value)
-        assert f"not space-like at (s,t)={first}" in str(on_grid.value)
+        for grid, domain in (
+            ((9, 9), DomainRect(-1.65, -0.05, -0.8, 0.8)),
+            ((70, 70), DomainRect(-2.5, -0.05, -0.8, 0.8)),
+        ):
+            ss, ts = domain.grid(*grid)
+            first = next((float(s), float(t)) for s in ss for t in ts if s * s + t * t <= 1.0)
+            with pytest.raises(DegeneracyError) as at_node:
+                build_frames(imm, first)
+            with pytest.raises(DegeneracyError) as on_grid:
+                sample_surface(imm, grid, domain)
+            assert str(on_grid.value) == str(at_node.value)
+            assert f"not space-like at (s,t)={first}" in str(on_grid.value)
 
 
 class TestIntrinsicLaplacian:
