@@ -19,19 +19,16 @@ from .curvature import (
     EllipseInfo,
     FrameData,
     SecondFF,
-    ambient_curvature,
     build_frames,
     canonical_equality_frame,
     codazzi_residual,
     connection_forms,
     ellipse_of_curvature,
-    equality_frame,
     invariants,
     point_report,
     second_fundamental_form,
     shape_operators,
     structure_equation_check,
-    wintgen_defect_formula,
 )
 from .errors import (
     DegeneracyError,

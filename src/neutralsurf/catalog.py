@@ -116,10 +116,10 @@ def metric_from_velocities(
     return m
 
 
-def induced_metric(imm: Immersion, p: tuple, check: bool = True) -> MetricCoeffs:
+def induced_metric(imm: Immersion, p: tuple) -> MetricCoeffs:
     """E, F, G of the induced metric at p, a node or a batch; error if not space-like."""
     jp = imm.evaluate(*p)
-    return metric_from_velocities(imm, p, jp.velocity_s(), jp.velocity_t(), check)
+    return metric_from_velocities(imm, p, jp.velocity_s(), jp.velocity_t())
 
 
 def check_membership(imm: Immersion, points: list[tuple[float, float]]) -> float:
@@ -131,10 +131,12 @@ def check_membership(imm: Immersion, points: list[tuple[float, float]]) -> float
     return float(np.max(np.abs(inner(x, x) - imm.ambient.membership_target), initial=0.0))
 
 
-def _validate_spacelike(imm: Immersion, n: int = _VALIDATION_GRID) -> bool:
-    ss, ts = imm.domain.grid(n, n)
+def _validate_spacelike(imm: Immersion) -> bool:
+    ss, ts = imm.domain.grid(_VALIDATION_GRID, _VALIDATION_GRID)
     grid = np.meshgrid(ss, ts, indexing="ij")
-    return bool(np.all(induced_metric(imm, grid, check=False).positive_definite))
+    jp = imm.evaluate(*grid)
+    m = metric_from_velocities(imm, grid, jp.velocity_s(), jp.velocity_t(), check=False)
+    return bool(np.all(m.positive_definite))
 
 
 def _require_spacelike(imm: Immersion) -> Immersion:

@@ -30,7 +30,6 @@ from .curvature import (
 )
 from .errors import (
     DegeneracyError,
-    ExprSyntaxError,
     FieldDomainError,
     InputMismatchError,
     NeutralSurfError,
@@ -456,7 +455,10 @@ def cmd_laplacian_check(args) -> int:
 # -- entry point -------------------------------------------------------------
 
 
-def _add_surface_options(p: argparse.ArgumentParser, default_grid: str) -> None:
+def _add_surface_options(
+    p: argparse.ArgumentParser, default_grid: str, formats: tuple = ("text", "json")
+) -> None:
+    """Options shared by the surface commands; the first of formats is the default."""
     p.add_argument("surface", nargs="?", help="catalog surface name (or use --file)")
     p.add_argument("--file", help="surface definition file")
     p.add_argument("--grid", type=_parse_grid, default=_parse_grid(default_grid))
@@ -476,7 +478,7 @@ def _add_surface_options(p: argparse.ArgumentParser, default_grid: str) -> None:
         metavar="NAME=VALUE",
         help="override a named tolerance (repeatable)",
     )
-    p.add_argument("--format", choices=["text", "json"], default="text")
+    p.add_argument("--format", choices=formats, default=formats[0])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -498,15 +500,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_map = sub.add_parser("defect-map", help="export the pointwise defect field")
-    _add_surface_options(p_map, "33x33")
+    _add_surface_options(p_map, "33x33", formats=("csv", "json"))
     p_map.add_argument("--out", required=True, help="output file path")
     p_map.set_defaults(func=cmd_defect_map)
-    # defect-map writes csv by default
-    p_map.set_defaults(format="csv")
-    for action in p_map._actions:
-        if action.dest == "format":
-            action.choices = ["csv", "json"]
-            action.default = "csv"
 
     p_lap = sub.add_parser("laplacian-check", help="check a Laplacian identity")
     _add_surface_options(p_lap, "65x65")
@@ -530,10 +526,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DegeneracyError, PreconditionError, FieldDomainError, SingularityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (InputMismatchError, ExprSyntaxError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NeutralSurfError as exc:
+    except (NeutralSurfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

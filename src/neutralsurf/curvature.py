@@ -53,6 +53,11 @@ _DUALITY_TOL = 1e-8
 # Below this norm of (tr A3, tr A4) the mean curvature is treated as zero.
 _TRACE_TOL = 1e-9
 
+# Ellipse of curvature: relative tolerance of the circle test, and the
+# size below which the ellipse is a point.
+_CIRCLE_TOL = 1e-6
+_POINT_TOL = 1e-8
+
 # Finite-difference stencils as offsets in units of the step.  The 5-point
 # stencil is (center, +s, -s, +t, -t); the structure equations nest it: the
 # 5-point stencils around the four neighbours, as indices (stencil, neighbour)
@@ -161,11 +166,6 @@ class ConnectionSample:
     w12_e2: float
     w34_e1: float
     w34_e2: float
-
-
-def ambient_curvature(x: PVector, y: PVector, z: PVector, c: float) -> PVector:
-    """Constant-curvature ambient curvature operator c(<X,Z>Y - <Y,Z>X)."""
-    return c * (inner(x, z) * y - inner(y, z) * x)
 
 
 def build_frames(imm: Immersion, p: tuple) -> FrameData:
@@ -311,23 +311,6 @@ def invariants(a3: Sym2, a4: Sym2, frames: FrameData, c: float) -> CurvatureRepo
     return CurvatureReport(A3=a3, A4=a4, H=h, H2=h2, K=k, KD=kd, defect=defect)
 
 
-def wintgen_defect_formula(
-    alpha: float, gamma: float, delta: float, mu: float, c: float
-) -> tuple[float, float, float, float]:
-    """Closed-form (K, KD, H2, defect) of a frame with diagonal A3, trace-free A4.
-
-    The identity K + KD - H2 - c = delta^2 + (2*gamma - alpha + mu)^2 / 4 is
-    asserted on every call.
-    """
-    k = -alpha * mu + gamma * gamma + delta * delta + c
-    kd = gamma * (mu - alpha)
-    h2 = -0.25 * (alpha + mu) ** 2
-    defect = delta * delta + 0.25 * (2.0 * gamma - alpha + mu) ** 2
-    lhs = k + kd - h2 - c
-    assert abs(lhs - defect) <= 1e-12 * max(1.0, abs(lhs), abs(defect))
-    return k, kd, h2, defect
-
-
 def _mix_sym2(a3: Sym2, a4: Sym2, rho) -> tuple[Sym2, Sym2]:
     """Shape-operator pair after rotating the normal frame by rho."""
     cr, sr = np.cos(rho), np.sin(rho)
@@ -388,15 +371,14 @@ def canonical_equality_frame(a3: Sym2, a4: Sym2) -> CanonicalFrame:
     return CanonicalFrame(*(np.where(keep, a, b)[()] for a, b in pairs))
 
 
-def ellipse_of_curvature(
-    h: SecondFF, center: PVector, tol: float = 1e-6, point_tol: float = 1e-8
-) -> EllipseInfo:
+def ellipse_of_curvature(h: SecondFF, center: PVector) -> EllipseInfo:
     """Semi-axes and degeneracy flags of the ellipse of curvature.
 
     The spanning vectors are u = (h11 - h22)/2 and v = h12; squared lengths
     use -<.,.> since the normal plane is negative definite.  The circle
-    test compares |u|^2 with |v|^2 and checks <u,v> = 0, at tolerance tol
-    relative to the ellipse scale.
+    test compares |u|^2 with |v|^2 and checks <u,v> = 0, at _CIRCLE_TOL
+    relative to the ellipse scale; the ellipse is a point when
+    sqrt(|u|^2 + |v|^2) <= _POINT_TOL.
     """
     u = 0.5 * (h.h11 - h.h22)
     v = h.h12
@@ -407,9 +389,9 @@ def ellipse_of_curvature(
     (lam1, lam2), _ = eigen_sym2(gram)
     a = np.sqrt(np.maximum(lam1, 0.0))
     b = np.sqrt(np.maximum(lam2, 0.0))
-    is_point = np.sqrt(np.maximum(uu + vv, 0.0)) <= point_tol
-    scale = np.maximum(1.0, uu + vv)
-    is_circle = ~is_point & (np.abs(uu - vv) <= tol * scale) & (np.abs(uv) <= tol * scale)
+    is_point = np.sqrt(np.maximum(uu + vv, 0.0)) <= _POINT_TOL
+    tol = _CIRCLE_TOL * np.maximum(1.0, uu + vv)
+    is_circle = ~is_point & (np.abs(uu - vv) <= tol) & (np.abs(uv) <= tol)
     return EllipseInfo(a=a, b=b, center=center, is_circle=is_circle, is_point=is_point)
 
 
@@ -434,24 +416,6 @@ def point_report(
 
 
 # -- frame-derivative quantities ----------------------------------------
-
-
-def equality_frame(imm: Immersion, p: tuple) -> FrameData:
-    """Frame rotated pointwise into the equality-case shape of the operators.
-
-    The tangent pair is rotated by the angle diagonalizing A_{e3} and e4 is
-    oriented so KD <= 0 (the equality-achieving orientation).  On equality
-    surfaces this produces the frame field in which the Codazzi consequence
-    "normal form = twice the tangent form" can be checked componentwise.
-    """
-    rep = point_report(imm, p, with_canonical=False, with_ellipse=False)
-    fr, extra_flip = rep.frames, rep.KD > 0
-    _, theta = eigen_sym2(rep.A3)
-    ct, st = np.cos(theta), np.sin(theta)
-    e1 = ct * fr.e1 + st * fr.e2
-    e2 = -st * fr.e1 + ct * fr.e2
-    e4 = np.where(extra_flip, -1.0, 1.0) * fr.e4
-    return FrameData(e1, e2, fr.e3, e4, fr.metric, fr.scan, fr.flipped ^ extra_flip, fr.jets)
 
 
 def _stencil_nodes(p: tuple, step: float, offsets: list) -> tuple:
@@ -508,22 +472,16 @@ def _on_frame(fr: FrameData, w_s, w_t) -> tuple:
     return a1 * w_s + b1 * w_t, a2 * w_s + b2 * w_t
 
 
-def connection_forms(
-    imm: Immersion,
-    p: tuple,
-    step: float = 1e-3,
-    frame_fn=build_frames,
-) -> ConnectionSample:
+def connection_forms(imm: Immersion, p: tuple, step: float = 1e-3) -> ConnectionSample:
     """Connection forms of the tangent and normal bundles on (e1, e2).
 
     Defined by nabla_X e1 = w12(X) e2 and D_X e3 = w34(X) e4; with the
-    time-like normals this evaluates as w34(X) = -<D_X e3, e4>.  frame_fn
-    selects the frame field (the default deterministic frame, or
-    equality_frame for equality-adapted checks).  p is a point or a batch
-    of points; one batched call builds the five stencil frames of every
-    point, and each stencil must share one Gram-Schmidt branch.
+    time-like normals this evaluates as w34(X) = -<D_X e3, e4>, in the
+    frame field build_frames gives.  p is a point or a batch of points;
+    one batched call builds the five stencil frames of every point, and
+    each stencil must share one Gram-Schmidt branch.
     """
-    fr = frame_fn(imm, _stencil_nodes(p, step, _STENCIL))
+    fr = build_frames(imm, _stencil_nodes(p, step, _STENCIL))
     _require_one_branch(np.all(fr.scan == fr.scan[0], axis=(0, -1)), p)
     w12 = _on_frame(fr, *_tangent_forms(fr.e1, fr.e2, step))
     w34 = _on_frame(fr, *_normal_forms(fr.e3, fr.e4, step))

@@ -16,6 +16,7 @@ minimal equality-case surfaces, with shift +1, 0, -1 for ambient curvature
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -27,13 +28,16 @@ from .catalog import Immersion
 from .curvature import point_report
 from .errors import FieldDomainError, InputMismatchError, PreconditionError
 
-QUANTITIES = ("K", "KD", "H2", "defect", "ln(K+1)", "ln(K)", "ln(K-1)")
+# log quantity -> shift in ln(K + shift)
+_LOG_SHIFTS = {"ln(K+1)": 1.0, "ln(K)": 0.0, "ln(K-1)": -1.0}
 
-# identity id -> (required ambient kind, curvature, log shift)
+QUANTITIES = ("K", "KD", "H2", "defect", *_LOG_SHIFTS)
+
+# identity id -> (required ambient kind, curvature, log quantity)
 IDENTITIES = {
-    "hyperbolic": ("pseudo_hyperbolic", -1.0, 1.0),
-    "flat": ("flat", 0.0, 0.0),
-    "spherical": ("pseudo_sphere", 1.0, -1.0),
+    "hyperbolic": ("pseudo_hyperbolic", -1.0, "ln(K+1)"),
+    "flat": ("flat", 0.0, "ln(K)"),
+    "spherical": ("pseudo_sphere", 1.0, "ln(K-1)"),
 }
 # compatibility aliases accepted by the library and the CLI
 IDENTITY_ALIASES = {"eq5_11": "hyperbolic", "eq6_6": "flat", "eq7_7": "spherical"}
@@ -41,6 +45,9 @@ IDENTITY_ALIASES = {"eq5_11": "hyperbolic", "eq6_6": "flat", "eq7_7": "spherical
 MINIMAL_H2_TOL = 1e-9
 MINIMAL_H_TOL = 1e-6
 EQUALITY_TOL = 1e-6
+
+# Identity residuals below this are roundoff in convergence_ratios.
+_RATIO_FLOOR = 1e-10
 
 # Nodes per point_report call in sample_surface.  The pipeline keeps a few
 # dozen arrays of this many nodes alive at once, so one call over the whole
@@ -168,19 +175,17 @@ def sample_field(
     quantity: str,
     grid: tuple[int, int] = (33, 33),
     domain: DomainRect | None = None,
-    sample: SurfaceSample | None = None,
 ) -> GridField:
     """Sample one curvature quantity (or its shifted logarithm) on a grid."""
     if quantity not in QUANTITIES:
         raise InputMismatchError(
             f"unknown quantity {quantity!r}; choose from {', '.join(QUANTITIES)}"
         )
-    if sample is None:
-        sample = sample_surface(imm, grid, domain)
-    if quantity in ("K", "KD", "H2", "defect"):
+    sample = sample_surface(imm, grid, domain)
+    if quantity not in _LOG_SHIFTS:
         return sample.grid_field(getattr(sample, quantity).copy(), quantity)
-    shift = {"ln(K+1)": 1.0, "ln(K)": 0.0, "ln(K-1)": -1.0}[quantity]
-    return sample.grid_field(_log_field(sample.K, shift, sample, quantity), quantity)
+    values = _log_field(sample.K, _LOG_SHIFTS[quantity], sample, quantity)
+    return sample.grid_field(values, quantity)
 
 
 @dataclass(frozen=True)
@@ -291,7 +296,6 @@ def verify_identity(
     grid: tuple[int, int] = (65, 65),
     domain: DomainRect | None = None,
     threshold: float = 1e-3,
-    sample: SurfaceSample | None = None,
 ) -> LaplacianReport:
     """Check lap(ln(K + shift)) = 2(2K - KD) on a minimal equality surface.
 
@@ -301,14 +305,13 @@ def verify_identity(
     KD enters with the equality-achieving sign.
     """
     name = resolve_identity(which)
-    kind, c_required, shift = IDENTITIES[name]
+    kind, c_required, label = IDENTITIES[name]
     if imm.ambient.kind != kind or imm.ambient.curvature != c_required:
         raise PreconditionError(
             f"identity {name!r} needs ambient kind {kind} with curvature "
             f"{c_required:g}; surface {imm.name!r} sits in {imm.ambient.describe()}"
         )
-    if sample is None:
-        sample = sample_surface(imm, grid, domain)
+    sample = sample_surface(imm, grid, domain)
     if not sample.minimal:
         raise PreconditionError(
             f"surface {imm.name!r} is not minimal: max |H2| = "
@@ -321,9 +324,8 @@ def verify_identity(
             f"surface {imm.name!r} does not satisfy the equality case: "
             f"max defect = {max_defect:.3g}"
         )
-    label = {1.0: "ln(K+1)", 0.0: "ln(K)", -1.0: "ln(K-1)"}[shift]
     try:
-        values = _log_field(sample.K, shift, sample, label)
+        values = _log_field(sample.K, _LOG_SHIFTS[label], sample, label)
     except FieldDomainError as exc:
         raise PreconditionError(str(exc)) from exc
     lnf = sample.grid_field(values, label)
@@ -331,18 +333,12 @@ def verify_identity(
     kd = sample.kd_equality_signed()
     rhs_full = 2.0 * (2.0 * sample.K - kd)
     rhs = rhs_full[2:-2, 2:-2]
-    residual = base.laplacian - rhs
-    return LaplacianReport(
+    return dataclasses.replace(
+        base,
         quantity=f"{label} identity ({name})",
-        domain=base.domain,
-        nx=base.nx,
-        ny=base.ny,
-        margin=base.margin,
-        laplacian=base.laplacian,
         lhs=base.laplacian,
         rhs=rhs,
-        residual=residual,
-        threshold=threshold,
+        residual=base.laplacian - rhs,
     )
 
 
@@ -351,7 +347,6 @@ def convergence_ratios(
     which: str,
     grids: tuple[int, ...] = (17, 33, 65),
     domain: DomainRect | None = None,
-    floor: float = 1e-10,
 ) -> list[float]:
     """Residual-decay ratios of the identity check under grid refinement.
 
@@ -359,8 +354,8 @@ def convergence_ratios(
     the spacing.  Residuals are compared on the region interior to the
     coarsest grid's stencil margin, so refinement does not pull nodes
     closer to the boundary where higher derivatives may be larger.
-    Residuals below the floor are roundoff-dominated and report a neutral
-    ratio of 4.
+    Residuals below _RATIO_FLOOR are roundoff-dominated and report a
+    neutral ratio of 4.
     """
     dom = domain or imm.domain
     coarsest = min(grids)
@@ -378,7 +373,7 @@ def convergence_ratios(
         residuals.append(float(np.max(np.abs(region))))
     ratios = []
     for coarse, fine in zip(residuals, residuals[1:]):
-        if coarse < floor and fine < floor:
+        if coarse < _RATIO_FLOOR and fine < _RATIO_FLOOR:
             ratios.append(4.0)
         else:
             ratios.append(coarse / max(fine, 1e-300))

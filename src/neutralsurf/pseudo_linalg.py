@@ -25,7 +25,6 @@ SPAN_RTOL = 1e-12
 
 SPACE_LIKE = "space-like"
 TIME_LIKE = "time-like"
-LIGHT_LIKE = "light-like"
 
 
 @dataclass(frozen=True)
@@ -106,15 +105,6 @@ class PVector:
     def euclid_norm(self):
         return np.linalg.norm(self.coords, axis=-1)
 
-    def causal_character(self) -> str:
-        q = self.self_inner()
-        scale = float(np.dot(self.coords, self.coords))
-        if scale == 0.0:
-            raise InputMismatchError("zero vector has no causal character")
-        if abs(q) < LIGHTLIKE_RTOL * scale:
-            return LIGHT_LIKE
-        return SPACE_LIKE if q > 0 else TIME_LIKE
-
 
 def _check_same_signature(u: PVector, v: PVector) -> None:
     if u.signature is not v.signature and u.signature != v.signature:
@@ -184,11 +174,6 @@ class Sym2:
     @property
     def det(self):
         return self.a11 * self.a22 - self.a12 * self.a12
-
-    def as_array(self) -> np.ndarray:
-        """The matrix, shape (..., 2, 2)."""
-        m = np.stack([self.a11, self.a12, self.a12, self.a22], axis=-1)
-        return m.reshape(m.shape[:-1] + (2, 2))
 
 
 def rotate_sym2(m: Sym2, theta) -> Sym2:

@@ -1,8 +1,11 @@
-"""Independent oracles used only by the tests.
+"""Oracles and helpers used only by the tests.
 
-Each one recomputes a quantity the engine produces by a different route
-(sampling, finite differences, explicit matrix products), so a test that
-compares the two does not check the engine against its own code.
+Most recompute a quantity the engine produces by a different route
+(sampling, finite differences, explicit matrix products, the closed-form
+Wintgen identity), so a test that compares the two does not check the
+engine against its own code.  equality_frame is the exception: it reuses
+the engine's stages to build the equality-adapted frame field that
+connection_forms is checked in.
 """
 
 from __future__ import annotations
@@ -11,9 +14,26 @@ import math
 
 import numpy as np
 
-from neutralsurf.curvature import SecondFF
+from neutralsurf import curvature
+from neutralsurf.catalog import Immersion
+from neutralsurf.curvature import FrameData, SecondFF
+from neutralsurf.errors import InputMismatchError
 from neutralsurf.jets import Jet2
-from neutralsurf.pseudo_linalg import PVector, Sym2, inner
+from neutralsurf.pseudo_linalg import (
+    LIGHTLIKE_RTOL,
+    SPACE_LIKE,
+    TIME_LIKE,
+    PVector,
+    Sym2,
+    eigen_sym2,
+    inner,
+)
+
+LIGHT_LIKE = "light-like"
+
+# the engine's frame builder, kept before a test can monkeypatch
+# curvature.build_frames with equality_frame
+_build_frames = curvature.build_frames
 
 
 def finite_difference_jet(f, s: float, t: float, h: float = 1e-4) -> Jet2:
@@ -99,3 +119,63 @@ def ellipse_sweep(h: SecondFF, center: PVector, samples: int = 360):
     imax = max(range(samples), key=values.__getitem__)
     imin = min(range(samples), key=values.__getitem__)
     return polish(imax, 1.0), polish(imin, -1.0)
+
+
+def causal_character(v: PVector) -> str:
+    """Space-like, time-like or light-like, by the sign of <v,v> relative to |v|^2."""
+    q = v.self_inner()
+    scale = float(np.dot(v.coords, v.coords))
+    if scale == 0.0:
+        raise InputMismatchError("zero vector has no causal character")
+    if abs(q) < LIGHTLIKE_RTOL * scale:
+        return LIGHT_LIKE
+    return SPACE_LIKE if q > 0 else TIME_LIKE
+
+
+def as_array(m: Sym2) -> np.ndarray:
+    """The matrix, shape (..., 2, 2)."""
+    a = np.stack([m.a11, m.a12, m.a12, m.a22], axis=-1)
+    return a.reshape(a.shape[:-1] + (2, 2))
+
+
+def ambient_curvature(x: PVector, y: PVector, z: PVector, c: float) -> PVector:
+    """Constant-curvature ambient curvature operator c(<X,Z>Y - <Y,Z>X)."""
+    return c * (inner(x, z) * y - inner(y, z) * x)
+
+
+def wintgen_defect_formula(
+    alpha: float, gamma: float, delta: float, mu: float, c: float
+) -> tuple[float, float, float, float]:
+    """Closed-form (K, KD, H2, defect) of a frame with diagonal A3, trace-free A4.
+
+    The identity K + KD - H2 - c = delta^2 + (2*gamma - alpha + mu)^2 / 4 is
+    asserted on every call.
+    """
+    k = -alpha * mu + gamma * gamma + delta * delta + c
+    kd = gamma * (mu - alpha)
+    h2 = -0.25 * (alpha + mu) ** 2
+    defect = delta * delta + 0.25 * (2.0 * gamma - alpha + mu) ** 2
+    lhs = k + kd - h2 - c
+    assert abs(lhs - defect) <= 1e-12 * max(1.0, abs(lhs), abs(defect))
+    return k, kd, h2, defect
+
+
+def equality_frame(imm: Immersion, p: tuple) -> FrameData:
+    """Frame rotated pointwise into the equality-case shape of the operators.
+
+    The tangent pair is rotated by the angle diagonalizing A_{e3} and e4 is
+    oriented so KD <= 0 (the equality-achieving orientation).  On equality
+    surfaces this produces the frame field in which the Codazzi consequence
+    "normal form = twice the tangent form" can be checked componentwise.
+    A test selects it by monkeypatching curvature.build_frames, so the base
+    frame comes from the builder captured at import, not from point_report.
+    """
+    fr = _build_frames(imm, p)
+    a3, a4 = curvature.shape_operators(curvature.second_fundamental_form(imm, p, fr), fr)
+    extra_flip = curvature.invariants(a3, a4, fr, imm.ambient.curvature).KD > 0
+    _, theta = eigen_sym2(a3)
+    ct, st = np.cos(theta), np.sin(theta)
+    e1 = ct * fr.e1 + st * fr.e2
+    e2 = -st * fr.e1 + ct * fr.e2
+    e4 = np.where(extra_flip, -1.0, 1.0) * fr.e4
+    return FrameData(e1, e2, fr.e3, e4, fr.metric, fr.scan, fr.flipped ^ extra_flip, fr.jets)

@@ -9,23 +9,27 @@ from neutralsurf.catalog import MetricCoeffs, catalog_get, from_definition
 from neutralsurf.curvature import (
     FrameData,
     SecondFF,
-    ambient_curvature,
     build_frames,
     canonical_equality_frame,
     codazzi_residual,
     connection_forms,
     ellipse_of_curvature,
-    equality_frame,
     point_report,
     second_fundamental_form,
     shape_operators,
     structure_equation_check,
-    wintgen_defect_formula,
 )
 from neutralsurf.errors import DegeneracyError
 from neutralsurf.expr import parse_surface
 from neutralsurf.pseudo_linalg import PVector, Signature, Sym2, inner
-from oracles import ellipse_sweep, rotate_pair
+from oracles import (
+    ambient_curvature,
+    as_array,
+    ellipse_sweep,
+    equality_frame,
+    rotate_pair,
+    wintgen_defect_formula,
+)
 
 SIG22 = Signature(2, 4)
 GAMMA_PHI = 1.0 / math.sqrt(3.0)
@@ -167,8 +171,8 @@ class TestShapeOperators:
         fr = synthetic_frame()
         zero = 0.0 * fr.e1
         a3, a4 = shape_operators(SecondFF(zero, zero, zero), fr)
-        assert a3.as_array().tolist() == [[0, 0], [0, 0]]
-        assert a4.as_array().tolist() == [[0, 0], [0, 0]]
+        assert as_array(a3).tolist() == [[0, 0], [0, 0]]
+        assert as_array(a4).tolist() == [[0, 0], [0, 0]]
 
     def test_holomorphic_a4_is_j_compose_a3(self):
         imm = catalog_get("holomorphic_graph", {"f": "z^2/2"})
@@ -177,7 +181,7 @@ class TestShapeOperators:
             fr = build_frames(imm, p)
             h = second_fundamental_form(imm, p, fr)
             a3, a4 = shape_operators(h, fr)
-            assert np.allclose(a4.as_array(), jmat @ a3.as_array(), atol=1e-8)
+            assert np.allclose(as_array(a4), jmat @ as_array(a3), atol=1e-8)
 
     def test_duality_against_h(self):
         phi = catalog_get("phi_h42")
@@ -378,11 +382,12 @@ class TestConnectionForms:
         assert abs(w.w12_e1) <= 1e-6
         assert w.w12_e2 == pytest.approx(1.0 / math.sqrt(3.0), abs=5e-6)
 
-    def test_phi_equality_frame_relation(self):
+    def test_phi_equality_frame_relation(self, monkeypatch):
         # in the equality-adapted frame the normal form doubles the tangent form
         phi = catalog_get("phi_h42")
+        monkeypatch.setattr(curvature, "build_frames", equality_frame)
         for p in [(0.3, -0.4), (-0.5, 0.6)]:
-            w = connection_forms(phi, p, step=1e-3, frame_fn=equality_frame)
+            w = connection_forms(phi, p, step=1e-3)
             assert abs(w.w34_e1 - 2.0 * w.w12_e1) <= 1e-5
             assert abs(w.w34_e2 - 2.0 * w.w12_e2) <= 1e-5
 
@@ -442,10 +447,7 @@ class TestStructureEquations:
 
         monkeypatch.setattr(curvature, "build_frames", switched)
         points = (np.array([0.3, target[0], 0.1]), np.array([-0.4, target[1], 0.0]))
-        for check in (
-            curvature.structure_equation_check,
-            lambda imm, p: connection_forms(imm, p, frame_fn=switched),
-        ):
+        for check in (curvature.structure_equation_check, curvature.connection_forms):
             with pytest.raises(DegeneracyError) as at_point:
                 check(imm, target)
             with pytest.raises(DegeneracyError) as in_batch:
