@@ -7,7 +7,9 @@ codes.  A change that alters a report on purpose re-records the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says in its description which reports moved and why.
+and says in its description which reports moved and why.  The last digits
+of the CSV depend on the platform's math library, so a platform that rounds
+transcendental functions differently needs its own recording.
 """
 
 import contextlib
