@@ -10,7 +10,6 @@ from .catalog import (
     catalog_names,
     check_membership,
     from_definition,
-    induced_metric,
 )
 from .curvature import (
     CanonicalFrame,

@@ -30,9 +30,10 @@ _VALIDATION_GRID = 33
 class JetPoint:
     """Ambient coordinates of an immersion with partials at one (s,t) or a batch.
 
-    A component that does not depend on (s, t) may hold scalar fields; the
-    vectors broadcast every component to the batch shape and stack them
-    along the last axis.
+    A component that does not depend on (s, t) may hold scalar fields.  On
+    first use every field of every component is copied once into a
+    read-only table of shape (6, *shape, ncomp), broadcasting the scalar
+    fields; the vectors are views of it.
     """
 
     ambient: AmbientSpace
@@ -44,27 +45,35 @@ class JetPoint:
             *(np.shape(getattr(c, f)) for c in self.components for f in FIELDS)
         )
 
-    def _vector(self, attr: str) -> PVector:
-        vals = [np.broadcast_to(getattr(c, attr), self.shape) for c in self.components]
-        return PVector(np.stack(vals, axis=-1), self.ambient.signature)
+    @functools.cached_property
+    def _table(self) -> np.ndarray:
+        out = np.empty((len(FIELDS),) + self.shape + (len(self.components),))
+        for i, c in enumerate(self.components):
+            for k, f in enumerate(FIELDS):
+                out[k, ..., i] = getattr(c, f)
+        out.flags.writeable = False
+        return out
+
+    def _vector(self, k: int) -> PVector:
+        return PVector(self._table[k], self.ambient.signature)
 
     def position(self) -> PVector:
-        return self._vector("val")
+        return self._vector(0)
 
     def velocity_s(self) -> PVector:
-        return self._vector("d_s")
+        return self._vector(1)
 
     def velocity_t(self) -> PVector:
-        return self._vector("d_t")
+        return self._vector(2)
 
     def accel_ss(self) -> PVector:
-        return self._vector("d_ss")
+        return self._vector(3)
 
     def accel_st(self) -> PVector:
-        return self._vector("d_st")
+        return self._vector(4)
 
     def accel_tt(self) -> PVector:
-        return self._vector("d_tt")
+        return self._vector(5)
 
 
 @dataclass(frozen=True)
@@ -114,12 +123,6 @@ def metric_from_velocities(
             f"E={e:.6g}, EG-F^2={det:.6g}"
         )
     return m
-
-
-def induced_metric(imm: Immersion, p: tuple) -> MetricCoeffs:
-    """E, F, G of the induced metric at p, a node or a batch; error if not space-like."""
-    jp = imm.evaluate(*p)
-    return metric_from_velocities(imm, p, jp.velocity_s(), jp.velocity_t())
 
 
 def check_membership(imm: Immersion, points: list[tuple[float, float]]) -> float:
@@ -339,11 +342,17 @@ def _random_poly_eval(
 ) -> Callable[..., JetPoint]:
     def evaluate(s, t) -> JetPoint:
         js, jt = seed(s, t)
+        # powers up to the cubes by repeated multiplication, as jpow unrolls them
+        one = Jet2.constant(1.0)
+        sp, tp = [one, js], [one, jt]
+        for _ in range(2):
+            sp.append(sp[-1] * js)
+            tp.append(tp[-1] * jt)
         # monomial jets s^i t^j, shared between the two perturbations
         p = Jet2.constant(0.0)
         q = Jet2.constant(0.0)
         for (i, j), cp, cq in zip(_MONOMIALS, coeff_p, coeff_q):
-            mono = (js ** i) * (jt ** j)
+            mono = sp[i] * tp[j]
             p = p + cp * mono
             q = q + cq * mono
         return JetPoint(ambient, (p, q, js, jt))

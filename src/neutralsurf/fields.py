@@ -385,9 +385,15 @@ def convergence_ratios(
 
 def grid_to_csv(f: GridField) -> str:
     """CSV with one row per node: s, t, value, E, F, G (round-trip exact)."""
-    nodes = np.meshgrid(*f.node_coords(), indexing="ij")
-    table = np.stack([*nodes, f.values, f.E, f.F, f.G], axis=-1).reshape(-1, 6)
-    return "s,t,value,E,F,G\n" + "".join(",".join(map(repr, row)) + "\n" for row in table.tolist())
+    ss, ts = f.node_coords()
+    # each s is formatted once per row and each t once per column
+    t_text = [f",{t!r}," for t in ts.tolist()]
+    table = np.stack([f.values, f.E, f.F, f.G], axis=-1, dtype=float).tolist()
+    lines = ["s,t,value,E,F,G\n"]
+    for s, row in zip(ss.tolist(), table):
+        s_text = repr(s)
+        lines.extend(s_text + t + ",".join(map(repr, rest)) + "\n" for t, rest in zip(t_text, row))
+    return "".join(lines)
 
 
 def grid_from_csv(text: str) -> GridField:

@@ -14,8 +14,6 @@ the domain guards raise on the first offending node in C order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import SingularityError, first_flagged
@@ -24,20 +22,33 @@ FIELDS = ("val", "d_s", "d_t", "d_ss", "d_st", "d_tt")
 
 _LIFTABLE = (int, float, np.number, np.ndarray)
 
+# operands a jet product scales by directly (np.float64 is a float)
+_SCALARS = (int, float)
+
 
 def _value(v):
     """A float at one node, a float array over a batch."""
     return v.astype(float, copy=False) if isinstance(v, np.ndarray) and v.ndim else float(v)
 
 
-@dataclass(frozen=True)
 class Jet2:
-    val: float | np.ndarray
-    d_s: float | np.ndarray = 0.0
-    d_t: float | np.ndarray = 0.0
-    d_ss: float | np.ndarray = 0.0
-    d_st: float | np.ndarray = 0.0
-    d_tt: float | np.ndarray = 0.0
+    """Value and first and second partials in (s, t), at a node or per node.
+
+    Operations return new jets; no method changes one in place.
+    """
+
+    __slots__ = FIELDS
+
+    def __init__(self, val, d_s=0.0, d_t=0.0, d_ss=0.0, d_st=0.0, d_tt=0.0):
+        self.val = val
+        self.d_s = d_s
+        self.d_t = d_t
+        self.d_ss = d_ss
+        self.d_st = d_st
+        self.d_tt = d_tt
+
+    def __repr__(self):
+        return "Jet2(" + ", ".join(f"{f}={getattr(self, f)!r}" for f in FIELDS) + ")"
 
     # numpy operands defer to the reflected jet operators
     __array_ufunc__ = None
@@ -84,6 +95,15 @@ class Jet2:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, _SCALARS):
+            # the product rule against a constant jet without its zero terms;
+            # for finite fields this equals the lifted product, except that a
+            # zero keeps its sign and a scalar field is not broadcast
+            x = float(other)
+            return Jet2(
+                self.val * x, self.d_s * x, self.d_t * x,
+                self.d_ss * x, self.d_st * x, self.d_tt * x,
+            )
         if (other := _coerce(other)) is NotImplemented:
             return NotImplemented
         a, b = self, other

@@ -53,28 +53,35 @@ class Signature:
         return f"({self.negative_count},{self.total_dim - self.negative_count})"
 
 
-@dataclass(frozen=True)
 class PVector:
     """Vector in a space with a diagonal indefinite inner product.
 
     coords has shape (..., dim): one vector, or one per node of a batch.
-    Indexing selects nodes.
+    Indexing selects nodes.  Operations return new vectors.
     """
 
-    coords: np.ndarray
-    signature: Signature
+    __slots__ = ("coords", "signature")
 
     # numpy operands defer to the reflected vector operators
     __array_ufunc__ = None
 
+    def __init__(self, coords, signature: Signature):
+        self.coords = coords
+        self.signature = signature
+        self.__post_init__()
+
     def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float)
-        object.__setattr__(self, "coords", c)
+        c = self.coords
+        if not (type(c) is np.ndarray and c.dtype == np.float64):
+            c = self.coords = np.asarray(c, dtype=float)
         if c.shape[-1:] != (self.signature.total_dim,):
             raise InputMismatchError(
                 f"coords shape {c.shape} does not match signature dim "
                 f"{self.signature.total_dim}"
             )
+
+    def __repr__(self):
+        return f"PVector(coords={self.coords!r}, signature={self.signature!r})"
 
     def __getitem__(self, nodes) -> "PVector":
         return PVector(self.coords[nodes], self.signature)

@@ -14,11 +14,12 @@ import math
 
 import numpy as np
 
-from neutralsurf import curvature
-from neutralsurf.catalog import Immersion
+from neutralsurf import catalog, curvature
+from neutralsurf.ambient import AmbientSpace, DomainRect
+from neutralsurf.catalog import Immersion, JetPoint, MetricCoeffs, metric_from_velocities
 from neutralsurf.curvature import FrameData, SecondFF
 from neutralsurf.errors import InputMismatchError
-from neutralsurf.jets import Jet2
+from neutralsurf.jets import Jet2, jpow, seed
 from neutralsurf.pseudo_linalg import (
     LIGHTLIKE_RTOL,
     SPACE_LIKE,
@@ -179,3 +180,45 @@ def equality_frame(imm: Immersion, p: tuple) -> FrameData:
     e2 = -st * fr.e1 + ct * fr.e2
     e4 = np.where(extra_flip, -1.0, 1.0) * fr.e4
     return FrameData(e1, e2, fr.e3, e4, fr.metric, fr.scan, fr.flipped ^ extra_flip, fr.jets)
+
+
+def bits(x) -> tuple:
+    """Shape and IEEE bytes of a float or float array: equal only when bit-identical."""
+    return np.shape(x), np.asarray(x, dtype=np.float64).tobytes()
+
+
+def induced_metric(imm: Immersion, p: tuple) -> MetricCoeffs:
+    """E, F, G of the induced metric at p, a node or a batch; error if not space-like."""
+    jp = imm.evaluate(*p)
+    return metric_from_velocities(imm, p, jp.velocity_s(), jp.velocity_t())
+
+
+def random_polynomial_reference(seed_value: int, amplitude: float = 0.1) -> Immersion:
+    """catalog random_polynomial with the unshared jet arithmetic.
+
+    Each monomial is jpow(s, i) * jpow(t, j) and each coefficient is lifted
+    to a constant jet before the product.  The coefficients are drawn and
+    validated as catalog_get draws them, so the same seed gives the same
+    surface.
+    """
+    ambient = AmbientSpace.flat()
+    domain = DomainRect(-0.5, 0.5, -0.5, 0.5)
+    rng = np.random.default_rng(seed_value)
+    for _ in range(100):
+        coeff_p = rng.uniform(-amplitude, amplitude, size=len(catalog._MONOMIALS))
+        coeff_q = rng.uniform(-amplitude, amplitude, size=len(catalog._MONOMIALS))
+
+        def evaluate(s, t, coeff_p=coeff_p, coeff_q=coeff_q) -> JetPoint:
+            js, jt = seed(s, t)
+            p = Jet2.constant(0.0)
+            q = Jet2.constant(0.0)
+            for (i, j), cp, cq in zip(catalog._MONOMIALS, coeff_p, coeff_q):
+                mono = jpow(js, i) * jpow(jt, j)
+                p = p + Jet2.constant(cp) * mono
+                q = q + Jet2.constant(cq) * mono
+            return JetPoint(ambient, (p, q, js, jt))
+
+        imm = Immersion("random_polynomial", ambient, evaluate, domain)
+        if catalog._validate_spacelike(imm):
+            return imm
+    raise AssertionError(f"random_polynomial seed={seed_value}: no space-like sample")

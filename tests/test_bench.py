@@ -29,3 +29,8 @@ def test_tiny_traced_run_is_correct(workload):
         reports = metrics["cli.build_verification_report.calls"]
         assert metrics["curvature.structure_equation_check.calls"] == reports
         assert metrics["curvature.codazzi_residual.calls"] == reports
+    if workload == "point_probe":
+        # the tracer counts constructions by patching Jet2.__init__ and
+        # PVector.__post_init__; a count of 0 means construction bypasses them
+        assert metrics["jets.Jet2.created"] > 0
+        assert metrics["pseudo_linalg.PVector.created"] > 0

@@ -10,9 +10,10 @@ from neutralsurf.catalog import (
     catalog_get,
     catalog_names,
     check_membership,
-    induced_metric,
 )
 from neutralsurf.errors import DegeneracyError, InputMismatchError
+from neutralsurf.jets import FIELDS
+from oracles import bits, induced_metric, random_polynomial_reference
 
 
 def scaled_copy(imm: Immersion, factor: float) -> Immersion:
@@ -185,3 +186,61 @@ def test_nonflat_membership_invariant():
         ss, ts = imm.domain.grid(9, 9)
         pts = [(float(s), float(t)) for s in ss for t in ts]
         assert check_membership(imm, pts) <= 1e-9
+
+
+def nodes(imm: Immersion) -> list[tuple]:
+    """A single node and a 3x4 batch of nodes inside the domain."""
+    ss, ts = imm.domain.grid(5, 6)
+    return [(float(ss[1]), float(ts[4])), tuple(np.meshgrid(ss[1:4], ts[1:5], indexing="ij"))]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_shared_powers_equal_jpow_monomials(seed):
+    imm = catalog_get("random_polynomial", {"seed": seed})
+    ref = random_polynomial_reference(seed)
+    for p in nodes(imm):
+        got, want = imm.evaluate(*p).components, ref.evaluate(*p).components
+        for k, (a, b) in enumerate(zip(got, want)):
+            for name in FIELDS:
+                assert bits(getattr(a, name)) == bits(getattr(b, name)), (seed, k, name)
+
+
+VECTORS = ("position", "velocity_s", "velocity_t", "accel_ss", "accel_st", "accel_tt")
+
+
+class TestJetPointTable:
+    """The vectors are views of one table packed from the component jets."""
+
+    @pytest.mark.parametrize("name,params", CATALOG_SPECS)
+    def test_vectors_equal_broadcast_and_stack(self, name, params):
+        imm = catalog_get(name, params)
+        for p in nodes(imm):
+            jp = imm.evaluate(*p)
+            for method, field in zip(VECTORS, FIELDS):
+                # the construction before packing: broadcast each component, stack
+                stacked = np.stack(
+                    [np.broadcast_to(getattr(c, field), jp.shape) for c in jp.components], axis=-1
+                )
+                assert bits(getattr(jp, method)().coords) == bits(stacked), (name, method)
+
+    def test_scalar_component_is_broadcast(self):
+        # flat_L's third component is the constant zero jet with float fields
+        imm = catalog_get("flat_L")
+        s, t = nodes(imm)[1]
+        jp = imm.evaluate(s, t)
+        assert all(np.ndim(getattr(jp.components[2], f)) == 0 for f in FIELDS)
+        for method in VECTORS:
+            coords = getattr(jp, method)().coords
+            assert coords.shape == s.shape + (5,)
+            assert bits(coords[..., 2]) == bits(np.zeros(s.shape))
+
+    @pytest.mark.parametrize("method", VECTORS)
+    def test_vectors_are_read_only(self, method):
+        imm = catalog_get("phi_h42")
+        for p in nodes(imm):
+            jp = imm.evaluate(*p)
+            v = getattr(jp, method)()
+            with pytest.raises(ValueError):
+                v.coords[..., 0] = 1.0
+            with pytest.raises(ValueError):
+                v.coords += 1.0

@@ -18,7 +18,7 @@ from neutralsurf.jets import (
     jtan,
     seed,
 )
-from oracles import finite_difference_jet
+from oracles import bits, finite_difference_jet
 
 FIELDS = ("val", "d_s", "d_t", "d_ss", "d_st", "d_tt")
 
@@ -126,6 +126,44 @@ class TestFunctions:
         fd = finite_difference_jet(f, 0.35, -0.2, h=1e-4)
         s, t = seed(0.35, -0.2)
         assert_jets_close(jet_fn(0.4 * s + 0.3 * t * t + 0.9), fd, 1e-5)
+
+
+class TestScalarProduct:
+    """Jet2 * x scales the fields directly; the result is the lifted product."""
+
+    SCALARS = [3, -2, 0.375, -1.25, np.float64(-0.7), np.float64(2.5)]
+    # one node and a batch of four; every field of the jet is nonzero
+    NODES = [(0.35, -0.2), (np.array([0.35, -0.4, 0.1, 0.8]), np.array([-0.2, 0.3, 0.9, -0.6]))]
+
+    @staticmethod
+    def generic(s, t) -> list[Jet2]:
+        """A polynomial jet (Python float fields at a node) and an exp jet (numpy floats)."""
+        js, jt = seed(s, t)
+        poly = js * js * jt + js * jt * jt + js + jt
+        return [poly, jexp(0.4 * js * jt + 0.3 * js * js - 0.2 * jt * jt + 0.9 * js - 0.5 * jt)]
+
+    @pytest.mark.parametrize("x", SCALARS, ids=repr)
+    @pytest.mark.parametrize("node", range(len(NODES)), ids=["node", "batch"])
+    def test_equals_product_with_constant(self, x, node):
+        for a in self.generic(*self.NODES[node]):
+            lifted = a * Jet2.constant(x)
+            for got in (a * x, x * a):
+                for name in FIELDS:
+                    assert bits(getattr(got, name)) == bits(getattr(lifted, name)), (x, name)
+                    assert type(getattr(got, name)) is type(getattr(lifted, name)), (x, name)
+
+    @pytest.mark.parametrize("x", SCALARS, ids=repr)
+    def test_zero_partials_equal_up_to_their_sign(self, x):
+        # the lifted product adds val * 0.0 to a zero partial, which can turn
+        # -0.0 into +0.0 and broadcasts a scalar partial to the batch; the
+        # values are equal
+        s, t = seed(np.array([-0.5, 0.0, 0.5]), np.array([0.25, -0.75, 0.0]))
+        for a in (s, t, s * t):
+            lifted = a * Jet2.constant(x)
+            for got in (a * x, x * a):
+                for name in FIELDS:
+                    value = np.broadcast_to(getattr(got, name), (3,))
+                    assert np.array_equal(value, getattr(lifted, name)), (x, name)
 
 
 class TestArrayJets:

@@ -54,6 +54,34 @@ class TestInner:
             PVector(np.zeros(3), SIG22)
 
 
+class TestPVectorCoords:
+    """Construction keeps float64 arrays and converts anything else."""
+
+    @pytest.mark.parametrize(
+        "coords", [np.zeros((2, 3)), np.zeros((2, 5)), [1, 2, 3], np.zeros(0)],
+        ids=["2x3", "2x5", "int-list-3", "empty"],
+    )
+    def test_wrong_trailing_dimension_raises(self, coords):
+        with pytest.raises(InputMismatchError, match="does not match signature dim 4"):
+            PVector(coords, SIG22)
+
+    @pytest.mark.parametrize(
+        "coords",
+        [[1, -2, 3, 4], (1, -2, 3, 4), np.array([1, -2, 3, 4]),
+         np.array([1.0, -2.0, 3.0, 4.0], dtype=np.float32)],
+        ids=["int-list", "int-tuple", "int-array", "float32"],
+    )
+    def test_other_input_becomes_float64(self, coords):
+        v = PVector(coords, SIG22)
+        assert type(v.coords) is np.ndarray and v.coords.dtype == np.float64
+        assert v.coords.tolist() == [1.0, -2.0, 3.0, 4.0]
+        assert inner(v, v) == -1.0 - 4.0 + 9.0 + 16.0
+
+    def test_float64_batch_is_kept_as_given(self):
+        coords = np.arange(8.0).reshape(2, 4)
+        assert PVector(coords, SIG22).coords is coords
+
+
 coords5 = st.lists(
     st.floats(min_value=-10, max_value=10, allow_nan=False), min_size=5, max_size=5
 )
