@@ -9,37 +9,35 @@ the pseudo-sphere of curvature c > 0 sitting in a flat 5-space of signature
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InputMismatchError
 from .pseudo_linalg import Signature
+from .records import ValueRecord
 
 FLAT = "flat"
 PSEUDO_SPHERE = "pseudo_sphere"
 PSEUDO_HYPERBOLIC = "pseudo_hyperbolic"
 
 
-@dataclass(frozen=True)
-class AmbientSpace:
-    kind: str
-    signature: Signature
-    curvature: float
+class AmbientSpace(ValueRecord):
+    __slots__ = _fields = _compared = ("kind", "signature", "curvature")
 
-    def __post_init__(self):
-        sig = (self.signature.negative_count, self.signature.total_dim)
-        if self.kind == FLAT:
-            ok = sig == (2, 4) and self.curvature == 0.0
-        elif self.kind == PSEUDO_SPHERE:
-            ok = sig == (2, 5) and self.curvature > 0.0
-        elif self.kind == PSEUDO_HYPERBOLIC:
-            ok = sig == (3, 5) and self.curvature < 0.0
+    def __init__(self, kind: str, signature: Signature, curvature: float):
+        sig = (signature.negative_count, signature.total_dim)
+        if kind == FLAT:
+            ok = sig == (2, 4) and curvature == 0.0
+        elif kind == PSEUDO_SPHERE:
+            ok = sig == (2, 5) and curvature > 0.0
+        elif kind == PSEUDO_HYPERBOLIC:
+            ok = sig == (3, 5) and curvature < 0.0
         else:
-            raise InputMismatchError(f"unknown ambient kind {self.kind!r}")
+            raise InputMismatchError(f"unknown ambient kind {kind!r}")
         if not ok:
             raise InputMismatchError(
-                f"invalid ambient: kind={self.kind}, signature={self.signature}, "
-                f"c={self.curvature}"
+                f"invalid ambient: kind={kind}, signature={signature}, c={curvature}"
             )
+        self.kind = kind
+        self.signature = signature
+        self.curvature = curvature
 
     @staticmethod
     def flat() -> "AmbientSpace":
@@ -79,20 +77,18 @@ class AmbientSpace:
         )
 
 
-@dataclass(frozen=True)
-class DomainRect:
+class DomainRect(ValueRecord):
     """Closed parameter rectangle [s0,s1] x [t0,t1]."""
 
-    s0: float
-    s1: float
-    t0: float
-    t1: float
+    __slots__ = _fields = _compared = ("s0", "s1", "t0", "t1")
 
-    def __post_init__(self):
-        if not (self.s0 < self.s1 and self.t0 < self.t1):
-            raise InputMismatchError(
-                f"empty domain [{self.s0},{self.s1}]x[{self.t0},{self.t1}]"
-            )
+    def __init__(self, s0: float, s1: float, t0: float, t1: float):
+        if not (s0 < s1 and t0 < t1):
+            raise InputMismatchError(f"empty domain [{s0},{s1}]x[{t0},{t1}]")
+        self.s0 = s0
+        self.s1 = s1
+        self.t0 = t0
+        self.t1 = t1
 
     def grid(self, nx: int, ny: int):
         """Uniform (nx, ny) node coordinates, s-major order."""

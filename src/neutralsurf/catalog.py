@@ -9,9 +9,7 @@ batched evaluation; non-space-like parameter choices are rejected.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -21,13 +19,13 @@ from .errors import DegeneracyError, InputMismatchError, first_flagged
 from .expr import SurfaceDefinition, eval_numeric, eval_on_jets, parse_expression
 from .jets import FIELDS, Jet2, jcosh, jexp, jsinh, seed
 from .pseudo_linalg import PVector, inner
+from .records import Record
 
 _SQRT3 = math.sqrt(3.0)
 _VALIDATION_GRID = 33
 
 
-@dataclass(frozen=True)
-class JetPoint:
+class JetPoint(Record):
     """Ambient coordinates of an immersion with partials at one (s,t) or a batch.
 
     A component that does not depend on (s, t) may hold scalar fields.  On
@@ -36,25 +34,30 @@ class JetPoint:
     fields; the vectors are views of it.
     """
 
-    ambient: AmbientSpace
-    components: tuple
+    __slots__ = ("ambient", "components", "_shape", "_table")
+    _fields = ("ambient", "components")
 
-    @functools.cached_property
+    def __init__(self, ambient: AmbientSpace, components: tuple):
+        self.ambient = ambient
+        self.components = components
+        self._shape = self._table = None
+
+    @property
     def shape(self) -> tuple:
-        return np.broadcast_shapes(
-            *(np.shape(getattr(c, f)) for c in self.components for f in FIELDS)
-        )
-
-    @functools.cached_property
-    def _table(self) -> np.ndarray:
-        out = np.empty((len(FIELDS),) + self.shape + (len(self.components),))
-        for i, c in enumerate(self.components):
-            for k, f in enumerate(FIELDS):
-                out[k, ..., i] = getattr(c, f)
-        out.flags.writeable = False
-        return out
+        if self._shape is None:
+            self._shape = np.broadcast_shapes(
+                *(np.shape(getattr(c, f)) for c in self.components for f in FIELDS)
+            )
+        return self._shape
 
     def _vector(self, k: int) -> PVector:
+        if self._table is None:
+            out = np.empty((len(FIELDS),) + self.shape + (len(self.components),))
+            for i, c in enumerate(self.components):
+                for j, f in enumerate(FIELDS):
+                    out[j, ..., i] = getattr(c, f)
+            out.flags.writeable = False
+            self._table = out
         return PVector(self._table[k], self.ambient.signature)
 
     def position(self) -> PVector:
@@ -76,13 +79,15 @@ class JetPoint:
         return self._vector(5)
 
 
-@dataclass(frozen=True)
-class MetricCoeffs:
+class MetricCoeffs(Record):
     """First fundamental form coefficients E, F, G at a point or per node."""
 
-    E: float | np.ndarray
-    F: float | np.ndarray
-    G: float | np.ndarray
+    __slots__ = _fields = ("E", "F", "G")
+
+    def __init__(self, E: float | np.ndarray, F: float | np.ndarray, G: float | np.ndarray):
+        self.E = E
+        self.F = F
+        self.G = G
 
     @property
     def det(self):
@@ -93,14 +98,26 @@ class MetricCoeffs:
         return (self.E > 0.0) & (self.det > 0.0)
 
 
-@dataclass(frozen=True)
-class Immersion:
-    name: str
-    ambient: AmbientSpace
-    evaluator: Callable[..., JetPoint]
-    domain: DomainRect
-    params: dict = field(default_factory=dict)
-    expected: dict = field(default_factory=dict)
+class Immersion(Record):
+    """A named map into an ambient space; params and expected default to new empty dicts."""
+
+    __slots__ = _fields = ("name", "ambient", "evaluator", "domain", "params", "expected")
+
+    def __init__(
+        self,
+        name: str,
+        ambient: AmbientSpace,
+        evaluator: Callable[..., JetPoint],
+        domain: DomainRect,
+        params: dict | None = None,
+        expected: dict | None = None,
+    ):
+        self.name = name
+        self.ambient = ambient
+        self.evaluator = evaluator
+        self.domain = domain
+        self.params = {} if params is None else params
+        self.expected = {} if expected is None else expected
 
     def evaluate(self, s, t) -> JetPoint:
         """Jets at the node (s, t), or at every node of s and t broadcast together."""
@@ -392,12 +409,14 @@ def _reject_params(name: str, params: dict) -> None:
         raise InputMismatchError(f"{name} does not accept parameters {sorted(params)}")
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    builder: Callable[[dict], Immersion]
-    param_schema: str
-    note: str
+class CatalogEntry(Record):
+    __slots__ = _fields = ("name", "builder", "param_schema", "note")
+
+    def __init__(self, name: str, builder: Callable[[dict], Immersion], param_schema: str, note: str):
+        self.name = name
+        self.builder = builder
+        self.param_schema = param_schema
+        self.note = note
 
 
 _CATALOG = [

@@ -20,7 +20,6 @@ batched call.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +38,7 @@ from .pseudo_linalg import (
     orthonormalize,
     rotate_sym2,
 )
+from .records import Record
 
 # Normal frames are completed from the ambient basis by a deterministic scan
 # and then e4 is oriented so the full ambient frame determinant has a fixed
@@ -93,20 +93,21 @@ class FrameData:
     jets: JetPoint | None = None
 
 
-@dataclass(frozen=True)
-class SecondFF:
+class SecondFF(Record):
     """Normal-valued second fundamental form components in the frame basis."""
 
-    h11: PVector
-    h12: PVector
-    h22: PVector
+    __slots__ = _fields = ("h11", "h12", "h22")
+
+    def __init__(self, h11: PVector, h12: PVector, h22: PVector):
+        self.h11 = h11
+        self.h12 = h12
+        self.h22 = h22
 
     def components(self) -> tuple[PVector, PVector, PVector]:
         return (self.h11, self.h12, self.h22)
 
 
-@dataclass(frozen=True)
-class CanonicalFrame:
+class CanonicalFrame(Record):
     """Parameters of the rotated frame with diagonal A3 and trace-free A4.
 
     residual is the Frobenius distance to the nearest exact equality-case
@@ -117,45 +118,77 @@ class CanonicalFrame:
     realize the equality form).
     """
 
-    alpha: float
-    gamma: float
-    delta: float
-    mu: float
-    theta: float
-    rho: float
-    residual: float
-    flip: bool = False
+    __slots__ = _fields = ("alpha", "gamma", "delta", "mu", "theta", "rho", "residual", "flip")
+
+    def __init__(
+        self,
+        alpha: float,
+        gamma: float,
+        delta: float,
+        mu: float,
+        theta: float,
+        rho: float,
+        residual: float,
+        flip: bool = False,
+    ):
+        self.alpha = alpha
+        self.gamma = gamma
+        self.delta = delta
+        self.mu = mu
+        self.theta = theta
+        self.rho = rho
+        self.residual = residual
+        self.flip = flip
 
 
-@dataclass(frozen=True)
-class EllipseInfo:
+class EllipseInfo(Record):
     """Ellipse of curvature descriptor: {h(v,v) : |v| = 1} in the normal plane.
 
     Axis lengths use the positive normal metric -<.,.>; the center is H.
     """
 
-    a: float
-    b: float
-    center: PVector
-    is_circle: bool
-    is_point: bool
+    __slots__ = _fields = ("a", "b", "center", "is_circle", "is_point")
+
+    def __init__(self, a: float, b: float, center: PVector, is_circle: bool, is_point: bool):
+        self.a = a
+        self.b = b
+        self.center = center
+        self.is_circle = is_circle
+        self.is_point = is_point
 
 
-@dataclass(frozen=True)
-class CurvatureReport:
+class CurvatureReport(Record):
     """Invariants at a point or per node; point_report also keeps the frames and h."""
 
-    A3: Sym2
-    A4: Sym2
-    H: PVector
-    H2: float
-    K: float
-    KD: float
-    defect: float
-    canonical: CanonicalFrame | None = None
-    ellipse: EllipseInfo | None = None
-    frames: FrameData | None = None
-    h: SecondFF | None = None
+    __slots__ = _fields = (
+        "A3", "A4", "H", "H2", "K", "KD", "defect", "canonical", "ellipse", "frames", "h",
+    )
+
+    def __init__(
+        self,
+        A3: Sym2,
+        A4: Sym2,
+        H: PVector,
+        H2: float,
+        K: float,
+        KD: float,
+        defect: float,
+        canonical: CanonicalFrame | None = None,
+        ellipse: EllipseInfo | None = None,
+        frames: FrameData | None = None,
+        h: SecondFF | None = None,
+    ):
+        self.A3 = A3
+        self.A4 = A4
+        self.H = H
+        self.H2 = H2
+        self.K = K
+        self.KD = KD
+        self.defect = defect
+        self.canonical = canonical
+        self.ellipse = ellipse
+        self.frames = frames
+        self.h = h
 
 
 @dataclass(frozen=True)
@@ -367,8 +400,10 @@ def canonical_equality_frame(a3: Sym2, a4: Sym2) -> CanonicalFrame:
     plain = _canonical_at_rho(a3, a4, rho, flip=False)
     flipped = _canonical_at_rho(a3, a4, rho, flip=True)
     keep = plain.residual <= flipped.residual
-    pairs = zip(dataclasses.astuple(plain), dataclasses.astuple(flipped))
-    return CanonicalFrame(*(np.where(keep, a, b)[()] for a, b in pairs))
+    fields = CanonicalFrame._fields
+    return CanonicalFrame(
+        *(np.where(keep, getattr(plain, f), getattr(flipped, f))[()] for f in fields)
+    )
 
 
 def ellipse_of_curvature(h: SecondFF, center: PVector) -> EllipseInfo:
@@ -406,8 +441,14 @@ def point_report(
     h = second_fundamental_form(imm, p, frames)
     a3, a4 = shape_operators(h, frames)
     rep = invariants(a3, a4, frames, imm.ambient.curvature)
-    return dataclasses.replace(
-        rep,
+    return CurvatureReport(
+        rep.A3,
+        rep.A4,
+        rep.H,
+        rep.H2,
+        rep.K,
+        rep.KD,
+        rep.defect,
         canonical=canonical_equality_frame(a3, a4) if with_canonical else None,
         ellipse=ellipse_of_curvature(h, rep.H) if with_ellipse else None,
         frames=frames,

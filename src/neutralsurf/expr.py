@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 
 from .ambient import AmbientSpace, DomainRect
 from .errors import ExprSyntaxError, SingularityError
 from .jets import FUNCTIONS, Jet2, jpow
+from .records import Record, ValueRecord
 
 _BIN_PREC = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 40}
 _UNARY_PREC = 30
@@ -35,67 +35,88 @@ DEFAULT_VARIABLES = ("s", "t")
 
 
 # -- AST ---------------------------------------------------------------
+# Nodes compare and hash by their content; line and col (the source
+# position, for error messages) take no part.
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+class Num(ValueRecord):
+    __slots__ = _fields = ("value", "line", "col")
+    _compared = ("value",)
+
+    def __init__(self, value: float, line: int = 0, col: int = 0):
+        self.value = value
+        self.line = line
+        self.col = col
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+class Var(ValueRecord):
+    __slots__ = _fields = ("name", "line", "col")
+    _compared = ("name",)
+
+    def __init__(self, name: str, line: int = 0, col: int = 0):
+        self.name = name
+        self.line = line
+        self.col = col
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+class Neg(ValueRecord):
+    __slots__ = _fields = ("operand", "line", "col")
+    _compared = ("operand",)
+
+    def __init__(self, operand: "Expr", line: int = 0, col: int = 0):
+        self.operand = operand
+        self.line = line
+        self.col = col
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: "Expr"
-    right: "Expr"
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+class BinOp(ValueRecord):
+    __slots__ = _fields = ("op", "left", "right", "line", "col")
+    _compared = ("op", "left", "right")
+
+    def __init__(self, op: str, left: "Expr", right: "Expr", line: int = 0, col: int = 0):
+        self.op = op
+        self.left = left
+        self.right = right
+        self.line = line
+        self.col = col
 
 
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    args: tuple
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+class Call(ValueRecord):
+    __slots__ = _fields = ("fn", "args", "line", "col")
+    _compared = ("fn", "args")
+
+    def __init__(self, fn: str, args: tuple, line: int = 0, col: int = 0):
+        self.fn = fn
+        self.args = args
+        self.line = line
+        self.col = col
 
 
 Expr = Num | Var | Neg | BinOp | Call
 
 
-@dataclass(frozen=True)
-class SurfaceDefinition:
-    name: str
-    ambient: AmbientSpace
-    components: tuple
-    domain: DomainRect
+class SurfaceDefinition(Record):
+    __slots__ = _fields = ("name", "ambient", "components", "domain")
+
+    def __init__(self, name: str, ambient: AmbientSpace, components: tuple, domain: DomainRect):
+        self.name = name
+        self.ambient = ambient
+        self.components = components
+        self.domain = domain
 
 
 # -- tokenizer ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # NUMBER | IDENT | OP | END
-    text: str
-    line: int
-    col: int
-    value: float = 0.0
+class _Token(Record):
+    __slots__ = _fields = ("kind", "text", "line", "col", "value")
+
+    def __init__(self, kind: str, text: str, line: int, col: int, value: float = 0.0):
+        self.kind = kind  # NUMBER | IDENT | OP | END
+        self.text = text
+        self.line = line
+        self.col = col
+        self.value = value
 
 
 _NUMBER_RE = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")

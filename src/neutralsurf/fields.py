@@ -16,10 +16,8 @@ minimal equality-case surfaces, with shift +1, 0, -1 for ambient curvature
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +25,7 @@ from .ambient import DomainRect
 from .catalog import Immersion
 from .curvature import point_report
 from .errors import FieldDomainError, InputMismatchError, PreconditionError
+from .records import Record
 
 # log quantity -> shift in ln(K + shift)
 _LOG_SHIFTS = {"ln(K+1)": 1.0, "ln(K)": 0.0, "ln(K-1)": -1.0}
@@ -56,26 +55,33 @@ _RATIO_FLOOR = 1e-10
 _BLOCK_NODES = 4096
 
 
-@dataclass(frozen=True)
-class GridField:
+class GridField(Record):
     """Scalar samples and metric coefficients on a uniform parameter grid."""
 
-    domain: DomainRect
-    nx: int
-    ny: int
-    values: np.ndarray
-    E: np.ndarray
-    F: np.ndarray
-    G: np.ndarray
-    quantity: str = "value"
+    __slots__ = _fields = ("domain", "nx", "ny", "values", "E", "F", "G", "quantity")
 
-    def __post_init__(self):
-        for name in ("values", "E", "F", "G"):
-            arr = getattr(self, name)
-            if arr.shape != (self.nx, self.ny):
-                raise InputMismatchError(
-                    f"{name} has shape {arr.shape}, expected {(self.nx, self.ny)}"
-                )
+    def __init__(
+        self,
+        domain: DomainRect,
+        nx: int,
+        ny: int,
+        values: np.ndarray,
+        E: np.ndarray,
+        F: np.ndarray,
+        G: np.ndarray,
+        quantity: str = "value",
+    ):
+        for name, arr in (("values", values), ("E", E), ("F", F), ("G", G)):
+            if arr.shape != (nx, ny):
+                raise InputMismatchError(f"{name} has shape {arr.shape}, expected {(nx, ny)}")
+        self.domain = domain
+        self.nx = nx
+        self.ny = ny
+        self.values = values
+        self.E = E
+        self.F = F
+        self.G = G
+        self.quantity = quantity
 
     @property
     def hs(self) -> float:
@@ -89,25 +95,47 @@ class GridField:
         return self.domain.grid(self.nx, self.ny)
 
 
-@dataclass(frozen=True)
-class SurfaceSample:
+class SurfaceSample(Record):
     """Pointwise invariants of an immersion over a grid, one array per field."""
 
-    imm: Immersion
-    domain: DomainRect
-    nx: int
-    ny: int
-    K: np.ndarray
-    KD: np.ndarray
-    H2: np.ndarray
-    defect: np.ndarray
-    E: np.ndarray
-    F: np.ndarray
-    G: np.ndarray
-    H_norm: np.ndarray
-    h_max: np.ndarray
-    ellipse_circle: np.ndarray
-    ellipse_point: np.ndarray
+    __slots__ = _fields = (
+        "imm", "domain", "nx", "ny", "K", "KD", "H2", "defect", "E", "F", "G",
+        "H_norm", "h_max", "ellipse_circle", "ellipse_point",
+    )
+
+    def __init__(
+        self,
+        imm: Immersion,
+        domain: DomainRect,
+        nx: int,
+        ny: int,
+        K: np.ndarray,
+        KD: np.ndarray,
+        H2: np.ndarray,
+        defect: np.ndarray,
+        E: np.ndarray,
+        F: np.ndarray,
+        G: np.ndarray,
+        H_norm: np.ndarray,
+        h_max: np.ndarray,
+        ellipse_circle: np.ndarray,
+        ellipse_point: np.ndarray,
+    ):
+        self.imm = imm
+        self.domain = domain
+        self.nx = nx
+        self.ny = ny
+        self.K = K
+        self.KD = KD
+        self.H2 = H2
+        self.defect = defect
+        self.E = E
+        self.F = F
+        self.G = G
+        self.H_norm = H_norm
+        self.h_max = h_max
+        self.ellipse_circle = ellipse_circle
+        self.ellipse_point = ellipse_point
 
     def grid_field(self, values: np.ndarray, quantity: str) -> GridField:
         return GridField(self.domain, self.nx, self.ny, values, self.E, self.F, self.G, quantity)
@@ -188,8 +216,7 @@ def sample_field(
     return sample.grid_field(values, quantity)
 
 
-@dataclass(frozen=True)
-class LaplacianReport:
+class LaplacianReport(Record):
     """Intrinsic Laplacian of a grid field, with optional identity residual.
 
     laplacian covers interior nodes only (margin nodes dropped from each
@@ -197,16 +224,34 @@ class LaplacianReport:
     their difference on the same interior.
     """
 
-    quantity: str
-    domain: DomainRect
-    nx: int
-    ny: int
-    margin: int
-    laplacian: np.ndarray
-    lhs: np.ndarray | None = None
-    rhs: np.ndarray | None = None
-    residual: np.ndarray | None = None
-    threshold: float = 1e-3
+    __slots__ = _fields = (
+        "quantity", "domain", "nx", "ny", "margin", "laplacian", "lhs", "rhs", "residual",
+        "threshold",
+    )
+
+    def __init__(
+        self,
+        quantity: str,
+        domain: DomainRect,
+        nx: int,
+        ny: int,
+        margin: int,
+        laplacian: np.ndarray,
+        lhs: np.ndarray | None = None,
+        rhs: np.ndarray | None = None,
+        residual: np.ndarray | None = None,
+        threshold: float = 1e-3,
+    ):
+        self.quantity = quantity
+        self.domain = domain
+        self.nx = nx
+        self.ny = ny
+        self.margin = margin
+        self.laplacian = laplacian
+        self.lhs = lhs
+        self.rhs = rhs
+        self.residual = residual
+        self.threshold = threshold
 
     @property
     def max_abs_laplacian(self) -> float:
@@ -333,12 +378,17 @@ def verify_identity(
     kd = sample.kd_equality_signed()
     rhs_full = 2.0 * (2.0 * sample.K - kd)
     rhs = rhs_full[2:-2, 2:-2]
-    return dataclasses.replace(
-        base,
+    return LaplacianReport(
         quantity=f"{label} identity ({name})",
+        domain=base.domain,
+        nx=base.nx,
+        ny=base.ny,
+        margin=base.margin,
+        laplacian=base.laplacian,
         lhs=base.laplacian,
         rhs=rhs,
         residual=base.laplacian - rhs,
+        threshold=base.threshold,
     )
 
 

@@ -8,12 +8,10 @@ of their self-inner-product: space-like (> 0), time-like (< 0), light-like
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegeneracyError, InputMismatchError
+from .records import Record, ValueRecord
 
 # A remainder r with |<r,r>| below this fraction of its Euclidean norm^2 is
 # treated as light-like (degenerate) rather than as roundoff.
@@ -27,27 +25,28 @@ SPACE_LIKE = "space-like"
 TIME_LIKE = "time-like"
 
 
-@dataclass(frozen=True)
-class Signature:
-    """Diagonal metric signature: ``negative_count`` axes of weight -1 first."""
+class Signature(ValueRecord):
+    """Diagonal metric signature: ``negative_count`` axes of weight -1 first.
 
-    negative_count: int
-    total_dim: int
+    weights holds the read-only diagonal of the metric.
+    """
 
-    def __post_init__(self):
-        if self.total_dim < 2:
-            raise InputMismatchError(f"total_dim must be >= 2, got {self.total_dim}")
-        if not 0 <= self.negative_count <= self.total_dim:
+    __slots__ = ("negative_count", "total_dim", "weights")
+    _fields = _compared = ("negative_count", "total_dim")
+
+    def __init__(self, negative_count: int, total_dim: int):
+        if total_dim < 2:
+            raise InputMismatchError(f"total_dim must be >= 2, got {total_dim}")
+        if not 0 <= negative_count <= total_dim:
             raise InputMismatchError(
-                f"negative_count {self.negative_count} outside [0, {self.total_dim}]"
+                f"negative_count {negative_count} outside [0, {total_dim}]"
             )
-
-    @functools.cached_property
-    def weights(self) -> np.ndarray:
-        w = np.ones(self.total_dim)
-        w[: self.negative_count] = -1.0
+        self.negative_count = negative_count
+        self.total_dim = total_dim
+        w = np.ones(total_dim)
+        w[:negative_count] = -1.0
         w.flags.writeable = False
-        return w
+        self.weights = w
 
     def __str__(self):
         return f"({self.negative_count},{self.total_dim - self.negative_count})"
@@ -96,6 +95,8 @@ class PVector:
 
     def __mul__(self, scalar) -> "PVector":
         """Scale by a float, or node by node by an array over the batch."""
+        if isinstance(scalar, float):  # also np.float64, as inner gives for one vector
+            return PVector(self.coords * scalar, self.signature)
         return PVector(self.coords * np.asarray(scalar, dtype=float)[..., None], self.signature)
 
     __rmul__ = __mul__
@@ -166,13 +167,15 @@ def orthonormalize(vectors: list[PVector], required_characters: list[str]) -> li
     return out
 
 
-@dataclass(frozen=True)
-class Sym2:
+class Sym2(Record):
     """Symmetric 2x2 matrix in an orthonormal tangent frame (entries per node)."""
 
-    a11: float | np.ndarray
-    a12: float | np.ndarray
-    a22: float | np.ndarray
+    __slots__ = _fields = ("a11", "a12", "a22")
+
+    def __init__(self, a11: float | np.ndarray, a12: float | np.ndarray, a22: float | np.ndarray):
+        self.a11 = a11
+        self.a12 = a12
+        self.a22 = a22
 
     @property
     def trace(self):

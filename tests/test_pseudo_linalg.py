@@ -16,7 +16,7 @@ from neutralsurf.pseudo_linalg import (
     orthonormalize,
     rotate_sym2,
 )
-from oracles import LIGHT_LIKE, causal_character
+from oracles import LIGHT_LIKE, bits, causal_character
 
 SIG32 = Signature(3, 2 + 3)
 SIG22 = Signature(2, 4)
@@ -80,6 +80,26 @@ class TestPVectorCoords:
     def test_float64_batch_is_kept_as_given(self):
         coords = np.arange(8.0).reshape(2, 4)
         assert PVector(coords, SIG22).coords is coords
+
+
+class TestPVectorScale:
+    """A float scales the coordinates directly, bit for bit as the broadcast product."""
+
+    COORDS = [0.1, -2.5e-7, -0.0, 3.0e5]
+
+    @pytest.mark.parametrize(
+        "scalar",
+        [0.37, -1.0 / 3.0, -0.0, np.float64(-2.2e-9), np.float64(7.5),
+         inner(vec(SIG22, 0.3, -1.1, 0.7, 2.9), vec(SIG22, -0.2, 0.4, 1.3, 0.6)),
+         np.asarray(1.7), 2],
+        ids=["float", "third", "minus-zero", "np-tiny", "np-float64", "inner", "0-d-array", "int"],
+    )
+    @pytest.mark.parametrize("shape", [(4,), (1, 4)], ids=["vector", "batch-of-1"])
+    def test_matches_broadcast_product(self, scalar, shape):
+        v = PVector(np.reshape(self.COORDS, shape), SIG22)
+        want = bits(v.coords * np.asarray(scalar, dtype=float)[..., None])
+        assert bits((v * scalar).coords) == want
+        assert bits((scalar * v).coords) == want
 
 
 coords5 = st.lists(
