@@ -31,7 +31,9 @@ class JetPoint(Record):
     A component that does not depend on (s, t) may hold scalar fields.  On
     first use every field of every component is copied once into a
     read-only table of shape (6, *shape, ncomp), broadcasting the scalar
-    fields; the vectors are views of it.
+    fields; the vectors are views of it.  Immersion.evaluate sets the shape
+    to that of the broadcast nodes; a JetPoint built directly broadcasts
+    the shapes of its fields on first use.
     """
 
     __slots__ = ("ambient", "components", "_shape", "_table")
@@ -121,7 +123,12 @@ class Immersion(Record):
 
     def evaluate(self, s, t) -> JetPoint:
         """Jets at the node (s, t), or at every node of s and t broadcast together."""
-        return self.evaluator(*np.broadcast_arrays(np.asarray(s, float), np.asarray(t, float)))
+        s, t = np.broadcast_arrays(np.asarray(s, float), np.asarray(t, float))
+        jp = self.evaluator(s, t)
+        # each field holds one value per node or one for all nodes, so the
+        # nodes give the shape without broadcasting every field
+        jp._shape = s.shape
+        return jp
 
 
 def metric_from_velocities(
@@ -352,27 +359,40 @@ def _build_umbilical_flat(params: dict) -> Immersion:
 
 
 _MONOMIALS = [(i, j) for total in range(4) for i in range(total + 1) for j in [total - i]]
+# gather indices (monomial, jet field) into the power table: the power of s
+# and of t, and the order of the derivative in s and in t
+_MONO_S, _MONO_T = np.array(_MONOMIALS).T[:, :, None]
+_ORDER_S, _ORDER_T = np.array([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]).T
 
 
 def _random_poly_eval(
     ambient: AmbientSpace, coeff_p: np.ndarray, coeff_q: np.ndarray
 ) -> Callable[..., JetPoint]:
+    # (monomial, perturbation) coefficients
+    coeffs = np.stack([coeff_p, coeff_q], axis=-1)
+
     def evaluate(s, t) -> JetPoint:
         js, jt = seed(s, t)
-        # powers up to the cubes by repeated multiplication, as jpow unrolls them
-        one = Jet2.constant(1.0)
-        sp, tp = [one, js], [one, jt]
-        for _ in range(2):
-            sp.append(sp[-1] * js)
-            tp.append(tp[-1] * jt)
-        # monomial jets s^i t^j, shared between the two perturbations
-        p = Jet2.constant(0.0)
-        q = Jet2.constant(0.0)
-        for (i, j), cp, cq in zip(_MONOMIALS, coeff_p, coeff_q):
-            mono = sp[i] * tp[j]
-            p = p + cp * mono
-            q = q + cq * mono
-        return JetPoint(ambient, (p, q, js, jt))
+        # s^k and t^k, k <= 3, each a jet in its own variable (in the d_s
+        # slots), by repeated multiplication as jpow unrolls them; table
+        # (power, derivative order, variable, *nodes)
+        pw = np.zeros((4, 3, 2) + np.shape(s))
+        pw[0, 0] = pw[1, 1] = 1.0
+        pw[1, 0] = s, t
+        x = xk = Jet2(pw[1, 0], 1.0)
+        for k in (2, 3):
+            xk = xk * x
+            pw[k] = xk.val, xk.d_s, xk.d_ss
+        # every field of every monomial s^i t^j in one product: s^i has no
+        # t-derivatives and t^j no s-derivatives, so the other terms of the
+        # product rule are zeros, which leave the sums below unchanged (they
+        # start from 0.0, so a zero's sign never shows)
+        mono = pw[_MONO_S, _ORDER_S, 0] * pw[_MONO_T, _ORDER_T, 1]
+        c = coeffs.reshape(coeffs.shape + (1,) * mono[0].ndim)
+        acc = np.zeros((2,) + mono[0].shape)
+        for k in range(len(_MONOMIALS)):
+            acc += c[k] * mono[k]
+        return JetPoint(ambient, (Jet2(*acc[0]), Jet2(*acc[1]), js, jt))
 
     return evaluate
 

@@ -209,7 +209,8 @@ def build_frames(imm: Immersion, p: tuple) -> FrameData:
     ambient basis vectors carrying a direction outside the tangent (and
     position) span, in coordinate order, then e4 is sign-normalized so the
     full ambient frame has determinant sign +1.  Over a batch every node
-    runs its own scan, with masks; errors name the first offending node.
+    runs its own scan, with masks, and the scan stops once every node has
+    its pair; errors, from Gram-Schmidt too, name the first offending node.
     """
     jp = imm.evaluate(*p)
     sig = imm.ambient.signature
@@ -220,7 +221,10 @@ def build_frames(imm: Immersion, p: tuple) -> FrameData:
     if not imm.ambient.is_flat:
         base.append(jp.position())
         chars.append(TIME_LIKE if imm.ambient.curvature < 0 else SPACE_LIKE)
-    frame = orthonormalize(base + [vs, vt], chars + [SPACE_LIKE, SPACE_LIKE])
+    try:
+        frame = orthonormalize(base + [vs, vt], chars + [SPACE_LIKE, SPACE_LIKE])
+    except DegeneracyError as exc:
+        raise DegeneracyError(f"{exc} at (s,t)={first_flagged(exc.nodes, *p)}") from exc
     # the ambient basis vectors (leading axis) with the frame projected off
     dim = sig.total_dim
     rest = PVector(np.eye(dim).reshape((dim,) + (1,) * len(jp.shape) + (dim,)), sig)
@@ -256,6 +260,8 @@ def build_frames(imm: Immersion, p: tuple) -> FrameData:
             normals[k] = PVector(np.where(now[..., None], unit.coords, normals[k].coords), sig)
             scan[..., k] = np.where(now, i, scan[..., k])
         found = found + take
+        if np.all(found == 2):
+            break
     if np.any(found < 2):
         raise DegeneracyError(
             f"could not complete a normal frame at (s,t)={first_flagged(found < 2, *p)}"

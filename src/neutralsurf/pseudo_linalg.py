@@ -140,7 +140,8 @@ def orthonormalize(vectors: list[PVector], required_characters: list[str]) -> li
     the same order, with one array operation per step.
 
     Raises DegeneracyError if a remainder is light-like (the configuration
-    is degenerate) or has the wrong causal character at any node.
+    is degenerate) or has the wrong causal character at any node; its
+    ``nodes`` attribute flags the nodes of the first failing vector.
     """
     if len(vectors) != len(required_characters):
         raise InputMismatchError("one required character per input vector")
@@ -153,18 +154,25 @@ def orthonormalize(vectors: list[PVector], required_characters: list[str]) -> li
             r = r - (inner(r, u) / inner(u, u)) * u
         q = r.self_inner()
         scale = np.sum(r.coords * r.coords, axis=-1)
-        if np.any((scale == 0.0) | (np.abs(q) < LIGHTLIKE_RTOL * scale)):
-            raise DegeneracyError(
+        light = (scale == 0.0) | (np.abs(q) < LIGHTLIKE_RTOL * scale)
+        if np.any(light):
+            raise _failed_at(
+                light,
                 "light-like Gram-Schmidt remainder: input is degenerate "
-                "(not linearly independent, or the plane metric is singular)"
+                "(not linearly independent, or the plane metric is singular)",
             )
-        if np.any((q > 0) != (want == SPACE_LIKE)):
+        wrong = (q > 0) != (want == SPACE_LIKE)
+        if np.any(wrong):
             got = TIME_LIKE if want == SPACE_LIKE else SPACE_LIKE
-            raise DegeneracyError(
-                f"remainder is {got}, required {want}"
-            )
+            raise _failed_at(wrong, f"remainder is {got}, required {want}")
         out.append(r * (1.0 / np.sqrt(np.abs(q))))
     return out
+
+
+def _failed_at(nodes, message: str) -> DegeneracyError:
+    exc = DegeneracyError(message)
+    exc.nodes = nodes
+    return exc
 
 
 class Sym2(Record):

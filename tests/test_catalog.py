@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from neutralsurf.catalog import (
     catalog_get,
     catalog_names,
     check_membership,
+    from_definition,
 )
 from neutralsurf.errors import DegeneracyError, InputMismatchError
+from neutralsurf.expr import parse_surface
 from neutralsurf.jets import FIELDS
 from oracles import bits, induced_metric, random_polynomial_reference
 
@@ -244,3 +247,48 @@ class TestJetPointTable:
                 v.coords[..., 0] = 1.0
             with pytest.raises(ValueError):
                 v.coords += 1.0
+
+
+DEFINITION_FILE = Path(__file__).resolve().parent.parent / "bench" / "data" / "phi_h42.txt"
+
+
+def shape_cases(imm: Immersion) -> list[tuple]:
+    """(float, float), (float, 1-D) and (2-D, 2-D) nodes inside the domain."""
+    ss, ts = imm.domain.grid(5, 6)
+    return [
+        (float(ss[2]), float(ts[3])),
+        (float(ss[1]), ts[1:5]),
+        tuple(np.meshgrid(ss[1:4], ts[1:5], indexing="ij")),
+    ]
+
+
+class TestJetPointShape:
+    """A JetPoint from evaluate has the shape of its broadcast nodes."""
+
+    @pytest.mark.parametrize(
+        "imm",
+        [catalog_get(name, params) for name, params in CATALOG_SPECS]
+        + [from_definition(parse_surface(DEFINITION_FILE.read_text(encoding="utf-8")))],
+        ids=[name for name, _ in CATALOG_SPECS] + ["definition_file"],
+    )
+    def test_shape_is_the_nodes_shape(self, imm):
+        for s, t in shape_cases(imm):
+            want = np.broadcast_shapes(np.shape(s), np.shape(t))
+            jp = imm.evaluate(s, t)
+            assert jp.shape == want
+            for method in VECTORS:
+                assert getattr(jp, method)().coords.shape == want + (jp.ambient.signature.total_dim,)
+
+    def test_direct_construction_broadcasts_its_fields(self):
+        # as a test double builds one: flat_L's components with the constant
+        # zero jet, whose fields are floats
+        imm = catalog_get("flat_L")
+        for s, t in shape_cases(imm):
+            want = np.broadcast_shapes(np.shape(s), np.shape(t))
+            components = imm.evaluate(s, t).components
+            assert all(np.ndim(getattr(components[2], f)) == 0 for f in FIELDS)
+            jp = JetPoint(imm.ambient, components)
+            assert jp.shape == want
+            coords = jp.velocity_t().coords
+            assert coords.shape == want + (5,)
+            assert bits(coords[..., 2]) == bits(np.zeros(want))

@@ -104,6 +104,14 @@ class TestVerify:
         assert code == 3
         assert "space-like" in err
 
+    def test_off_quadric_file_names_the_node_exit_3(self, capsys, tmp_path):
+        # a space-like position in H(3,2): Gram-Schmidt rejects it at a named node
+        path = tmp_path / "off_quadric.surface"
+        path.write_text("ambient H(3,2; -1)\nx1 = s/100\nx2 = t/100\nx3 = 0.1\nx4 = 2 + s\nx5 = t")
+        code, _, err = run(capsys, "verify", "--file", str(path), "--grid", "5x5")
+        assert code == 3
+        assert "remainder is space-like, required time-like at (s,t)=(" in err
+
     def test_unknown_surface_exit_2(self, capsys):
         code, _, err = run(capsys, "verify", "surface_that_is_not_there")
         assert code == 2

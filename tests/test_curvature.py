@@ -34,6 +34,10 @@ from oracles import (
 SIG22 = Signature(2, 4)
 GAMMA_PHI = 1.0 / math.sqrt(3.0)
 
+# its position is time-like, as the pseudo-hyperbolic quadric needs, only
+# for small s + 3/2 and t
+OFF_QUADRIC = "ambient H(3,2; -1)\nx1 = s/100\nx2 = t/100\nx3 = 1\nx4 = s + 3/2\nx5 = t/2"
+
 # (surface, parameters, point) where the FD checks must agree with the invariants
 FD_CASES = [
     ("phi_h42", {}, (0.25, 0.3)),
@@ -116,6 +120,47 @@ class TestBuildFrames:
                 (fr.e4 - J(fr.e3)).euclid_norm(), (fr.e4 + J(fr.e3)).euclid_norm()
             )
             assert d4 <= 1e-12
+
+    @pytest.mark.parametrize(
+        "name,scan",
+        [("phi_h42", [0, 1]), ("flat_L", [0, 2]), ("totally_geodesic_h42", [1, 2])],
+    )
+    def test_scan_seeds(self, name, scan):
+        # the scan stops once every node has its normal pair; the seeds stay
+        imm = catalog_get(name)
+        ss, ts = imm.domain.grid(33, 33)
+        assert build_frames(imm, (float(ss[9]), float(ts[20]))).scan.tolist() == scan
+        grid = build_frames(imm, np.meshgrid(ss, ts, indexing="ij")).scan
+        assert grid.shape == (33, 33, 2)
+        assert np.all(grid == scan)
+
+    def test_scan_continues_until_every_node_has_its_pair(self):
+        # a geodesic plane bent along e3: at s = 0 the position is e0, which
+        # the scan skips, so that node finds its pair one basis vector later
+        imm = from_definition(parse_surface(
+            "ambient H(3,2; -1)\nx1 = cosh(s)*cosh(t)\nx2 = 0\nx3 = s^3/3\n"
+            "x4 = cosh(s)*sinh(t)\nx5 = sinh(s)"
+        ))
+        s, t = np.array([0.5, 0.0, -0.4]), np.array([0.0, 0.0, 0.2])
+        batch = build_frames(imm, (s, t)).scan.tolist()
+        assert batch == [build_frames(imm, p).scan.tolist() for p in zip(s, t)]
+        assert batch == [[0, 1], [1, 2], [0, 1]]
+
+    def test_gram_schmidt_error_names_the_node(self):
+        imm = from_definition(parse_surface(OFF_QUADRIC))
+        grid = np.meshgrid(np.linspace(-1, 1, 9), np.linspace(-1, 1, 9), indexing="ij")
+        x = imm.evaluate(*grid).position()
+        space_like = inner(x, x) > 0
+        # the position must be time-like in H(3,2); the first offending node is not the first node
+        assert space_like.any() and not space_like.flat[0]
+        k = int(np.argmax(space_like))
+        first = (float(grid[0].flat[k]), float(grid[1].flat[k]))
+        with pytest.raises(DegeneracyError) as at_node:
+            build_frames(imm, first)
+        with pytest.raises(DegeneracyError) as in_batch:
+            build_frames(imm, grid)
+        want = f"remainder is space-like, required time-like at (s,t)={first}"
+        assert str(at_node.value) == str(in_batch.value) == want
 
 
 class TestSecondFundamentalForm:
