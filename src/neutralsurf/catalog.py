@@ -52,7 +52,8 @@ class JetPoint(Record):
             )
         return self._shape
 
-    def _vector(self, k: int) -> PVector:
+    def _rows(self, k) -> np.ndarray:
+        """Rows k (an index or a slice) of the table, coordinates last."""
         if self._table is None:
             out = np.empty((len(FIELDS),) + self.shape + (len(self.components),))
             for i, c in enumerate(self.components):
@@ -60,7 +61,10 @@ class JetPoint(Record):
                     out[j, ..., i] = getattr(c, f)
             out.flags.writeable = False
             self._table = out
-        return PVector(self._table[k], self.ambient.signature)
+        return self._table[k]
+
+    def _vector(self, k: int) -> PVector:
+        return PVector(self._rows(k), self.ambient.signature)
 
     def position(self) -> PVector:
         return self._vector(0)

@@ -15,7 +15,13 @@ deterministic frame field.
 Every stage takes a point or a batch of nodes alike: p = (s, t) may hold
 floats or arrays, and each field then holds one value per node.  The
 finite-difference checks evaluate the stencils of all their points in one
-batched call.
+batched call.  Inside a stage the vectors are (..., dim) coordinate arrays
+under the signature's weights, stacked so that one array operation serves
+all components (the three accelerations, the entries of A3, the
+directions of a stencil); PVectors are built only for what a stage hands
+on.  At a single point a stacked inner product rounds through a
+matrix-vector product rather than a dot product, which may move the last
+bits; batch values do not depend on the stacking.
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ from .pseudo_linalg import (
     PVector,
     Sym2,
     eigen_sym2,
-    inner,
     orthonormalize,
     rotate_sym2,
 )
@@ -225,52 +230,52 @@ def build_frames(imm: Immersion, p: tuple) -> FrameData:
         frame = orthonormalize(base + [vs, vt], chars + [SPACE_LIKE, SPACE_LIKE])
     except DegeneracyError as exc:
         raise DegeneracyError(f"{exc} at (s,t)={first_flagged(exc.nodes, *p)}") from exc
+    frame = [v.coords for v in frame]
+    w, dim = sig.weights, sig.total_dim
     # the ambient basis vectors (leading axis) with the frame projected off
-    dim = sig.total_dim
-    rest = PVector(np.eye(dim).reshape((dim,) + (1,) * len(jp.shape) + (dim,)), sig)
-    for w in frame:
-        rest = rest - (inner(rest, w) / inner(w, w)) * w
+    rest = np.eye(dim).reshape((dim,) + (1,) * len(jp.shape) + (dim,))
+    for f in frame:
+        rest = rest - ((rest * f) @ w / ((f * f) @ w))[..., None] * f
     # normals not found yet are zero, found ones have <n,n> = -1, so adding
     # <r,n> n projects r off the normals a node already has
-    normals = [PVector(np.zeros(jp.shape + (dim,)), sig) for _ in range(2)]
+    normals = [np.zeros(jp.shape + (dim,))] * 2
     found = np.zeros(jp.shape, dtype=int)
     scan = np.zeros(jp.shape + (2,), dtype=int)
     for i in range(dim):
         r = rest[i]
         for n in normals:
-            r = r + inner(r, n) * n
-        scale = np.sum(r.coords * r.coords, axis=-1)
-        q = r.self_inner()
+            r = r + ((r * n) @ w)[..., None] * n
+        rr = r * r
+        q = rr @ w
+        scale = rr.sum(axis=-1)
         # basis vectors in the current span are skipped
         take = (found < 2) & (scale > SPAN_RTOL)
         light = take & (np.abs(q) < LIGHTLIKE_RTOL * scale)
-        if np.any(light):
+        if light.any():
             raise DegeneracyError(
                 f"degenerate normal plane at (s,t)={first_flagged(light, *p)}: "
                 "light-like remainder"
             )
         spacelike = take & (q > 0)
-        if np.any(spacelike):
+        if spacelike.any():
             raise DegeneracyError(
                 f"normal plane is not negative definite at (s,t)={first_flagged(spacelike, *p)}"
             )
-        unit = r * (1.0 / np.sqrt(np.where(take, -q, 1.0)))
+        unit = r * (1.0 / np.sqrt(np.where(take, -q, 1.0)))[..., None]
         for k in range(2):
             now = take & (found == k)
-            normals[k] = PVector(np.where(now[..., None], unit.coords, normals[k].coords), sig)
+            normals[k] = np.where(now[..., None], unit, normals[k])
             scan[..., k] = np.where(now, i, scan[..., k])
         found = found + take
-        if np.all(found == 2):
+        if (found == 2).all():
             break
-    if np.any(found < 2):
+    if (found < 2).any():
         raise DegeneracyError(
             f"could not complete a normal frame at (s,t)={first_flagged(found < 2, *p)}"
         )
-    e1, e2 = frame[-2], frame[-1]
-    e3, e4 = normals
-    rows = np.stack([v.coords for v in frame[: len(base)] + [e1, e2, e3, e4]], axis=-2)
-    flipped = np.linalg.det(rows) * _ORIENT_SIGN[imm.ambient.kind] < 0
-    e4 = np.where(flipped, -1.0, 1.0) * e4
+    flipped = np.linalg.det(np.stack(frame + normals, axis=-2)) * _ORIENT_SIGN[imm.ambient.kind] < 0
+    e4 = np.where(flipped[..., None], -normals[1], normals[1])
+    e1, e2, e3, e4 = (PVector(v, sig) for v in (frame[-2], frame[-1], normals[0], e4))
     return FrameData(e1, e2, e3, e4, metric, scan, flipped, jp)
 
 
@@ -286,9 +291,9 @@ def _tangent_coeffs(metric: MetricCoeffs) -> tuple:
     return a, b, c
 
 
-def _normal_project(w: PVector, e3: PVector, e4: PVector) -> PVector:
-    """Projection onto the normal plane span(e3, e4) (time-like unit normals)."""
-    return -inner(w, e3) * e3 - inner(w, e4) * e4
+def _normal_project(v: np.ndarray, e3: np.ndarray, e4: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Projection of coordinate arrays onto span(e3, e4) (time-like unit normals)."""
+    return (-((v * e3) @ w))[..., None] * e3 - ((v * e4) @ w)[..., None] * e4
 
 
 def second_fundamental_form(imm: Immersion, p: tuple, frames: FrameData) -> SecondFF:
@@ -299,38 +304,30 @@ def second_fundamental_form(imm: Immersion, p: tuple, frames: FrameData) -> Seco
     position-direction (umbilical) term, so h is the second fundamental
     form of the surface inside the space form.
     """
-    jp = frames.jets
-    hss = _normal_project(jp.accel_ss(), frames.e3, frames.e4)
-    hst = _normal_project(jp.accel_st(), frames.e3, frames.e4)
-    htt = _normal_project(jp.accel_tt(), frames.e3, frames.e4)
-    a, b, c = _tangent_coeffs(frames.metric)
+    sig = frames.e3.signature
+    accel = frames.jets._rows(slice(3, 6))  # (ss, st, tt) stacked first
+    hss, hst, htt = _normal_project(accel, frames.e3.coords, frames.e4.coords, sig.weights)
+    a, b, c = (x[..., None] for x in _tangent_coeffs(frames.metric))
     h11 = (a * a) * hss
     h12 = a * (b * hss + c * hst)
     h22 = (b * b) * hss + (2.0 * b * c) * hst + (c * c) * htt
-    return SecondFF(h11, h12, h22)
+    return SecondFF(PVector(h11, sig), PVector(h12, sig), PVector(h22, sig))
 
 
 def shape_operators(h: SecondFF, frames: FrameData) -> tuple[Sym2, Sym2]:
     """A3, A4 with <h(ei,ej), er> = <A_er ei, ej>, verified by reconstruction."""
-    a3 = Sym2(
-        inner(h.h11, frames.e3), inner(h.h12, frames.e3), inner(h.h22, frames.e3)
-    )
-    a4 = Sym2(
-        inner(h.h11, frames.e4), inner(h.h12, frames.e4), inner(h.h22, frames.e4)
-    )
+    w = frames.e3.signature.weights
+    e3, e4 = frames.e3.coords, frames.e4.coords
+    hs = np.stack([v.coords for v in h.components()])
+    a3, a4 = (hs * e3) @ w, (hs * e4) @ w
     # duality check: h must be recovered from the operators and the normal frame
-    scale = np.maximum(1.0, np.max([v.euclid_norm() for v in h.components()], axis=0))
-    for hij, a3ij, a4ij in (
-        (h.h11, a3.a11, a4.a11),
-        (h.h12, a3.a12, a4.a12),
-        (h.h22, a3.a22, a4.a22),
-    ):
-        rebuilt = -a3ij * frames.e3 - a4ij * frames.e4
-        if np.any((rebuilt - hij).euclid_norm() > _DUALITY_TOL * scale):
-            raise DegeneracyError(
-                "second fundamental form is not normal-valued; frame is inconsistent"
-            )
-    return a3, a4
+    scale = np.maximum(1.0, np.linalg.norm(hs, axis=-1).max(axis=0))
+    rebuilt = (-a3)[..., None] * e3 - a4[..., None] * e4
+    if (np.linalg.norm(rebuilt - hs, axis=-1) > _DUALITY_TOL * scale).any():
+        raise DegeneracyError(
+            "second fundamental form is not normal-valued; frame is inconsistent"
+        )
+    return Sym2(*a3), Sym2(*a4)
 
 
 def invariants(a3: Sym2, a4: Sym2, frames: FrameData, c: float) -> CurvatureReport:
@@ -344,39 +341,11 @@ def invariants(a3: Sym2, a4: Sym2, frames: FrameData, c: float) -> CurvatureRepo
     k = c - a3.det - a4.det
     # KD = <[A3, A4] e1, e2>
     kd = (a3.a12 * a4.a11 + a3.a22 * a4.a12) - (a4.a12 * a3.a11 + a4.a22 * a3.a12)
-    h = -0.5 * (a3.trace * frames.e3 + a4.trace * frames.e4)
+    tr3, tr4 = (np.asarray(a.trace)[..., None] for a in (a3, a4))
+    h = PVector(-0.5 * (tr3 * frames.e3.coords + tr4 * frames.e4.coords), frames.e3.signature)
     h2 = -0.25 * (a3.trace ** 2 + a4.trace ** 2)
     defect = k - abs(kd) - h2 - c
     return CurvatureReport(A3=a3, A4=a4, H=h, H2=h2, K=k, KD=kd, defect=defect)
-
-
-def _mix_sym2(a3: Sym2, a4: Sym2, rho) -> tuple[Sym2, Sym2]:
-    """Shape-operator pair after rotating the normal frame by rho."""
-    cr, sr = np.cos(rho), np.sin(rho)
-    mixed3 = Sym2(
-        cr * a3.a11 + sr * a4.a11,
-        cr * a3.a12 + sr * a4.a12,
-        cr * a3.a22 + sr * a4.a22,
-    )
-    mixed4 = Sym2(
-        -sr * a3.a11 + cr * a4.a11,
-        -sr * a3.a12 + cr * a4.a12,
-        -sr * a3.a22 + cr * a4.a22,
-    )
-    return mixed3, mixed4
-
-
-def _canonical_at_rho(a3: Sym2, a4: Sym2, rho, flip: bool) -> CanonicalFrame:
-    mixed3, mixed4 = _mix_sym2(a3, a4, rho)
-    if flip:
-        mixed4 = Sym2(-mixed4.a11, -mixed4.a12, -mixed4.a22)
-    (alpha, mu), theta = eigen_sym2(mixed3)
-    rotated4 = rotate_sym2(mixed4, theta)
-    delta, gamma = rotated4.a11, rotated4.a12
-    residual = np.sqrt(
-        0.25 * (2.0 * gamma + mu - alpha) ** 2 + 2.0 * delta * delta
-    )
-    return CanonicalFrame(alpha, gamma, delta, mu, theta, rho, residual, flip)
 
 
 def canonical_equality_frame(a3: Sym2, a4: Sym2) -> CanonicalFrame:
@@ -394,7 +363,9 @@ def canonical_equality_frame(a3: Sym2, a4: Sym2) -> CanonicalFrame:
     the equality residual is sigma1 - sigma2.  These are the semi-axes
     a, b of the ellipse of curvature: equality is the circle condition.
     Both e4 orientations are evaluated at that rho and the unflipped one
-    wins ties.
+    wins ties.  Negating e4 negates A4 after the normal rotation, which
+    leaves alpha, mu and theta alone and negates gamma and delta, so one
+    eigen decomposition and one rotation serve both.
     """
     u1, u2 = 0.5 * (a3.a11 - a3.a22), a3.a12
     w1, w2 = 0.5 * (a4.a11 - a4.a22), a4.a12
@@ -403,13 +374,22 @@ def canonical_equality_frame(a3: Sym2, a4: Sym2) -> CanonicalFrame:
         np.arctan2(a4.trace, a3.trace),
         0.5 * np.arctan2(2.0 * (u1 * w1 + u2 * w2), u1 * u1 + u2 * u2 - w1 * w1 - w2 * w2),
     )[()]
-    plain = _canonical_at_rho(a3, a4, rho, flip=False)
-    flipped = _canonical_at_rho(a3, a4, rho, flip=True)
-    keep = plain.residual <= flipped.residual
-    fields = CanonicalFrame._fields
-    return CanonicalFrame(
-        *(np.where(keep, getattr(plain, f), getattr(flipped, f))[()] for f in fields)
+    cr, sr = np.cos(rho), np.sin(rho)
+    mixed3 = Sym2(cr * a3.a11 + sr * a4.a11, cr * a3.a12 + sr * a4.a12, cr * a3.a22 + sr * a4.a22)
+    mixed4 = Sym2(
+        -sr * a3.a11 + cr * a4.a11, -sr * a3.a12 + cr * a4.a12, -sr * a3.a22 + cr * a4.a22
     )
+    (alpha, mu), theta = eigen_sym2(mixed3)
+    rotated4 = rotate_sym2(mixed4, theta)
+    # (gamma, delta, residual) of both orientations; 0.0 - x, unlike -x,
+    # gives a zero the sign that rotating -mixed4 gives it
+    plain, flipped = (
+        (g, d, np.sqrt(0.25 * (2.0 * g + mu - alpha) ** 2 + 2.0 * d * d))
+        for g, d in ((rotated4.a12, rotated4.a11), (0.0 - rotated4.a12, 0.0 - rotated4.a11))
+    )
+    keep = plain[2] <= flipped[2]
+    gamma, delta, residual = (np.where(keep, x, y)[()] for x, y in zip(plain, flipped))
+    return CanonicalFrame(alpha, gamma, delta, mu, theta, rho, residual, ~keep)
 
 
 def ellipse_of_curvature(h: SecondFF, center: PVector) -> EllipseInfo:
@@ -421,11 +401,12 @@ def ellipse_of_curvature(h: SecondFF, center: PVector) -> EllipseInfo:
     relative to the ellipse scale; the ellipse is a point when
     sqrt(|u|^2 + |v|^2) <= _POINT_TOL.
     """
-    u = 0.5 * (h.h11 - h.h22)
-    v = h.h12
-    uu = -inner(u, u)
-    vv = -inner(v, v)
-    uv = -inner(u, v)
+    w = h.h12.signature.weights
+    u = 0.5 * (h.h11.coords - h.h22.coords)
+    v = h.h12.coords
+    uu = -((u * u) @ w)
+    vv = -((v * v) @ w)
+    uv = -((u * v) @ w)
     gram = Sym2(uu, uv, vv)
     (lam1, lam2), _ = eigen_sym2(gram)
     a = np.sqrt(np.maximum(lam1, 0.0))
@@ -474,49 +455,43 @@ def _stencil_nodes(p: tuple, step: float, offsets: list) -> tuple:
 
 def _require_one_branch(same, p: tuple) -> None:
     """A scan branch change within a stencil cannot be repaired; same holds per point of p."""
-    if not np.all(same):
+    if not same.all():
         raise DegeneracyError(
             f"frame branch switch within the stencil at (s,t)={first_flagged(~same, *p)}"
         )
 
 
-def _central(v: PVector, step: float, plus: int, minus: int) -> PVector:
-    """Central difference between two stencil nodes (stencil axis first)."""
-    return (1.0 / (2.0 * step)) * (v[plus] - v[minus])
+def _coordinate_forms(lead: list, trail: list, w: np.ndarray, step: float) -> np.ndarray:
+    """w12 and w34 on the coordinate directions (d_s, d_t) at 5-point stencil centers.
 
-
-def _tangent_forms(e1: PVector, e2: PVector, step: float) -> tuple:
-    """w12 on the coordinate directions (d_s, d_t) at 5-point stencil centers.
-
-    The frame vectors carry the stencil axis first (center, +s, -s, +t,
-    -t); the forms are central differences.  Negating the tangent pair (a
+    lead holds the coordinates of e1 (and e3), trail those of e2 (and e4),
+    with the stencil axis (center, +s, -s, +t, -t) first; the result has
+    shape (len(lead), 2, ...).  w12 = <D e1, e2> and w34 = -<D e3, e4> come
+    from one stacked central difference.  Negating the tangent pair (a
     rotation by pi) leaves every frame invariant we compute unchanged, so
     e1 is first sign-matched to the center; this only removes angle
     wrap-arounds of derived frame fields.
     """
-    e1 = np.where(inner(e1, e1[0]) < 0, -1.0, 1.0) * e1
-    return inner(_central(e1, step, 1, 2), e2[0]), inner(_central(e1, step, 3, 4), e2[0])
+    e1 = lead[0]
+    lead = np.stack([np.where(((e1 * e1[0]) @ w < 0)[..., None], -e1, e1)] + lead[1:])
+    d = (1.0 / (2.0 * step)) * (lead[:, [1, 3]] - lead[:, [2, 4]])
+    forms = (d * np.stack(trail)[:, :1]) @ w
+    forms[1:] = -forms[1:]
+    return forms
 
 
-def _normal_forms(e3: PVector, e4: PVector, step: float) -> tuple:
-    """w34 on (d_s, d_t) at 5-point stencil centers, as in _tangent_forms."""
-    return -inner(_central(e3, step, 1, 2), e4[0]), -inner(_central(e3, step, 3, 4), e4[0])
+def _on_frame(fr: FrameData, forms: np.ndarray) -> np.ndarray:
+    """(w(e1), w(e2)) of coordinate forms (w(d_s), w(d_t)) at the stencil center.
 
-
-def _on_frame(fr: FrameData, w_s, w_t) -> tuple:
-    """(w(e1), w(e2)) of the coordinate form (w(d_s), w(d_t)) at the stencil center."""
-    vs, vt = fr.jets.velocity_s()[0], fr.jets.velocity_t()[0]
+    forms and the result have shape (forms, 2, ...).  e = a d_s + b d_t
+    comes from the Gram system of the velocities.
+    """
+    vel = fr.jets._rows(slice(1, 3))[:, 0]  # (psi_s, psi_t) at the center
     E, F, G = fr.metric.E[0], fr.metric.F[0], fr.metric.G[0]
     det = E * G - F * F
-
-    def on_coordinates(e: PVector) -> tuple:
-        """(a, b) with e = a d_s + b d_t, from the Gram system of the velocities."""
-        x, y = inner(e, vs), inner(e, vt)
-        return (G * x - F * y) / det, (E * y - F * x) / det
-
-    a1, b1 = on_coordinates(fr.e1[0])
-    a2, b2 = on_coordinates(fr.e2[0])
-    return a1 * w_s + b1 * w_t, a2 * w_s + b2 * w_t
+    x, y = (vel[:, None] * np.stack([fr.e1.coords[0], fr.e2.coords[0]])) @ fr.e1.signature.weights
+    a, b = (G * x - F * y) / det, (E * y - F * x) / det
+    return a * forms[:, :1] + b * forms[:, 1:]
 
 
 def connection_forms(imm: Immersion, p: tuple, step: float = 1e-3) -> ConnectionSample:
@@ -529,9 +504,9 @@ def connection_forms(imm: Immersion, p: tuple, step: float = 1e-3) -> Connection
     each stencil must share one Gram-Schmidt branch.
     """
     fr = build_frames(imm, _stencil_nodes(p, step, _STENCIL))
-    _require_one_branch(np.all(fr.scan == fr.scan[0], axis=(0, -1)), p)
-    w12 = _on_frame(fr, *_tangent_forms(fr.e1, fr.e2, step))
-    w34 = _on_frame(fr, *_normal_forms(fr.e3, fr.e4, step))
+    _require_one_branch((fr.scan == fr.scan[0]).all(axis=(0, -1)), p)
+    lead, trail = [fr.e1.coords, fr.e3.coords], [fr.e2.coords, fr.e4.coords]
+    w12, w34 = _on_frame(fr, _coordinate_forms(lead, trail, fr.e1.signature.weights, step))
     return ConnectionSample(*w12, *w34)
 
 
@@ -547,18 +522,15 @@ def structure_equation_check(
     """
     fr = build_frames(imm, _stencil_nodes(p, step, _NESTED_NODES))
     c = _NESTED_CENTER
-    same_scan = np.all(fr.scan == fr.scan[c], axis=(0, -1))
-    _require_one_branch(same_scan & np.all(fr.flipped[_NESTED[0]] == fr.flipped[c], axis=0), p)
-    # forms at the neighbours (+s, -s, +t, -t) of p
-    e1, e2, e3, e4 = (v[_NESTED] for v in (fr.e1, fr.e2, fr.e3, fr.e4))
-    w12_s, w12_t = _tangent_forms(e1, e2, step)
-    w34_s, w34_t = _normal_forms(e3, e4, step)
+    same_scan = (fr.scan == fr.scan[c]).all(axis=(0, -1))
+    _require_one_branch(same_scan & (fr.flipped[_NESTED[0]] == fr.flipped[c]).all(axis=0), p)
+    # forms at the neighbours (+s, -s, +t, -t) of p, shape (form, direction, neighbour, ...)
+    e1, e2, e3, e4 = (v.coords[_NESTED] for v in (fr.e1, fr.e2, fr.e3, fr.e4))
+    w = _coordinate_forms([e1, e3], [e2, e4], fr.e1.signature.weights, step)
     inv2h = 1.0 / (2.0 * step)
     # d(P ds + Q dt) = (dQ/ds - dP/dt) ds^dt, evaluated for both forms
-    d_w12 = inv2h * (w12_t[0] - w12_t[1]) - inv2h * (w12_s[2] - w12_s[3])
-    d_w34 = inv2h * (w34_t[0] - w34_t[1]) - inv2h * (w34_s[2] - w34_s[3])
-    area = np.sqrt(fr.metric.det[c])
-    return -d_w12 / area, -d_w34 / area
+    d_w = inv2h * (w[:, 1, 0] - w[:, 1, 1]) - inv2h * (w[:, 0, 2] - w[:, 0, 3])
+    return tuple(-d_w / np.sqrt(fr.metric.det[c]))
 
 
 def codazzi_residual(imm: Immersion, p: tuple, step: float = 1e-3) -> float:
@@ -573,21 +545,19 @@ def codazzi_residual(imm: Immersion, p: tuple, step: float = 1e-3) -> float:
     """
     nodes = _stencil_nodes(p, step, _STENCIL)
     fr = build_frames(imm, nodes)
-    h = second_fundamental_form(imm, nodes, fr)
-    e3, e4 = fr.e3[0], fr.e4[0]
-
-    def derivative(plus: int, minus: int) -> tuple:
-        return tuple(_normal_project(_central(v, step, plus, minus), e3, e4) for v in h.components())
-
-    dh_s = derivative(1, 2)  # (D_s h11, D_s h12, D_s h22)
-    dh_t = derivative(3, 4)
-    a, b, c = (x[0] for x in _tangent_coeffs(fr.metric))
-    d_e1 = tuple(a * v for v in dh_s)
-    d_e2 = tuple(b * vs + c * vt for vs, vt in zip(dh_s, dh_t))
-    w12_e1, w12_e2 = _on_frame(fr, *_tangent_forms(fr.e1, fr.e2, step))
-    h11, h12, h22 = (v[0] for v in h.components())
+    w = fr.e3.signature.weights
+    hs = np.stack([v.coords for v in second_fundamental_form(imm, nodes, fr).components()])
+    # (D_s, D_t) of (h11, h12, h22), projected on the normal plane at p
+    dh = (1.0 / (2.0 * step)) * (hs[:, [1, 3]] - hs[:, [2, 4]])
+    dh = _normal_project(dh, fr.e3.coords[0], fr.e4.coords[0], w)
+    a, b, c = (x[0][..., None] for x in _tangent_coeffs(fr.metric))
+    d_e1 = a * dh[:, 0]
+    d_e2 = b * dh[:, 0] + c * dh[:, 1]
+    w12_e1, w12_e2 = _on_frame(fr, _coordinate_forms([fr.e1.coords], [fr.e2.coords], w, step))[0]
+    w1, w2 = w12_e1[..., None], w12_e2[..., None]
+    h11, h12, h22 = hs[:, 0]
     # (nabla-bar_{e1} h)(e2, e1) - (nabla-bar_{e2} h)(e1, e1)
-    r1 = d_e1[1] + w12_e1 * h11 - w12_e1 * h22 - d_e2[0] + 2.0 * w12_e2 * h12
+    r1 = d_e1[1] + w1 * h11 - w1 * h22 - d_e2[0] + 2.0 * w2 * h12
     # (nabla-bar_{e1} h)(e2, e2) - (nabla-bar_{e2} h)(e1, e2)
-    r2 = d_e1[2] + 2.0 * w12_e1 * h12 - d_e2[1] + w12_e2 * h22 - w12_e2 * h11
-    return np.maximum(r1.euclid_norm(), r2.euclid_norm())
+    r2 = d_e1[2] + 2.0 * w1 * h12 - d_e2[1] + w2 * h22 - w2 * h11
+    return np.maximum(np.linalg.norm(r1, axis=-1), np.linalg.norm(r2, axis=-1))

@@ -137,7 +137,9 @@ def orthonormalize(vectors: list[PVector], required_characters: list[str]) -> li
     or -1 (time-like) and must match its requested character.  No pivoting:
     processing order is the input order, so frames built from smoothly
     varying inputs vary smoothly.  Batches are processed node by node in
-    the same order, with one array operation per step.
+    the same order, with one array operation per step.  The steps work on
+    the coordinate arrays and the metric weights; PVectors are built only
+    for the result.
 
     Raises DegeneracyError if a remainder is light-like (the configuration
     is degenerate) or has the wrong causal character at any node; its
@@ -145,28 +147,31 @@ def orthonormalize(vectors: list[PVector], required_characters: list[str]) -> li
     """
     if len(vectors) != len(required_characters):
         raise InputMismatchError("one required character per input vector")
-    out: list[PVector] = []
+    out: list[np.ndarray] = []
     for v, want in zip(vectors, required_characters):
         if want not in (SPACE_LIKE, TIME_LIKE):
             raise InputMismatchError(f"unsupported character {want!r}")
-        r = v
+        _check_same_signature(vectors[0], v)
+        w = v.signature.weights
+        r = v.coords
         for u in out:
-            r = r - (inner(r, u) / inner(u, u)) * u
-        q = r.self_inner()
-        scale = np.sum(r.coords * r.coords, axis=-1)
+            r = r - ((r * u) @ w / ((u * u) @ w))[..., None] * u
+        rr = r * r
+        q = rr @ w
+        scale = rr.sum(axis=-1)
         light = (scale == 0.0) | (np.abs(q) < LIGHTLIKE_RTOL * scale)
-        if np.any(light):
+        if light.any():
             raise _failed_at(
                 light,
                 "light-like Gram-Schmidt remainder: input is degenerate "
                 "(not linearly independent, or the plane metric is singular)",
             )
         wrong = (q > 0) != (want == SPACE_LIKE)
-        if np.any(wrong):
+        if wrong.any():
             got = TIME_LIKE if want == SPACE_LIKE else SPACE_LIKE
             raise _failed_at(wrong, f"remainder is {got}, required {want}")
-        out.append(r * (1.0 / np.sqrt(np.abs(q))))
-    return out
+        out.append(r * (1.0 / np.sqrt(np.abs(q)))[..., None])
+    return [PVector(r, v.signature) for r, v in zip(out, vectors)]
 
 
 def _failed_at(nodes, message: str) -> DegeneracyError:

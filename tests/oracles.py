@@ -5,7 +5,11 @@ Most recompute a quantity the engine produces by a different route
 Wintgen identity), so a test that compares the two does not check the
 engine against its own code.  equality_frame is the exception: it reuses
 the engine's stages to build the equality-adapted frame field that
-connection_forms is checked in.
+connection_forms is checked in.  The *_per_component functions and
+canonical_two_candidates are the same formulas as the engine's, written
+one PVector (or one normal orientation) at a time: the engine computes
+them on stacked coordinate arrays and must give the same bytes on a
+batch.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 from neutralsurf import catalog, curvature
 from neutralsurf.ambient import AmbientSpace, DomainRect
 from neutralsurf.catalog import Immersion, JetPoint, MetricCoeffs, metric_from_velocities
-from neutralsurf.curvature import FrameData, SecondFF
+from neutralsurf.curvature import CanonicalFrame, ConnectionSample, FrameData, SecondFF
 from neutralsurf.errors import InputMismatchError
 from neutralsurf.jets import Jet2, jpow, seed
 from neutralsurf.pseudo_linalg import (
@@ -28,6 +32,7 @@ from neutralsurf.pseudo_linalg import (
     Sym2,
     eigen_sym2,
     inner,
+    rotate_sym2,
 )
 
 LIGHT_LIKE = "light-like"
@@ -222,3 +227,143 @@ def random_polynomial_reference(seed_value: int, amplitude: float = 0.1) -> Imme
         if catalog._validate_spacelike(imm):
             return imm
     raise AssertionError(f"random_polynomial seed={seed_value}: no space-like sample")
+
+
+# -- per-component forms of the stacked curvature stages -------------------
+
+# (center, +s, -s, +t, -t) in units of the step
+_STENCIL = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+def _normal_part(v: PVector, e3: PVector, e4: PVector) -> PVector:
+    return -inner(v, e3) * e3 - inner(v, e4) * e4
+
+
+def _tangent_coeffs(fr: FrameData) -> tuple:
+    """(a, b, c) with e1 = a psi_s, e2 = b psi_s + c psi_t."""
+    m = fr.metric
+    nu = np.sqrt(m.G - m.F * m.F / m.E)
+    return 1.0 / np.sqrt(m.E), -m.F / (m.E * nu), 1.0 / nu
+
+
+def second_fundamental_form_per_component(fr: FrameData) -> SecondFF:
+    """h from the jets of fr, one normal projection per acceleration."""
+    jp = fr.jets
+    hss, hst, htt = (_normal_part(x, fr.e3, fr.e4) for x in (jp.accel_ss(), jp.accel_st(), jp.accel_tt()))
+    a, b, c = _tangent_coeffs(fr)
+    return SecondFF(
+        (a * a) * hss,
+        a * (b * hss + c * hst),
+        (b * b) * hss + (2.0 * b * c) * hst + (c * c) * htt,
+    )
+
+
+def shape_operators_per_component(h: SecondFF, fr: FrameData) -> tuple[Sym2, Sym2]:
+    """A3, A4 with one inner product per entry."""
+    return (
+        Sym2(inner(h.h11, fr.e3), inner(h.h12, fr.e3), inner(h.h22, fr.e3)),
+        Sym2(inner(h.h11, fr.e4), inner(h.h12, fr.e4), inner(h.h22, fr.e4)),
+    )
+
+
+def stencil_frames(imm: Immersion, p: tuple, step: float, offsets=_STENCIL) -> FrameData:
+    """The engine's frames at p + step * offset, offset axis first."""
+    s, t = np.broadcast_arrays(*p)
+    di, dj = np.transpose(offsets)
+    return _build_frames(imm, (np.add.outer(step * di, s), np.add.outer(step * dj, t)))
+
+
+def _central(v: PVector, step: float, plus: int, minus: int) -> PVector:
+    return (1.0 / (2.0 * step)) * (v[plus] - v[minus])
+
+
+def coordinate_forms_per_component(fr: FrameData, step: float) -> tuple:
+    """(w12(d_s), w12(d_t), w34(d_s), w34(d_t)) at the centers of 5-point stencils.
+
+    The stencil axis of fr comes first; e1 is sign-matched to the center.
+    """
+    e1 = np.where(inner(fr.e1, fr.e1[0]) < 0, -1.0, 1.0) * fr.e1
+    e2, e3, e4 = fr.e2[0], fr.e3, fr.e4[0]
+    return (
+        inner(_central(e1, step, 1, 2), e2),
+        inner(_central(e1, step, 3, 4), e2),
+        -inner(_central(e3, step, 1, 2), e4),
+        -inner(_central(e3, step, 3, 4), e4),
+    )
+
+
+def _on_frame(fr: FrameData, w_s, w_t) -> tuple:
+    """(w(e1), w(e2)) of the coordinate form (w(d_s), w(d_t)) at the stencil center."""
+    vs, vt = fr.jets.velocity_s()[0], fr.jets.velocity_t()[0]
+    E, F, G = fr.metric.E[0], fr.metric.F[0], fr.metric.G[0]
+    det = E * G - F * F
+    out = []
+    for e in (fr.e1[0], fr.e2[0]):
+        x, y = inner(e, vs), inner(e, vt)
+        out.append((G * x - F * y) / det * w_s + (E * y - F * x) / det * w_t)
+    return tuple(out)
+
+
+def connection_forms_per_component(imm: Immersion, p: tuple, step: float = 1e-3) -> ConnectionSample:
+    """connection_forms without its branch check, one form and one direction at a time."""
+    fr = stencil_frames(imm, p, step)
+    w12_s, w12_t, w34_s, w34_t = coordinate_forms_per_component(fr, step)
+    return ConnectionSample(*_on_frame(fr, w12_s, w12_t), *_on_frame(fr, w34_s, w34_t))
+
+
+def structure_equation_check_per_component(imm: Immersion, p: tuple, step: float = 1e-3) -> tuple:
+    """structure_equation_check without its branch check, one neighbour stencil at a time."""
+    forms = [
+        coordinate_forms_per_component(stencil_frames(imm, p, step, [(i + k, j + l) for i, j in _STENCIL]), step)
+        for k, l in _STENCIL[1:]
+    ]
+    w12_s, w12_t, w34_s, w34_t = zip(*forms)  # each indexed by neighbour (+s, -s, +t, -t)
+    inv2h = 1.0 / (2.0 * step)
+    d_w12 = inv2h * (w12_t[0] - w12_t[1]) - inv2h * (w12_s[2] - w12_s[3])
+    d_w34 = inv2h * (w34_t[0] - w34_t[1]) - inv2h * (w34_s[2] - w34_s[3])
+    area = np.sqrt(stencil_frames(imm, p, step, [(0, 0)]).metric.det[0])
+    return -d_w12 / area, -d_w34 / area
+
+
+def codazzi_residual_per_component(imm: Immersion, p: tuple, step: float = 1e-3):
+    """codazzi_residual with one PVector per component of h and of D h."""
+    fr = stencil_frames(imm, p, step)
+    h = second_fundamental_form_per_component(fr)
+    e3, e4 = fr.e3[0], fr.e4[0]
+    dh_s = [_normal_part(_central(v, step, 1, 2), e3, e4) for v in h.components()]
+    dh_t = [_normal_part(_central(v, step, 3, 4), e3, e4) for v in h.components()]
+    a, b, c = (x[0] for x in _tangent_coeffs(fr))
+    d_e1 = [a * v for v in dh_s]
+    d_e2 = [b * vs + c * vt for vs, vt in zip(dh_s, dh_t)]
+    w_s, w_t = coordinate_forms_per_component(fr, step)[:2]
+    w1, w2 = _on_frame(fr, w_s, w_t)
+    h11, h12, h22 = (v[0] for v in h.components())
+    r1 = d_e1[1] + w1 * h11 - w1 * h22 - d_e2[0] + 2.0 * w2 * h12
+    r2 = d_e1[2] + 2.0 * w1 * h12 - d_e2[1] + w2 * h22 - w2 * h11
+    return np.maximum(r1.euclid_norm(), r2.euclid_norm())
+
+
+def canonical_two_candidates(a3: Sym2, a4: Sym2) -> CanonicalFrame:
+    """canonical_equality_frame with a full eigen decomposition and rotation per e4 orientation."""
+    u1, u2 = 0.5 * (a3.a11 - a3.a22), a3.a12
+    w1, w2 = 0.5 * (a4.a11 - a4.a22), a4.a12
+    rho = np.where(
+        np.hypot(a3.trace, a4.trace) > curvature._TRACE_TOL,
+        np.arctan2(a4.trace, a3.trace),
+        0.5 * np.arctan2(2.0 * (u1 * w1 + u2 * w2), u1 * u1 + u2 * u2 - w1 * w1 - w2 * w2),
+    )[()]
+    cr, sr = np.cos(rho), np.sin(rho)
+    mixed3 = Sym2(cr * a3.a11 + sr * a4.a11, cr * a3.a12 + sr * a4.a12, cr * a3.a22 + sr * a4.a22)
+    mixed4 = Sym2(-sr * a3.a11 + cr * a4.a11, -sr * a3.a12 + cr * a4.a12, -sr * a3.a22 + cr * a4.a22)
+    candidates = []
+    for flip, m4 in ((False, mixed4), (True, Sym2(-mixed4.a11, -mixed4.a12, -mixed4.a22))):
+        (alpha, mu), theta = eigen_sym2(mixed3)
+        rotated4 = rotate_sym2(m4, theta)
+        delta, gamma = rotated4.a11, rotated4.a12
+        residual = np.sqrt(0.25 * (2.0 * gamma + mu - alpha) ** 2 + 2.0 * delta * delta)
+        candidates.append(CanonicalFrame(alpha, gamma, delta, mu, theta, rho, residual, flip))
+    plain, flipped = candidates
+    keep = plain.residual <= flipped.residual
+    return CanonicalFrame(
+        *(np.where(keep, getattr(plain, f), getattr(flipped, f))[()] for f in CanonicalFrame._fields)
+    )

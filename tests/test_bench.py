@@ -34,3 +34,8 @@ def test_tiny_traced_run_is_correct(workload):
         # PVector.__post_init__; a count of 0 means construction bypasses them
         assert metrics["jets.Jet2.created"] > 0
         assert metrics["pseudo_linalg.PVector.created"] > 0
+        # operation budget: the stages work on stacked coordinate arrays and
+        # build PVectors only for what they hand on (deterministic counts)
+        probes = metrics["curvature.point_report.calls"]
+        assert metrics["pseudo_linalg.PVector.created"] <= 100 * probes
+        assert metrics["pseudo_linalg.inner.calls"] <= 40 * probes

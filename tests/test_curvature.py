@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from neutralsurf import curvature
 from neutralsurf.catalog import MetricCoeffs, catalog_get, from_definition
 from neutralsurf.curvature import (
+    CanonicalFrame,
     FrameData,
     SecondFF,
     build_frames,
@@ -25,13 +27,21 @@ from neutralsurf.pseudo_linalg import PVector, Signature, Sym2, inner
 from oracles import (
     ambient_curvature,
     as_array,
+    bits,
+    canonical_two_candidates,
+    codazzi_residual_per_component,
+    connection_forms_per_component,
     ellipse_sweep,
     equality_frame,
     rotate_pair,
+    second_fundamental_form_per_component,
+    shape_operators_per_component,
+    structure_equation_check_per_component,
     wintgen_defect_formula,
 )
 
 SIG22 = Signature(2, 4)
+DEFINITION_FILE = Path(__file__).resolve().parent.parent / "bench" / "data" / "phi_h42.txt"
 GAMMA_PHI = 1.0 / math.sqrt(3.0)
 
 # its position is time-like, as the pseudo-hyperbolic quadric needs, only
@@ -316,6 +326,33 @@ class TestCanonicalEqualityFrame:
             assert kd1 == pytest.approx(kd0, abs=1e-8)
             assert h21 == pytest.approx(h20, abs=1e-8)
 
+    def test_one_eigen_decomposition_matches_two_candidates(self):
+        # both e4 orientations share alpha, mu and theta; the flipped gamma
+        # and delta must keep the bytes (and zero signs) of a full second
+        # decomposition, on generic, trace-free, exact-equality and tied pairs
+        rng = np.random.default_rng(71)
+        n = 500
+        generic = rng.uniform(-2, 2, size=(6, n))
+        trace_free = generic.copy()
+        trace_free[[2, 5]] = -trace_free[[0, 3]]
+        equality = np.empty((6, n))
+        for k, (gamma, mu, theta, rho) in enumerate(rng.uniform(-2, 2, size=(n, 4))):
+            r3, r4 = rotate_pair(Sym2(2 * gamma + mu, 0.0, mu), Sym2(0.0, gamma, 0.0), theta, rho)
+            equality[:, k] = (r3.a11, r3.a12, r3.a22, r4.a11, r4.a12, r4.a22)
+        special = np.array(
+            [[0.0] * 6, [-0.0] * 6, [1.0, 0.0, 1.0, 0.0, 0.0, 0.0], [0.0, -0.0, 0.0, 1.0, 0.0, -1.0]]
+        ).T
+        for rows in (generic, trace_free, equality, np.round(generic, 1), special):
+            got = canonical_equality_frame(Sym2(*rows[:3]), Sym2(*rows[3:]))
+            want = canonical_two_candidates(Sym2(*rows[:3]), Sym2(*rows[3:]))
+            for f in CanonicalFrame._fields:
+                assert bits(getattr(got, f)) == bits(getattr(want, f)), f
+            for col in rows.T[:50].tolist():
+                got = canonical_equality_frame(Sym2(*col[:3]), Sym2(*col[3:]))
+                want = canonical_two_candidates(Sym2(*col[:3]), Sym2(*col[3:]))
+                for f in CanonicalFrame._fields:
+                    assert bits(getattr(got, f)) == bits(getattr(want, f)), (f, col)
+
     def test_zero_operators(self):
         can = canonical_equality_frame(Sym2(0, 0, 0), Sym2(0, 0, 0))
         assert can.residual == 0.0
@@ -540,6 +577,73 @@ class TestCodazzi:
         phi = catalog_get("phi_h42")
         scale_h12(1.1)
         assert codazzi_residual(phi, (0.3, -0.4), step=1e-3) > 1e-2
+
+
+STACKED_SURFACES = {
+    "phi_h42": ("phi_h42", {}),
+    "flat_L": ("flat_L", {}),
+    "totally_geodesic_h42": ("totally_geodesic_h42", {}),
+    "holomorphic_graph": ("holomorphic_graph", {"f": "z^2/2"}),
+    "umbilical_flat": ("umbilical_flat", {}),
+    "random_polynomial": ("random_polynomial", {"seed": 7}),
+    "definition_file": None,
+}
+
+
+class TestStackedStages:
+    """The stages compute on stacked coordinate arrays; the per-component
+    formulas of tests/oracles.py are the reference: equal bytes on a batch,
+    where both reduce each node's inner products alike, and agreement to
+    rounding at a single point, where a stack of vectors reduces through a
+    matrix-vector product and a single vector through a dot product."""
+
+    @staticmethod
+    def surface(name):
+        if STACKED_SURFACES[name] is None:
+            return from_definition(parse_surface(DEFINITION_FILE.read_text()))
+        return catalog_get(*STACKED_SURFACES[name])
+
+    @staticmethod
+    def inset_grid(imm, n=9):
+        d = imm.domain
+        ds, dt = 0.1 * (d.s1 - d.s0), 0.1 * (d.t1 - d.t0)
+        ss = np.linspace(d.s0 + ds, d.s1 - ds, n)
+        ts = np.linspace(d.t0 + dt, d.t1 - dt, n)
+        return tuple(np.meshgrid(ss, ts, indexing="ij"))
+
+    @pytest.mark.parametrize("name", sorted(STACKED_SURFACES))
+    def test_batch_bytes(self, name):
+        imm = self.surface(name)
+        p = self.inset_grid(imm)
+        fr = build_frames(imm, p)
+        h = second_fundamental_form(imm, p, fr)
+        want_h = second_fundamental_form_per_component(fr)
+        for got, want in zip(h.components(), want_h.components()):
+            assert bits(got.coords) == bits(want.coords)
+        for got, want in zip(shape_operators(h, fr), shape_operators_per_component(want_h, fr)):
+            assert bits(as_array(got)) == bits(as_array(want))
+        got = dataclasses.astuple(connection_forms(imm, p))
+        want = dataclasses.astuple(connection_forms_per_component(imm, p))
+        assert [bits(x) for x in got] == [bits(x) for x in want]
+        got = structure_equation_check(imm, p)
+        assert [bits(x) for x in got] == [bits(x) for x in structure_equation_check_per_component(imm, p)]
+        assert bits(codazzi_residual(imm, p)) == bits(codazzi_residual_per_component(imm, p))
+
+    @pytest.mark.parametrize("name", sorted(STACKED_SURFACES))
+    def test_single_points_agree_to_rounding(self, name):
+        imm = self.surface(name)
+        ss, ts = self.inset_grid(imm, 3)
+        for p in zip(ss.ravel().tolist(), ts.ravel().tolist()):
+            fr = build_frames(imm, p)
+            h = second_fundamental_form(imm, p, fr)
+            want_h = second_fundamental_form_per_component(fr)
+            for got, want in zip(h.components(), want_h.components()):
+                assert np.max(np.abs(got.coords - want.coords)) <= 1e-15
+            for got, want in zip(shape_operators(h, fr), shape_operators_per_component(want_h, fr)):
+                assert np.max(np.abs(as_array(got) - as_array(want))) <= 1e-15
+            got = dataclasses.astuple(connection_forms(imm, p))
+            want = dataclasses.astuple(connection_forms_per_component(imm, p))
+            assert np.max(np.abs(np.subtract(got, want))) <= 1e-15
 
 
 class TestAmbientCurvature:
