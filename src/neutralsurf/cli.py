@@ -8,6 +8,7 @@ deterministic for identical arguments (seeds included).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -23,11 +24,7 @@ from .catalog import (
     check_membership,
     from_definition,
 )
-from .curvature import (
-    codazzi_residual,
-    point_report,
-    structure_equation_check,
-)
+from .curvature import stencil_checks
 from .errors import (
     DegeneracyError,
     FieldDomainError,
@@ -280,7 +277,8 @@ def build_verification_report(
 
     step = tols["fd_step"]
     fd_points = _fd_sample_points(domain, step)
-    rep = point_report(imm, fd_points, with_canonical=equality, with_ellipse=False)
+    # the report at the FD points and both FD checks come from one frame build
+    rep, (kw, kdw), codazzi = stencil_checks(imm, fd_points, step, with_canonical=equality)
     # canonical frame residual where the surface achieves equality
     if equality:
         canonical_max = float(np.max(rep.canonical.residual[::2]))
@@ -292,10 +290,9 @@ def build_verification_report(
         )
 
     # finite-difference consistency checks on an interior subsample
-    kw, kdw = structure_equation_check(imm, fd_points, step)
     structure_k = float(np.max(np.abs(kw - rep.K)))
     structure_kd = float(np.max(np.abs(kdw - rep.KD)))
-    codazzi_max = float(np.max(codazzi_residual(imm, fd_points, step)))
+    codazzi_max = float(np.max(codazzi))
     add_check(
         "structure equation K agreement",
         structure_k,
@@ -515,10 +512,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use: parse_args does not change it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
     try:

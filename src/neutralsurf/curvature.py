@@ -15,11 +15,13 @@ deterministic frame field.
 Every stage takes a point or a batch of nodes alike: p = (s, t) may hold
 floats or arrays, and each field then holds one value per node.  The
 finite-difference checks evaluate the stencils of all their points in one
-batched call.  Inside a stage the vectors are (..., dim) coordinate arrays
-under the signature's weights, stacked so that one array operation serves
-all components (the three accelerations, the entries of A3, the
-directions of a stencil); PVectors are built only for what a stage hands
-on.  At a single point a stacked inner product rounds through a
+batched call, and stencil_checks gets the report at the points and both
+checks from one build of the 13-node nested stencil, which holds the
+5-point stencil and its center.  Inside a stage the vectors are (..., dim)
+coordinate arrays under the signature's weights, stacked so that one array
+operation serves all components (the three accelerations, the entries of
+A3, the directions of a stencil); PVectors are built only for what a stage
+hands on.  At a single point a stacked inner product rounds through a
 matrix-vector product rather than a dot product, which may move the last
 bits; batch values do not depend on the stacking.
 """
@@ -66,13 +68,16 @@ _POINT_TOL = 1e-8
 # Finite-difference stencils as offsets in units of the step.  The 5-point
 # stencil is (center, +s, -s, +t, -t); the structure equations nest it: the
 # 5-point stencils around the four neighbours, as indices (stencil, neighbour)
-# into their 13 distinct nodes.
+# into their 13 distinct nodes.  The nested nodes list the 5-point stencil
+# first, so row 0 of a nested batch holds the centers and rows 0-4 are a
+# 5-point batch.
 _STENCIL = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]
-_NESTED_NODES = sorted({(i + k, j + l) for i, j in _STENCIL for k, l in _STENCIL[1:]})
+_NESTED_NODES = _STENCIL + sorted(
+    {(i + k, j + l) for i, j in _STENCIL for k, l in _STENCIL[1:]} - set(_STENCIL)
+)
 _NESTED = np.array(
     [[_NESTED_NODES.index((i + k, j + l)) for k, l in _STENCIL[1:]] for i, j in _STENCIL]
 )
-_NESTED_CENTER = _NESTED_NODES.index((0, 0))
 
 
 @dataclass(frozen=True)
@@ -426,6 +431,13 @@ def point_report(
     """Full pointwise pipeline at a node or a batch: frames, h, shape operators, invariants."""
     frames = build_frames(imm, p)
     h = second_fundamental_form(imm, p, frames)
+    return _report(imm, frames, h, with_canonical, with_ellipse)
+
+
+def _report(
+    imm: Immersion, frames: FrameData, h: SecondFF, with_canonical: bool, with_ellipse: bool
+) -> CurvatureReport:
+    """point_report from prebuilt frames and h."""
     a3, a4 = shape_operators(h, frames)
     rep = invariants(a3, a4, frames, imm.ambient.curvature)
     return CurvatureReport(
@@ -520,17 +532,20 @@ def structure_equation_check(
     form) at each point of p, which must reproduce K and KD.  One batched
     call builds the frames of the 13 distinct nested-stencil nodes of every point.
     """
-    fr = build_frames(imm, _stencil_nodes(p, step, _NESTED_NODES))
-    c = _NESTED_CENTER
-    same_scan = (fr.scan == fr.scan[c]).all(axis=(0, -1))
-    _require_one_branch(same_scan & (fr.flipped[_NESTED[0]] == fr.flipped[c]).all(axis=0), p)
+    return _structure(build_frames(imm, _stencil_nodes(p, step, _NESTED_NODES)), p, step)
+
+
+def _structure(fr: FrameData, p: tuple, step: float) -> tuple:
+    """structure_equation_check from the frames of the nested stencils of p."""
+    same_scan = (fr.scan == fr.scan[0]).all(axis=(0, -1))
+    _require_one_branch(same_scan & (fr.flipped[_NESTED[0]] == fr.flipped[0]).all(axis=0), p)
     # forms at the neighbours (+s, -s, +t, -t) of p, shape (form, direction, neighbour, ...)
     e1, e2, e3, e4 = (v.coords[_NESTED] for v in (fr.e1, fr.e2, fr.e3, fr.e4))
     w = _coordinate_forms([e1, e3], [e2, e4], fr.e1.signature.weights, step)
     inv2h = 1.0 / (2.0 * step)
     # d(P ds + Q dt) = (dQ/ds - dP/dt) ds^dt, evaluated for both forms
     d_w = inv2h * (w[:, 1, 0] - w[:, 1, 1]) - inv2h * (w[:, 0, 2] - w[:, 0, 3])
-    return tuple(-d_w / np.sqrt(fr.metric.det[c]))
+    return tuple(-d_w / np.sqrt(fr.metric.det[0]))
 
 
 def codazzi_residual(imm: Immersion, p: tuple, step: float = 1e-3) -> float:
@@ -545,8 +560,13 @@ def codazzi_residual(imm: Immersion, p: tuple, step: float = 1e-3) -> float:
     """
     nodes = _stencil_nodes(p, step, _STENCIL)
     fr = build_frames(imm, nodes)
+    return _codazzi(fr, second_fundamental_form(imm, nodes, fr), step)
+
+
+def _codazzi(fr: FrameData, h: SecondFF, step: float) -> np.ndarray:
+    """codazzi_residual from the frames and h whose rows 0-4 are 5-point stencils."""
     w = fr.e3.signature.weights
-    hs = np.stack([v.coords for v in second_fundamental_form(imm, nodes, fr).components()])
+    hs = np.stack([v.coords for v in h.components()])
     # (D_s, D_t) of (h11, h12, h22), projected on the normal plane at p
     dh = (1.0 / (2.0 * step)) * (hs[:, [1, 3]] - hs[:, [2, 4]])
     dh = _normal_project(dh, fr.e3.coords[0], fr.e4.coords[0], w)
@@ -561,3 +581,28 @@ def codazzi_residual(imm: Immersion, p: tuple, step: float = 1e-3) -> float:
     # (nabla-bar_{e1} h)(e2, e2) - (nabla-bar_{e2} h)(e1, e2)
     r2 = d_e1[2] + 2.0 * w1 * h12 - d_e2[1] + w2 * h22 - w2 * h11
     return np.maximum(np.linalg.norm(r1, axis=-1), np.linalg.norm(r2, axis=-1))
+
+
+def stencil_checks(
+    imm: Immersion, p: tuple, step: float = 1e-3, with_canonical: bool = True
+) -> tuple:
+    """The report at the points of p and both FD checks, from one frame build.
+
+    One batched call builds the frames of the 13 nested-stencil nodes of
+    every point; row 0 holds the points themselves and rows 0-4 their
+    5-point stencils.  Returns (report, (K, KD) from the structure
+    equations, Codazzi residual).  For a batch of points these equal
+    point_report without the ellipse, structure_equation_check and
+    codazzi_residual bit for bit; at a single point the report rounds as a
+    batch node does.  The report's frames carry no jets.
+    """
+    nodes = _stencil_nodes(p, step, _NESTED_NODES)
+    fr = build_frames(imm, nodes)
+    h = second_fundamental_form(imm, nodes, fr)
+    m = fr.metric
+    center = FrameData(
+        fr.e1[0], fr.e2[0], fr.e3[0], fr.e4[0], MetricCoeffs(m.E[0], m.F[0], m.G[0]),
+        fr.scan[0], fr.flipped[0],
+    )
+    rep = _report(imm, center, SecondFF(*(v[0] for v in h.components())), with_canonical, False)
+    return rep, _structure(fr, p, step), _codazzi(fr, h, step)

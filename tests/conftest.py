@@ -1,3 +1,6 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
 from neutralsurf import curvature
@@ -20,3 +23,27 @@ def scale_h12(monkeypatch):
         monkeypatch.setattr(curvature, "second_fundamental_form", corrupted)
 
     return scale
+
+
+@pytest.fixture
+def switch_branch(monkeypatch):
+    """Fault injection: frames the curvature module builds record the other
+    scan branch at nodes within 3 steps of a target point, on its +s side.
+
+    Returns a function of the target (s, t) and the step; the fault lasts
+    for the test.
+    """
+
+    def switch(target: tuple, step: float) -> None:
+        original = curvature.build_frames
+
+        def switched(imm, p):
+            fr = original(imm, p)
+            s, t = p
+            near = (np.abs(s - target[0]) < 3 * step) & (np.abs(t - target[1]) < 3 * step)
+            swap = near & (s > target[0] + 0.5 * step)
+            return dataclasses.replace(fr, scan=np.where(swap[..., None], fr.scan[..., ::-1], fr.scan))
+
+        monkeypatch.setattr(curvature, "build_frames", switched)
+
+    return switch

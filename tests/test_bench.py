@@ -25,10 +25,11 @@ def test_tiny_traced_run_is_correct(workload):
         # a 9x9 grid fits one block: one point_report call per sample
         assert metrics["curvature.point_report.calls"] == metrics["fields.sample_surface.calls"]
     if workload == "verify_catalog":
-        # one batched call of each finite-difference check per verify report
-        reports = metrics["cli.build_verification_report.calls"]
-        assert metrics["curvature.structure_equation_check.calls"] == reports
-        assert metrics["curvature.codazzi_residual.calls"] == reports
+        # one frame build per 9x9 grid block and one nested-stencil build
+        # per report, which serves the report at the FD points and both FD checks
+        assert metrics["curvature.build_frames.calls"] == (
+            metrics["fields.sample_surface.calls"] + metrics["cli.build_verification_report.calls"]
+        )
     if workload == "point_probe":
         # the tracer counts constructions by patching Jet2.__init__ and
         # PVector.__post_init__; a count of 0 means construction bypasses them

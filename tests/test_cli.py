@@ -3,7 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from neutralsurf.cli import main
+from neutralsurf.catalog import from_definition
+from neutralsurf.cli import _fd_sample_points, main
+from neutralsurf.curvature import point_report
+from neutralsurf.errors import DegeneracyError
+from neutralsurf.expr import parse_surface
 from neutralsurf.fields import grid_from_csv, grid_from_json
 
 PHI_FILE = """\
@@ -146,6 +150,31 @@ class TestVerify:
         )
         assert code == 1
         assert "FAIL" in out
+
+    def test_fault_in_h12_fails_codazzi(self, capsys, scale_h12):
+        scale_h12(1.1)
+        code, out, _ = run(capsys, "verify", "phi_h42")
+        assert code == 1
+        assert "[FAIL] codazzi residual" in out
+
+    def test_branch_switch_at_an_fd_point_exit_3(self, capsys, switch_branch):
+        switch_branch((0.9, 0.0), 1e-3)  # one of the 9 FD points of phi_h42
+        code, out, err = run(capsys, "verify", "phi_h42")
+        assert code == 3
+        assert out == ""
+        assert err == "error: frame branch switch within the stencil at (s,t)=(0.9, 0.0)\n"
+
+    def test_failing_fd_point_is_named_as_point_report_names_it(self, capsys, tmp_path):
+        # E = s^4 vanishes on s = 0 only: the 4x4 grid misses it, the FD points (0, t) do not
+        path = tmp_path / "cusp.surface"
+        path.write_text("ambient E(2,2)\ndomain -1:1, -1:1\nx1 = 0\nx2 = 0\nx3 = s^3/3\nx4 = t\n")
+        code, out, err = run(capsys, "verify", "--file", str(path), "--grid", "4x4")
+        imm = from_definition(parse_surface(path.read_text(), name="cusp"))
+        with pytest.raises(DegeneracyError) as at_points:
+            point_report(imm, _fd_sample_points(imm.domain, 1e-3))
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {at_points.value}\n"
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "verify", "random_polynomial", "--seed", "3", "--grid", "7x7", "--format", "json")

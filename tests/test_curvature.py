@@ -19,8 +19,10 @@ from neutralsurf.curvature import (
     point_report,
     second_fundamental_form,
     shape_operators,
+    stencil_checks,
     structure_equation_check,
 )
+from neutralsurf.cli import _fd_sample_points
 from neutralsurf.errors import DegeneracyError
 from neutralsurf.expr import parse_surface
 from neutralsurf.pseudo_linalg import PVector, Signature, Sym2, inner
@@ -515,19 +517,10 @@ class TestStructureEquations:
                 at_q = dataclasses.astuple(connection_forms(imm, q))
                 assert np.allclose(at_q, forms[:, i], rtol=0, atol=1e-12), name
 
-    def test_branch_switch_in_a_batch_names_that_point(self, monkeypatch):
+    def test_branch_switch_in_a_batch_names_that_point(self, switch_branch):
         imm = catalog_get("phi_h42")
-        target, step = (-0.2, 0.5), 1e-3
-
-        def switched(imm, p):
-            """Frames with the scan pair swapped at nodes on the +s side of target."""
-            fr = build_frames(imm, p)
-            s, t = p
-            near = (np.abs(s - target[0]) < 3 * step) & (np.abs(t - target[1]) < 3 * step)
-            swap = near & (s > target[0] + 0.5 * step)
-            return dataclasses.replace(fr, scan=np.where(swap[..., None], fr.scan[..., ::-1], fr.scan))
-
-        monkeypatch.setattr(curvature, "build_frames", switched)
+        target = (-0.2, 0.5)
+        switch_branch(target, 1e-3)
         points = (np.array([0.3, target[0], 0.1]), np.array([-0.4, target[1], 0.0]))
         for check in (curvature.structure_equation_check, curvature.connection_forms):
             with pytest.raises(DegeneracyError) as at_point:
@@ -644,6 +637,23 @@ class TestStackedStages:
             got = dataclasses.astuple(connection_forms(imm, p))
             want = dataclasses.astuple(connection_forms_per_component(imm, p))
             assert np.max(np.abs(np.subtract(got, want))) <= 1e-15
+
+
+class TestStencilChecks:
+    """One frame build serves the report at the points and both FD checks."""
+
+    @pytest.mark.parametrize("name", sorted(STACKED_SURFACES))
+    def test_equals_the_separate_calls_bit_for_bit(self, name):
+        imm = TestStackedStages.surface(name)
+        p = _fd_sample_points(imm.domain, 1e-3)
+        rep, structure, codazzi = stencil_checks(imm, p, 1e-3)
+        want = point_report(imm, p)
+        for key in ("K", "KD", "H2", "defect"):
+            assert np.array_equal(getattr(rep, key), getattr(want, key)), key
+        assert np.array_equal(rep.canonical.residual, want.canonical.residual)
+        for got, expected in zip(structure, structure_equation_check(imm, p, 1e-3)):
+            assert np.array_equal(got, expected)
+        assert np.array_equal(codazzi, codazzi_residual(imm, p, 1e-3))
 
 
 class TestAmbientCurvature:

@@ -15,6 +15,9 @@ transcendental functions differently needs its own recording.
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -56,6 +59,27 @@ def test_report_matches_golden(name, tmp_path):
     code, report = run_case(name, tmp_path)
     assert code == json.loads(EXIT_CODES.read_text())[name]
     assert report == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_one_process_prints_what_fresh_processes_print(tmp_path):
+    """main builds its parser once per process; a usage error, a listing
+    and two verify reports in a row read as each does alone."""
+    codes = json.loads(EXIT_CODES.read_text())
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    for argv in (["verify", "--grid", "1x1"], ["list"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "neutralsurf.cli", *argv], capture_output=True, env=env, timeout=120
+        )
+        assert (code, out.getvalue().encode(), err.getvalue().encode()) == (
+            fresh.returncode, fresh.stdout, fresh.stderr
+        )
+    for name in ("verify_phi_h42", "verify_holomorphic_graph_z2"):
+        code, report = run_case(name, tmp_path)
+        assert code == codes[name]
+        assert report == (GOLDEN / f"{name}.out").read_bytes()
 
 
 def record() -> None:
