@@ -38,14 +38,12 @@ from .errors import (
     PreconditionError,
     SingularityError,
 )
-from .expr import SurfaceDefinition, eval_on_jets, expr_to_text, parse_expression, parse_surface
+from .expr import SurfaceDefinition, eval_on_jets, parse_expression, parse_surface
 from .fields import (
     GridField,
     LaplacianReport,
     SurfaceSample,
     convergence_ratios,
-    grid_from_csv,
-    grid_from_json,
     grid_to_csv,
     grid_to_json,
     harmonicity_verdict,

@@ -66,6 +66,14 @@ class JetPoint(Record):
     def _vector(self, k: int) -> PVector:
         return PVector(self._rows(k), self.ambient.signature)
 
+    def _take(self, nodes) -> "JetPoint":
+        """The jets at nodes, an index or index array into the leading node axis."""
+        table = self._rows(slice(None))[:, nodes]
+        jp = JetPoint(self.ambient, tuple(Jet2(*table[..., i]) for i in range(table.shape[-1])))
+        table.flags.writeable = False
+        jp._shape, jp._table = table.shape[1:-1], table
+        return jp
+
     def position(self) -> PVector:
         return self._vector(0)
 
@@ -74,15 +82,6 @@ class JetPoint(Record):
 
     def velocity_t(self) -> PVector:
         return self._vector(2)
-
-    def accel_ss(self) -> PVector:
-        return self._vector(3)
-
-    def accel_st(self) -> PVector:
-        return self._vector(4)
-
-    def accel_tt(self) -> PVector:
-        return self._vector(5)
 
 
 class MetricCoeffs(Record):
@@ -158,7 +157,11 @@ def check_membership(imm: Immersion, points: list[tuple[float, float]]) -> float
     if imm.ambient.is_flat:
         raise InputMismatchError("membership check only applies to non-flat ambients")
     s, t = np.reshape(np.asarray(points, dtype=float), (-1, 2)).T
-    x = imm.evaluate(s, t).position()
+    return _membership_residual(imm, imm.evaluate(s, t).position())
+
+
+def _membership_residual(imm: Immersion, x: PVector) -> float:
+    """Max over the nodes of the positions x of |<x,x> - 1/c|."""
     return float(np.max(np.abs(inner(x, x) - imm.ambient.membership_target), initial=0.0))
 
 
@@ -346,9 +349,9 @@ def _umbilical_eval(
 
 def _build_umbilical_flat(params: dict) -> Immersion:
     params = dict(params)
-    radius = float(params.pop("radius", 1.0))
+    radius = _number(float, params.pop("radius", 1.0), math.nan)
     _reject_params("umbilical_flat", params)
-    if radius <= 0:
+    if not radius > 0:
         raise InputMismatchError("umbilical_flat radius must be positive")
     ambient = AmbientSpace.flat()
     k = -1.0 / (radius * radius)
@@ -403,8 +406,11 @@ def _random_poly_eval(
 
 def _build_random_polynomial(params: dict) -> Immersion:
     params = dict(params)
-    seed_value = int(params.pop("seed", 0))
-    amplitude = float(params.pop("amplitude", 0.1))
+    seed = params.pop("seed", 0)
+    seed_value = _number(int, seed, -1)
+    if seed_value < 0:
+        raise InputMismatchError(f"random_polynomial seed must be a non-negative integer, got {seed!r}")
+    amplitude = _number(float, params.pop("amplitude", 0.1), math.nan)
     _reject_params("random_polynomial", params)
     if not 0 < amplitude <= 0.1:
         raise InputMismatchError("random_polynomial amplitude must be in (0, 0.1]")
@@ -426,6 +432,14 @@ def _build_random_polynomial(params: dict) -> Immersion:
     raise DegeneracyError(
         f"random_polynomial seed={seed_value}: no space-like sample in 100 tries"
     )
+
+
+def _number(cast, value, invalid):
+    """cast(value), or invalid, which the caller rejects, when value is not a number."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        return invalid
 
 
 def _reject_params(name: str, params: dict) -> None:

@@ -19,12 +19,12 @@ import numpy as np
 from .ambient import DomainRect
 from .catalog import (
     Immersion,
+    _membership_residual,
     catalog_entries,
     catalog_get,
-    check_membership,
     from_definition,
 )
-from .curvature import stencil_checks
+from .curvature import _nested_stencil, _stencil_checks
 from .errors import (
     DegeneracyError,
     FieldDomainError,
@@ -35,11 +35,11 @@ from .errors import (
 )
 from .expr import parse_surface
 from .fields import (
+    _sample,
     grid_to_csv,
     grid_to_json,
     resolve_identity,
     sample_field,
-    sample_surface,
     verify_identity,
 )
 
@@ -203,7 +203,13 @@ def build_verification_report(
     tols: dict,
 ) -> dict:
     domain = domain or imm.domain
-    sample = sample_surface(imm, grid, domain)
+    step = tols["fd_step"]
+    fd_points = _fd_sample_points(domain, step)
+    # one pipeline pass: the grid with the nested FD stencils of the FD points
+    # in its last block; the grid's positions serve the membership check
+    sample, positions, (fd_frames, fd_h) = _sample(
+        imm, grid, domain, _nested_stencil(fd_points, step), positions=not imm.ambient.is_flat
+    )
     checks: list[dict] = []
 
     def add_check(name: str, value: float, tolerance: float, passed: bool):
@@ -227,9 +233,7 @@ def build_verification_report(
 
     membership = None
     if not imm.ambient.is_flat:
-        ss, ts = domain.grid(*grid)
-        points = [(float(s), float(t)) for s in ss[:: max(1, grid[0] // 8)] for t in ts[:: max(1, grid[1] // 8)]]
-        membership = check_membership(imm, points)
+        membership = _membership_residual(imm, positions[:: max(1, grid[0] // 8), :: max(1, grid[1] // 8)])
         add_check(
             "membership (|<x,x> - 1/c| max)",
             membership,
@@ -275,10 +279,9 @@ def build_verification_report(
             ok,
         )
 
-    step = tols["fd_step"]
-    fd_points = _fd_sample_points(domain, step)
-    # the report at the FD points and both FD checks come from one frame build
-    rep, (kw, kdw), codazzi = stencil_checks(imm, fd_points, step, with_canonical=equality)
+    rep, (kw, kdw), codazzi = _stencil_checks(
+        imm, fd_frames, fd_h, fd_points, step, with_canonical=equality
+    )
     # canonical frame residual where the surface achieves equality
     if equality:
         canonical_max = float(np.max(rep.canonical.residual[::2]))

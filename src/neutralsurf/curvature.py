@@ -17,13 +17,16 @@ floats or arrays, and each field then holds one value per node.  The
 finite-difference checks evaluate the stencils of all their points in one
 batched call, and stencil_checks gets the report at the points and both
 checks from one build of the 13-node nested stencil, which holds the
-5-point stencil and its center.  Inside a stage the vectors are (..., dim)
-coordinate arrays under the signature's weights, stacked so that one array
-operation serves all components (the three accelerations, the entries of
-A3, the directions of a stencil); PVectors are built only for what a stage
-hands on.  At a single point a stacked inner product rounds through a
-matrix-vector product rather than a dot product, which may move the last
-bits; batch values do not depend on the stacking.
+5-point stencil and its center.  verify appends those nodes to its grid
+batch and reads them back with FrameData._take.  Inside a stage the
+vectors are (..., dim) coordinate arrays under the signature's weights,
+stacked so that one array operation serves all components (the three
+accelerations, the entries of A3, the directions of a stencil); PVectors
+are built only for what a stage hands on.  At a single point a stacked
+inner product rounds through a matrix-vector product rather than a dot
+product, which may move the last bits, and so does a batch whose last
+axis holds one node; otherwise a node's values depend neither on the
+stacking nor on the batch it is in.
 """
 
 from __future__ import annotations
@@ -102,6 +105,15 @@ class FrameData:
     flipped: bool | np.ndarray
     jets: JetPoint | None = None
 
+    def _take(self, nodes) -> "FrameData":
+        """The frames at nodes, an index or index array into the leading node axis."""
+        m = self.metric
+        return FrameData(
+            self.e1[nodes], self.e2[nodes], self.e3[nodes], self.e4[nodes],
+            MetricCoeffs(m.E[nodes], m.F[nodes], m.G[nodes]), self.scan[nodes], self.flipped[nodes],
+            self.jets._take(nodes),
+        )
+
 
 class SecondFF(Record):
     """Normal-valued second fundamental form components in the frame basis."""
@@ -115,6 +127,10 @@ class SecondFF(Record):
 
     def components(self) -> tuple[PVector, PVector, PVector]:
         return (self.h11, self.h12, self.h22)
+
+    def _take(self, nodes) -> "SecondFF":
+        """h at nodes, an index or index array into the leading node axis."""
+        return SecondFF(self.h11[nodes], self.h12[nodes], self.h22[nodes])
 
 
 class CanonicalFrame(Record):
@@ -532,7 +548,7 @@ def structure_equation_check(
     form) at each point of p, which must reproduce K and KD.  One batched
     call builds the frames of the 13 distinct nested-stencil nodes of every point.
     """
-    return _structure(build_frames(imm, _stencil_nodes(p, step, _NESTED_NODES)), p, step)
+    return _structure(build_frames(imm, _nested_stencil(p, step)), p, step)
 
 
 def _structure(fr: FrameData, p: tuple, step: float) -> tuple:
@@ -583,6 +599,11 @@ def _codazzi(fr: FrameData, h: SecondFF, step: float) -> np.ndarray:
     return np.maximum(np.linalg.norm(r1, axis=-1), np.linalg.norm(r2, axis=-1))
 
 
+def _nested_stencil(p: tuple, step: float) -> tuple:
+    """(s, t) arrays of the 13 nested-stencil nodes of every point of p, shape (13,) + batch shape."""
+    return _stencil_nodes(p, step, _NESTED_NODES)
+
+
 def stencil_checks(
     imm: Immersion, p: tuple, step: float = 1e-3, with_canonical: bool = True
 ) -> tuple:
@@ -594,15 +615,16 @@ def stencil_checks(
     equations, Codazzi residual).  For a batch of points these equal
     point_report without the ellipse, structure_equation_check and
     codazzi_residual bit for bit; at a single point the report rounds as a
-    batch node does.  The report's frames carry no jets.
+    batch node does.
     """
-    nodes = _stencil_nodes(p, step, _NESTED_NODES)
+    nodes = _nested_stencil(p, step)
     fr = build_frames(imm, nodes)
-    h = second_fundamental_form(imm, nodes, fr)
-    m = fr.metric
-    center = FrameData(
-        fr.e1[0], fr.e2[0], fr.e3[0], fr.e4[0], MetricCoeffs(m.E[0], m.F[0], m.G[0]),
-        fr.scan[0], fr.flipped[0],
-    )
-    rep = _report(imm, center, SecondFF(*(v[0] for v in h.components())), with_canonical, False)
+    return _stencil_checks(imm, fr, second_fundamental_form(imm, nodes, fr), p, step, with_canonical)
+
+
+def _stencil_checks(
+    imm: Immersion, fr: FrameData, h: SecondFF, p: tuple, step: float, with_canonical: bool
+) -> tuple:
+    """stencil_checks from the frames and h of the nested stencils of p, in _nested_stencil's shape."""
+    rep = _report(imm, fr._take(0), h._take(0), with_canonical, False)
     return rep, _structure(fr, p, step), _codazzi(fr, h, step)

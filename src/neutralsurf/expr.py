@@ -26,7 +26,6 @@ from .records import Record, ValueRecord
 
 _BIN_PREC = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 40}
 _UNARY_PREC = 30
-_ATOM_PREC = 100
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 _FUNCTION_ARITY = {name: 1 for name in FUNCTIONS} | {"pow": 2}
@@ -327,57 +326,6 @@ def eval_numeric(node: Expr, env: dict):
             raise ExprSyntaxError(node.line, node.col, "exponent must be an integer here")
         return a ** int(b)
     raise ExprSyntaxError(node.line, node.col, "function calls are not allowed here")
-
-
-# -- printing ----------------------------------------------------------
-
-
-def _prec_of(node: Expr) -> int:
-    if isinstance(node, BinOp):
-        return _BIN_PREC[node.op]
-    if isinstance(node, Neg):
-        return _UNARY_PREC
-    return _ATOM_PREC
-
-
-def expr_to_text(node: Expr) -> str:
-    return _print(node, 0)
-
-
-def _print(node: Expr, min_prec: int) -> str:
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        text = "-" + _print(node.operand, _UNARY_PREC)
-    elif isinstance(node, BinOp):
-        prec = _BIN_PREC[node.op]
-        text = f"{_print(node.left, prec)} {node.op} {_print(node.right, prec + 1)}"
-    elif isinstance(node, Call):
-        text = f"{node.fn}({', '.join(_print(a, 0) for a in node.args)})"
-    else:
-        raise TypeError(f"not an expression node: {node!r}")
-    if _prec_of(node) < min_prec:
-        return f"({text})"
-    return text
-
-
-def definition_to_text(defn: SurfaceDefinition) -> str:
-    """Render a definition back to the file format (parse-stable)."""
-    amb = defn.ambient
-    neg = amb.signature.negative_count
-    pos = amb.signature.total_dim - neg
-    if amb.is_flat:
-        head = f"ambient E({neg},{pos})"
-    else:
-        letter = "S" if amb.kind == "pseudo_sphere" else "H"
-        head = f"ambient {letter}({neg},{pos}; {amb.curvature!r})"
-    d = defn.domain
-    lines = [head, f"domain {d.s0!r}:{d.s1!r}, {d.t0!r}:{d.t1!r}"]
-    for k, comp in enumerate(defn.components, start=1):
-        lines.append(f"x{k} = {expr_to_text(comp)}")
-    return "\n".join(lines) + "\n"
 
 
 # -- surface files -----------------------------------------------------

@@ -25,6 +25,7 @@ from .ambient import DomainRect
 from .catalog import Immersion
 from .curvature import point_report
 from .errors import FieldDomainError, InputMismatchError, PreconditionError
+from .pseudo_linalg import PVector
 from .records import Record
 
 # log quantity -> shift in ln(K + shift)
@@ -171,19 +172,53 @@ def sample_surface(
     batched point_report call per block.  Blocks are consecutive s-rows,
     so an error names the first offending node in s-major order.
     """
+    return _sample(imm, grid, domain)[0]
+
+
+def _sample(
+    imm: Immersion,
+    grid: tuple[int, int],
+    domain: DomainRect | None,
+    extra: tuple | None = None,
+    positions: bool = False,
+) -> tuple:
+    """sample_surface, with the grid's positions and the frames and h of extra nodes.
+
+    Each block is one flat batch of its nodes in s-major order; the nodes
+    of extra, an (s, t) pair of arrays, join the last block after its grid
+    nodes, so the whole pass makes one point_report call per block.  A
+    node's values do not depend on its batch, and an error names the first
+    offending grid node before any extra node.  Returns (sample, positions
+    as an (nx, ny) PVector when asked, else None, (frames, h) at extra in
+    its shape, else None).
+    """
     domain = domain or imm.domain
     nx, ny = grid
     ss, ts = domain.grid(nx, ny)
     blocks = []
-    for rows in np.array_split(ss, min(nx, math.ceil(nx * ny / _BLOCK_NODES))):
-        rep = point_report(imm, np.meshgrid(rows, ts, indexing="ij"), with_canonical=False)
+    chunks = np.array_split(ss, min(nx, math.ceil(nx * ny / _BLOCK_NODES)))
+    for k, rows in enumerate(chunks, 1):
+        s, t = (x.ravel() for x in np.meshgrid(rows, ts, indexing="ij"))
+        n = s.size
+        if extra is not None and k == len(chunks):
+            s, t = (np.concatenate([a, np.ravel(b)]) for a, b in zip((s, t), extra))
+        rep = point_report(imm, (s, t), with_canonical=False)
         metric, norms = rep.frames.metric, [v.euclid_norm() for v in rep.h.components()]
         # in the order of SurfaceSample's fields after imm, domain, nx, ny
-        blocks.append((
+        fields = (
             rep.K, rep.KD, rep.H2, rep.defect, metric.E, metric.F, metric.G,
             rep.H.euclid_norm(), np.max(norms, axis=0), rep.ellipse.is_circle, rep.ellipse.is_point,
-        ))
-    return SurfaceSample(imm, domain, nx, ny, *(np.concatenate(field) for field in zip(*blocks)))
+        )
+        if positions:
+            fields += (rep.frames.jets._rows(0),)
+        blocks.append([f[:n] for f in fields])
+    fields = [np.concatenate(f).reshape(nx, ny, *f[0].shape[1:]) for f in zip(*blocks)]
+    x = PVector(fields.pop(), imm.ambient.signature) if positions else None
+    taken = None
+    if extra is not None:
+        nodes = n + np.arange(np.size(extra[0])).reshape(np.shape(extra[0]))
+        taken = rep.frames._take(nodes), rep.h._take(nodes)
+    return SurfaceSample(imm, domain, nx, ny, *fields), x, taken
 
 
 def _log_field(base: np.ndarray, shift: float, sample: SurfaceSample, label: str) -> np.ndarray:
@@ -446,23 +481,6 @@ def grid_to_csv(f: GridField) -> str:
     return "".join(lines)
 
 
-def grid_from_csv(text: str) -> GridField:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines or lines[0] != "s,t,value,E,F,G":
-        raise InputMismatchError("not a grid CSV: missing 's,t,value,E,F,G' header")
-    rows = [[float(x) for x in ln.split(",")] for ln in lines[1:]]
-    data = np.array(rows)
-    s_vals = data[:, 0]
-    ny = int(np.argmax(s_vals != s_vals[0])) or len(s_vals)
-    nx = len(rows) // ny
-    if nx * ny != len(rows):
-        raise InputMismatchError("grid CSV is not a full rectangular grid")
-    dom = DomainRect(s_vals[0], s_vals[-1], data[0, 1], data[ny - 1, 1])
-    def shaped(k):
-        return data[:, k].reshape(nx, ny)
-    return GridField(dom, nx, ny, shaped(2), shaped(3), shaped(4), shaped(5))
-
-
 def grid_to_json(f: GridField) -> str:
     payload = {
         "quantity": f.quantity,
@@ -475,18 +493,3 @@ def grid_to_json(f: GridField) -> str:
         "G": f.G.tolist(),
     }
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def grid_from_json(text: str) -> GridField:
-    payload = json.loads(text)
-    dom = DomainRect(*payload["domain"])
-    return GridField(
-        dom,
-        payload["nx"],
-        payload["ny"],
-        np.array(payload["values"]),
-        np.array(payload["E"]),
-        np.array(payload["F"]),
-        np.array(payload["G"]),
-        payload.get("quantity", "value"),
-    )

@@ -107,9 +107,6 @@ class PVector:
     def inner(self, other: "PVector"):
         return inner(self, other)
 
-    def self_inner(self):
-        return inner(self, self)
-
     def euclid_norm(self):
         return np.linalg.norm(self.coords, axis=-1)
 

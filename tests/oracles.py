@@ -14,6 +14,7 @@ batch.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -23,6 +24,8 @@ from neutralsurf.ambient import AmbientSpace, DomainRect
 from neutralsurf.catalog import Immersion, JetPoint, MetricCoeffs, metric_from_velocities
 from neutralsurf.curvature import CanonicalFrame, ConnectionSample, FrameData, SecondFF
 from neutralsurf.errors import InputMismatchError
+from neutralsurf.expr import _BIN_PREC, _UNARY_PREC, BinOp, Call, Expr, Neg, Num, SurfaceDefinition, Var
+from neutralsurf.fields import GridField
 from neutralsurf.jets import Jet2, jpow, seed
 from neutralsurf.pseudo_linalg import (
     LIGHTLIKE_RTOL,
@@ -129,7 +132,7 @@ def ellipse_sweep(h: SecondFF, center: PVector, samples: int = 360):
 
 def causal_character(v: PVector) -> str:
     """Space-like, time-like or light-like, by the sign of <v,v> relative to |v|^2."""
-    q = v.self_inner()
+    q = self_inner(v)
     scale = float(np.dot(v.coords, v.coords))
     if scale == 0.0:
         raise InputMismatchError("zero vector has no causal character")
@@ -249,7 +252,7 @@ def _tangent_coeffs(fr: FrameData) -> tuple:
 def second_fundamental_form_per_component(fr: FrameData) -> SecondFF:
     """h from the jets of fr, one normal projection per acceleration."""
     jp = fr.jets
-    hss, hst, htt = (_normal_part(x, fr.e3, fr.e4) for x in (jp.accel_ss(), jp.accel_st(), jp.accel_tt()))
+    hss, hst, htt = (_normal_part(x, fr.e3, fr.e4) for x in (accel_ss(jp), accel_st(jp), accel_tt(jp)))
     a, b, c = _tangent_coeffs(fr)
     return SecondFF(
         (a * a) * hss,
@@ -367,3 +370,111 @@ def canonical_two_candidates(a3: Sym2, a4: Sym2) -> CanonicalFrame:
     return CanonicalFrame(
         *(np.where(keep, getattr(plain, f), getattr(flipped, f))[()] for f in CanonicalFrame._fields)
     )
+
+
+# -- accessors and serializers the engine does not use -------------------
+
+
+def accel_ss(jp: JetPoint) -> PVector:
+    return jp._vector(3)
+
+
+def accel_st(jp: JetPoint) -> PVector:
+    return jp._vector(4)
+
+
+def accel_tt(jp: JetPoint) -> PVector:
+    return jp._vector(5)
+
+
+def self_inner(v: PVector):
+    return inner(v, v)
+
+
+def grid_from_csv(text: str) -> GridField:
+    """The GridField a grid_to_csv text holds."""
+    lines = [ln for ln in text.strip().splitlines() if ln]
+    if not lines or lines[0] != "s,t,value,E,F,G":
+        raise InputMismatchError("not a grid CSV: missing 's,t,value,E,F,G' header")
+    rows = [[float(x) for x in ln.split(",")] for ln in lines[1:]]
+    data = np.array(rows)
+    s_vals = data[:, 0]
+    ny = int(np.argmax(s_vals != s_vals[0])) or len(s_vals)
+    nx = len(rows) // ny
+    if nx * ny != len(rows):
+        raise InputMismatchError("grid CSV is not a full rectangular grid")
+    dom = DomainRect(s_vals[0], s_vals[-1], data[0, 1], data[ny - 1, 1])
+
+    def shaped(k):
+        return data[:, k].reshape(nx, ny)
+
+    return GridField(dom, nx, ny, shaped(2), shaped(3), shaped(4), shaped(5))
+
+
+def grid_from_json(text: str) -> GridField:
+    """The GridField a grid_to_json text holds."""
+    payload = json.loads(text)
+    dom = DomainRect(*payload["domain"])
+    return GridField(
+        dom,
+        payload["nx"],
+        payload["ny"],
+        np.array(payload["values"]),
+        np.array(payload["E"]),
+        np.array(payload["F"]),
+        np.array(payload["G"]),
+        payload.get("quantity", "value"),
+    )
+
+
+# -- expression printer: parse(expr_to_text(ast)) == ast ------------------
+
+_ATOM_PREC = 100
+
+
+def _prec_of(node: Expr) -> int:
+    if isinstance(node, BinOp):
+        return _BIN_PREC[node.op]
+    if isinstance(node, Neg):
+        return _UNARY_PREC
+    return _ATOM_PREC
+
+
+def expr_to_text(node: Expr) -> str:
+    return _print(node, 0)
+
+
+def _print(node: Expr, min_prec: int) -> str:
+    if isinstance(node, Num):
+        return repr(node.value)
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, Neg):
+        text = "-" + _print(node.operand, _UNARY_PREC)
+    elif isinstance(node, BinOp):
+        prec = _BIN_PREC[node.op]
+        text = f"{_print(node.left, prec)} {node.op} {_print(node.right, prec + 1)}"
+    elif isinstance(node, Call):
+        text = f"{node.fn}({', '.join(_print(a, 0) for a in node.args)})"
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    if _prec_of(node) < min_prec:
+        return f"({text})"
+    return text
+
+
+def definition_to_text(defn: SurfaceDefinition) -> str:
+    """Render a definition back to the file format (parse-stable)."""
+    amb = defn.ambient
+    neg = amb.signature.negative_count
+    pos = amb.signature.total_dim - neg
+    if amb.is_flat:
+        head = f"ambient E({neg},{pos})"
+    else:
+        letter = "S" if amb.kind == "pseudo_sphere" else "H"
+        head = f"ambient {letter}({neg},{pos}; {amb.curvature!r})"
+    d = defn.domain
+    lines = [head, f"domain {d.s0!r}:{d.s1!r}, {d.t0!r}:{d.t1!r}"]
+    for k, comp in enumerate(defn.components, start=1):
+        lines.append(f"x{k} = {expr_to_text(comp)}")
+    return "\n".join(lines) + "\n"

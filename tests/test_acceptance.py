@@ -24,14 +24,14 @@ from neutralsurf.curvature import (
     structure_equation_check,
 )
 from neutralsurf.errors import ExprSyntaxError, PreconditionError
-from neutralsurf.expr import expr_to_text, parse_expression, parse_surface
+from neutralsurf.expr import parse_expression, parse_surface
 from neutralsurf.fields import (
     convergence_ratios,
     sample_surface,
     verify_identity,
 )
 from neutralsurf.pseudo_linalg import Sym2
-from oracles import as_array, ellipse_sweep, rotate_pair, wintgen_defect_formula
+from oracles import as_array, ellipse_sweep, expr_to_text, rotate_pair, wintgen_defect_formula
 
 PHI_FILE = """\
 ambient H(3,2; -1)

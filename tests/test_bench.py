@@ -25,11 +25,14 @@ def test_tiny_traced_run_is_correct(workload):
         # a 9x9 grid fits one block: one point_report call per sample
         assert metrics["curvature.point_report.calls"] == metrics["fields.sample_surface.calls"]
     if workload == "verify_catalog":
-        # one frame build per 9x9 grid block and one nested-stencil build
-        # per report, which serves the report at the FD points and both FD checks
-        assert metrics["curvature.build_frames.calls"] == (
-            metrics["fields.sample_surface.calls"] + metrics["cli.build_verification_report.calls"]
-        )
+        # one pipeline pass per report: the 9x9 grid and the nested FD stencils
+        # share one frame build and one evaluation, and the membership check
+        # reads the grid's positions; catalog_get's space-like validation
+        # evaluates once per try
+        reports = metrics["cli.build_verification_report.calls"]
+        assert metrics["curvature.build_frames.calls"] == reports
+        assert metrics["catalog.evaluate.calls"] == reports + metrics["catalog.validate.tries"]
+        assert metrics["catalog.check_membership.calls"] == 0
     if workload == "point_probe":
         # the tracer counts constructions by patching Jet2.__init__ and
         # PVector.__post_init__; a count of 0 means construction bypasses them

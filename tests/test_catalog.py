@@ -16,7 +16,7 @@ from neutralsurf.catalog import (
 from neutralsurf.errors import DegeneracyError, InputMismatchError
 from neutralsurf.expr import parse_surface
 from neutralsurf.jets import FIELDS
-from oracles import bits, induced_metric, random_polynomial_reference
+from oracles import accel_ss, accel_st, accel_tt, bits, induced_metric, random_polynomial_reference
 
 
 def scaled_copy(imm: Immersion, factor: float) -> Immersion:
@@ -48,7 +48,7 @@ class TestCatalogGet:
         # f(z) = 2z: affine graph, all second derivatives vanish
         imm = catalog_get("holomorphic_graph", {"f": "2*z"})
         jp = imm.evaluate(1.5, 1.0)
-        for acc in (jp.accel_ss(), jp.accel_st(), jp.accel_tt()):
+        for acc in (accel_ss(jp), accel_st(jp), accel_tt(jp)):
             assert acc.euclid_norm() <= 1e-12
 
     def test_unknown_name(self):
@@ -90,6 +90,21 @@ class TestCatalogGet:
         pc = c.evaluate(0.3, -0.2).position().coords
         assert np.array_equal(pa, pb)
         assert not np.array_equal(pa, pc)
+
+    @pytest.mark.parametrize(
+        "name,params,message",
+        [
+            ("random_polynomial", {"seed": -1}, "seed must be a non-negative integer, got -1"),
+            ("random_polynomial", {"seed": "x"}, "seed must be a non-negative integer, got 'x'"),
+            ("random_polynomial", {"amplitude": "x"}, "amplitude must be in (0, 0.1]"),
+            ("umbilical_flat", {"radius": "x"}, "radius must be positive"),
+        ],
+    )
+    def test_invalid_parameter_is_an_input_mismatch(self, name, params, message):
+        # not a ValueError from numpy or float(): the CLI maps this error to exit 2
+        with pytest.raises(InputMismatchError) as exc:
+            catalog_get(name, params)
+        assert message in str(exc.value)
 
 
 class TestMembership:
@@ -208,7 +223,7 @@ def test_shared_powers_equal_jpow_monomials(seed):
                 assert bits(getattr(a, name)) == bits(getattr(b, name)), (seed, k, name)
 
 
-VECTORS = ("position", "velocity_s", "velocity_t", "accel_ss", "accel_st", "accel_tt")
+VECTORS = (JetPoint.position, JetPoint.velocity_s, JetPoint.velocity_t, accel_ss, accel_st, accel_tt)
 
 
 class TestJetPointTable:
@@ -219,12 +234,12 @@ class TestJetPointTable:
         imm = catalog_get(name, params)
         for p in nodes(imm):
             jp = imm.evaluate(*p)
-            for method, field in zip(VECTORS, FIELDS):
+            for vector, field in zip(VECTORS, FIELDS):
                 # the construction before packing: broadcast each component, stack
                 stacked = np.stack(
                     [np.broadcast_to(getattr(c, field), jp.shape) for c in jp.components], axis=-1
                 )
-                assert bits(getattr(jp, method)().coords) == bits(stacked), (name, method)
+                assert bits(vector(jp).coords) == bits(stacked), (name, vector.__name__)
 
     def test_scalar_component_is_broadcast(self):
         # flat_L's third component is the constant zero jet with float fields
@@ -232,17 +247,17 @@ class TestJetPointTable:
         s, t = nodes(imm)[1]
         jp = imm.evaluate(s, t)
         assert all(np.ndim(getattr(jp.components[2], f)) == 0 for f in FIELDS)
-        for method in VECTORS:
-            coords = getattr(jp, method)().coords
+        for vector in VECTORS:
+            coords = vector(jp).coords
             assert coords.shape == s.shape + (5,)
             assert bits(coords[..., 2]) == bits(np.zeros(s.shape))
 
-    @pytest.mark.parametrize("method", VECTORS)
-    def test_vectors_are_read_only(self, method):
+    @pytest.mark.parametrize("vector", VECTORS, ids=[v.__name__ for v in VECTORS])
+    def test_vectors_are_read_only(self, vector):
         imm = catalog_get("phi_h42")
         for p in nodes(imm):
             jp = imm.evaluate(*p)
-            v = getattr(jp, method)()
+            v = vector(jp)
             with pytest.raises(ValueError):
                 v.coords[..., 0] = 1.0
             with pytest.raises(ValueError):
@@ -276,8 +291,8 @@ class TestJetPointShape:
             want = np.broadcast_shapes(np.shape(s), np.shape(t))
             jp = imm.evaluate(s, t)
             assert jp.shape == want
-            for method in VECTORS:
-                assert getattr(jp, method)().coords.shape == want + (jp.ambient.signature.total_dim,)
+            for vector in VECTORS:
+                assert vector(jp).coords.shape == want + (jp.ambient.signature.total_dim,)
 
     def test_direct_construction_broadcasts_its_fields(self):
         # as a test double builds one: flat_L's components with the constant

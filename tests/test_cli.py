@@ -1,14 +1,18 @@
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from neutralsurf.catalog import from_definition
-from neutralsurf.cli import _fd_sample_points, main
-from neutralsurf.curvature import point_report
+from neutralsurf import fields
+from neutralsurf.catalog import _membership_residual, catalog_get, check_membership, from_definition
+from neutralsurf.cli import DEFAULT_TOLERANCES, _fd_sample_points, build_verification_report, main
+from neutralsurf.curvature import _nested_stencil, _stencil_checks, point_report, stencil_checks
 from neutralsurf.errors import DegeneracyError
 from neutralsurf.expr import parse_surface
-from neutralsurf.fields import grid_from_csv, grid_from_json
+from neutralsurf.fields import SurfaceSample, _sample, sample_surface
+from oracles import grid_from_csv, grid_from_json
 
 PHI_FILE = """\
 ambient H(3,2; -1)
@@ -176,6 +180,22 @@ class TestVerify:
         assert out == ""
         assert err == f"error: {at_points.value}\n"
 
+    @pytest.mark.parametrize("grid", ["33x33", "70x70"])
+    def test_degenerate_grid_names_the_first_s_major_node(self, capsys, tmp_path, grid):
+        # E = 1 - (s + 1/2)^2: not space-like from s = 1/2 on, which is in the
+        # second block of a 70x70 grid, before the FD points at s = 0.9
+        path = tmp_path / "band.surface"
+        path.write_text("ambient E(2,2)\ndomain -1:1, -1:1\nx1 = s^2/2 + s/2\nx2 = 0\nx3 = s\nx4 = t\n")
+        code, out, err = run(capsys, "verify", "--file", str(path), "--grid", grid)
+        imm = from_definition(parse_surface(path.read_text(), name="band"))
+        nx, ny = map(int, grid.split("x"))
+        with pytest.raises(DegeneracyError) as on_grid:
+            sample_surface(imm, (nx, ny))
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {on_grid.value}\n"
+        assert "not space-like at (s,t)=(0.5" in err
+
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "verify", "random_polynomial", "--seed", "3", "--grid", "7x7", "--format", "json")
         _, out2, _ = run(capsys, "verify", "random_polynomial", "--seed", "3", "--grid", "7x7", "--format", "json")
@@ -265,3 +285,75 @@ class TestUsageErrors:
         code, _, err = run(capsys, "verify")
         assert code == 2
         assert "required" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "random_polynomial"],
+            ["defect-map", "random_polynomial", "--out", "unused.csv"],
+            ["laplacian-check", "random_polynomial", "flat"],
+        ],
+    )
+    def test_negative_seed_exit_2(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv, "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: random_polynomial seed must be a non-negative integer, got -1\n"
+        assert not (tmp_path / "unused.csv").exists()
+
+
+DEFINITION_FILE = Path(__file__).resolve().parent.parent / "bench" / "data" / "phi_h42.txt"
+ONE_PASS_SURFACES = [
+    ("phi_h42", {}),
+    ("flat_L", {}),
+    ("totally_geodesic_h42", {}),
+    ("holomorphic_graph", {"f": "z^2/2"}),
+    ("umbilical_flat", {}),
+    *(("random_polynomial", {"seed": seed}) for seed in range(4)),
+    ("definition_file", None),
+]
+
+
+class TestOnePass:
+    """verify's single pipeline pass equals the separate public calls bit for bit."""
+
+    @pytest.mark.parametrize("grid", [(33, 33), (70, 70)], ids=["33x33", "70x70"])
+    @pytest.mark.parametrize(
+        "name,params", ONE_PASS_SURFACES, ids=[f"{n}-{p}" for n, p in ONE_PASS_SURFACES]
+    )
+    def test_equals_the_separate_calls(self, name, params, grid):
+        if params is None:
+            imm = from_definition(parse_surface(DEFINITION_FILE.read_text(encoding="utf-8")))
+        else:
+            imm = catalog_get(name, params)
+        step = DEFAULT_TOLERANCES["fd_step"]
+        points = _fd_sample_points(imm.domain, step)
+        sample, positions, (fr, h) = _sample(
+            imm, grid, None, _nested_stencil(points, step), positions=True
+        )
+        want = sample_surface(imm, grid)
+        for field in SurfaceSample._fields[4:]:
+            assert np.array_equal(getattr(sample, field), getattr(want, field)), field
+
+        rep, (kw, kdw), codazzi = _stencil_checks(imm, fr, h, points, step, with_canonical=True)
+        want_rep, (want_kw, want_kdw), want_codazzi = stencil_checks(imm, points, step)
+        for key in ("K", "KD", "H2", "defect"):
+            assert np.array_equal(getattr(rep, key), getattr(want_rep, key)), key
+        assert np.array_equal(rep.canonical.residual, want_rep.canonical.residual)
+        assert np.array_equal(kw, want_kw)
+        assert np.array_equal(kdw, want_kdw)
+        assert np.array_equal(codazzi, want_codazzi)
+
+        if not imm.ambient.is_flat:
+            # verify's membership nodes: every (nx // 8)-th s and (ny // 8)-th t of the grid
+            ss, ts = imm.domain.grid(*grid)
+            a, b = max(1, grid[0] // 8), max(1, grid[1] // 8)
+            membership = _membership_residual(imm, positions[::a, ::b])
+            assert membership == check_membership(imm, [(s, t) for s in ss[::a] for t in ts[::b]])
+            report = build_verification_report(imm, grid, None, DEFAULT_TOLERANCES)
+            assert report["membership_residual"] == membership
+
+    def test_70x70_has_two_blocks(self):
+        # the case above where the stencil nodes join the second of two blocks
+        assert math.ceil(70 * 70 / fields._BLOCK_NODES) == 2

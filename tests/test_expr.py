@@ -13,13 +13,12 @@ from neutralsurf.expr import (
     Neg,
     Num,
     Var,
-    definition_to_text,
     eval_on_jets,
-    expr_to_text,
     parse_expression,
     parse_surface,
 )
 from neutralsurf.jets import seed
+from oracles import definition_to_text, expr_to_text
 
 PHI_FILE = """\
 ambient H(3,2; -1)

@@ -16,8 +16,6 @@ from neutralsurf.expr import parse_surface
 from neutralsurf.fields import (
     GridField,
     convergence_ratios,
-    grid_from_csv,
-    grid_from_json,
     grid_to_csv,
     grid_to_json,
     harmonicity_verdict,
@@ -27,6 +25,7 @@ from neutralsurf.fields import (
     sample_surface,
     verify_identity,
 )
+from oracles import grid_from_csv, grid_from_json
 
 DOM = DomainRect(-1.0, 1.0, -1.0, 1.0)
 
