@@ -408,7 +408,8 @@ def _build_random_polynomial(params: dict) -> Immersion:
     params = dict(params)
     seed = params.pop("seed", 0)
     seed_value = _number(int, seed, -1)
-    if seed_value < 0:
+    # int() truncates a fraction: a number must equal its integer part
+    if seed_value < 0 or (seed_value != seed and not isinstance(seed, str)):
         raise InputMismatchError(f"random_polynomial seed must be a non-negative integer, got {seed!r}")
     amplitude = _number(float, params.pop("amplitude", 0.1), math.nan)
     _reject_params("random_polynomial", params)
@@ -438,7 +439,7 @@ def _number(cast, value, invalid):
     """cast(value), or invalid, which the caller rejects, when value is not a number."""
     try:
         return cast(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return invalid
 
 

@@ -207,7 +207,7 @@ def build_verification_report(
     fd_points = _fd_sample_points(domain, step)
     # one pipeline pass: the grid with the nested FD stencils of the FD points
     # in its last block; the grid's positions serve the membership check
-    sample, positions, (fd_frames, fd_h) = _sample(
+    sample, positions, nested = _sample(
         imm, grid, domain, _nested_stencil(fd_points, step), positions=not imm.ambient.is_flat
     )
     checks: list[dict] = []
@@ -279,9 +279,7 @@ def build_verification_report(
             ok,
         )
 
-    rep, (kw, kdw), codazzi = _stencil_checks(
-        imm, fd_frames, fd_h, fd_points, step, with_canonical=equality
-    )
+    rep, (kw, kdw), codazzi = _stencil_checks(nested, fd_points, step, with_canonical=equality)
     # canonical frame residual where the surface achieves equality
     if equality:
         canonical_max = float(np.max(rep.canonical.residual[::2]))

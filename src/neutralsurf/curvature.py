@@ -18,19 +18,23 @@ finite-difference checks evaluate the stencils of all their points in one
 batched call, and stencil_checks gets the report at the points and both
 checks from one build of the 13-node nested stencil, which holds the
 5-point stencil and its center.  verify appends those nodes to its grid
-batch and reads them back with FrameData._take.  Inside a stage the
-vectors are (..., dim) coordinate arrays under the signature's weights,
-stacked so that one array operation serves all components (the three
-accelerations, the entries of A3, the directions of a stencil); PVectors
-are built only for what a stage hands on.  At a single point a stacked
-inner product rounds through a matrix-vector product rather than a dot
-product, which may move the last bits, and so does a batch whose last
-axis holds one node; otherwise a node's values depend neither on the
-stacking nor on the batch it is in.
+batch and reads them back with FrameData._take.  At a single point,
+codazzi_residual reads its 5-point stencil from the last nested build, when
+structure_equation_check or stencil_checks made it at that point (see
+_last_nested).  Inside a stage the vectors are (..., dim) coordinate arrays
+under the signature's weights, stacked so that one array operation serves
+all components (the three accelerations, the entries of A3, the directions
+of a stencil); PVectors are built only for what a stage hands on.  At a
+single point a stacked inner product rounds through a matrix-vector product
+rather than a dot product, which may move the last bits, and so does a
+batch whose last axis holds one node; otherwise a node's values depend
+neither on the stacking nor on the batch it is in.
 """
 
 from __future__ import annotations
 
+import numbers
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,6 +219,24 @@ class CurvatureReport(Record):
         self.ellipse = ellipse
         self.frames = frames
         self.h = h
+
+    def _take(self, nodes, with_canonical: bool = False) -> "CurvatureReport":
+        """The report at nodes, an index or index array into the leading node
+        axis: the invariants, frames and h, with the canonical frame when
+        asked and no ellipse."""
+        a3, a4 = (Sym2(a.a11[nodes], a.a12[nodes], a.a22[nodes]) for a in (self.A3, self.A4))
+        return CurvatureReport(
+            a3,
+            a4,
+            self.H[nodes],
+            self.H2[nodes],
+            self.K[nodes],
+            self.KD[nodes],
+            self.defect[nodes],
+            canonical=canonical_equality_frame(a3, a4) if with_canonical else None,
+            frames=self.frames._take(nodes),
+            h=self.h._take(nodes),
+        )
 
 
 @dataclass(frozen=True)
@@ -548,7 +570,7 @@ def structure_equation_check(
     form) at each point of p, which must reproduce K and KD.  One batched
     call builds the frames of the 13 distinct nested-stencil nodes of every point.
     """
-    return _structure(build_frames(imm, _nested_stencil(p, step)), p, step)
+    return _structure(_nested_frames(imm, p, step)[1], p, step)
 
 
 def _structure(fr: FrameData, p: tuple, step: float) -> tuple:
@@ -571,11 +593,17 @@ def codazzi_residual(imm: Immersion, p: tuple, step: float = 1e-3) -> float:
     Compares (nabla-bar_{e1} h)(e2, .) against (nabla-bar_{e2} h)(e1, .) on
     both tangent slots and returns the larger coordinate norm per point of
     p; O(step^2) for a genuine immersion.  One batched call builds the five
-    stencil frames of every point for h and w12.  h, D h and w12 do not
+    stencil frames of every point for h and w12, unless p is the single
+    point whose nested stencil was built last (see _nested_frames): rows
+    0-4 of that build are its 5-point stencil.  h, D h and w12 do not
     depend on the normal basis, so the stencil needs no common scan branch.
     """
-    nodes = _stencil_nodes(p, step, _STENCIL)
-    fr = build_frames(imm, nodes)
+    kept = _last_nested
+    if kept and kept[0] is imm and kept[1] is build_frames and kept[2] == _point_key(p, step):
+        nodes, fr = kept[3:]
+    else:
+        nodes = _stencil_nodes(p, step, _STENCIL)
+        fr = build_frames(imm, nodes)
     return _codazzi(fr, second_fundamental_form(imm, nodes, fr), step)
 
 
@@ -604,6 +632,36 @@ def _nested_stencil(p: tuple, step: float) -> tuple:
     return _stencil_nodes(p, step, _NESTED_NODES)
 
 
+# The last nested-stencil build at a single point, (imm, the build_frames
+# it called, _point_key, nodes, frames), or None.  A point probe calls
+# structure_equation_check and then codazzi_residual at the same point; the
+# second reads its 5-point stencil from this build.  The key holds the
+# objects themselves, compared by identity, so a patched build_frames or
+# another Immersion never meets frames built before it; h is not kept.  It
+# is set by one assignment and read once per call, so a concurrent call can
+# only miss.
+_last_nested = None
+
+
+def _point_key(p: tuple, step: float) -> bytes | None:
+    """The bits of (s, t, step) when p is a single point and all three are real numbers, else None."""
+    s, t = p
+    if all(isinstance(x, numbers.Real) for x in (s, t, step)):
+        return struct.pack("3d", s, t, step)
+    return None
+
+
+def _nested_frames(imm: Immersion, p: tuple, step: float) -> tuple:
+    """(nodes, frames) of the nested stencils of p; kept in _last_nested when p is a single point."""
+    global _last_nested
+    build, nodes = build_frames, _nested_stencil(p, step)
+    fr = build(imm, nodes)
+    key = _point_key(p, step)
+    if key is not None:
+        _last_nested = (imm, build, key, nodes, fr)
+    return nodes, fr
+
+
 def stencil_checks(
     imm: Immersion, p: tuple, step: float = 1e-3, with_canonical: bool = True
 ) -> tuple:
@@ -617,14 +675,17 @@ def stencil_checks(
     codazzi_residual bit for bit; at a single point the report rounds as a
     batch node does.
     """
-    nodes = _nested_stencil(p, step)
-    fr = build_frames(imm, nodes)
-    return _stencil_checks(imm, fr, second_fundamental_form(imm, nodes, fr), p, step, with_canonical)
-
-
-def _stencil_checks(
-    imm: Immersion, fr: FrameData, h: SecondFF, p: tuple, step: float, with_canonical: bool
-) -> tuple:
-    """stencil_checks from the frames and h of the nested stencils of p, in _nested_stencil's shape."""
+    nodes, fr = _nested_frames(imm, p, step)
+    h = second_fundamental_form(imm, nodes, fr)
     rep = _report(imm, fr._take(0), h._take(0), with_canonical, False)
     return rep, _structure(fr, p, step), _codazzi(fr, h, step)
+
+
+def _stencil_checks(nested: CurvatureReport, p: tuple, step: float, with_canonical: bool) -> tuple:
+    """stencil_checks from the report, with frames and h, at the nested stencils of p.
+
+    nested has _nested_stencil's shape, as verify's batch gives it; only
+    the canonical frame is computed here, at row 0 and when asked.
+    """
+    fr = nested.frames
+    return nested._take(0, with_canonical), _structure(fr, p, step), _codazzi(fr, nested.h, step)

@@ -182,15 +182,15 @@ def _sample(
     extra: tuple | None = None,
     positions: bool = False,
 ) -> tuple:
-    """sample_surface, with the grid's positions and the frames and h of extra nodes.
+    """sample_surface, with the grid's positions and the report at extra nodes.
 
     Each block is one flat batch of its nodes in s-major order; the nodes
     of extra, an (s, t) pair of arrays, join the last block after its grid
     nodes, so the whole pass makes one point_report call per block.  A
     node's values do not depend on its batch, and an error names the first
     offending grid node before any extra node.  Returns (sample, positions
-    as an (nx, ny) PVector when asked, else None, (frames, h) at extra in
-    its shape, else None).
+    as an (nx, ny) PVector when asked, else None, the invariants, frames
+    and h at extra in its shape, as a CurvatureReport, else None).
     """
     domain = domain or imm.domain
     nx, ny = grid
@@ -216,8 +216,7 @@ def _sample(
     x = PVector(fields.pop(), imm.ambient.signature) if positions else None
     taken = None
     if extra is not None:
-        nodes = n + np.arange(np.size(extra[0])).reshape(np.shape(extra[0]))
-        taken = rep.frames._take(nodes), rep.h._take(nodes)
+        taken = rep._take(n + np.arange(np.size(extra[0])).reshape(np.shape(extra[0])))
     return SurfaceSample(imm, domain, nx, ny, *fields), x, taken
 
 

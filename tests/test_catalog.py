@@ -98,6 +98,9 @@ class TestCatalogGet:
             ("random_polynomial", {"seed": "x"}, "seed must be a non-negative integer, got 'x'"),
             ("random_polynomial", {"amplitude": "x"}, "amplitude must be in (0, 0.1]"),
             ("umbilical_flat", {"radius": "x"}, "radius must be positive"),
+            ("random_polynomial", {"seed": 3.7}, "seed must be a non-negative integer, got 3.7"),
+            ("random_polynomial", {"seed": "3.7"}, "seed must be a non-negative integer, got '3.7'"),
+            ("random_polynomial", {"seed": math.inf}, "seed must be a non-negative integer, got inf"),
         ],
     )
     def test_invalid_parameter_is_an_input_mismatch(self, name, params, message):
@@ -105,6 +108,14 @@ class TestCatalogGet:
         with pytest.raises(InputMismatchError) as exc:
             catalog_get(name, params)
         assert message in str(exc.value)
+
+    @pytest.mark.parametrize("seed", ["3", np.int64(3), 3.0])
+    def test_integral_seed_spellings_are_seed_3(self, seed):
+        # a fraction is rejected above rather than truncated; an integral value is that seed
+        imm = catalog_get("random_polynomial", {"seed": seed})
+        want = catalog_get("random_polynomial", {"seed": 3})
+        assert imm.params == want.params == {"seed": 3, "amplitude": 0.1}
+        assert bits(imm.evaluate(0.3, -0.2).position().coords) == bits(want.evaluate(0.3, -0.2).position().coords)
 
 
 class TestMembership:

@@ -302,6 +302,21 @@ class TestUsageErrors:
         assert err == "error: random_polynomial seed must be a non-negative integer, got -1\n"
         assert not (tmp_path / "unused.csv").exists()
 
+    @pytest.mark.parametrize("value", ["3.7", "inf"])
+    def test_fractional_seed_exit_2(self, capsys, value):
+        # not truncated to seed 3: a non-integer seed is an input error
+        code, out, err = run(capsys, "verify", "random_polynomial", "--param", f"seed={value}")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: random_polynomial seed must be a non-negative integer, got {value}\n"
+
+    def test_integer_seed_as_option_or_param(self, capsys):
+        argv = ["verify", "random_polynomial", "--grid", "5x5", "--format", "json"]
+        code, by_option, _ = run(capsys, *argv, "--seed", "3")
+        assert code == 0
+        assert json.loads(by_option)["params"]["seed"] == 3
+        assert run(capsys, *argv, "--param", "seed=3") == (0, by_option, "")
+
 
 DEFINITION_FILE = Path(__file__).resolve().parent.parent / "bench" / "data" / "phi_h42.txt"
 ONE_PASS_SURFACES = [
@@ -329,14 +344,14 @@ class TestOnePass:
             imm = catalog_get(name, params)
         step = DEFAULT_TOLERANCES["fd_step"]
         points = _fd_sample_points(imm.domain, step)
-        sample, positions, (fr, h) = _sample(
+        sample, positions, nested = _sample(
             imm, grid, None, _nested_stencil(points, step), positions=True
         )
         want = sample_surface(imm, grid)
         for field in SurfaceSample._fields[4:]:
             assert np.array_equal(getattr(sample, field), getattr(want, field)), field
 
-        rep, (kw, kdw), codazzi = _stencil_checks(imm, fr, h, points, step, with_canonical=True)
+        rep, (kw, kdw), codazzi = _stencil_checks(nested, points, step, with_canonical=True)
         want_rep, (want_kw, want_kdw), want_codazzi = stencil_checks(imm, points, step)
         for key in ("K", "KD", "H2", "defect"):
             assert np.array_equal(getattr(rep, key), getattr(want_rep, key)), key

@@ -555,6 +555,7 @@ class TestCodazzi:
                 flipped=fr.flipped ^ at,
             )
 
+        calls = []
         for name, params, p in [
             ("phi_h42", {}, (0.3, -0.4)),
             ("holomorphic_graph", {"f": "z^2/2"}, (1.5, 1.0)),
@@ -562,9 +563,13 @@ class TestCodazzi:
         ]:
             imm = catalog_get(name, params)
             want = codazzi_residual(imm, p)
+            structure_equation_check(imm, p)  # frames at p built before the patch
             with monkeypatch.context() as m:
-                m.setattr(curvature, "build_frames", regauged)
+                m.setattr(curvature, "build_frames", lambda imm, p: calls.append(p) or regauged(imm, p))
+                calls.clear()
                 assert abs(codazzi_residual(imm, p) - want) <= 1e-12, name
+                # regauged ran for this call: no frames built earlier were reused
+                assert len(calls) == 1, name
 
     def test_fault_injection(self, scale_h12):
         phi = catalog_get("phi_h42")
@@ -654,6 +659,98 @@ class TestStencilChecks:
         for got, expected in zip(structure, structure_equation_check(imm, p, 1e-3)):
             assert np.array_equal(got, expected)
         assert np.array_equal(codazzi, codazzi_residual(imm, p, 1e-3))
+
+
+class TestNestedMemo:
+    """codazzi_residual at the single point whose nested stencil
+    structure_equation_check built last reads its 5-point stencil from that
+    build; anything else builds its own stencil."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The node arrays of every build_frames call; starts with no kept build."""
+        calls = []
+        monkeypatch.setattr(curvature, "_last_nested", None)
+        monkeypatch.setattr(curvature, "build_frames", lambda imm, p: calls.append(p) or build_frames(imm, p))
+        return calls
+
+    @staticmethod
+    def points(imm):
+        ss, ts = TestStackedStages.inset_grid(imm, 5)
+        return list(zip(ss.diagonal().tolist(), ts[::-1].diagonal().tolist()))
+
+    @pytest.mark.parametrize("step", [1e-3, 5e-4])
+    @pytest.mark.parametrize("name", sorted(STACKED_SURFACES))
+    def test_warm_equals_cold_bit_for_bit(self, builds, monkeypatch, name, step):
+        imm = TestStackedStages.surface(name)
+        for p in self.points(imm):
+            monkeypatch.setattr(curvature, "_last_nested", None)
+            cold = codazzi_residual(imm, p, step)
+            structure_equation_check(imm, p, step)
+            builds.clear()
+            warm = codazzi_residual(imm, p, step)
+            assert builds == [], (name, p)
+            assert bits(warm) == bits(cold), (name, p)
+            assert type(warm) is type(cold)
+
+    def test_misses_build_their_own_stencil(self, builds):
+        imm = catalog_get("random_polynomial", {"seed": 7})
+        p, step = (0.2, 0.1), 1e-3
+        nudged = (float(np.nextafter(p[0], 1.0)), p[1])
+        batch = (np.array([p[0]]), np.array([p[1]]))
+        structure_equation_check(imm, p, step)
+        kept = curvature._last_nested
+        for other, q, h in [
+            (catalog_get("random_polynomial", {"seed": 7}), p, step),  # equal, not the same object
+            (imm, p, 5e-4),
+            (imm, nudged, step),
+            (imm, batch, step),
+        ]:
+            builds.clear()
+            got = codazzi_residual(other, q, h)
+            assert len(builds) == 1 and builds[0][0].shape[0] == 5, (q, h)
+            assert curvature._last_nested is kept
+            fresh = codazzi_residual_per_component(other, q, h)
+            assert np.max(np.abs(got - fresh)) <= 1e-15
+        # a batch is never kept
+        structure_equation_check(imm, batch, step)
+        assert curvature._last_nested is kept
+        builds.clear()
+        codazzi_residual(imm, batch, step)
+        assert len(builds) == 1
+
+    def test_one_entry_the_last_single_point(self, builds):
+        imm = catalog_get("phi_h42")
+        for p in [(0.3, -0.4), (-0.2, 0.5)]:
+            structure_equation_check(imm, p)
+        builds.clear()
+        codazzi_residual(imm, (0.3, -0.4))
+        assert len(builds) == 1
+        builds.clear()
+        codazzi_residual(imm, (-0.2, 0.5))
+        assert builds == []
+
+    def test_scale_h12_fault_after_a_warm_call(self, builds, scale_h12):
+        phi = catalog_get("phi_h42")
+        p = (0.3, -0.4)
+        structure_equation_check(phi, p)
+        assert codazzi_residual(phi, p) <= 1e-4
+        scale_h12(1.1)
+        builds.clear()
+        assert codazzi_residual(phi, p) > 1e-2
+        assert builds == []  # h is not kept: the kept frames reach the fault
+
+    def test_switch_branch_fault_after_a_warm_call(self, builds, switch_branch):
+        imm = catalog_get("phi_h42")
+        target = (-0.2, 0.5)
+        structure_equation_check(imm, target)
+        want = codazzi_residual(imm, target)
+        switch_branch(target, 1e-3)
+        with pytest.raises(DegeneracyError) as exc:
+            structure_equation_check(imm, target)
+        assert str(exc.value) == "frame branch switch within the stencil at (s,t)=(-0.2, 0.5)"
+        # Codazzi does not depend on the scan branch, from whichever build
+        assert codazzi_residual(imm, target) == want
 
 
 class TestAmbientCurvature:
