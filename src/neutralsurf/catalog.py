@@ -351,8 +351,8 @@ def _build_umbilical_flat(params: dict) -> Immersion:
     params = dict(params)
     radius = _number(float, params.pop("radius", 1.0), math.nan)
     _reject_params("umbilical_flat", params)
-    if not radius > 0:
-        raise InputMismatchError("umbilical_flat radius must be positive")
+    if not 0 < radius < math.inf:
+        raise InputMismatchError("umbilical_flat radius must be positive and finite")
     ambient = AmbientSpace.flat()
     k = -1.0 / (radius * radius)
     return Immersion(

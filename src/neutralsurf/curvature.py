@@ -62,6 +62,22 @@ from .records import Record
 # immersion, KD = -K on holomorphic graphs).
 _ORIENT_SIGN = {"flat": 1.0, "pseudo_sphere": -1.0, "pseudo_hyperbolic": -1.0}
 
+# The pairs (i, j), i < j, of ambient basis vectors, ordered by j: the pairs
+# within rows 0..L come first, and (i, j) is pair j (j - 1) / 2 + i.  Per
+# pair, its sign (-1)^(i+j+1) in the frame determinant (build_frames) and,
+# per dimension, the other columns; for dimension 5 the first two of these
+# again, so that the cross product of two rows of a 3x3 minor is two slices.
+_PAIRS = [(i, j) for j in range(5) for i in range(j)]
+_PAIR_SIGN = np.array([(-1.0) ** (i + j + 1) for i, j in _PAIRS])
+_OFF_PAIR = {
+    dim: np.array([
+        cols + cols[:2] if dim == 5 else cols
+        for i, j in _PAIRS[: dim * (dim - 1) // 2]
+        for cols in [[c for c in range(dim) if c not in (i, j)]]
+    ])
+    for dim in (4, 5)
+}
+
 _DUALITY_TOL = 1e-8
 
 # Below this norm of (tr A3, tr A4) the mean curvature is treated as zero.
@@ -254,11 +270,23 @@ def build_frames(imm: Immersion, p: tuple) -> FrameData:
 
     e1 follows the s-velocity; e2 completes the tangent pair with the (s,t)
     orientation; the normal pair comes from Gram-Schmidt over the first two
-    ambient basis vectors carrying a direction outside the tangent (and
-    position) span, in coordinate order, then e4 is sign-normalized so the
-    full ambient frame has determinant sign +1.  Over a batch every node
-    runs its own scan, with masks, and the scan stops once every node has
-    its pair; errors, from Gram-Schmidt too, name the first offending node.
+    ambient basis vectors b_i, b_j (i < j) carrying a direction outside the
+    tangent (and position) span, in coordinate order, then e4 is
+    sign-normalized so the full ambient frame (position first, when there
+    is one) has the determinant sign _ORIENT_SIGN of the ambient kind.
+    Over a batch every node runs its own scan, with masks, and the scan
+    stops once every node has its pair; errors, from Gram-Schmidt too,
+    name the first offending node.  Basis remainders (b_i with the frame
+    projected off) are formed only for the rows the scan visits: rows 0-1
+    as one block, the later rows as a second block only when some node
+    still lacks its pair.
+
+    The orientation needs no determinant of the frame.  Gram-Schmidt with
+    positive normalizers makes the frame rows T [jets; b_i; b_j] with T
+    lower triangular with a positive diagonal, where jets are the rows
+    (x, psi_s, psi_t), or (psi_s, psi_t) for a flat ambient.  So the frame
+    determinant has the sign of det [jets; b_i; b_j], which is
+    (-1)^(i+j+1) times the jets' minor on the columns other than i and j.
     """
     jp = imm.evaluate(*p)
     sig = imm.ambient.signature
@@ -275,19 +303,17 @@ def build_frames(imm: Immersion, p: tuple) -> FrameData:
         raise DegeneracyError(f"{exc} at (s,t)={first_flagged(exc.nodes, *p)}") from exc
     frame = [v.coords for v in frame]
     w, dim = sig.weights, sig.total_dim
-    # the ambient basis vectors (leading axis) with the frame projected off
-    rest = np.eye(dim).reshape((dim,) + (1,) * len(jp.shape) + (dim,))
-    for f in frame:
-        rest = rest - ((rest * f) @ w / ((f * f) @ w))[..., None] * f
     # normals not found yet are zero, found ones have <n,n> = -1, so adding
-    # <r,n> n projects r off the normals a node already has
+    # <r,n> n projects r off e3 at the nodes that have it.  A node that can
+    # still take r has no e4 yet, so e3 is the only normal to project off,
+    # and only once some node has found it
     normals = [np.zeros(jp.shape + (dim,))] * 2
     found = np.zeros(jp.shape, dtype=int)
     scan = np.zeros(jp.shape + (2,), dtype=int)
-    for i in range(dim):
-        r = rest[i]
-        for n in normals:
-            r = r + ((r * n) @ w)[..., None] * n
+    seeded = False
+    for i, r in enumerate(_basis_remainders(frame, w, len(jp.shape))):
+        if seeded:
+            r = r + ((r * normals[0]) @ w)[..., None] * normals[0]
         rr = r * r
         q = rr @ w
         scale = rr.sum(axis=-1)
@@ -312,14 +338,42 @@ def build_frames(imm: Immersion, p: tuple) -> FrameData:
         found = found + take
         if (found == 2).all():
             break
+        seeded = found.any()
     if (found < 2).any():
         raise DegeneracyError(
             f"could not complete a normal frame at (s,t)={first_flagged(found < 2, *p)}"
         )
-    flipped = np.linalg.det(np.stack(frame + normals, axis=-2)) * _ORIENT_SIGN[imm.ambient.kind] < 0
+    # the orientation (see above): the jets' minors off every pair within the
+    # rows 0..i the scan visited, signed by (-1)^(i+j+1), read at each node's pair
+    m = jp._rows(slice(3 - len(frame), 3))[..., _OFF_PAIR[dim][: i * (i + 1) // 2]]
+    if len(m) == 2:
+        minors = m[0, ..., 0] * m[1, ..., 1] - m[0, ..., 1] * m[1, ..., 0]
+    else:
+        cross = m[1, ..., 1:4] * m[2, ..., 2:5] - m[1, ..., 2:5] * m[2, ..., 1:4]
+        minors = (m[0, ..., :3] * cross).sum(axis=-1)
+    pair = scan[..., 1] * (scan[..., 1] - 1) // 2 + scan[..., 0]
+    minor = np.take_along_axis(minors * _PAIR_SIGN[: i * (i + 1) // 2], pair[..., None], axis=-1)
+    flipped = minor[..., 0] * _ORIENT_SIGN[imm.ambient.kind] < 0
     e4 = np.where(flipped[..., None], -normals[1], normals[1])
     e1, e2, e3, e4 = (PVector(v, sig) for v in (frame[-2], frame[-1], normals[0], e4))
     return FrameData(e1, e2, e3, e4, metric, scan, flipped, jp)
+
+
+def _basis_remainders(frame: list[np.ndarray], w: np.ndarray, nodes_ndim: int):
+    """The ambient basis vectors in order, each with the frame projected off.
+
+    Rows 0-1 come from one stacked block; the later rows from a second
+    block, formed only when the caller asks for row 2.  Keeping the row
+    axis makes each projection a stacked (k, ..., dim) @ w, which rounds
+    like one row of the whole (dim, ..., dim) table.
+    """
+    dim = len(w)
+    for rows in (slice(0, 2), slice(2, dim)):
+        rest = np.eye(dim)[rows]
+        rest = rest.reshape(rest.shape[:1] + (1,) * nodes_ndim + (dim,))
+        for f in frame:
+            rest = rest - ((rest * f) @ w / ((f * f) @ w))[..., None] * f
+        yield from rest
 
 
 def _tangent_coeffs(metric: MetricCoeffs) -> tuple:

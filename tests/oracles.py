@@ -30,11 +30,13 @@ from neutralsurf.jets import Jet2, jpow, seed
 from neutralsurf.pseudo_linalg import (
     LIGHTLIKE_RTOL,
     SPACE_LIKE,
+    SPAN_RTOL,
     TIME_LIKE,
     PVector,
     Sym2,
     eigen_sym2,
     inner,
+    orthonormalize,
     rotate_sym2,
 )
 
@@ -188,6 +190,95 @@ def equality_frame(imm: Immersion, p: tuple) -> FrameData:
     e2 = -st * fr.e1 + ct * fr.e2
     e4 = np.where(extra_flip, -1.0, 1.0) * fr.e4
     return FrameData(e1, e2, fr.e3, e4, fr.metric, fr.scan, fr.flipped ^ extra_flip, fr.jets)
+
+
+def reference_frames(imm: Immersion, p: tuple) -> FrameData:
+    """build_frames by the full basis table and a determinant per node.
+
+    The same scan as the engine's, but every ambient basis vector's
+    remainder is formed up front in one (dim, ..., dim) table, every found
+    or unfound normal is projected off, and the orientation is the sign of
+    np.linalg.det of the whole frame (position first, when there is one).
+    build_frames must give the same bits.
+    """
+    jp = imm.evaluate(*p)
+    sig = imm.ambient.signature
+    vs, vt = jp.velocity_s(), jp.velocity_t()
+    metric = metric_from_velocities(imm, p, vs, vt)
+    base, chars = [], []
+    if not imm.ambient.is_flat:
+        base.append(jp.position())
+        chars.append(TIME_LIKE if imm.ambient.curvature < 0 else SPACE_LIKE)
+    frame = [v.coords for v in orthonormalize(base + [vs, vt], chars + [SPACE_LIKE, SPACE_LIKE])]
+    w, dim = sig.weights, sig.total_dim
+    rest = np.eye(dim).reshape((dim,) + (1,) * len(jp.shape) + (dim,))
+    for f in frame:
+        rest = rest - ((rest * f) @ w / ((f * f) @ w))[..., None] * f
+    normals = [np.zeros(jp.shape + (dim,))] * 2
+    found = np.zeros(jp.shape, dtype=int)
+    scan = np.zeros(jp.shape + (2,), dtype=int)
+    for i in range(dim):
+        r = rest[i]
+        for n in normals:
+            r = r + ((r * n) @ w)[..., None] * n
+        rr = r * r
+        q = rr @ w
+        take = (found < 2) & (rr.sum(axis=-1) > SPAN_RTOL)
+        assert not (take & ((np.abs(q) < LIGHTLIKE_RTOL * rr.sum(axis=-1)) | (q > 0))).any()
+        unit = r * (1.0 / np.sqrt(np.where(take, -q, 1.0)))[..., None]
+        for k in range(2):
+            now = take & (found == k)
+            normals[k] = np.where(now[..., None], unit, normals[k])
+            scan[..., k] = np.where(now, i, scan[..., k])
+        found = found + take
+        if (found == 2).all():
+            break
+    assert (found == 2).all()
+    det = np.linalg.det(np.stack(frame + normals, axis=-2))
+    flipped = det * curvature._ORIENT_SIGN[imm.ambient.kind] < 0
+    e4 = np.where(flipped[..., None], -normals[1], normals[1])
+    e1, e2, e3, e4 = (PVector(v, sig) for v in (frame[-2], frame[-1], normals[0], e4))
+    return FrameData(e1, e2, e3, e4, metric, scan, flipped, jp)
+
+
+def isometric_image(imm: Immersion, iso: np.ndarray) -> Immersion:
+    """imm followed by the linear isometry iso of its flat embedding space.
+
+    iso must preserve the signature's metric (iso.T W iso = W); it then maps
+    the space form onto itself, so the image has the same invariants and a
+    normal frame seeded by other basis vectors.
+    """
+    dim = iso.shape[0]
+
+    def evaluate(s, t) -> JetPoint:
+        table = imm.evaluate(s, t)._rows(slice(None)) @ iso.T
+        return JetPoint(imm.ambient, tuple(Jet2(*table[..., k]) for k in range(dim)))
+
+    return Immersion(imm.name, imm.ambient, evaluate, imm.domain)
+
+
+def random_isometry(sig, rng, generic: bool = True) -> np.ndarray:
+    """A random linear isometry of the signature's metric, as a matrix.
+
+    A signed permutation of the coordinates within each sign block; when
+    generic, after six rotations (equal weights) or boosts (opposite
+    weights) by angles in [-1.5, 1.5] in random coordinate planes.  The
+    signed permutations alone keep a surface's alignment with the basis,
+    so they move which basis vectors the normal scan skips.
+    """
+    dim, neg = sig.total_dim, sig.negative_count
+    iso = np.eye(dim)
+    for _ in range(6 if generic else 0):
+        a, b = rng.choice(dim, size=2, replace=False)
+        x = rng.uniform(-1.5, 1.5)
+        turn = np.eye(dim)
+        if sig.weights[a] == sig.weights[b]:
+            turn[[a, a, b, b], [a, b, a, b]] = math.cos(x), -math.sin(x), math.sin(x), math.cos(x)
+        else:
+            turn[[a, a, b, b], [a, b, a, b]] = math.cosh(x), math.sinh(x), math.sinh(x), math.cosh(x)
+        iso = turn @ iso
+    order = np.concatenate([rng.permutation(neg), neg + rng.permutation(dim - neg)])
+    return (np.eye(dim)[order] * rng.choice([-1.0, 1.0], size=dim)[:, None]) @ iso
 
 
 def bits(x) -> tuple:

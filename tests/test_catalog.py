@@ -98,6 +98,8 @@ class TestCatalogGet:
             ("random_polynomial", {"seed": "x"}, "seed must be a non-negative integer, got 'x'"),
             ("random_polynomial", {"amplitude": "x"}, "amplitude must be in (0, 0.1]"),
             ("umbilical_flat", {"radius": "x"}, "radius must be positive"),
+            ("umbilical_flat", {"radius": math.inf}, "radius must be positive and finite"),
+            ("umbilical_flat", {"radius": "inf"}, "radius must be positive and finite"),
             ("random_polynomial", {"seed": 3.7}, "seed must be a non-negative integer, got 3.7"),
             ("random_polynomial", {"seed": "3.7"}, "seed must be a non-negative integer, got '3.7'"),
             ("random_polynomial", {"seed": math.inf}, "seed must be a non-negative integer, got inf"),

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -309,6 +310,16 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert err == f"error: random_polynomial seed must be a non-negative integer, got {value}\n"
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0"])
+    def test_radius_not_finite_positive_exit_2(self, capsys, value):
+        # an infinite radius is an input error, not a surface with E = nan (exit 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "verify", "umbilical_flat", "--param", f"radius={value}")
+        assert code == 2
+        assert out == ""
+        assert err == "error: umbilical_flat radius must be positive and finite\n"
 
     def test_integer_seed_as_option_or_param(self, capsys):
         argv = ["verify", "random_polynomial", "--grid", "5x5", "--format", "json"]

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from neutralsurf import curvature
-from neutralsurf.catalog import MetricCoeffs, catalog_get, from_definition
+from neutralsurf.ambient import DomainRect
+from neutralsurf.catalog import Immersion, MetricCoeffs, catalog_get, from_definition
 from neutralsurf.curvature import (
     CanonicalFrame,
     FrameData,
@@ -25,6 +26,7 @@ from neutralsurf.curvature import (
 from neutralsurf.cli import _fd_sample_points
 from neutralsurf.errors import DegeneracyError
 from neutralsurf.expr import parse_surface
+from neutralsurf.fields import sample_surface
 from neutralsurf.pseudo_linalg import PVector, Signature, Sym2, inner
 from oracles import (
     ambient_curvature,
@@ -35,6 +37,9 @@ from oracles import (
     connection_forms_per_component,
     ellipse_sweep,
     equality_frame,
+    isometric_image,
+    random_isometry,
+    reference_frames,
     rotate_pair,
     second_fundamental_form_per_component,
     shape_operators_per_component,
@@ -49,6 +54,18 @@ GAMMA_PHI = 1.0 / math.sqrt(3.0)
 # its position is time-like, as the pseudo-hyperbolic quadric needs, only
 # for small s + 3/2 and t
 OFF_QUADRIC = "ambient H(3,2; -1)\nx1 = s/100\nx2 = t/100\nx3 = 1\nx4 = s + 3/2\nx5 = t/2"
+
+# a geodesic plane bent along e3: at s = 0 the position is e0, which the
+# scan skips, so that node finds its pair one basis vector later; for
+# |s| < 0.0115 the remainder of e0 is below SPAN_RTOL, and just above it e0
+# seeds e3 with a remainder of norm about 2 |s|^3 / 3
+BENT_PLANE = (
+    "ambient H(3,2; -1)\nx1 = cosh(s)*cosh(t)\nx2 = 0\nx3 = s^3/3\n"
+    "x4 = cosh(s)*sinh(t)\nx5 = sinh(s)"
+)
+
+# totally geodesic 2-sphere in the unit pseudo-sphere
+SPHERE = "ambient S(2,3; 1)\nx1 = 0\nx2 = 0\nx3 = cos(s)*cos(t)\nx4 = cos(s)*sin(t)\nx5 = sin(s)"
 
 # (surface, parameters, point) where the FD checks must agree with the invariants
 FD_CASES = [
@@ -147,12 +164,7 @@ class TestBuildFrames:
         assert np.all(grid == scan)
 
     def test_scan_continues_until_every_node_has_its_pair(self):
-        # a geodesic plane bent along e3: at s = 0 the position is e0, which
-        # the scan skips, so that node finds its pair one basis vector later
-        imm = from_definition(parse_surface(
-            "ambient H(3,2; -1)\nx1 = cosh(s)*cosh(t)\nx2 = 0\nx3 = s^3/3\n"
-            "x4 = cosh(s)*sinh(t)\nx5 = sinh(s)"
-        ))
+        imm = from_definition(parse_surface(BENT_PLANE))
         s, t = np.array([0.5, 0.0, -0.4]), np.array([0.0, 0.0, 0.2])
         batch = build_frames(imm, (s, t)).scan.tolist()
         assert batch == [build_frames(imm, p).scan.tolist() for p in zip(s, t)]
@@ -173,6 +185,122 @@ class TestBuildFrames:
             build_frames(imm, grid)
         want = f"remainder is space-like, required time-like at (s,t)={first}"
         assert str(at_node.value) == str(in_batch.value) == want
+
+
+# surfaces with every ambient kind: the catalog, and the sphere (pseudo-sphere)
+FRAME_SURFACES = [
+    ("phi_h42", {}),
+    ("flat_L", {}),
+    ("totally_geodesic_h42", {}),
+    ("holomorphic_graph", {"f": "z^2/2"}),
+    ("umbilical_flat", {}),
+    ("random_polynomial", {"seed": 3}),
+    ("sphere", {}),
+]
+
+
+def frame_surface(name, params):
+    if name == "sphere":
+        return from_definition(parse_surface(SPHERE, name="sphere"))
+    return catalog_get(name, params)
+
+
+def assert_reference_frames(imm, p) -> FrameData:
+    """build_frames at p equals reference_frames bit for bit; returns the frames."""
+    got, want = build_frames(imm, p), reference_frames(imm, p)
+    for name in ("e1", "e2", "e3", "e4"):
+        assert bits(getattr(got, name).coords) == bits(getattr(want, name).coords), name
+    for name in ("scan", "flipped"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b), name
+    return got
+
+
+class TestNormalCompletion:
+    """build_frames against the full-table, determinant-sign reference."""
+
+    @pytest.mark.parametrize("name,params", FRAME_SURFACES)
+    def test_point_stencil_and_grid_batches(self, name, params, monkeypatch):
+        imm = frame_surface(name, params)
+        d = imm.domain
+        s, t = 0.6 * d.s0 + 0.4 * d.s1, 0.3 * d.t0 + 0.7 * d.t1
+        assert_reference_frames(imm, (s, t))
+        off = np.array(curvature._NESTED_NODES, dtype=float)
+        assert_reference_frames(imm, (s + 1e-3 * off[:, 0], t + 1e-3 * off[:, 1]))
+        assert_reference_frames(imm, (np.array([]), np.array([])))
+        # the batches a grid pass builds: one block at 33x33, two at 65x65
+        batches, engine = [], curvature.build_frames
+
+        def recording(imm, p):
+            batches.append(p)
+            return engine(imm, p)
+
+        monkeypatch.setattr(curvature, "build_frames", recording)
+        for n in (33, 65):
+            sample_surface(imm, (n, n))
+        monkeypatch.undo()
+        assert [np.size(p[0]) for p in batches] == [33 * 33, 33 * 65, 32 * 65]
+        for p in batches:
+            assert_reference_frames(imm, p)
+
+    def test_bent_plane_where_a_remainder_is_tiny(self):
+        # e0 seeds e3 down to |s| = 0.0116, with a remainder of norm 1.04e-6;
+        # from s = 0.0114 down it is in the span and the pair is (1, 2)
+        imm = from_definition(parse_surface(BENT_PLANE))
+        s = np.array([0.5, 0.0, -0.4, 0.1, 0.02, 0.0116, 0.0114, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 0.0, -0.0116])
+        t = np.array([0.0, 0.0, 0.2, 0.3, 0.0, 0.0, 0.0, 0.3, 0.0, 0.1, 0.0, -0.2, 0.5, 0.0])
+        scans = assert_reference_frames(imm, (s, t)).scan.tolist()
+        assert scans == [[0, 1], [1, 2], [0, 1]] + [[0, 1]] * 3 + [[1, 2]] * 7 + [[0, 1]]
+        for p in zip(s, t):
+            assert_reference_frames(imm, p)
+
+    def test_isometric_images(self):
+        # signed permutations of the axes move which basis vectors seed the
+        # normal pair; generic isometries and reflections change the orientation
+        bent = from_definition(parse_surface(BENT_PLANE))
+        surfaces = [frame_surface(name, params) for name, params in FRAME_SURFACES]
+        surfaces.append(Immersion("bent", bent.ambient, bent.evaluator, DomainRect(-0.2, 0.2, -1.0, 1.0)))
+        rng = np.random.default_rng(14)
+        seen = set()
+        for imm in surfaces:
+            sig = imm.ambient.signature
+            ss, ts = imm.domain.grid(9, 9)
+            grid = np.meshgrid(ss, ts, indexing="ij")
+            for k in range(8):
+                iso = random_isometry(sig, rng, generic=k % 2 == 1)
+                assert np.allclose(iso.T @ np.diag(sig.weights) @ iso, np.diag(sig.weights))
+                image = isometric_image(imm, iso)
+                fr = assert_reference_frames(image, grid)
+                assert_reference_frames(image, (float(ss[3]), float(ts[5])))
+                seen |= {(imm.ambient.kind, tuple(pair), flip) for pair, flip in
+                         zip(fr.scan.reshape(-1, 2).tolist(), fr.flipped.ravel().tolist())}
+        # in E(2,2) no combination of e0 and e1 (a time-like plane) is tangent,
+        # so they always seed the pair (0, 1); H(3,2) also reaches the pair
+        # (0, 2), whose sign (-1)^(i+j+1) is the other one
+        pairs = {("flat", (0, 1)), ("pseudo_hyperbolic", (0, 1)), ("pseudo_hyperbolic", (0, 2)),
+                 ("pseudo_hyperbolic", (1, 2)), ("pseudo_sphere", (0, 1))}
+        assert {(kind, pair) for kind, pair, _ in seen} == pairs
+        assert seen == {(kind, pair, flip) for kind, pair in pairs for flip in (False, True)}
+
+    @pytest.mark.parametrize(
+        "name,params",
+        [c for c in FRAME_SURFACES if c[0] in ("holomorphic_graph", "sphere", "phi_h42", "totally_geodesic_h42")],
+    )
+    def test_no_determinant(self, name, params, monkeypatch):
+        # every ambient kind, and a scan past row 1: the orientation is a
+        # closed-form minor, not a LAPACK determinant
+        imm = frame_surface(name, params)
+        ss, ts = imm.domain.grid(9, 9)
+        points = [(float(ss[2]), float(ts[6])), np.meshgrid(ss, ts, indexing="ij")]
+        want = [reference_frames(imm, p) for p in points]
+
+        def no_det(*args, **kwargs):
+            raise AssertionError("np.linalg.det called")
+
+        monkeypatch.setattr(np.linalg, "det", no_det)
+        for p, ref in zip(points, want):
+            fr = build_frames(imm, p)
+            assert np.array_equal(fr.flipped, ref.flipped) and np.array_equal(fr.scan, ref.scan)
 
 
 class TestSecondFundamentalForm:
