@@ -323,6 +323,11 @@ def _build_holomorphic_graph(params: dict) -> Immersion:
     ambient = AmbientSpace.flat()
     if domain is None:
         domain = DomainRect(1.2, 2.0, 0.5, 1.5)
+    elif not isinstance(domain, DomainRect):
+        raise InputMismatchError(
+            f"holomorphic_graph parameter 'domain' must be a DomainRect, got {domain!r}; "
+            "on the command line, use --domain s0:s1,t0:t1"
+        )
     imm = Immersion(
         name="holomorphic_graph",
         ambient=ambient,
@@ -353,6 +358,9 @@ def _build_umbilical_flat(params: dict) -> Immersion:
     _reject_params("umbilical_flat", params)
     if not 0 < radius < math.inf:
         raise InputMismatchError("umbilical_flat radius must be positive and finite")
+    # K = -1/radius^2 needs a square in float range
+    if not 0.0 < radius * radius < math.inf:
+        raise InputMismatchError(f"umbilical_flat radius^2 must be finite and nonzero, got radius {radius!r}")
     ambient = AmbientSpace.flat()
     k = -1.0 / (radius * radius)
     return Immersion(

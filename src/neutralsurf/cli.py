@@ -204,6 +204,13 @@ def build_verification_report(
 ) -> dict:
     domain = domain or imm.domain
     step = tols["fd_step"]
+    # the FD points are inset by at least 4 steps, and their stencils reach
+    # 2 steps out: inside the domain while 8 steps fit across it
+    limit = min(domain.s1 - domain.s0, domain.t1 - domain.t0) / 8.0
+    if step > limit:
+        raise InputMismatchError(
+            f"tolerance fd_step must be at most 1/8 of the domain's width and height ({limit!r}), got {step!r}"
+        )
     fd_points = _fd_sample_points(domain, step)
     # one pipeline pass: the grid with the nested FD stencils of the FD points
     # in its last block; the grid's positions serve the membership check

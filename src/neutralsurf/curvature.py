@@ -14,21 +14,22 @@ deterministic frame field.
 
 Every stage takes a point or a batch of nodes alike: p = (s, t) may hold
 floats or arrays, and each field then holds one value per node.  The
-finite-difference checks evaluate the stencils of all their points in one
-batched call, and stencil_checks gets the report at the points and both
-checks from one build of the 13-node nested stencil, which holds the
-5-point stencil and its center.  verify appends those nodes to its grid
-batch and reads them back with FrameData._take.  At a single point,
-codazzi_residual reads its 5-point stencil from the last nested build, when
-structure_equation_check or stencil_checks made it at that point (see
-_last_nested).  Inside a stage the vectors are (..., dim) coordinate arrays
-under the signature's weights, stacked so that one array operation serves
-all components (the three accelerations, the entries of A3, the directions
-of a stencil); PVectors are built only for what a stage hands on.  At a
-single point a stacked inner product rounds through a matrix-vector product
-rather than a dot product, which may move the last bits, and so does a
-batch whose last axis holds one node; otherwise a node's values depend
-neither on the stacking nor on the batch it is in.
+finite-difference checks take their frames from one place, _nested_frames:
+one batched call builds the 13 nested-stencil nodes of every point, which
+list the 5-point stencil first, so row 0 holds the points and rows 0-4
+their 5-point stencils.  At a single point that build is kept, one entry,
+and any FD check at that point reads it (see _last_nested).  verify
+appends the same nodes to its grid batch and reads them back with
+FrameData._take (_stencil_checks).
+
+Inside a stage the vectors are (..., dim) coordinate arrays under the
+signature's weights, stacked so that one array operation serves all
+components (the three accelerations, the entries of A3, the directions of
+a stencil); PVectors are built only for what a stage hands on.  At a
+single point a stacked inner product rounds through a matrix-vector
+product rather than a dot product, which may move the last bits, and so
+does a batch whose last axis holds one node; otherwise a node's values
+depend neither on the stacking nor on the batch it is in.
 """
 
 from __future__ import annotations
@@ -523,23 +524,10 @@ def point_report(
     """Full pointwise pipeline at a node or a batch: frames, h, shape operators, invariants."""
     frames = build_frames(imm, p)
     h = second_fundamental_form(imm, p, frames)
-    return _report(imm, frames, h, with_canonical, with_ellipse)
-
-
-def _report(
-    imm: Immersion, frames: FrameData, h: SecondFF, with_canonical: bool, with_ellipse: bool
-) -> CurvatureReport:
-    """point_report from prebuilt frames and h."""
     a3, a4 = shape_operators(h, frames)
     rep = invariants(a3, a4, frames, imm.ambient.curvature)
     return CurvatureReport(
-        rep.A3,
-        rep.A4,
-        rep.H,
-        rep.H2,
-        rep.K,
-        rep.KD,
-        rep.defect,
+        a3, a4, rep.H, rep.H2, rep.K, rep.KD, rep.defect,
         canonical=canonical_equality_frame(a3, a4) if with_canonical else None,
         ellipse=ellipse_of_curvature(h, rep.H) if with_ellipse else None,
         frames=frames,
@@ -548,13 +536,6 @@ def _report(
 
 
 # -- frame-derivative quantities ----------------------------------------
-
-
-def _stencil_nodes(p: tuple, step: float, offsets: list) -> tuple:
-    """(s, t) arrays of the nodes p + step * offset, shape (offsets,) + batch shape."""
-    di, dj = np.transpose(offsets)
-    s, t = np.broadcast_arrays(*p)
-    return np.add.outer(step * di, s), np.add.outer(step * dj, t)
 
 
 def _require_one_branch(same, p: tuple) -> None:
@@ -603,13 +584,14 @@ def connection_forms(imm: Immersion, p: tuple, step: float = 1e-3) -> Connection
 
     Defined by nabla_X e1 = w12(X) e2 and D_X e3 = w34(X) e4; with the
     time-like normals this evaluates as w34(X) = -<D_X e3, e4>, in the
-    frame field build_frames gives.  p is a point or a batch of points;
-    one batched call builds the five stencil frames of every point, and
-    each stencil must share one Gram-Schmidt branch.
+    frame field build_frames gives.  p is a point or a batch of points; the
+    forms read rows 0-4, the 5-point stencils, of the nested-stencil build
+    (_nested_frames), and each 5-point stencil must share one Gram-Schmidt
+    branch.
     """
-    fr = build_frames(imm, _stencil_nodes(p, step, _STENCIL))
-    _require_one_branch((fr.scan == fr.scan[0]).all(axis=(0, -1)), p)
-    lead, trail = [fr.e1.coords, fr.e3.coords], [fr.e2.coords, fr.e4.coords]
+    fr = _nested_frames(imm, p, step)[1]
+    _require_one_branch((fr.scan[:5] == fr.scan[0]).all(axis=(0, -1)), p)
+    lead, trail = [fr.e1.coords[:5], fr.e3.coords[:5]], [fr.e2.coords[:5], fr.e4.coords[:5]]
     w12, w34 = _on_frame(fr, _coordinate_forms(lead, trail, fr.e1.signature.weights, step))
     return ConnectionSample(*w12, *w34)
 
@@ -621,8 +603,8 @@ def structure_equation_check(
 
     Estimates the exterior derivatives of the connection forms by nested
     central differences and returns (-d w12 / area form, -d w34 / area
-    form) at each point of p, which must reproduce K and KD.  One batched
-    call builds the frames of the 13 distinct nested-stencil nodes of every point.
+    form) at each point of p, which must reproduce K and KD, from the
+    frames of the 13 distinct nested-stencil nodes of every point (_nested_frames).
     """
     return _structure(_nested_frames(imm, p, step)[1], p, step)
 
@@ -646,18 +628,12 @@ def codazzi_residual(imm: Immersion, p: tuple, step: float = 1e-3) -> float:
 
     Compares (nabla-bar_{e1} h)(e2, .) against (nabla-bar_{e2} h)(e1, .) on
     both tangent slots and returns the larger coordinate norm per point of
-    p; O(step^2) for a genuine immersion.  One batched call builds the five
-    stencil frames of every point for h and w12, unless p is the single
-    point whose nested stencil was built last (see _nested_frames): rows
-    0-4 of that build are its 5-point stencil.  h, D h and w12 do not
-    depend on the normal basis, so the stencil needs no common scan branch.
+    p; O(step^2) for a genuine immersion.  h and w12 come from rows 0-4,
+    the 5-point stencils, of the nested-stencil build (_nested_frames).
+    h, D h and w12 do not depend on the normal basis, so the stencil needs
+    no common scan branch.
     """
-    kept = _last_nested
-    if kept and kept[0] is imm and kept[1] is build_frames and kept[2] == _point_key(p, step):
-        nodes, fr = kept[3:]
-    else:
-        nodes = _stencil_nodes(p, step, _STENCIL)
-        fr = build_frames(imm, nodes)
+    nodes, fr = _nested_frames(imm, p, step)
     return _codazzi(fr, second_fundamental_form(imm, nodes, fr), step)
 
 
@@ -683,17 +659,19 @@ def _codazzi(fr: FrameData, h: SecondFF, step: float) -> np.ndarray:
 
 def _nested_stencil(p: tuple, step: float) -> tuple:
     """(s, t) arrays of the 13 nested-stencil nodes of every point of p, shape (13,) + batch shape."""
-    return _stencil_nodes(p, step, _NESTED_NODES)
+    di, dj = np.transpose(_NESTED_NODES)
+    s, t = np.broadcast_arrays(*p)
+    return np.add.outer(step * di, s), np.add.outer(step * dj, t)
 
 
 # The last nested-stencil build at a single point, (imm, the build_frames
-# it called, _point_key, nodes, frames), or None.  A point probe calls
-# structure_equation_check and then codazzi_residual at the same point; the
-# second reads its 5-point stencil from this build.  The key holds the
-# objects themselves, compared by identity, so a patched build_frames or
-# another Immersion never meets frames built before it; h is not kept.  It
-# is set by one assignment and read once per call, so a concurrent call can
-# only miss.
+# it called, _point_key, nodes, frames), or None, whichever FD check made
+# it.  A point probe calls structure_equation_check and then
+# codazzi_residual at the same point; the second reads this build.  The
+# key holds the objects themselves, compared by identity, so a patched
+# build_frames or another Immersion never meets frames built before it; h
+# is not kept.  It is set by one assignment and read once per call, so a
+# concurrent call can only miss.
 _last_nested = None
 
 
@@ -706,40 +684,31 @@ def _point_key(p: tuple, step: float) -> bytes | None:
 
 
 def _nested_frames(imm: Immersion, p: tuple, step: float) -> tuple:
-    """(nodes, frames) of the nested stencils of p; kept in _last_nested when p is a single point."""
+    """(nodes, frames) of the nested stencils of p, the only FD frame build.
+
+    Returns the kept build on an exact key match; otherwise builds the 13
+    nodes of every point and keeps them in _last_nested when p is a single
+    point.
+    """
     global _last_nested
-    build, nodes = build_frames, _nested_stencil(p, step)
-    fr = build(imm, nodes)
-    key = _point_key(p, step)
+    key, kept = _point_key(p, step), _last_nested
+    if key is not None and kept and kept[0] is imm and kept[1] is build_frames and kept[2] == key:
+        return kept[3:]
+    nodes = _nested_stencil(p, step)
+    fr = build_frames(imm, nodes)
     if key is not None:
-        _last_nested = (imm, build, key, nodes, fr)
+        _last_nested = (imm, build_frames, key, nodes, fr)
     return nodes, fr
 
 
-def stencil_checks(
-    imm: Immersion, p: tuple, step: float = 1e-3, with_canonical: bool = True
-) -> tuple:
-    """The report at the points of p and both FD checks, from one frame build.
-
-    One batched call builds the frames of the 13 nested-stencil nodes of
-    every point; row 0 holds the points themselves and rows 0-4 their
-    5-point stencils.  Returns (report, (K, KD) from the structure
-    equations, Codazzi residual).  For a batch of points these equal
-    point_report without the ellipse, structure_equation_check and
-    codazzi_residual bit for bit; at a single point the report rounds as a
-    batch node does.
-    """
-    nodes, fr = _nested_frames(imm, p, step)
-    h = second_fundamental_form(imm, nodes, fr)
-    rep = _report(imm, fr._take(0), h._take(0), with_canonical, False)
-    return rep, _structure(fr, p, step), _codazzi(fr, h, step)
-
-
 def _stencil_checks(nested: CurvatureReport, p: tuple, step: float, with_canonical: bool) -> tuple:
-    """stencil_checks from the report, with frames and h, at the nested stencils of p.
+    """The report at the points of p and both FD checks, from the report,
+    with frames and h, at the nested stencils of p.
 
-    nested has _nested_stencil's shape, as verify's batch gives it; only
-    the canonical frame is computed here, at row 0 and when asked.
+    nested has _nested_stencil's shape, as verify's batch gives it: row 0
+    holds the points and rows 0-4 their 5-point stencils.  Returns (report,
+    (K, KD) from the structure equations, Codazzi residual); only the
+    canonical frame is computed here, at row 0 and when asked.
     """
     fr = nested.frames
     return nested._take(0, with_canonical), _structure(fr, p, step), _codazzi(fr, nested.h, step)

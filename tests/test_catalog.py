@@ -100,6 +100,9 @@ class TestCatalogGet:
             ("umbilical_flat", {"radius": "x"}, "radius must be positive"),
             ("umbilical_flat", {"radius": math.inf}, "radius must be positive and finite"),
             ("umbilical_flat", {"radius": "inf"}, "radius must be positive and finite"),
+            ("umbilical_flat", {"radius": 1e-170}, "radius^2 must be finite and nonzero"),
+            ("umbilical_flat", {"radius": 1e200}, "radius^2 must be finite and nonzero"),
+            ("holomorphic_graph", {"f": "z^2/2", "domain": 1}, "parameter 'domain' must be a DomainRect, got 1"),
             ("random_polynomial", {"seed": 3.7}, "seed must be a non-negative integer, got 3.7"),
             ("random_polynomial", {"seed": "3.7"}, "seed must be a non-negative integer, got '3.7'"),
             ("random_polynomial", {"seed": math.inf}, "seed must be a non-negative integer, got inf"),

@@ -9,7 +9,13 @@ import pytest
 from neutralsurf import fields
 from neutralsurf.catalog import _membership_residual, catalog_get, check_membership, from_definition
 from neutralsurf.cli import DEFAULT_TOLERANCES, _fd_sample_points, build_verification_report, main
-from neutralsurf.curvature import _nested_stencil, _stencil_checks, point_report, stencil_checks
+from neutralsurf.curvature import (
+    _nested_stencil,
+    _stencil_checks,
+    codazzi_residual,
+    point_report,
+    structure_equation_check,
+)
 from neutralsurf.errors import DegeneracyError
 from neutralsurf.expr import parse_surface
 from neutralsurf.fields import SurfaceSample, _sample, sample_surface
@@ -321,6 +327,60 @@ class TestUsageErrors:
         assert out == ""
         assert err == "error: umbilical_flat radius must be positive and finite\n"
 
+    @pytest.mark.parametrize("value", ["1e-170", "1e200"])
+    def test_radius_square_out_of_float_range_exit_2(self, capsys, value):
+        # radius^2 underflows to 0 or overflows: not a ZeroDivisionError
+        # traceback (exit 1) or a surface with E = nan (exit 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "verify", "umbilical_flat", "--param", f"radius={value}")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: umbilical_flat radius^2 must be finite and nonzero, got radius {float(value)!r}\n"
+        )
+
+    def test_domain_as_a_param_exit_2(self, capsys):
+        # not an AttributeError traceback (exit 1): the sampled domain is --domain
+        code, out, err = run(capsys, "verify", "holomorphic_graph", "--param", "f=z^2/2", "--param", "domain=1")
+        assert code == 2
+        assert out == ""
+        assert "parameter 'domain' must be a DomainRect" in err and "--domain s0:s1,t0:t1" in err
+
+    @pytest.mark.parametrize(
+        "argv,limit,step",
+        [
+            (["--tol", "fd_step=10"], 0.25, 10.0),
+            (["--domain", "0:1e-9,0:1e-9"], 1.25e-10, 1e-3),
+            (["--domain", "0:1,0:4", "--tol", "fd_step=0.126"], 0.125, 0.126),
+        ],
+    )
+    def test_fd_step_over_an_eighth_of_the_domain_exit_2(self, capsys, argv, limit, step):
+        # the FD points and their stencils would leave the domain
+        code, out, err = run(capsys, "verify", "phi_h42", "--grid", "5x5", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: tolerance fd_step must be at most 1/8 of the domain's width and height ({limit!r}), got {step!r}\n"
+        )
+
+    def test_fd_step_of_an_eighth_of_the_domain_is_accepted(self, capsys, monkeypatch):
+        # the 9 FD points meet at the center; their stencils reach a quarter of the way out
+        nodes = []
+        original = fields._sample
+
+        def recording(imm, grid, domain, extra, positions):
+            nodes.append(extra)
+            return original(imm, grid, domain, extra, positions)
+
+        monkeypatch.setattr("neutralsurf.cli._sample", recording)
+        code, out, _ = run(capsys, "verify", "phi_h42", "--grid", "5x5", "--domain", "0:1,0:2", "--tol", "fd_step=0.125")
+        assert code in (0, 1)
+        assert "result:" in out
+        (s, t), = nodes
+        assert s.min() == 0.25 and s.max() == 0.75
+        assert t.min() >= 0.0 and t.max() <= 2.0
+
     def test_integer_seed_as_option_or_param(self, capsys):
         argv = ["verify", "random_polynomial", "--grid", "5x5", "--format", "json"]
         code, by_option, _ = run(capsys, *argv, "--seed", "3")
@@ -363,7 +423,9 @@ class TestOnePass:
             assert np.array_equal(getattr(sample, field), getattr(want, field)), field
 
         rep, (kw, kdw), codazzi = _stencil_checks(nested, points, step, with_canonical=True)
-        want_rep, (want_kw, want_kdw), want_codazzi = stencil_checks(imm, points, step)
+        want_rep = point_report(imm, points)
+        want_kw, want_kdw = structure_equation_check(imm, points, step)
+        want_codazzi = codazzi_residual(imm, points, step)
         for key in ("K", "KD", "H2", "defect"):
             assert np.array_equal(getattr(rep, key), getattr(want_rep, key)), key
         assert np.array_equal(rep.canonical.residual, want_rep.canonical.residual)

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import math
 from pathlib import Path
@@ -20,7 +21,6 @@ from neutralsurf.curvature import (
     point_report,
     second_fundamental_form,
     shape_operators,
-    stencil_checks,
     structure_equation_check,
 )
 from neutralsurf.cli import _fd_sample_points
@@ -43,6 +43,7 @@ from oracles import (
     rotate_pair,
     second_fundamental_form_per_component,
     shape_operators_per_component,
+    stencil_frames,
     structure_equation_check_per_component,
     wintgen_defect_formula,
 )
@@ -603,6 +604,22 @@ class TestConnectionForms:
             assert abs(w.w34_e1 - 2.0 * w.w12_e1) <= 1e-5
             assert abs(w.w34_e2 - 2.0 * w.w12_e2) <= 1e-5
 
+    def test_one_branch_on_the_5_point_stencil_only(self, monkeypatch):
+        # another scan branch at the node 2 steps out along +s, which the
+        # nested build holds: the structure equations reject it, the forms do not
+        imm, p = catalog_get("phi_h42"), (-0.2, 0.5)
+        want = dataclasses.astuple(connection_forms(imm, p))
+
+        def switched(imm, q):
+            fr = build_frames(imm, q)
+            far = np.asarray(q[0]) > p[0] + 1.5e-3
+            return dataclasses.replace(fr, scan=np.where(far[..., None], fr.scan[..., ::-1], fr.scan))
+
+        monkeypatch.setattr(curvature, "build_frames", switched)
+        with pytest.raises(DegeneracyError):
+            structure_equation_check(imm, p)
+        assert [bits(x) for x in dataclasses.astuple(connection_forms(imm, p))] == [bits(x) for x in want]
+
 
 class TestStructureEquations:
     def test_phi(self):
@@ -773,13 +790,15 @@ class TestStackedStages:
 
 
 class TestStencilChecks:
-    """One frame build serves the report at the points and both FD checks."""
+    """verify reads the report at the FD points and both FD checks from one
+    nested-stencil report; they equal the separate public calls."""
 
     @pytest.mark.parametrize("name", sorted(STACKED_SURFACES))
     def test_equals_the_separate_calls_bit_for_bit(self, name):
         imm = TestStackedStages.surface(name)
         p = _fd_sample_points(imm.domain, 1e-3)
-        rep, structure, codazzi = stencil_checks(imm, p, 1e-3)
+        nested = point_report(imm, curvature._nested_stencil(p, 1e-3), with_canonical=False, with_ellipse=False)
+        rep, structure, codazzi = curvature._stencil_checks(nested, p, 1e-3, with_canonical=True)
         want = point_report(imm, p)
         for key in ("K", "KD", "H2", "defect"):
             assert np.array_equal(getattr(rep, key), getattr(want, key)), key
@@ -789,10 +808,19 @@ class TestStencilChecks:
         assert np.array_equal(codazzi, codazzi_residual(imm, p, 1e-3))
 
 
+def five_point_checks(imm, p, step):
+    """connection_forms and codazzi_residual on a build of the 5-point stencils alone."""
+    fr = stencil_frames(imm, p, step)
+    lead, trail = [fr.e1.coords, fr.e3.coords], [fr.e2.coords, fr.e4.coords]
+    w12, w34 = curvature._on_frame(fr, curvature._coordinate_forms(lead, trail, fr.e1.signature.weights, step))
+    codazzi = curvature._codazzi(fr, second_fundamental_form(imm, p, fr), step)
+    return [*w12, *w34], codazzi
+
+
 class TestNestedMemo:
-    """codazzi_residual at the single point whose nested stencil
-    structure_equation_check built last reads its 5-point stencil from that
-    build; anything else builds its own stencil."""
+    """The FD checks read one frame build, the nested stencil's; the last
+    one at a single point is kept, whichever check made it, and any FD
+    check at that point reads it."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -810,53 +838,93 @@ class TestNestedMemo:
     @pytest.mark.parametrize("step", [1e-3, 5e-4])
     @pytest.mark.parametrize("name", sorted(STACKED_SURFACES))
     def test_warm_equals_cold_bit_for_bit(self, builds, monkeypatch, name, step):
+        # rows 0-4 of the nested build give the values of a 5-point build
         imm = TestStackedStages.surface(name)
         for p in self.points(imm):
             monkeypatch.setattr(curvature, "_last_nested", None)
             cold = codazzi_residual(imm, p, step)
+            forms, codazzi = five_point_checks(imm, p, step)
+            assert bits(cold) == bits(codazzi), (name, p)
+            assert type(cold) is type(codazzi)
             structure_equation_check(imm, p, step)
             builds.clear()
             warm = codazzi_residual(imm, p, step)
+            assert [bits(x) for x in dataclasses.astuple(connection_forms(imm, p, step))] == [bits(x) for x in forms]
             assert builds == [], (name, p)
             assert bits(warm) == bits(cold), (name, p)
-            assert type(warm) is type(cold)
+
+    @pytest.mark.parametrize("shape", [(1,), (20,), (4, 5)])
+    @pytest.mark.parametrize("name", sorted(STACKED_SURFACES))
+    def test_batches_equal_a_5_point_build(self, builds, name, shape):
+        imm = TestStackedStages.surface(name)
+        d = imm.domain
+        rng = np.random.default_rng(15)
+        p = tuple(lo + (hi - lo) * (0.1 + 0.8 * rng.random(shape)) for lo, hi in ((d.s0, d.s1), (d.t0, d.t1)))
+        forms, codazzi = five_point_checks(imm, p, 1e-3)
+        got = dataclasses.astuple(connection_forms(imm, p))
+        assert [bits(x) for x in got] == [bits(x) for x in forms]
+        assert bits(codazzi_residual(imm, p)) == bits(codazzi)
+        assert [b[0].shape[0] for b in builds] == [13, 13]
 
     def test_misses_build_their_own_stencil(self, builds):
         imm = catalog_get("random_polynomial", {"seed": 7})
         p, step = (0.2, 0.1), 1e-3
         nudged = (float(np.nextafter(p[0], 1.0)), p[1])
         batch = (np.array([p[0]]), np.array([p[1]]))
-        structure_equation_check(imm, p, step)
-        kept = curvature._last_nested
         for other, q, h in [
             (catalog_get("random_polynomial", {"seed": 7}), p, step),  # equal, not the same object
             (imm, p, 5e-4),
             (imm, nudged, step),
             (imm, batch, step),
         ]:
+            structure_equation_check(imm, p, step)
+            kept = curvature._last_nested
             builds.clear()
             got = codazzi_residual(other, q, h)
-            assert len(builds) == 1 and builds[0][0].shape[0] == 5, (q, h)
-            assert curvature._last_nested is kept
+            assert len(builds) == 1 and builds[0][0].shape[0] == 13, (q, h)
+            # a single-point miss replaces the kept build; a batch is never kept
+            assert (curvature._last_nested is kept) == (q is batch), (q, h)
             fresh = codazzi_residual_per_component(other, q, h)
             assert np.max(np.abs(got - fresh)) <= 1e-15
-        # a batch is never kept
-        structure_equation_check(imm, batch, step)
-        assert curvature._last_nested is kept
-        builds.clear()
-        codazzi_residual(imm, batch, step)
-        assert len(builds) == 1
 
     def test_one_entry_the_last_single_point(self, builds):
+        # the kept build is the last single-point nested build, whichever FD check made it
         imm = catalog_get("phi_h42")
-        for p in [(0.3, -0.4), (-0.2, 0.5)]:
-            structure_equation_check(imm, p)
+        p, q = (0.3, -0.4), (-0.2, 0.5)
+        batch = (np.array([0.3, -0.2]), np.array([-0.4, 0.5]))
+        for check, at, new_builds in [
+            (structure_equation_check, p, 1),
+            (connection_forms, q, 1),
+            (codazzi_residual, q, 0),
+            (codazzi_residual, p, 1),
+            (structure_equation_check, batch, 1),
+            (connection_forms, p, 0),
+            (structure_equation_check, q, 1),
+            (structure_equation_check, p, 1),
+        ]:
+            builds.clear()
+            check(imm, at)
+            assert len(builds) == new_builds, (check.__name__, at)
+
+    @pytest.mark.parametrize("cold", [connection_forms, codazzi_residual])
+    def test_a_cold_single_point_check_keeps_its_build(self, builds, cold):
+        imm = catalog_get("random_polynomial", {"seed": 7})
+        p = (0.2, 0.1)
+        cold(imm, p)
+        assert len(builds) == 1 and curvature._last_nested[0] is imm
         builds.clear()
-        codazzi_residual(imm, (0.3, -0.4))
-        assert len(builds) == 1
-        builds.clear()
-        codazzi_residual(imm, (-0.2, 0.5))
+        structure_equation_check(imm, p)
         assert builds == []
+
+    @pytest.mark.parametrize("check", [connection_forms, structure_equation_check, codazzi_residual])
+    def test_a_batch_is_never_kept(self, builds, check):
+        imm = catalog_get("phi_h42")
+        for batch in [(np.array([0.3]), np.array([-0.4])), (np.array([0.3, -0.2]), -0.4)]:
+            check(imm, batch)
+            assert curvature._last_nested is None
+        builds.clear()
+        check(imm, (np.array([0.3]), np.array([-0.4])))
+        assert len(builds) == 1
 
     def test_scale_h12_fault_after_a_warm_call(self, builds, scale_h12):
         phi = catalog_get("phi_h42")
@@ -879,6 +947,23 @@ class TestNestedMemo:
         assert str(exc.value) == "frame branch switch within the stencil at (s,t)=(-0.2, 0.5)"
         # Codazzi does not depend on the scan branch, from whichever build
         assert codazzi_residual(imm, target) == want
+
+
+class TestOneFrameSource:
+    def test_build_frames_only_in_point_report_and_nested_frames(self):
+        # one FD frame source: no 5-point build and no second route to the FD values
+        tree = ast.parse(Path(curvature.__file__).read_text(encoding="utf-8"))
+        functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        users = {
+            fn.name
+            for fn in functions
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Name) and node.id == "build_frames"
+        }
+        assert users == {"point_report", "_nested_frames"}
+        calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "build_frames"]
+        assert len(calls) == 2
+        assert not {fn.name for fn in functions} & {"stencil_checks", "_report", "_stencil_nodes"}
 
 
 class TestAmbientCurvature:
