@@ -10,6 +10,7 @@ batched evaluation; non-space-like parameter choices are rejected.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Callable
 
 import numpy as np
@@ -280,7 +281,9 @@ def _build_totally_geodesic(params: dict) -> Immersion:
 
 
 def _poly_coeffs_from_param(f) -> np.ndarray:
-    """Polynomial coefficients of f(z), lowest degree first."""
+    """Polynomial coefficients of f(z), lowest degree first; a number is the constant polynomial."""
+    if isinstance(f, numbers.Number):
+        return np.array([complex(f)])
     if isinstance(f, str):
         ast = parse_expression(f, variables=("z",))
         z = np.polynomial.Polynomial([0.0, 1.0])

@@ -1,16 +1,22 @@
 """Pointwise extrinsic invariants of space-like surfaces in neutral 4-space forms.
 
 The pipeline at a point is: adapted orthonormal frame (space-like tangent
-pair, time-like normal pair), second fundamental form by normal projection
-of the jet second derivatives, shape operators, then the scalar invariants
-K, KD, H, <H,H> and the inequality defect
+pair, time-like normal pair), second fundamental form h by normal projection
+of the jet second derivatives, then the scalar invariants K, KD, H, <H,H>
+and the inequality defect
 
     defect = K - |KD| - <H,H> - c  (minimum over the normal-orientation flip),
 
 which is nonnegative for every space-like surface and zero exactly on the
-equality cases.  Frame-derivative quantities (connection forms, structure
-equations, Codazzi residual) are estimated by central differences of the
-deterministic frame field.
+equality cases.  The invariants come from h alone (Gauss and Ricci
+equations in terms of u = (h11 - h22)/2 and v = h12, the axes of the
+ellipse of curvature), so a report needs no normal basis: build_frames
+completes the normal pair e3, e4 only when something first reads it, at
+the nodes of the FrameData being read, and the shape operators A3, A4 of
+a report are computed on first read.  Only the canonical frame and the FD
+checks of the frame field read them.  Frame-derivative quantities
+(connection forms, structure equations, Codazzi residual) are estimated by
+central differences of the deterministic frame field.
 
 Every stage takes a point or a batch of nodes alike: p = (s, t) may hold
 floats or arrays, and each field then holds one value per node.  The
@@ -20,7 +26,8 @@ list the 5-point stencil first, so row 0 holds the points and rows 0-4
 their 5-point stencils.  At a single point that build is kept, one entry,
 and any FD check at that point reads it (see _last_nested).  verify
 appends the same nodes to its grid batch and reads them back with
-FrameData._take (_stencil_checks).
+FrameData._take (_stencil_checks), which completes the normal pair of the
+stencil nodes only, not of the grid.
 
 Inside a stage the vectors are (..., dim) coordinate arrays under the
 signature's weights, stacked so that one array operation serves all
@@ -45,7 +52,6 @@ from .errors import DegeneracyError, first_flagged
 from .pseudo_linalg import (
     SPACE_LIKE,
     TIME_LIKE,
-    LIGHTLIKE_RTOL,
     SPAN_RTOL,
     PVector,
     Sym2,
@@ -60,26 +66,24 @@ from .records import Record
 # sign per ambient kind.  Keeps the normal-curvature sign reproducible and
 # smooth, and makes the built-in equality surfaces report KD in their
 # equality-achieving orientation (KD = -2/3 on the hyperbolic-plane
-# immersion, KD = -K on holomorphic graphs).
+# immersion, KD = -K on holomorphic graphs).  KD reads the same sign off
+# det [x; psi_s; psi_t; u; v] (_h_invariants), with no normal frame.
 _ORIENT_SIGN = {"flat": 1.0, "pseudo_sphere": -1.0, "pseudo_hyperbolic": -1.0}
 
 # The pairs (i, j), i < j, of ambient basis vectors, ordered by j: the pairs
 # within rows 0..L come first, and (i, j) is pair j (j - 1) / 2 + i.  Per
-# pair, its sign (-1)^(i+j+1) in the frame determinant (build_frames) and,
-# per dimension, the other columns; for dimension 5 the first two of these
-# again, so that the cross product of two rows of a 3x3 minor is two slices.
+# pair: its columns (_PAIR_I, _PAIR_J), its sign (-1)^(i+j+1) in a
+# determinant expanded along two rows (_jet_minors), and per dimension the
+# other columns (k, l[, m]).  For dimension 5, _OFF_SUB holds the pairs
+# (l, m), (k, m), (k, l) of the 2x2 minors inside the 3x3 minor off (i, j).
 _PAIRS = [(i, j) for j in range(5) for i in range(j)]
+_PAIR_I, _PAIR_J = np.transpose(_PAIRS)
 _PAIR_SIGN = np.array([(-1.0) ** (i + j + 1) for i, j in _PAIRS])
 _OFF_PAIR = {
-    dim: np.array([
-        cols + cols[:2] if dim == 5 else cols
-        for i, j in _PAIRS[: dim * (dim - 1) // 2]
-        for cols in [[c for c in range(dim) if c not in (i, j)]]
-    ])
+    dim: np.array([[c for c in range(dim) if c not in pair] for pair in _PAIRS[: dim * (dim - 1) // 2]])
     for dim in (4, 5)
 }
-
-_DUALITY_TOL = 1e-8
+_OFF_SUB = np.array([[_PAIRS.index(q) for q in ((l, m), (k, m), (k, l))] for k, l, m in _OFF_PAIR[5]])
 
 # Below this norm of (tr A3, tr A4) the mean curvature is treated as zero.
 _TRACE_TOL = 1e-9
@@ -115,6 +119,14 @@ class FrameData:
     flipped records the orientation normalization applied to e4.  jets are
     the jets the frame was built from, so later stages do not evaluate the
     immersion again.
+
+    build_frames leaves e3, e4, scan and flipped out; the first read of any
+    of them completes all four from the Gram-Schmidt frame and the jets
+    (_complete_normals) at this FrameData's nodes, and keeps them.  _take
+    of frames not yet completed gives frames that complete at the taken
+    nodes only.  _gram_schmidt holds the coordinates of (x^, e1, e2), or
+    (e1, e2) for a flat ambient: build_frames keeps them from Gram-Schmidt,
+    and frames built otherwise form them on first read.
     """
 
     e1: PVector
@@ -126,14 +138,45 @@ class FrameData:
     flipped: bool | np.ndarray
     jets: JetPoint | None = None
 
+    @classmethod
+    def _tangent(cls, frame: list[PVector], metric: MetricCoeffs, jets: JetPoint) -> "FrameData":
+        """Frames from the Gram-Schmidt frame, whose normal pair is completed on first read."""
+        fr = object.__new__(cls)
+        for name, value in (
+            ("e1", frame[-2]), ("e2", frame[-1]), ("metric", metric), ("jets", jets),
+            ("_gram_schmidt", [v.coords for v in frame]),
+        ):
+            object.__setattr__(fr, name, value)
+        return fr
+
+    def __getattr__(self, name):
+        # reached only for an attribute not set yet: the Gram-Schmidt frame of
+        # frames built otherwise, or the normal pair of a build
+        if name == "_gram_schmidt":
+            object.__setattr__(self, name, _gram_schmidt_rows(self.e1, self.e2, self.jets))
+        elif name in _NORMAL_FIELDS:
+            for field, value in zip(_NORMAL_FIELDS, _complete_normals(self)):
+                object.__setattr__(self, field, value)
+        else:
+            raise AttributeError(name)
+        return self.__dict__[name]
+
     def _take(self, nodes) -> "FrameData":
         """The frames at nodes, an index or index array into the leading node axis."""
         m = self.metric
-        return FrameData(
-            self.e1[nodes], self.e2[nodes], self.e3[nodes], self.e4[nodes],
-            MetricCoeffs(m.E[nodes], m.F[nodes], m.G[nodes]), self.scan[nodes], self.flipped[nodes],
+        sig = self.e1.signature
+        taken = FrameData._tangent(
+            [PVector(v[nodes], sig) for v in self._gram_schmidt],
+            MetricCoeffs(m.E[nodes], m.F[nodes], m.G[nodes]),
             self.jets._take(nodes),
         )
+        if "e3" in self.__dict__:  # completed: the taken frames keep the normal pair
+            for name in _NORMAL_FIELDS:
+                object.__setattr__(taken, name, getattr(self, name)[nodes])
+        return taken
+
+
+_NORMAL_FIELDS = ("e3", "e4", "scan", "flipped")
 
 
 class SecondFF(Record):
@@ -205,7 +248,11 @@ class EllipseInfo(Record):
 
 
 class CurvatureReport(Record):
-    """Invariants at a point or per node; point_report also keeps the frames and h."""
+    """Invariants at a point or per node; point_report also keeps the frames and h.
+
+    A3 and A4 given as None are computed from h and frames by
+    shape_operators on first read.
+    """
 
     __slots__ = _fields = (
         "A3", "A4", "H", "H2", "K", "KD", "defect", "canonical", "ellipse", "frames", "h",
@@ -225,8 +272,9 @@ class CurvatureReport(Record):
         frames: FrameData | None = None,
         h: SecondFF | None = None,
     ):
-        self.A3 = A3
-        self.A4 = A4
+        if A3 is not None:
+            self.A3 = A3
+            self.A4 = A4
         self.H = H
         self.H2 = H2
         self.K = K
@@ -237,11 +285,19 @@ class CurvatureReport(Record):
         self.frames = frames
         self.h = h
 
+    def __getattr__(self, name):
+        # reached only for an unset slot: the shape operators, on first read
+        if name not in ("A3", "A4"):
+            raise AttributeError(name)
+        self.A3, self.A4 = shape_operators(self.h, self.frames)
+        return getattr(self, name)
+
     def _take(self, nodes, with_canonical: bool = False) -> "CurvatureReport":
         """The report at nodes, an index or index array into the leading node
         axis: the invariants, frames and h, with the canonical frame when
         asked and no ellipse."""
-        a3, a4 = (Sym2(a.a11[nodes], a.a12[nodes], a.a22[nodes]) for a in (self.A3, self.A4))
+        frames, h = self.frames._take(nodes), self.h._take(nodes)
+        a3, a4 = shape_operators(h, frames) if with_canonical else (None, None)
         return CurvatureReport(
             a3,
             a4,
@@ -251,8 +307,8 @@ class CurvatureReport(Record):
             self.KD[nodes],
             self.defect[nodes],
             canonical=canonical_equality_frame(a3, a4) if with_canonical else None,
-            frames=self.frames._take(nodes),
-            h=self.h._take(nodes),
+            frames=frames,
+            h=h,
         )
 
 
@@ -270,27 +326,11 @@ def build_frames(imm: Immersion, p: tuple) -> FrameData:
     """Deterministic adapted frame at p, a node (s, t) or a batch of nodes.
 
     e1 follows the s-velocity; e2 completes the tangent pair with the (s,t)
-    orientation; the normal pair comes from Gram-Schmidt over the first two
-    ambient basis vectors b_i, b_j (i < j) carrying a direction outside the
-    tangent (and position) span, in coordinate order, then e4 is
-    sign-normalized so the full ambient frame (position first, when there
-    is one) has the determinant sign _ORIENT_SIGN of the ambient kind.
-    Over a batch every node runs its own scan, with masks, and the scan
-    stops once every node has its pair; errors, from Gram-Schmidt too,
-    name the first offending node.  Basis remainders (b_i with the frame
-    projected off) are formed only for the rows the scan visits: rows 0-1
-    as one block, the later rows as a second block only when some node
-    still lacks its pair.
-
-    The orientation needs no determinant of the frame.  Gram-Schmidt with
-    positive normalizers makes the frame rows T [jets; b_i; b_j] with T
-    lower triangular with a positive diagonal, where jets are the rows
-    (x, psi_s, psi_t), or (psi_s, psi_t) for a flat ambient.  So the frame
-    determinant has the sign of det [jets; b_i; b_j], which is
-    (-1)^(i+j+1) times the jets' minor on the columns other than i and j.
+    orientation; Gram-Schmidt errors name the first offending node.  The
+    normal pair is completed when something first reads it
+    (_complete_normals).
     """
     jp = imm.evaluate(*p)
-    sig = imm.ambient.signature
     vs, vt = jp.velocity_s(), jp.velocity_t()
     metric = metric_from_velocities(imm, p, vs, vt)
     base: list[PVector] = []
@@ -302,7 +342,34 @@ def build_frames(imm: Immersion, p: tuple) -> FrameData:
         frame = orthonormalize(base + [vs, vt], chars + [SPACE_LIKE, SPACE_LIKE])
     except DegeneracyError as exc:
         raise DegeneracyError(f"{exc} at (s,t)={first_flagged(exc.nodes, *p)}") from exc
-    frame = [v.coords for v in frame]
+    return FrameData._tangent(frame, metric, jp)
+
+
+def _complete_normals(fr: FrameData) -> tuple:
+    """(e3, e4, scan, flipped) of frames fr from their Gram-Schmidt frame and jets.
+
+    The normal pair comes from Gram-Schmidt over the first two ambient
+    basis vectors b_i, b_j (i < j) carrying a direction outside the tangent
+    (and position) span, in coordinate order, then e4 is sign-normalized so
+    the full ambient frame (position first, when there is one) has the
+    determinant sign _ORIENT_SIGN of the ambient kind.  Over a batch every
+    node runs its own scan, with masks, and the scan stops once every node
+    has its pair.  By Sylvester's law of inertia the complement of the
+    accepted (position, e1, e2) is negative definite, so every remainder the
+    scan takes is time-like.  Basis remainders (b_i with the frame projected
+    off) are formed only for the rows the scan visits: rows 0-1 as one
+    block, the later rows as a second block only when some node still lacks
+    its pair.
+
+    The orientation needs no determinant of the frame.  Gram-Schmidt with
+    positive normalizers makes the frame rows T [jets; b_i; b_j] with T
+    lower triangular with a positive diagonal, where jets are the rows
+    (x, psi_s, psi_t), or (psi_s, psi_t) for a flat ambient.  So the frame
+    determinant has the sign of det [jets; b_i; b_j], which is
+    (-1)^(i+j+1) times the jets' minor on the columns other than i and j.
+    """
+    jp, frame = fr.jets, fr._gram_schmidt
+    sig = jp.ambient.signature
     w, dim = sig.weights, sig.total_dim
     # normals not found yet are zero, found ones have <n,n> = -1, so adding
     # <r,n> n projects r off e3 at the nodes that have it.  A node that can
@@ -316,22 +383,9 @@ def build_frames(imm: Immersion, p: tuple) -> FrameData:
         if seeded:
             r = r + ((r * normals[0]) @ w)[..., None] * normals[0]
         rr = r * r
-        q = rr @ w
-        scale = rr.sum(axis=-1)
         # basis vectors in the current span are skipped
-        take = (found < 2) & (scale > SPAN_RTOL)
-        light = take & (np.abs(q) < LIGHTLIKE_RTOL * scale)
-        if light.any():
-            raise DegeneracyError(
-                f"degenerate normal plane at (s,t)={first_flagged(light, *p)}: "
-                "light-like remainder"
-            )
-        spacelike = take & (q > 0)
-        if spacelike.any():
-            raise DegeneracyError(
-                f"normal plane is not negative definite at (s,t)={first_flagged(spacelike, *p)}"
-            )
-        unit = r * (1.0 / np.sqrt(np.where(take, -q, 1.0)))[..., None]
+        take = (found < 2) & (rr.sum(axis=-1) > SPAN_RTOL)
+        unit = r * (1.0 / np.sqrt(np.where(take, -(rr @ w), 1.0)))[..., None]
         for k in range(2):
             now = take & (found == k)
             normals[k] = np.where(now[..., None], unit, normals[k])
@@ -340,24 +394,47 @@ def build_frames(imm: Immersion, p: tuple) -> FrameData:
         if (found == 2).all():
             break
         seeded = found.any()
-    if (found < 2).any():
-        raise DegeneracyError(
-            f"could not complete a normal frame at (s,t)={first_flagged(found < 2, *p)}"
-        )
-    # the orientation (see above): the jets' minors off every pair within the
-    # rows 0..i the scan visited, signed by (-1)^(i+j+1), read at each node's pair
-    m = jp._rows(slice(3 - len(frame), 3))[..., _OFF_PAIR[dim][: i * (i + 1) // 2]]
-    if len(m) == 2:
-        minors = m[0, ..., 0] * m[1, ..., 1] - m[0, ..., 1] * m[1, ..., 0]
-    else:
-        cross = m[1, ..., 1:4] * m[2, ..., 2:5] - m[1, ..., 2:5] * m[2, ..., 1:4]
-        minors = (m[0, ..., :3] * cross).sum(axis=-1)
+    # the orientation (see above): the signed minors of every pair within the
+    # rows 0..i the scan visited, read at each node's pair
     pair = scan[..., 1] * (scan[..., 1] - 1) // 2 + scan[..., 0]
-    minor = np.take_along_axis(minors * _PAIR_SIGN[: i * (i + 1) // 2], pair[..., None], axis=-1)
-    flipped = minor[..., 0] * _ORIENT_SIGN[imm.ambient.kind] < 0
+    minor = np.take_along_axis(_jet_minors(jp, i * (i + 1) // 2), pair[..., None], axis=-1)
+    flipped = minor[..., 0] * _ORIENT_SIGN[jp.ambient.kind] < 0
     e4 = np.where(flipped[..., None], -normals[1], normals[1])
-    e1, e2, e3, e4 = (PVector(v, sig) for v in (frame[-2], frame[-1], normals[0], e4))
-    return FrameData(e1, e2, e3, e4, metric, scan, flipped, jp)
+    return PVector(normals[0], sig), PVector(e4, sig), scan, flipped
+
+
+def _gram_schmidt_rows(e1: PVector, e2: PVector, jp: JetPoint) -> list[np.ndarray]:
+    """Coordinates of the Gram-Schmidt frame (x^, e1, e2), or (e1, e2) for a flat ambient.
+
+    x^ = x / sqrt|<x,x>| is normalized as orthonormalize does it, so it has
+    the bits that build_frames keeps.
+    """
+    rows = [e1.coords, e2.coords]
+    if not jp.ambient.is_flat:
+        x = jp._rows(0)
+        rows.insert(0, x * (1.0 / np.sqrt(np.abs((x * x) @ jp.ambient.signature.weights)))[..., None])
+    return rows
+
+
+def _jet_minors(jp: JetPoint, count: int) -> np.ndarray:
+    """The jets' minors on the columns other than each of the first count pairs, signed by _PAIR_SIGN.
+
+    The jets are the rows (x, psi_s, psi_t), or (psi_s, psi_t) for a flat
+    ambient; pair (i, j) gets (-1)^(i+j+1) times the minor off columns i
+    and j, its cofactor in a determinant whose last two rows are expanded.
+    A 3x3 minor expands along the row of x into the 2x2 minors of
+    (psi_s, psi_t), formed once for every pair.
+    """
+    off = _OFF_PAIR[jp.ambient.signature.total_dim][:count].T
+    if jp.ambient.is_flat:
+        b, c = jp._rows(slice(1, 3))
+        minors = b[..., off[0]] * c[..., off[1]] - b[..., off[1]] * c[..., off[0]]
+    else:
+        a, b, c = jp._rows(slice(0, 3))
+        bc = b[..., _PAIR_I] * c[..., _PAIR_J] - b[..., _PAIR_J] * c[..., _PAIR_I]
+        lm, km, kl = (bc[..., q] for q in _OFF_SUB[:count].T)
+        minors = a[..., off[0]] * lm - a[..., off[1]] * km + a[..., off[2]] * kl
+    return minors * _PAIR_SIGN[:count]
 
 
 def _basis_remainders(frame: list[np.ndarray], w: np.ndarray, nodes_ndim: int):
@@ -371,10 +448,14 @@ def _basis_remainders(frame: list[np.ndarray], w: np.ndarray, nodes_ndim: int):
     dim = len(w)
     for rows in (slice(0, 2), slice(2, dim)):
         rest = np.eye(dim)[rows]
-        rest = rest.reshape(rest.shape[:1] + (1,) * nodes_ndim + (dim,))
-        for f in frame:
-            rest = rest - ((rest * f) @ w / ((f * f) @ w))[..., None] * f
-        yield from rest
+        yield from _normal_part(rest.reshape(rest.shape[:1] + (1,) * nodes_ndim + (dim,)), frame, w)
+
+
+def _normal_part(v: np.ndarray, frame: list[np.ndarray], w: np.ndarray) -> np.ndarray:
+    """Coordinate arrays v with the Gram-Schmidt frame rows projected off, one row at a time."""
+    for f in frame:
+        v = v - ((v * f) @ w / ((f * f) @ w))[..., None] * f
+    return v
 
 
 def _tangent_coeffs(metric: MetricCoeffs) -> tuple:
@@ -389,22 +470,24 @@ def _tangent_coeffs(metric: MetricCoeffs) -> tuple:
     return a, b, c
 
 
-def _normal_project(v: np.ndarray, e3: np.ndarray, e4: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Projection of coordinate arrays onto span(e3, e4) (time-like unit normals)."""
-    return (-((v * e3) @ w))[..., None] * e3 - ((v * e4) @ w)[..., None] * e4
-
-
 def second_fundamental_form(imm: Immersion, p: tuple, frames: FrameData) -> SecondFF:
-    """h(ei, ej): normal projections of the second coordinate derivatives.
+    """h(ei, ej): normal parts of the second coordinate derivatives.
 
-    The jets are the ones frames was built from at p.  For a non-flat
-    ambient the projection onto span(e3, e4) also removes the
+    The jets are the ones frames was built from at p.  The normal part is
+    what remains after projecting off the Gram-Schmidt frame (x^, e1, e2),
+    so it needs no normal basis; for a non-flat ambient it also drops the
     position-direction (umbilical) term, so h is the second fundamental
     form of the surface inside the space form.
     """
-    sig = frames.e3.signature
-    accel = frames.jets._rows(slice(3, 6))  # (ss, st, tt) stacked first
-    hss, hst, htt = _normal_project(accel, frames.e3.coords, frames.e4.coords, sig.weights)
+    jp, sig = frames.jets, frames.e1.signature
+    # (ss, st, tt) stacked first, over the nodes on one axis, also at a single
+    # point: a node's inner products then round as for one vector there, and
+    # as a row of a matrix-vector product in a batch
+    nodes = (-1, sig.total_dim)
+    accel = jp._rows(slice(3, 6)).reshape((3,) + nodes)
+    frame = [f.reshape(nodes) for f in frames._gram_schmidt]
+    normal = _normal_part(accel, frame, sig.weights)
+    hss, hst, htt = normal.reshape((3,) + jp.shape + nodes[1:])
     a, b, c = (x[..., None] for x in _tangent_coeffs(frames.metric))
     h11 = (a * a) * hss
     h12 = a * (b * hss + c * hst)
@@ -413,37 +496,55 @@ def second_fundamental_form(imm: Immersion, p: tuple, frames: FrameData) -> Seco
 
 
 def shape_operators(h: SecondFF, frames: FrameData) -> tuple[Sym2, Sym2]:
-    """A3, A4 with <h(ei,ej), er> = <A_er ei, ej>, verified by reconstruction."""
+    """A3, A4 with <h(ei,ej), er> = <A_er ei, ej>; reads the normal pair of frames."""
     w = frames.e3.signature.weights
-    e3, e4 = frames.e3.coords, frames.e4.coords
     hs = np.stack([v.coords for v in h.components()])
-    a3, a4 = (hs * e3) @ w, (hs * e4) @ w
-    # duality check: h must be recovered from the operators and the normal frame
-    scale = np.maximum(1.0, np.linalg.norm(hs, axis=-1).max(axis=0))
-    rebuilt = (-a3)[..., None] * e3 - a4[..., None] * e4
-    if (np.linalg.norm(rebuilt - hs, axis=-1) > _DUALITY_TOL * scale).any():
-        raise DegeneracyError(
-            "second fundamental form is not normal-valued; frame is inconsistent"
-        )
+    a3, a4 = (hs * frames.e3.coords) @ w, (hs * frames.e4.coords) @ w
     return Sym2(*a3), Sym2(*a4)
 
 
-def invariants(a3: Sym2, a4: Sym2, frames: FrameData, c: float) -> CurvatureReport:
-    """Scalar invariants from the shape operators.
+def _h_invariants(h: SecondFF, jets: JetPoint, c: float) -> tuple:
+    """(H, H2, K, KD, defect) from h, with no normal basis.
 
-    K comes from the Gauss equation (K = c - det A3 - det A4 under the
-    negative-definite normal metric), KD from the commutator form of the
-    Ricci equation, H from the traces.  The defect takes the minimum over
-    the e4 -> -e4 flip, so it is orientation-free.
+    With u = (h11 - h22)/2 and v = h12, the axes of the ellipse of
+    curvature, the Gauss equation gives K = c + <h11,h22> - <h12,h12> and
+    the Ricci equation |KD| = 2 sqrt(<u,u><v,v> - <u,v>^2).  That Gram
+    determinant is taken as <u,u><v',v'> with v' = v - (<u,v>/<u,u>) u
+    (v itself where u = 0), which keeps |KD| at roundoff where u and v are
+    parallel; the difference of products loses half the digits there.
+    KD's sign is that of -_ORIENT_SIGN det [x; psi_s; psi_t; u; v], whose
+    Laplace expansion over column pairs multiplies the 2x2 minors of
+    (u, v) by the jets' signed minors (_jet_minors).  In the oriented
+    frame KD = <[A3, A4] e1, e2> = -2 _ORIENT_SIGN det [x^; e1; e2; u; v],
+    and det [x; psi_s; psi_t; .] has the sign of det [x^; e1; e2; .] (see
+    _complete_normals).  The defect takes the minimum over the e4 -> -e4
+    flip, so it is orientation-free.
     """
-    k = c - a3.det - a4.det
-    # KD = <[A3, A4] e1, e2>
-    kd = (a3.a12 * a4.a11 + a3.a22 * a4.a12) - (a4.a12 * a3.a11 + a4.a22 * a3.a12)
-    tr3, tr4 = (np.asarray(a.trace)[..., None] for a in (a3, a4))
-    h = PVector(-0.5 * (tr3 * frames.e3.coords + tr4 * frames.e4.coords), frames.e3.signature)
-    h2 = -0.25 * (a3.trace ** 2 + a4.trace ** 2)
-    defect = k - abs(kd) - h2 - c
-    return CurvatureReport(A3=a3, A4=a4, H=h, H2=h2, K=k, KD=kd, defect=defect)
+    sig = h.h11.signature
+    w, dim = sig.weights, sig.total_dim
+    h11, v, h22 = (x.coords for x in h.components())
+    mean = 0.5 * (h11 + h22)
+    u = 0.5 * (h11 - h22)
+    k_sum, h2, uu, uv = np.stack([h11 * h22 - v * v, mean * mean, u * u, u * v]) @ w
+    v_off_u = v - np.where(uu != 0.0, uv / np.where(uu != 0.0, uu, 1.0), 0.0)[..., None] * u
+    abs_kd = 2.0 * np.sqrt(np.maximum(uu * ((v_off_u * v_off_u) @ w), 0.0))
+    pairs = dim * (dim - 1) // 2
+    i, j = _PAIR_I[:pairs], _PAIR_J[:pairs]
+    minors = u[..., i] * v[..., j] - u[..., j] * v[..., i]
+    side = (_jet_minors(jets, pairs) * minors).sum(axis=-1) * _ORIENT_SIGN[jets.ambient.kind]
+    k = c + k_sum
+    kd = np.where(side > 0, -abs_kd, abs_kd)[()]
+    return PVector(mean, sig), h2, k, kd, k - abs_kd - h2 - c
+
+
+def invariants(a3: Sym2, a4: Sym2, frames: FrameData, c: float) -> CurvatureReport:
+    """Scalar invariants from the shape operators, through h = -A3 e3 - A4 e4 (_h_invariants)."""
+    e3, e4 = frames.e3.coords, frames.e4.coords
+    h = SecondFF(*(
+        PVector(-np.asarray(x3)[..., None] * e3 - np.asarray(x4)[..., None] * e4, frames.e3.signature)
+        for x3, x4 in ((a3.a11, a4.a11), (a3.a12, a4.a12), (a3.a22, a4.a22))
+    ))
+    return CurvatureReport(a3, a4, *_h_invariants(h, frames.jets, c))
 
 
 def canonical_equality_frame(a3: Sym2, a4: Sym2) -> CanonicalFrame:
@@ -521,15 +622,19 @@ def point_report(
     with_canonical: bool = True,
     with_ellipse: bool = True,
 ) -> CurvatureReport:
-    """Full pointwise pipeline at a node or a batch: frames, h, shape operators, invariants."""
+    """Full pointwise pipeline at a node or a batch: frames, h, invariants.
+
+    The shape operators, and with them the normal pair, are computed only
+    for the canonical frame, or on a later read of the report's A3 or A4.
+    """
     frames = build_frames(imm, p)
     h = second_fundamental_form(imm, p, frames)
-    a3, a4 = shape_operators(h, frames)
-    rep = invariants(a3, a4, frames, imm.ambient.curvature)
+    big_h, h2, k, kd, defect = _h_invariants(h, frames.jets, imm.ambient.curvature)
+    a3, a4 = shape_operators(h, frames) if with_canonical else (None, None)
     return CurvatureReport(
-        a3, a4, rep.H, rep.H2, rep.K, rep.KD, rep.defect,
+        a3, a4, big_h, h2, k, kd, defect,
         canonical=canonical_equality_frame(a3, a4) if with_canonical else None,
-        ellipse=ellipse_of_curvature(h, rep.H) if with_ellipse else None,
+        ellipse=ellipse_of_curvature(h, big_h) if with_ellipse else None,
         frames=frames,
         h=h,
     )
@@ -631,7 +736,7 @@ def codazzi_residual(imm: Immersion, p: tuple, step: float = 1e-3) -> float:
     p; O(step^2) for a genuine immersion.  h and w12 come from rows 0-4,
     the 5-point stencils, of the nested-stencil build (_nested_frames).
     h, D h and w12 do not depend on the normal basis, so the stencil needs
-    no common scan branch.
+    no common scan branch, and the normal pair is not completed for it.
     """
     nodes, fr = _nested_frames(imm, p, step)
     return _codazzi(fr, second_fundamental_form(imm, nodes, fr), step)
@@ -639,11 +744,11 @@ def codazzi_residual(imm: Immersion, p: tuple, step: float = 1e-3) -> float:
 
 def _codazzi(fr: FrameData, h: SecondFF, step: float) -> np.ndarray:
     """codazzi_residual from the frames and h whose rows 0-4 are 5-point stencils."""
-    w = fr.e3.signature.weights
+    w = fr.e1.signature.weights
     hs = np.stack([v.coords for v in h.components()])
     # (D_s, D_t) of (h11, h12, h22), projected on the normal plane at p
     dh = (1.0 / (2.0 * step)) * (hs[:, [1, 3]] - hs[:, [2, 4]])
-    dh = _normal_project(dh, fr.e3.coords[0], fr.e4.coords[0], w)
+    dh = _normal_part(dh, [f[0] for f in fr._gram_schmidt], w)
     a, b, c = (x[0][..., None] for x in _tangent_coeffs(fr.metric))
     d_e1 = a * dh[:, 0]
     d_e2 = b * dh[:, 0] + c * dh[:, 1]
@@ -711,4 +816,7 @@ def _stencil_checks(nested: CurvatureReport, p: tuple, step: float, with_canonic
     canonical frame is computed here, at row 0 and when asked.
     """
     fr = nested.frames
-    return nested._take(0, with_canonical), _structure(fr, p, step), _codazzi(fr, nested.h, step)
+    # the structure equations complete the normal pair at every stencil node
+    # first, so the canonical frame at row 0 takes it instead of completing it again
+    structure = _structure(fr, p, step)
+    return nested._take(0, with_canonical), structure, _codazzi(fr, nested.h, step)

@@ -329,8 +329,20 @@ def random_polynomial_reference(seed_value: int, amplitude: float = 0.1) -> Imme
 _STENCIL = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
 
 
-def _normal_part(v: PVector, e3: PVector, e4: PVector) -> PVector:
-    return -inner(v, e3) * e3 - inner(v, e4) * e4
+def _gram_schmidt_frame(fr: FrameData) -> list[PVector]:
+    """(x^, e1, e2), or (e1, e2) for a flat ambient, with x^ = x / sqrt|<x,x>|."""
+    frame = [fr.e1, fr.e2]
+    if not fr.jets.ambient.is_flat:
+        x = fr.jets.position()
+        frame.insert(0, np.asarray(1.0 / np.sqrt(np.abs(inner(x, x)))) * x)
+    return frame
+
+
+def _normal_part(v: PVector, frame: list[PVector]) -> PVector:
+    """v with each frame vector projected off in turn."""
+    for f in frame:
+        v = v - (inner(v, f) / inner(f, f)) * f
+    return v
 
 
 def _tangent_coeffs(fr: FrameData) -> tuple:
@@ -341,9 +353,10 @@ def _tangent_coeffs(fr: FrameData) -> tuple:
 
 
 def second_fundamental_form_per_component(fr: FrameData) -> SecondFF:
-    """h from the jets of fr, one normal projection per acceleration."""
+    """h from the jets of fr, one projection off (x^, e1, e2) per acceleration."""
     jp = fr.jets
-    hss, hst, htt = (_normal_part(x, fr.e3, fr.e4) for x in (accel_ss(jp), accel_st(jp), accel_tt(jp)))
+    frame = _gram_schmidt_frame(fr)
+    hss, hst, htt = (_normal_part(x, frame) for x in (accel_ss(jp), accel_st(jp), accel_tt(jp)))
     a, b, c = _tangent_coeffs(fr)
     return SecondFF(
         (a * a) * hss,
@@ -423,9 +436,9 @@ def codazzi_residual_per_component(imm: Immersion, p: tuple, step: float = 1e-3)
     """codazzi_residual with one PVector per component of h and of D h."""
     fr = stencil_frames(imm, p, step)
     h = second_fundamental_form_per_component(fr)
-    e3, e4 = fr.e3[0], fr.e4[0]
-    dh_s = [_normal_part(_central(v, step, 1, 2), e3, e4) for v in h.components()]
-    dh_t = [_normal_part(_central(v, step, 3, 4), e3, e4) for v in h.components()]
+    frame = [f[0] for f in _gram_schmidt_frame(fr)]
+    dh_s = [_normal_part(_central(v, step, 1, 2), frame) for v in h.components()]
+    dh_t = [_normal_part(_central(v, step, 3, 4), frame) for v in h.components()]
     a, b, c = (x[0] for x in _tangent_coeffs(fr))
     d_e1 = [a * v for v in dh_s]
     d_e2 = [b * vs + c * vt for vs, vt in zip(dh_s, dh_t)]

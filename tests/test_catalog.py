@@ -8,6 +8,7 @@ from neutralsurf.ambient import DomainRect
 from neutralsurf.catalog import (
     Immersion,
     JetPoint,
+    _poly_coeffs_from_param,
     catalog_get,
     catalog_names,
     check_membership,
@@ -68,6 +69,15 @@ class TestCatalogGet:
         a = by_text.evaluate(1.5, 1.0).position()
         b = by_coeffs.evaluate(1.5, 1.0).position()
         assert np.allclose(a.coords, b.coords, atol=1e-15)
+
+    @pytest.mark.parametrize("f,text", [(2, "2"), (1.5, "1.5")])
+    def test_holomorphic_number_is_the_constant_polynomial(self, f, text):
+        # as --param f=2 gives it: the polynomial of the same expression; a
+        # constant graph is not space-like, and the validation says so
+        assert np.array_equal(_poly_coeffs_from_param(f), _poly_coeffs_from_param(text))
+        assert np.array_equal(_poly_coeffs_from_param(0.5 - 2j), [0.5 - 2j])
+        with pytest.raises(DegeneracyError, match="not space-like on its domain"):
+            catalog_get("holomorphic_graph", {"f": f})
 
     def test_holomorphic_requires_f(self):
         with pytest.raises(InputMismatchError):

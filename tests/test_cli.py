@@ -347,6 +347,15 @@ class TestUsageErrors:
         assert out == ""
         assert "parameter 'domain' must be a DomainRect" in err and "--domain s0:s1,t0:t1" in err
 
+    @pytest.mark.parametrize("value", ["2", "1.5"])
+    def test_numeric_f_is_the_constant_polynomial(self, capsys, value):
+        # --param f=2 reaches the catalog as a number: not a TypeError
+        # traceback (exit 1), but a constant graph, which is not space-like
+        code, out, err = run(capsys, "verify", "holomorphic_graph", "--param", f"f={value}")
+        assert code == 3
+        assert out == ""
+        assert err == "error: surface 'holomorphic_graph' is not space-like on its domain\n"
+
     @pytest.mark.parametrize(
         "argv,limit,step",
         [

@@ -23,7 +23,7 @@ from neutralsurf.curvature import (
     shape_operators,
     structure_equation_check,
 )
-from neutralsurf.cli import _fd_sample_points
+from neutralsurf.cli import DEFAULT_TOLERANCES, _fd_sample_points, build_verification_report
 from neutralsurf.errors import DegeneracyError
 from neutralsurf.expr import parse_surface
 from neutralsurf.fields import sample_surface
@@ -67,6 +67,14 @@ BENT_PLANE = (
 
 # totally geodesic 2-sphere in the unit pseudo-sphere
 SPHERE = "ambient S(2,3; 1)\nx1 = 0\nx2 = 0\nx3 = cos(s)*cos(t)\nx4 = cos(s)*sin(t)\nx5 = sin(s)"
+
+# a surface in the unit pseudo-sphere with KD between 0.12 and 0.36:
+# x3..x5 = r (cos s cos t, cos s sin t, sin s) with r^2 = 1 + x1^2 + x2^2
+R_CURVED = "sqrt(1 + (0.3*s*t)^2 + (0.2*s^2 - 0.1*t)^2)"
+CURVED_SPHERE = (
+    "ambient S(2,3; 1)\ndomain -0.6:0.6, -0.6:0.6\nx1 = 0.3*s*t\nx2 = 0.2*s^2 - 0.1*t\n"
+    f"x3 = {R_CURVED}*cos(s)*cos(t)\nx4 = {R_CURVED}*cos(s)*sin(t)\nx5 = {R_CURVED}*sin(s)"
+)
 
 # (surface, parameters, point) where the FD checks must agree with the invariants
 FD_CASES = [
@@ -206,6 +214,15 @@ def frame_surface(name, params):
     return catalog_get(name, params)
 
 
+def isometry_surfaces() -> list:
+    """FRAME_SURFACES and the bent plane: under random isometries their
+    normal pairs are seeded by (0, 1), (0, 2) and (1, 2), with both flips."""
+    bent = from_definition(parse_surface(BENT_PLANE))
+    surfaces = [frame_surface(name, params) for name, params in FRAME_SURFACES]
+    surfaces.append(Immersion("bent", bent.ambient, bent.evaluator, DomainRect(-0.2, 0.2, -1.0, 1.0)))
+    return surfaces
+
+
 def assert_reference_frames(imm, p) -> FrameData:
     """build_frames at p equals reference_frames bit for bit; returns the frames."""
     got, want = build_frames(imm, p), reference_frames(imm, p)
@@ -258,12 +275,9 @@ class TestNormalCompletion:
     def test_isometric_images(self):
         # signed permutations of the axes move which basis vectors seed the
         # normal pair; generic isometries and reflections change the orientation
-        bent = from_definition(parse_surface(BENT_PLANE))
-        surfaces = [frame_surface(name, params) for name, params in FRAME_SURFACES]
-        surfaces.append(Immersion("bent", bent.ambient, bent.evaluator, DomainRect(-0.2, 0.2, -1.0, 1.0)))
         rng = np.random.default_rng(14)
         seen = set()
-        for imm in surfaces:
+        for imm in isometry_surfaces():
             sig = imm.ambient.signature
             ss, ts = imm.domain.grid(9, 9)
             grid = np.meshgrid(ss, ts, indexing="ij")
@@ -964,6 +978,164 @@ class TestOneFrameSource:
         calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "build_frames"]
         assert len(calls) == 2
         assert not {fn.name for fn in functions} & {"stencil_checks", "_report", "_stencil_nodes"}
+
+
+# the closed forms of the catalog's surfaces: (K, KD, H2, defect) at every
+# node, KD in the engine's orientation; c = -1 in H(3,2), 0 in E(2,2)
+CLOSED_FORMS = {
+    "phi_h42": (-1.0 / 3.0, -2.0 / 3.0, 0.0, 0.0),
+    "totally_geodesic_h42": (-1.0, 0.0, 0.0, 0.0),
+    "umbilical_flat": (-1.0, 0.0, -1.0, 0.0),
+    "flat_L": (0.0, 0.0, 0.0, 1.0),
+}
+
+
+class TestInvariantsFromH:
+    """K, KD, H2 and the defect come from h, with no normal basis."""
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORMS) + ["definition_file"])
+    def test_closed_forms_on_65x65(self, name):
+        # the normal scan lost 2-3 digits of K at about 0.7% of the phi_h42
+        # nodes (6.8e-13 near (0.875, +-0.938)); h keeps roundoff everywhere
+        if name == "definition_file":
+            imm, want = from_definition(parse_surface(DEFINITION_FILE.read_text())), CLOSED_FORMS["phi_h42"]
+        else:
+            imm, want = catalog_get(name), CLOSED_FORMS[name]
+        sample = sample_surface(imm, (65, 65))
+        for key, value in zip(("K", "KD", "H2", "defect"), want):
+            assert np.max(np.abs(getattr(sample, key) - value)) <= 1e-14, key
+
+    def test_holomorphic_graph_on_65x65(self):
+        # an equality surface of E(2,2): KD = -K and H = 0 at every node
+        sample = sample_surface(catalog_get("holomorphic_graph", {"f": "z^2/2"}), (65, 65))
+        assert np.max(np.abs(sample.K + sample.KD)) <= 1e-14
+        assert np.max(np.abs(sample.H2)) <= 1e-14
+
+    def test_parallel_axes_keep_kd_at_roundoff(self):
+        # a graph in the Lorentzian 3-space x1 = 0 has a flat normal bundle:
+        # h takes values on one line, so u and v are parallel and KD = 0;
+        # <u,u><v,v> - <u,v>^2 computed as it stands gives |KD| ~ 8e-10 here
+        imm = from_definition(parse_surface(
+            "ambient E(2,2)\nx1 = 0\nx2 = 0.1*s^2 + 0.05*s*t - 0.08*t^2 + 0.03*s^3\nx3 = s\nx4 = t"
+        ))
+        sample = sample_surface(imm, (65, 65))
+        assert np.max(sample.h_max) > 0.1
+        assert np.max(np.abs(sample.KD)) <= 1e-15
+
+    def test_kd_sign_under_isometries(self, monkeypatch):
+        # an ambient isometry keeps K, H2 and the defect and multiplies KD by
+        # its determinant; the images' normal pairs are seeded by every pair
+        # and flip the scan visits, and KD's sign takes no LAPACK determinant
+        rng = np.random.default_rng(14)
+        cases = []
+        for imm in isometry_surfaces():
+            ss, ts = imm.domain.grid(9, 9)
+            points = [np.meshgrid(ss, ts, indexing="ij"), (float(ss[3]), float(ts[5]))]
+            for k in range(8):
+                iso = random_isometry(imm.ambient.signature, rng, generic=k % 2 == 1)
+                cases.append((imm, isometric_image(imm, iso), np.linalg.det(iso), points))
+
+        def no_det(*args, **kwargs):
+            raise AssertionError("np.linalg.det called")
+
+        monkeypatch.setattr(np.linalg, "det", no_det)
+        seen = set()
+        for imm, image, det, points in cases:
+            for p in points:
+                want = point_report(imm, p, with_canonical=False, with_ellipse=False)
+                got = point_report(image, p, with_canonical=False, with_ellipse=False)
+                for key in ("K", "H2", "defect"):
+                    assert np.max(np.abs(getattr(got, key) - getattr(want, key))) <= 1e-12, (imm.name, key)
+                assert np.max(np.abs(got.KD - round(det) * want.KD)) <= 1e-12, imm.name
+                fr = got.frames
+                seen |= set(zip(map(tuple, fr.scan.reshape(-1, 2).tolist()), np.ravel(fr.flipped).tolist()))
+        assert seen == {(pair, flip) for pair in ((0, 1), (0, 2), (1, 2)) for flip in (False, True)}
+
+    @pytest.mark.parametrize("name,params", FRAME_SURFACES + [("curved_sphere", {})])
+    def test_kd_is_the_commutator_of_the_shape_operators(self, name, params):
+        # KD's sign from the jets' minors is the frame orientation's:
+        # KD = <[A3, A4] e1, e2> in the completed, oriented normal frame
+        if name == "curved_sphere":
+            imm = from_definition(parse_surface(CURVED_SPHERE))
+        else:
+            imm = frame_surface(name, params)
+        ss, ts = imm.domain.grid(9, 9)
+        rep = point_report(imm, np.meshgrid(ss, ts, indexing="ij"), with_canonical=False, with_ellipse=False)
+        a3, a4 = rep.A3, rep.A4
+        commutator = a3.a12 * (a4.a11 - a4.a22) - a4.a12 * (a3.a11 - a3.a22)
+        assert np.max(np.abs(rep.KD - commutator)) <= 1e-12
+        if name == "curved_sphere":
+            assert np.min(rep.KD) > 0.1
+
+    @pytest.mark.parametrize("name", sorted(STACKED_SURFACES))
+    def test_the_shape_operator_route_of_the_baseline(self, name):
+        # bench/baseline.py calls invariants(*shape_operators(h, fr), fr, c),
+        # which rebuilds h = -A3 e3 - A4 e4 from the normal pair
+        imm = TestStackedStages.surface(name)
+        c = imm.ambient.curvature
+        ss, ts = TestStackedStages.inset_grid(imm, 3)
+        for p in [(ss, ts)] + list(zip(ss.ravel().tolist(), ts.ravel().tolist())):
+            fr = build_frames(imm, p)
+            h = second_fundamental_form(imm, p, fr)
+            a3, a4 = shape_operators(h, fr)
+            got = curvature.invariants(a3, a4, fr, c)
+            want = point_report(imm, p, with_canonical=False, with_ellipse=False)
+            assert got.A3 is a3 and got.A4 is a4
+            for key in ("K", "KD", "H2", "defect"):
+                assert np.max(np.abs(getattr(got, key) - getattr(want, key))) <= 1e-13, key
+            assert np.max(np.abs(got.H.coords - want.H.coords)) <= 1e-13
+
+
+class TestNormalPairOnFirstRead:
+    """build_frames completes e3, e4, scan and flipped when something first
+    reads them, at the nodes of the FrameData read."""
+
+    @pytest.fixture
+    def completions(self, monkeypatch):
+        """The node shapes of every completion of a normal pair."""
+        shapes, engine = [], curvature._complete_normals
+        monkeypatch.setattr(
+            curvature, "_complete_normals", lambda fr: shapes.append(fr.jets.shape) or engine(fr)
+        )
+        return shapes
+
+    def test_a_report_without_the_canonical_frame_completes_nothing(self, completions):
+        imm = catalog_get("random_polynomial", {"seed": 7})
+        ss, ts = imm.domain.grid(9, 9)
+        rep = point_report(imm, np.meshgrid(ss, ts, indexing="ij"), with_canonical=False)
+        sample_surface(imm, (9, 9))
+        assert completions == []
+        # the shape operators on first read, once, from the frames' normal pair
+        a3 = rep.A3
+        assert completions == [(9, 9)] and rep.A3 is a3
+        assert np.array_equal(as_array(rep.A4), as_array(shape_operators(rep.h, rep.frames)[1]))
+
+    def test_a_point_report_completes_once(self, completions):
+        fr = point_report(catalog_get("phi_h42"), (0.3, -0.4)).frames
+        assert completions == [()]
+        assert fr.scan.tolist() == [0, 1] and completions == [()]
+
+    @pytest.mark.parametrize("name,params", FRAME_SURFACES)
+    def test_taken_rows_complete_alone(self, name, params):
+        # the taken rows of a build complete to the bits of the whole build's rows
+        imm = frame_surface(name, params)
+        ss, ts = imm.domain.grid(9, 9)
+        p = tuple(x.ravel() for x in np.meshgrid(ss, ts, indexing="ij"))
+        rows = np.array([[0, 40], [80, 17], [5, 5]])
+        taken, whole = build_frames(imm, p)._take(rows), build_frames(imm, p)
+        assert "e3" not in vars(taken)
+        for key in ("e3", "e4"):
+            assert bits(getattr(taken, key).coords) == bits(getattr(whole, key).coords[rows]), key
+        for key in ("scan", "flipped"):
+            assert np.array_equal(getattr(taken, key), getattr(whole, key)[rows]), key
+        # a completed build hands its normal pair on
+        assert "e3" in vars(whole._take(rows))
+
+    def test_verify_completes_the_stencil_nodes_only(self, completions):
+        # the 1089 grid nodes are never completed, the 13 x 9 FD stencil nodes once
+        imm = catalog_get("phi_h42")
+        report = build_verification_report(imm, (33, 33), None, dict(DEFAULT_TOLERANCES))
+        assert report["equality"] and completions == [(13, 9)]
 
 
 class TestAmbientCurvature:
