@@ -10,11 +10,11 @@ and the inequality defect
 which is nonnegative for every space-like surface and zero exactly on the
 equality cases.  The invariants come from h alone (Gauss and Ricci
 equations in terms of u = (h11 - h22)/2 and v = h12, the axes of the
-ellipse of curvature), so a report needs no normal basis: build_frames
-completes the normal pair e3, e4 only when something first reads it, at
-the nodes of the FrameData being read, and the shape operators A3, A4 of
-a report are computed on first read.  Only the canonical frame and the FD
-checks of the frame field read them.  Frame-derivative quantities
+ellipse of curvature), so a report needs no normal basis: a FrameData
+completes its normal pair e3, e4 on the first read, at its own nodes, and
+a report holds the shape operators A3, A4 only with the canonical frame.
+Only the canonical frame and the FD checks of the frame field read the
+normal pair.  Frame-derivative quantities
 (connection forms, structure equations, Codazzi residual) are estimated by
 central differences of the deterministic frame field.
 
@@ -24,7 +24,7 @@ finite-difference checks take their frames from one place, _nested_frames:
 one batched call builds the 13 nested-stencil nodes of every point, which
 list the 5-point stencil first, so row 0 holds the points and rows 0-4
 their 5-point stencils.  At a single point that build is kept, one entry,
-and any FD check at that point reads it (see _last_nested).  verify
+and any FD check at that point reads it (see _kept_nested).  verify
 appends the same nodes to its grid batch and reads them back with
 FrameData._take (_stencil_checks), which completes the normal pair of the
 stencil nodes only, not of the grid.
@@ -41,8 +41,8 @@ depend neither on the stacking nor on the batch it is in.
 
 from __future__ import annotations
 
+import functools
 import numbers
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +57,7 @@ from .pseudo_linalg import (
     Sym2,
     eigen_sym2,
     orthonormalize,
+    project_off,
     rotate_sym2,
 )
 from .records import Record
@@ -108,8 +109,7 @@ _NESTED = np.array(
 )
 
 
-@dataclass(frozen=True)
-class FrameData:
+class FrameData(Record):
     """Adapted orthonormal frame at a point, or one per node of a batch.
 
     e1, e2 span the tangent plane (<ei,ej> = delta_ij); e3, e4 span the
@@ -118,65 +118,56 @@ class FrameData:
     which ambient basis vectors seeded the normal pair (shape (..., 2));
     flipped records the orientation normalization applied to e4.  jets are
     the jets the frame was built from, so later stages do not evaluate the
-    immersion again.
+    immersion again.  gram_schmidt holds the coordinates of (x^, e1, e2),
+    or (e1, e2) for a flat ambient, with x^ = x / sqrt|<x,x>|.
 
-    build_frames leaves e3, e4, scan and flipped out; the first read of any
+    normals is (e3, e4, scan, flipped), or None until the first read of any
     of them completes all four from the Gram-Schmidt frame and the jets
-    (_complete_normals) at this FrameData's nodes, and keeps them.  _take
-    of frames not yet completed gives frames that complete at the taken
-    nodes only.  _gram_schmidt holds the coordinates of (x^, e1, e2), or
-    (e1, e2) for a flat ambient: build_frames keeps them from Gram-Schmidt,
-    and frames built otherwise form them on first read.
+    (_complete_normals) at this FrameData's nodes; build_frames leaves it
+    None.  _take of frames not yet completed gives frames that complete at
+    the taken nodes only.
     """
 
-    e1: PVector
-    e2: PVector
-    e3: PVector
-    e4: PVector
-    metric: MetricCoeffs
-    scan: tuple | np.ndarray
-    flipped: bool | np.ndarray
-    jets: JetPoint | None = None
+    __slots__ = _fields = ("e1", "e2", "metric", "jets", "gram_schmidt", "normals")
 
-    @classmethod
-    def _tangent(cls, frame: list[PVector], metric: MetricCoeffs, jets: JetPoint) -> "FrameData":
-        """Frames from the Gram-Schmidt frame, whose normal pair is completed on first read."""
-        fr = object.__new__(cls)
-        for name, value in (
-            ("e1", frame[-2]), ("e2", frame[-1]), ("metric", metric), ("jets", jets),
-            ("_gram_schmidt", [v.coords for v in frame]),
-        ):
-            object.__setattr__(fr, name, value)
-        return fr
+    def __init__(
+        self,
+        e1: PVector,
+        e2: PVector,
+        metric: MetricCoeffs,
+        jets: JetPoint,
+        gram_schmidt: list[np.ndarray],
+        normals: tuple | None = None,
+    ):
+        self.e1 = e1
+        self.e2 = e2
+        self.metric = metric
+        self.jets = jets
+        self.gram_schmidt = gram_schmidt
+        self.normals = normals
 
-    def __getattr__(self, name):
-        # reached only for an attribute not set yet: the Gram-Schmidt frame of
-        # frames built otherwise, or the normal pair of a build
-        if name == "_gram_schmidt":
-            object.__setattr__(self, name, _gram_schmidt_rows(self.e1, self.e2, self.jets))
-        elif name in _NORMAL_FIELDS:
-            for field, value in zip(_NORMAL_FIELDS, _complete_normals(self)):
-                object.__setattr__(self, field, value)
-        else:
-            raise AttributeError(name)
-        return self.__dict__[name]
+    def _completed(self) -> tuple:
+        if self.normals is None:
+            self.normals = _complete_normals(self)
+        return self.normals
+
+    e3 = property(lambda self: self._completed()[0])
+    e4 = property(lambda self: self._completed()[1])
+    scan = property(lambda self: self._completed()[2])
+    flipped = property(lambda self: self._completed()[3])
 
     def _take(self, nodes) -> "FrameData":
         """The frames at nodes, an index or index array into the leading node axis."""
-        m = self.metric
-        sig = self.e1.signature
-        taken = FrameData._tangent(
-            [PVector(v[nodes], sig) for v in self._gram_schmidt],
+        m, sig = self.metric, self.e1.signature
+        rows = [v[nodes] for v in self.gram_schmidt]
+        return FrameData(
+            PVector(rows[-2], sig),
+            PVector(rows[-1], sig),
             MetricCoeffs(m.E[nodes], m.F[nodes], m.G[nodes]),
             self.jets._take(nodes),
+            rows,
+            None if self.normals is None else tuple(x[nodes] for x in self.normals),
         )
-        if "e3" in self.__dict__:  # completed: the taken frames keep the normal pair
-            for name in _NORMAL_FIELDS:
-                object.__setattr__(taken, name, getattr(self, name)[nodes])
-        return taken
-
-
-_NORMAL_FIELDS = ("e3", "e4", "scan", "flipped")
 
 
 class SecondFF(Record):
@@ -250,8 +241,8 @@ class EllipseInfo(Record):
 class CurvatureReport(Record):
     """Invariants at a point or per node; point_report also keeps the frames and h.
 
-    A3 and A4 given as None are computed from h and frames by
-    shape_operators on first read.
+    A3 and A4 are the shape operators when the canonical frame was asked
+    for, and None otherwise (shape_operators(h, frames) gives them).
     """
 
     __slots__ = _fields = (
@@ -272,9 +263,8 @@ class CurvatureReport(Record):
         frames: FrameData | None = None,
         h: SecondFF | None = None,
     ):
-        if A3 is not None:
-            self.A3 = A3
-            self.A4 = A4
+        self.A3 = A3
+        self.A4 = A4
         self.H = H
         self.H2 = H2
         self.K = K
@@ -284,13 +274,6 @@ class CurvatureReport(Record):
         self.ellipse = ellipse
         self.frames = frames
         self.h = h
-
-    def __getattr__(self, name):
-        # reached only for an unset slot: the shape operators, on first read
-        if name not in ("A3", "A4"):
-            raise AttributeError(name)
-        self.A3, self.A4 = shape_operators(self.h, self.frames)
-        return getattr(self, name)
 
     def _take(self, nodes, with_canonical: bool = False) -> "CurvatureReport":
         """The report at nodes, an index or index array into the leading node
@@ -342,7 +325,7 @@ def build_frames(imm: Immersion, p: tuple) -> FrameData:
         frame = orthonormalize(base + [vs, vt], chars + [SPACE_LIKE, SPACE_LIKE])
     except DegeneracyError as exc:
         raise DegeneracyError(f"{exc} at (s,t)={first_flagged(exc.nodes, *p)}") from exc
-    return FrameData._tangent(frame, metric, jp)
+    return FrameData(frame[-2], frame[-1], metric, jp, [v.coords for v in frame])
 
 
 def _complete_normals(fr: FrameData) -> tuple:
@@ -368,7 +351,7 @@ def _complete_normals(fr: FrameData) -> tuple:
     determinant has the sign of det [jets; b_i; b_j], which is
     (-1)^(i+j+1) times the jets' minor on the columns other than i and j.
     """
-    jp, frame = fr.jets, fr._gram_schmidt
+    jp, frame = fr.jets, fr.gram_schmidt
     sig = jp.ambient.signature
     w, dim = sig.weights, sig.total_dim
     # normals not found yet are zero, found ones have <n,n> = -1, so adding
@@ -403,19 +386,6 @@ def _complete_normals(fr: FrameData) -> tuple:
     return PVector(normals[0], sig), PVector(e4, sig), scan, flipped
 
 
-def _gram_schmidt_rows(e1: PVector, e2: PVector, jp: JetPoint) -> list[np.ndarray]:
-    """Coordinates of the Gram-Schmidt frame (x^, e1, e2), or (e1, e2) for a flat ambient.
-
-    x^ = x / sqrt|<x,x>| is normalized as orthonormalize does it, so it has
-    the bits that build_frames keeps.
-    """
-    rows = [e1.coords, e2.coords]
-    if not jp.ambient.is_flat:
-        x = jp._rows(0)
-        rows.insert(0, x * (1.0 / np.sqrt(np.abs((x * x) @ jp.ambient.signature.weights)))[..., None])
-    return rows
-
-
 def _jet_minors(jp: JetPoint, count: int) -> np.ndarray:
     """The jets' minors on the columns other than each of the first count pairs, signed by _PAIR_SIGN.
 
@@ -448,14 +418,7 @@ def _basis_remainders(frame: list[np.ndarray], w: np.ndarray, nodes_ndim: int):
     dim = len(w)
     for rows in (slice(0, 2), slice(2, dim)):
         rest = np.eye(dim)[rows]
-        yield from _normal_part(rest.reshape(rest.shape[:1] + (1,) * nodes_ndim + (dim,)), frame, w)
-
-
-def _normal_part(v: np.ndarray, frame: list[np.ndarray], w: np.ndarray) -> np.ndarray:
-    """Coordinate arrays v with the Gram-Schmidt frame rows projected off, one row at a time."""
-    for f in frame:
-        v = v - ((v * f) @ w / ((f * f) @ w))[..., None] * f
-    return v
+        yield from project_off(rest.reshape(rest.shape[:1] + (1,) * nodes_ndim + (dim,)), frame, w)
 
 
 def _tangent_coeffs(metric: MetricCoeffs) -> tuple:
@@ -485,8 +448,8 @@ def second_fundamental_form(imm: Immersion, p: tuple, frames: FrameData) -> Seco
     # as a row of a matrix-vector product in a batch
     nodes = (-1, sig.total_dim)
     accel = jp._rows(slice(3, 6)).reshape((3,) + nodes)
-    frame = [f.reshape(nodes) for f in frames._gram_schmidt]
-    normal = _normal_part(accel, frame, sig.weights)
+    frame = [f.reshape(nodes) for f in frames.gram_schmidt]
+    normal = project_off(accel, frame, sig.weights)
     hss, hst, htt = normal.reshape((3,) + jp.shape + nodes[1:])
     a, b, c = (x[..., None] for x in _tangent_coeffs(frames.metric))
     h11 = (a * a) * hss
@@ -616,16 +579,11 @@ def ellipse_of_curvature(h: SecondFF, center: PVector) -> EllipseInfo:
     return EllipseInfo(a=a, b=b, center=center, is_circle=is_circle, is_point=is_point)
 
 
-def point_report(
-    imm: Immersion,
-    p: tuple,
-    with_canonical: bool = True,
-    with_ellipse: bool = True,
-) -> CurvatureReport:
-    """Full pointwise pipeline at a node or a batch: frames, h, invariants.
+def point_report(imm: Immersion, p: tuple, with_canonical: bool = True) -> CurvatureReport:
+    """Full pointwise pipeline at a node or a batch: frames, h, invariants, ellipse.
 
     The shape operators, and with them the normal pair, are computed only
-    for the canonical frame, or on a later read of the report's A3 or A4.
+    for the canonical frame.
     """
     frames = build_frames(imm, p)
     h = second_fundamental_form(imm, p, frames)
@@ -634,7 +592,7 @@ def point_report(
     return CurvatureReport(
         a3, a4, big_h, h2, k, kd, defect,
         canonical=canonical_equality_frame(a3, a4) if with_canonical else None,
-        ellipse=ellipse_of_curvature(h, big_h) if with_ellipse else None,
+        ellipse=ellipse_of_curvature(h, big_h),
         frames=frames,
         h=h,
     )
@@ -748,7 +706,7 @@ def _codazzi(fr: FrameData, h: SecondFF, step: float) -> np.ndarray:
     hs = np.stack([v.coords for v in h.components()])
     # (D_s, D_t) of (h11, h12, h22), projected on the normal plane at p
     dh = (1.0 / (2.0 * step)) * (hs[:, [1, 3]] - hs[:, [2, 4]])
-    dh = _normal_part(dh, [f[0] for f in fr._gram_schmidt], w)
+    dh = project_off(dh, [f[0] for f in fr.gram_schmidt], w)
     a, b, c = (x[0][..., None] for x in _tangent_coeffs(fr.metric))
     d_e1 = a * dh[:, 0]
     d_e2 = b * dh[:, 0] + c * dh[:, 1]
@@ -769,41 +727,32 @@ def _nested_stencil(p: tuple, step: float) -> tuple:
     return np.add.outer(step * di, s), np.add.outer(step * dj, t)
 
 
-# The last nested-stencil build at a single point, (imm, the build_frames
-# it called, _point_key, nodes, frames), or None, whichever FD check made
-# it.  A point probe calls structure_equation_check and then
-# codazzi_residual at the same point; the second reads this build.  The
-# key holds the objects themselves, compared by identity, so a patched
-# build_frames or another Immersion never meets frames built before it; h
-# is not kept.  It is set by one assignment and read once per call, so a
-# concurrent call can only miss.
-_last_nested = None
-
-
-def _point_key(p: tuple, step: float) -> bytes | None:
-    """The bits of (s, t, step) when p is a single point and all three are real numbers, else None."""
-    s, t = p
-    if all(isinstance(x, numbers.Real) for x in (s, t, step)):
-        return struct.pack("3d", s, t, step)
-    return None
-
-
 def _nested_frames(imm: Immersion, p: tuple, step: float) -> tuple:
     """(nodes, frames) of the nested stencils of p, the only FD frame build.
 
-    Returns the kept build on an exact key match; otherwise builds the 13
-    nodes of every point and keeps them in _last_nested when p is a single
-    point.
+    Builds the 13 nodes of every point; at a single point the build is kept
+    (_kept_nested).
     """
-    global _last_nested
-    key, kept = _point_key(p, step), _last_nested
-    if key is not None and kept and kept[0] is imm and kept[1] is build_frames and kept[2] == key:
-        return kept[3:]
+    s, t = p
+    if all(isinstance(x, numbers.Real) for x in (s, t, step)):
+        return _kept_nested(imm, s, t, step, build_frames)
     nodes = _nested_stencil(p, step)
-    fr = build_frames(imm, nodes)
-    if key is not None:
-        _last_nested = (imm, build_frames, key, nodes, fr)
-    return nodes, fr
+    return nodes, build_frames(imm, nodes)
+
+
+@functools.lru_cache(maxsize=1)
+def _kept_nested(imm: Immersion, s, t, step, build) -> tuple:
+    """_nested_frames at a single point of real numbers, the last one kept.
+
+    A point probe calls structure_equation_check and then codazzi_residual
+    at the same point; the second reads this build, whichever FD check made
+    it.  build is the build_frames of the call, and imm compares by
+    identity, so a patched build_frames or another Immersion never meets
+    frames built before it; h is not kept.  Equal numbers share the entry
+    (s = 0.0 and -0.0 among them), and they give bit-identical nodes.
+    """
+    nodes = _nested_stencil((s, t), step)
+    return nodes, build(imm, nodes)
 
 
 def _stencil_checks(nested: CurvatureReport, p: tuple, step: float, with_canonical: bool) -> tuple:

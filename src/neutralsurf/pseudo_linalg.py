@@ -150,9 +150,7 @@ def orthonormalize(vectors: list[PVector], required_characters: list[str]) -> li
             raise InputMismatchError(f"unsupported character {want!r}")
         _check_same_signature(vectors[0], v)
         w = v.signature.weights
-        r = v.coords
-        for u in out:
-            r = r - ((r * u) @ w / ((u * u) @ w))[..., None] * u
+        r = project_off(v.coords, out, w)
         rr = r * r
         q = rr @ w
         scale = rr.sum(axis=-1)
@@ -169,6 +167,14 @@ def orthonormalize(vectors: list[PVector], required_characters: list[str]) -> li
             raise _failed_at(wrong, f"remainder is {got}, required {want}")
         out.append(r * (1.0 / np.sqrt(np.abs(q)))[..., None])
     return [PVector(r, v.signature) for r, v in zip(out, vectors)]
+
+
+def project_off(v: np.ndarray, frame: list[np.ndarray], w: np.ndarray) -> np.ndarray:
+    """Coordinate arrays v with the orthogonal rows of frame projected off,
+    one row at a time, under the weights w."""
+    for u in frame:
+        v = v - ((v * u) @ w / ((u * u) @ w))[..., None] * u
+    return v
 
 
 def _failed_at(nodes, message: str) -> DegeneracyError:

@@ -2,7 +2,8 @@
 
 A frozen dataclass costs about 1 ms to define, paid by every import of the
 package; a ``__slots__`` class costs microseconds.  Records are not frozen,
-but no code assigns a field after construction.
+but no code assigns a field after construction, except the normal pair
+that a ``FrameData`` completes on first read.
 """
 
 from __future__ import annotations

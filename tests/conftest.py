@@ -1,9 +1,8 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from neutralsurf import curvature
+from oracles import with_normals
 
 
 @pytest.fixture
@@ -42,7 +41,7 @@ def switch_branch(monkeypatch):
             s, t = p
             near = (np.abs(s - target[0]) < 3 * step) & (np.abs(t - target[1]) < 3 * step)
             swap = near & (s > target[0] + 0.5 * step)
-            return dataclasses.replace(fr, scan=np.where(swap[..., None], fr.scan[..., ::-1], fr.scan))
+            return with_normals(fr, scan=np.where(swap[..., None], fr.scan[..., ::-1], fr.scan))
 
         monkeypatch.setattr(curvature, "build_frames", switched)
 

@@ -189,7 +189,14 @@ def equality_frame(imm: Immersion, p: tuple) -> FrameData:
     e1 = ct * fr.e1 + st * fr.e2
     e2 = -st * fr.e1 + ct * fr.e2
     e4 = np.where(extra_flip, -1.0, 1.0) * fr.e4
-    return FrameData(e1, e2, fr.e3, e4, fr.metric, fr.scan, fr.flipped ^ extra_flip, fr.jets)
+    rows = fr.gram_schmidt[:-2] + [e1.coords, e2.coords]
+    return FrameData(e1, e2, fr.metric, fr.jets, rows, (fr.e3, e4, fr.scan, fr.flipped ^ extra_flip))
+
+
+def with_normals(fr: FrameData, **normals) -> FrameData:
+    """fr with the named ones of e3, e4, scan and flipped replaced, the others as fr completes them."""
+    pair = tuple(normals.get(k, getattr(fr, k)) for k in ("e3", "e4", "scan", "flipped"))
+    return FrameData(fr.e1, fr.e2, fr.metric, fr.jets, fr.gram_schmidt, pair)
 
 
 def reference_frames(imm: Immersion, p: tuple) -> FrameData:
@@ -238,7 +245,7 @@ def reference_frames(imm: Immersion, p: tuple) -> FrameData:
     flipped = det * curvature._ORIENT_SIGN[imm.ambient.kind] < 0
     e4 = np.where(flipped[..., None], -normals[1], normals[1])
     e1, e2, e3, e4 = (PVector(v, sig) for v in (frame[-2], frame[-1], normals[0], e4))
-    return FrameData(e1, e2, e3, e4, metric, scan, flipped, jp)
+    return FrameData(e1, e2, metric, jp, frame, (e3, e4, scan, flipped))
 
 
 def isometric_image(imm: Immersion, iso: np.ndarray) -> Immersion:

@@ -152,7 +152,7 @@ def test_criterion_04_holomorphic_family():
                 fr = build_frames(imm, p)
                 h = second_fundamental_form(imm, p, fr)
                 a3, a4 = shape_operators(h, fr)
-                rep = point_report(imm, p, with_canonical=False, with_ellipse=False)
+                rep = point_report(imm, p, with_canonical=False)
                 worst["H2"] = max(worst["H2"], abs(rep.H2))
                 worst["K+KD"] = max(worst["K+KD"], abs(rep.K + rep.KD))
                 two_ab = 2.0 * (a3.a11 ** 2 + a3.a12 ** 2)
@@ -179,9 +179,7 @@ def test_criterion_05_inequality_property_suite():
         imm = catalog_get("random_polynomial", {"seed": seed})
         ss, ts = imm.domain.grid(5, 5)
         defects = [
-            point_report(
-                imm, (float(s), float(t)), with_canonical=False, with_ellipse=False
-            ).defect
+            point_report(imm, (float(s), float(t)), with_canonical=False).defect
             for s in ss
             for t in ts
         ]
@@ -240,7 +238,7 @@ def test_criterion_07_structure_equations():
     details = []
     for name, p in (("phi_h42", (0.3, -0.4)), ("flat_L", (0.2, -0.5))):
         imm = catalog_get(name)
-        rep = point_report(imm, p, with_canonical=False, with_ellipse=False)
+        rep = point_report(imm, p, with_canonical=False)
         errs = []
         for step in (2e-3, 1e-3, 5e-4):
             kw, kdw = structure_equation_check(imm, p, step=step)

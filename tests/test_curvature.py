@@ -46,6 +46,7 @@ from oracles import (
     stencil_frames,
     structure_equation_check_per_component,
     wintgen_defect_formula,
+    with_normals,
 )
 
 SIG22 = Signature(2, 4)
@@ -95,14 +96,10 @@ def vec22(*coords):
 
 
 def synthetic_frame() -> FrameData:
+    e1, e2 = vec22(0, 0, 1, 0), vec22(0, 0, 0, 1)
     return FrameData(
-        e1=vec22(0, 0, 1, 0),
-        e2=vec22(0, 0, 0, 1),
-        e3=vec22(1, 0, 0, 0),
-        e4=vec22(0, 1, 0, 0),
-        metric=MetricCoeffs(1.0, 0.0, 1.0),
-        scan=(0, 1),
-        flipped=False,
+        e1, e2, MetricCoeffs(1.0, 0.0, 1.0), jets=None, gram_schmidt=[e1.coords, e2.coords],
+        normals=(vec22(1, 0, 0, 0), vec22(0, 1, 0, 0), (0, 1), False),
     )
 
 
@@ -403,7 +400,7 @@ class TestInvariants:
         phi = catalog_get("phi_h42")
         rng = np.random.default_rng(12)
         for p in phi.domain.sample(rng, 20):
-            rep = point_report(phi, p, with_canonical=False, with_ellipse=False)
+            rep = point_report(phi, p, with_canonical=False)
             assert rep.K == pytest.approx(-1.0 / 3.0, abs=1e-8)
             assert rep.KD == pytest.approx(-2.0 / 3.0, abs=1e-8)
             assert abs(rep.H2) <= 1e-10
@@ -411,7 +408,7 @@ class TestInvariants:
 
     def test_totally_geodesic(self):
         geo = catalog_get("totally_geodesic_h42")
-        rep = point_report(geo, (0.4, -0.2), with_canonical=False, with_ellipse=False)
+        rep = point_report(geo, (0.4, -0.2), with_canonical=False)
         assert rep.K == pytest.approx(-1.0, abs=1e-8)
         assert abs(rep.KD) <= 1e-8
         assert abs(rep.defect) <= 1e-8
@@ -421,7 +418,7 @@ class TestInvariants:
         # so this surface does NOT achieve equality anywhere.
         fl = catalog_get("flat_L")
         for p in [(0.0, 0.0), (0.7, -0.9)]:
-            rep = point_report(fl, p, with_canonical=False, with_ellipse=False)
+            rep = point_report(fl, p, with_canonical=False)
             assert abs(rep.K) <= 1e-8
             assert abs(rep.KD) <= 1e-8
             assert abs(rep.H2) <= 1e-10
@@ -507,7 +504,7 @@ class TestCanonicalEqualityFrame:
         phi = catalog_get("phi_h42")
         rng = np.random.default_rng(15)
         for p in phi.domain.sample(rng, 8):
-            rep = point_report(phi, p, with_ellipse=False)
+            rep = point_report(phi, p)
             can = rep.canonical
             assert can.residual <= 1e-8
             assert abs(can.delta) <= 1e-8
@@ -555,7 +552,7 @@ class TestCanonicalEqualityFrame:
 
     def test_nonequality_residual_positive(self):
         imm = catalog_get("random_polynomial", {"seed": 7})
-        rep = point_report(imm, (0.2, -0.1), with_ellipse=False)
+        rep = point_report(imm, (0.2, -0.1))
         assert rep.canonical.residual > 1e-4
 
 
@@ -627,7 +624,7 @@ class TestConnectionForms:
         def switched(imm, q):
             fr = build_frames(imm, q)
             far = np.asarray(q[0]) > p[0] + 1.5e-3
-            return dataclasses.replace(fr, scan=np.where(far[..., None], fr.scan[..., ::-1], fr.scan))
+            return with_normals(fr, scan=np.where(far[..., None], fr.scan[..., ::-1], fr.scan))
 
         monkeypatch.setattr(curvature, "build_frames", switched)
         with pytest.raises(DegeneracyError):
@@ -656,7 +653,7 @@ class TestStructureEquations:
     def test_agreement_with_invariants_across_catalog(self):
         for name, params, p in FD_CASES:
             imm = catalog_get(name, params)
-            rep = point_report(imm, p, with_canonical=False, with_ellipse=False)
+            rep = point_report(imm, p, with_canonical=False)
             kw, kdw = structure_equation_check(imm, p, step=1e-3)
             assert kw == pytest.approx(rep.K, abs=1e-3)
             assert kdw == pytest.approx(rep.KD, abs=1e-3)
@@ -706,7 +703,7 @@ class TestCodazzi:
             fr = build_frames(imm, p)
             at = np.arange(len(fr.flipped)) == 1  # +s node of the 5-point stencil
             c, s = np.where(at, math.cos(0.9), 1.0), np.where(at, math.sin(0.9), 0.0)
-            return dataclasses.replace(
+            return with_normals(
                 fr,
                 e3=c * fr.e3 + s * fr.e4,
                 e4=np.where(at, -1.0, 1.0) * (c * fr.e4 - s * fr.e3),
@@ -811,7 +808,7 @@ class TestStencilChecks:
     def test_equals_the_separate_calls_bit_for_bit(self, name):
         imm = TestStackedStages.surface(name)
         p = _fd_sample_points(imm.domain, 1e-3)
-        nested = point_report(imm, curvature._nested_stencil(p, 1e-3), with_canonical=False, with_ellipse=False)
+        nested = point_report(imm, curvature._nested_stencil(p, 1e-3), with_canonical=False)
         rep, structure, codazzi = curvature._stencil_checks(nested, p, 1e-3, with_canonical=True)
         want = point_report(imm, p)
         for key in ("K", "KD", "H2", "defect"):
@@ -838,11 +835,12 @@ class TestNestedMemo:
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        """The node arrays of every build_frames call; starts with no kept build."""
+        """The node arrays of every build_frames call; starts and ends with no kept build."""
         calls = []
-        monkeypatch.setattr(curvature, "_last_nested", None)
+        curvature._kept_nested.cache_clear()
         monkeypatch.setattr(curvature, "build_frames", lambda imm, p: calls.append(p) or build_frames(imm, p))
-        return calls
+        yield calls
+        curvature._kept_nested.cache_clear()
 
     @staticmethod
     def points(imm):
@@ -855,7 +853,7 @@ class TestNestedMemo:
         # rows 0-4 of the nested build give the values of a 5-point build
         imm = TestStackedStages.surface(name)
         for p in self.points(imm):
-            monkeypatch.setattr(curvature, "_last_nested", None)
+            curvature._kept_nested.cache_clear()
             cold = codazzi_residual(imm, p, step)
             forms, codazzi = five_point_checks(imm, p, step)
             assert bits(cold) == bits(codazzi), (name, p)
@@ -892,14 +890,18 @@ class TestNestedMemo:
             (imm, batch, step),
         ]:
             structure_equation_check(imm, p, step)
-            kept = curvature._last_nested
             builds.clear()
             got = codazzi_residual(other, q, h)
             assert len(builds) == 1 and builds[0][0].shape[0] == 13, (q, h)
-            # a single-point miss replaces the kept build; a batch is never kept
-            assert (curvature._last_nested is kept) == (q is batch), (q, h)
             fresh = codazzi_residual_per_component(other, q, h)
             assert np.max(np.abs(got - fresh)) <= 1e-15
+            # a single-point miss replaces the kept build; a batch is never kept
+            builds.clear()
+            codazzi_residual(other, q, h)
+            assert len(builds) == int(q is batch), (q, h)
+            builds.clear()
+            structure_equation_check(imm, p, step)
+            assert len(builds) == int(q is not batch), (q, h)
 
     def test_one_entry_the_last_single_point(self, builds):
         # the kept build is the last single-point nested build, whichever FD check made it
@@ -925,20 +927,35 @@ class TestNestedMemo:
         imm = catalog_get("random_polynomial", {"seed": 7})
         p = (0.2, 0.1)
         cold(imm, p)
-        assert len(builds) == 1 and curvature._last_nested[0] is imm
+        assert len(builds) == 1 and curvature._kept_nested.cache_info().currsize == 1
         builds.clear()
         structure_equation_check(imm, p)
         assert builds == []
 
     @pytest.mark.parametrize("check", [connection_forms, structure_equation_check, codazzi_residual])
     def test_a_batch_is_never_kept(self, builds, check):
-        imm = catalog_get("phi_h42")
+        # nor does it read or evict the kept build, even at the kept point
+        imm, p = catalog_get("phi_h42"), (0.3, -0.4)
+        check(imm, p)
         for batch in [(np.array([0.3]), np.array([-0.4])), (np.array([0.3, -0.2]), -0.4)]:
+            builds.clear()
             check(imm, batch)
-            assert curvature._last_nested is None
+            check(imm, batch)
+            assert len(builds) == 2
         builds.clear()
-        check(imm, (np.array([0.3]), np.array([-0.4])))
-        assert len(builds) == 1
+        check(imm, p)
+        assert builds == [] and curvature._kept_nested.cache_info().currsize == 1
+
+    def test_signed_zeros_share_one_entry(self, builds):
+        # s = 0.0 and -0.0 compare equal, and their nested nodes are bit-identical
+        imm = catalog_get("random_polynomial", {"seed": 7})
+        cold = codazzi_residual(imm, (-0.0, 0.1))
+        assert bits(builds[0][0]) == bits(curvature._nested_stencil((0.0, 0.1), 1e-3)[0])
+        builds.clear()
+        assert bits(codazzi_residual(imm, (0.0, 0.1))) == bits(cold)
+        assert builds == []
+        curvature._kept_nested.cache_clear()
+        assert bits(codazzi_residual(imm, (0.0, 0.1))) == bits(cold)
 
     def test_scale_h12_fault_after_a_warm_call(self, builds, scale_h12):
         phi = catalog_get("phi_h42")
@@ -978,6 +995,20 @@ class TestOneFrameSource:
         calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "build_frames"]
         assert len(calls) == 2
         assert not {fn.name for fn in functions} & {"stencil_checks", "_report", "_stencil_nodes"}
+
+
+class TestPlainRecords:
+    def test_no_attribute_hooks_object_calls_or_globals(self):
+        # lazy fields are explicit (properties, a functools cache): no
+        # __getattr__, no object.__new__ or object.__setattr__, no global state
+        tree = ast.parse(Path(curvature.__file__).read_text(encoding="utf-8"))
+        nodes = list(ast.walk(tree))
+        assert not [n.name for n in nodes if isinstance(n, ast.FunctionDef) and n.name == "__getattr__"]
+        assert not [n for n in nodes if isinstance(n, ast.Global)]
+        assert not [
+            n.attr for n in nodes
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "object"
+        ]
 
 
 # the closed forms of the catalog's surfaces: (K, KD, H2, defect) at every
@@ -1042,8 +1073,8 @@ class TestInvariantsFromH:
         seen = set()
         for imm, image, det, points in cases:
             for p in points:
-                want = point_report(imm, p, with_canonical=False, with_ellipse=False)
-                got = point_report(image, p, with_canonical=False, with_ellipse=False)
+                want = point_report(imm, p, with_canonical=False)
+                got = point_report(image, p, with_canonical=False)
                 for key in ("K", "H2", "defect"):
                     assert np.max(np.abs(getattr(got, key) - getattr(want, key))) <= 1e-12, (imm.name, key)
                 assert np.max(np.abs(got.KD - round(det) * want.KD)) <= 1e-12, imm.name
@@ -1060,8 +1091,8 @@ class TestInvariantsFromH:
         else:
             imm = frame_surface(name, params)
         ss, ts = imm.domain.grid(9, 9)
-        rep = point_report(imm, np.meshgrid(ss, ts, indexing="ij"), with_canonical=False, with_ellipse=False)
-        a3, a4 = rep.A3, rep.A4
+        rep = point_report(imm, np.meshgrid(ss, ts, indexing="ij"), with_canonical=False)
+        a3, a4 = shape_operators(rep.h, rep.frames)
         commutator = a3.a12 * (a4.a11 - a4.a22) - a4.a12 * (a3.a11 - a3.a22)
         assert np.max(np.abs(rep.KD - commutator)) <= 1e-12
         if name == "curved_sphere":
@@ -1079,7 +1110,7 @@ class TestInvariantsFromH:
             h = second_fundamental_form(imm, p, fr)
             a3, a4 = shape_operators(h, fr)
             got = curvature.invariants(a3, a4, fr, c)
-            want = point_report(imm, p, with_canonical=False, with_ellipse=False)
+            want = point_report(imm, p, with_canonical=False)
             assert got.A3 is a3 and got.A4 is a4
             for key in ("K", "KD", "H2", "defect"):
                 assert np.max(np.abs(getattr(got, key) - getattr(want, key))) <= 1e-13, key
@@ -1104,11 +1135,12 @@ class TestNormalPairOnFirstRead:
         ss, ts = imm.domain.grid(9, 9)
         rep = point_report(imm, np.meshgrid(ss, ts, indexing="ij"), with_canonical=False)
         sample_surface(imm, (9, 9))
-        assert completions == []
-        # the shape operators on first read, once, from the frames' normal pair
-        a3 = rep.A3
-        assert completions == [(9, 9)] and rep.A3 is a3
-        assert np.array_equal(as_array(rep.A4), as_array(shape_operators(rep.h, rep.frames)[1]))
+        assert completions == [] and rep.A3 is None and rep.A4 is None
+        # the shape operators complete the frames' normal pair, once
+        a3, a4 = shape_operators(rep.h, rep.frames)
+        assert completions == [(9, 9)]
+        assert np.array_equal(as_array(a4), as_array(shape_operators(rep.h, rep.frames)[1]))
+        assert completions == [(9, 9)]
 
     def test_a_point_report_completes_once(self, completions):
         fr = point_report(catalog_get("phi_h42"), (0.3, -0.4)).frames
@@ -1123,13 +1155,13 @@ class TestNormalPairOnFirstRead:
         p = tuple(x.ravel() for x in np.meshgrid(ss, ts, indexing="ij"))
         rows = np.array([[0, 40], [80, 17], [5, 5]])
         taken, whole = build_frames(imm, p)._take(rows), build_frames(imm, p)
-        assert "e3" not in vars(taken)
+        assert taken.normals is None
         for key in ("e3", "e4"):
             assert bits(getattr(taken, key).coords) == bits(getattr(whole, key).coords[rows]), key
         for key in ("scan", "flipped"):
             assert np.array_equal(getattr(taken, key), getattr(whole, key)[rows]), key
         # a completed build hands its normal pair on
-        assert "e3" in vars(whole._take(rows))
+        assert whole._take(rows).normals is not None
 
     def test_verify_completes_the_stencil_nodes_only(self, completions):
         # the 1089 grid nodes are never completed, the 13 x 9 FD stencil nodes once
@@ -1167,7 +1199,7 @@ class TestWintgenInequalityProperty:
         for name, params in specs:
             imm = catalog_get(name, params)
             for p in imm.domain.sample(rng, 12):
-                rep = point_report(imm, p, with_canonical=False, with_ellipse=False)
+                rep = point_report(imm, p, with_canonical=False)
                 assert rep.defect >= -1e-8
 
     def test_equality_set(self):

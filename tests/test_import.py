@@ -1,10 +1,10 @@
-"""Import cost guard: the package defines no dataclasses beyond the two that need one.
+"""Import cost guard: the package defines no dataclass beyond the one that needs it.
 
 A frozen dataclass costs about 1 ms to define, paid by every fresh
 interpreter that imports the package (every CLI run).  The record types are
-``__slots__`` classes; ``FrameData`` and ``ConnectionSample`` stay
-dataclasses because callers use ``dataclasses.replace`` and ``astuple`` on
-them.  The check counts decorations, so it needs no timing.
+``__slots__`` classes; ``ConnectionSample`` stays a dataclass because
+callers use ``dataclasses.astuple`` on it.  The check counts decorations,
+so it needs no timing.
 """
 
 import json
@@ -34,12 +34,9 @@ print(json.dumps(sorted(name for name in seen if name.startswith("neutralsurf"))
 """
 
 
-def test_only_frame_data_and_connection_sample_are_dataclasses():
+def test_only_connection_sample_is_a_dataclass():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", COUNT_DECORATIONS], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [
-        "neutralsurf.curvature.ConnectionSample",
-        "neutralsurf.curvature.FrameData",
-    ]
+    assert json.loads(done.stdout) == ["neutralsurf.curvature.ConnectionSample"]

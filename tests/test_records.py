@@ -7,7 +7,7 @@ import pytest
 
 from neutralsurf.ambient import AmbientSpace, DomainRect
 from neutralsurf.catalog import CatalogEntry, Immersion, JetPoint, MetricCoeffs
-from neutralsurf.curvature import CanonicalFrame, CurvatureReport, EllipseInfo, SecondFF
+from neutralsurf.curvature import CanonicalFrame, CurvatureReport, EllipseInfo, FrameData, SecondFF
 from neutralsurf.errors import InputMismatchError
 from neutralsurf.expr import (
     BinOp,
@@ -45,6 +45,8 @@ CONSTRUCTORS = {
     _Token: [("kind", REQUIRED), ("text", REQUIRED), ("line", REQUIRED), ("col", REQUIRED),
              ("value", 0.0)],
     SecondFF: [("h11", REQUIRED), ("h12", REQUIRED), ("h22", REQUIRED)],
+    FrameData: [(name, REQUIRED) for name in ("e1", "e2", "metric", "jets", "gram_schmidt")]
+    + [("normals", None)],
     CanonicalFrame: [(name, REQUIRED) for name in
                      ("alpha", "gamma", "delta", "mu", "theta", "rho", "residual")]
     + [("flip", False)],
