@@ -24,7 +24,10 @@ finite-difference checks take their frames from one place, _nested_frames:
 one batched call builds the 13 nested-stencil nodes of every point, which
 list the 5-point stencil first, so row 0 holds the points and rows 0-4
 their 5-point stencils.  At a single point that build is kept, one entry,
-and any FD check at that point reads it (see _kept_nested).  verify
+and point_report and any FD check at that point read it (see
+_kept_nested): a single-point report is its row 0, so a point probe
+evaluates and frames its point once, as a row of the same batch that
+verify reads, with the same values bit for bit.  verify
 appends the same nodes to its grid batch and reads them back with
 FrameData._take (_stencil_checks), which completes the normal pair of the
 stencil nodes only, not of the grid.
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import Immersion, JetPoint, MetricCoeffs, metric_from_velocities
-from .errors import DegeneracyError, first_flagged
+from .errors import DegeneracyError, NeutralSurfError, first_flagged
 from .pseudo_linalg import (
     SPACE_LIKE,
     TIME_LIKE,
@@ -94,6 +97,10 @@ _TRACE_TOL = 1e-9
 _CIRCLE_TOL = 1e-6
 _POINT_TOL = 1e-8
 
+# The default finite-difference step of the FD checks, and the step of the
+# nested-stencil build a single-point point_report reads (_kept_nested).
+_FD_STEP = 1e-3
+
 # Finite-difference stencils as offsets in units of the step.  The 5-point
 # stencil is (center, +s, -s, +t, -t); the structure equations nest it: the
 # 5-point stencils around the four neighbours, as indices (stencil, neighbour)
@@ -107,6 +114,7 @@ _NESTED_NODES = _STENCIL + sorted(
 _NESTED = np.array(
     [[_NESTED_NODES.index((i + k, j + l)) for k, l in _STENCIL[1:]] for i, j in _STENCIL]
 )
+_NESTED_DS, _NESTED_DT = np.transpose(_NESTED_NODES).astype(float)
 
 
 class FrameData(Record):
@@ -237,6 +245,10 @@ class EllipseInfo(Record):
         self.is_circle = is_circle
         self.is_point = is_point
 
+    def _take(self, nodes) -> "EllipseInfo":
+        """The ellipse at nodes, an index or index array into the leading node axis."""
+        return EllipseInfo(*(x[nodes] for x in (self.a, self.b, self.center, self.is_circle, self.is_point)))
+
 
 class CurvatureReport(Record):
     """Invariants at a point or per node; point_report also keeps the frames and h.
@@ -277,8 +289,8 @@ class CurvatureReport(Record):
 
     def _take(self, nodes, with_canonical: bool = False) -> "CurvatureReport":
         """The report at nodes, an index or index array into the leading node
-        axis: the invariants, frames and h, with the canonical frame when
-        asked and no ellipse."""
+        axis: the invariants, frames, h and ellipse (when there is one), with
+        the canonical frame when asked."""
         frames, h = self.frames._take(nodes), self.h._take(nodes)
         a3, a4 = shape_operators(h, frames) if with_canonical else (None, None)
         return CurvatureReport(
@@ -290,6 +302,7 @@ class CurvatureReport(Record):
             self.KD[nodes],
             self.defect[nodes],
             canonical=canonical_equality_frame(a3, a4) if with_canonical else None,
+            ellipse=None if self.ellipse is None else self.ellipse._take(nodes),
             frames=frames,
             h=h,
         )
@@ -467,11 +480,12 @@ def shape_operators(h: SecondFF, frames: FrameData) -> tuple[Sym2, Sym2]:
 
 
 def _h_invariants(h: SecondFF, jets: JetPoint, c: float) -> tuple:
-    """(H, H2, K, KD, defect) from h, with no normal basis.
+    """(H, H2, K, KD, defect, gram) from h, with no normal basis.
 
     With u = (h11 - h22)/2 and v = h12, the axes of the ellipse of
     curvature, the Gauss equation gives K = c + <h11,h22> - <h12,h12> and
-    the Ricci equation |KD| = 2 sqrt(<u,u><v,v> - <u,v>^2).  That Gram
+    the Ricci equation |KD| = 2 sqrt(<u,u><v,v> - <u,v>^2); gram is
+    (<u,u>, <u,v>, <v,v>), which ellipse_of_curvature takes.  That Gram
     determinant is taken as <u,u><v',v'> with v' = v - (<u,v>/<u,u>) u
     (v itself where u = 0), which keeps |KD| at roundoff where u and v are
     parallel; the difference of products loses half the digits there.
@@ -488,7 +502,7 @@ def _h_invariants(h: SecondFF, jets: JetPoint, c: float) -> tuple:
     h11, v, h22 = (x.coords for x in h.components())
     mean = 0.5 * (h11 + h22)
     u = 0.5 * (h11 - h22)
-    k_sum, h2, uu, uv = np.stack([h11 * h22 - v * v, mean * mean, u * u, u * v]) @ w
+    k_sum, h2, uu, uv, vv = np.stack([h11 * h22 - v * v, mean * mean, u * u, u * v, v * v]) @ w
     v_off_u = v - np.where(uu != 0.0, uv / np.where(uu != 0.0, uu, 1.0), 0.0)[..., None] * u
     abs_kd = 2.0 * np.sqrt(np.maximum(uu * ((v_off_u * v_off_u) @ w), 0.0))
     pairs = dim * (dim - 1) // 2
@@ -497,7 +511,7 @@ def _h_invariants(h: SecondFF, jets: JetPoint, c: float) -> tuple:
     side = (_jet_minors(jets, pairs) * minors).sum(axis=-1) * _ORIENT_SIGN[jets.ambient.kind]
     k = c + k_sum
     kd = np.where(side > 0, -abs_kd, abs_kd)[()]
-    return PVector(mean, sig), h2, k, kd, k - abs_kd - h2 - c
+    return PVector(mean, sig), h2, k, kd, k - abs_kd - h2 - c, (uu, uv, vv)
 
 
 def invariants(a3: Sym2, a4: Sym2, frames: FrameData, c: float) -> CurvatureReport:
@@ -507,7 +521,7 @@ def invariants(a3: Sym2, a4: Sym2, frames: FrameData, c: float) -> CurvatureRepo
         PVector(-np.asarray(x3)[..., None] * e3 - np.asarray(x4)[..., None] * e4, frames.e3.signature)
         for x3, x4 in ((a3.a11, a4.a11), (a3.a12, a4.a12), (a3.a22, a4.a22))
     ))
-    return CurvatureReport(a3, a4, *_h_invariants(h, frames.jets, c))
+    return CurvatureReport(a3, a4, *_h_invariants(h, frames.jets, c)[:5])
 
 
 def canonical_equality_frame(a3: Sym2, a4: Sym2) -> CanonicalFrame:
@@ -554,23 +568,24 @@ def canonical_equality_frame(a3: Sym2, a4: Sym2) -> CanonicalFrame:
     return CanonicalFrame(alpha, gamma, delta, mu, theta, rho, residual, ~keep)
 
 
-def ellipse_of_curvature(h: SecondFF, center: PVector) -> EllipseInfo:
+def ellipse_of_curvature(h: SecondFF, center: PVector, gram: tuple | None = None) -> EllipseInfo:
     """Semi-axes and degeneracy flags of the ellipse of curvature.
 
     The spanning vectors are u = (h11 - h22)/2 and v = h12; squared lengths
-    use -<.,.> since the normal plane is negative definite.  The circle
-    test compares |u|^2 with |v|^2 and checks <u,v> = 0, at _CIRCLE_TOL
-    relative to the ellipse scale; the ellipse is a point when
-    sqrt(|u|^2 + |v|^2) <= _POINT_TOL.
+    use -<.,.> since the normal plane is negative definite.  gram is
+    (<u,u>, <u,v>, <v,v>) when the caller has formed it from this h
+    (_h_invariants), else it is formed here.  The circle test compares
+    |u|^2 with |v|^2 and checks <u,v> = 0, at _CIRCLE_TOL relative to the
+    ellipse scale; the ellipse is a point when sqrt(|u|^2 + |v|^2) <=
+    _POINT_TOL.
     """
-    w = h.h12.signature.weights
-    u = 0.5 * (h.h11.coords - h.h22.coords)
-    v = h.h12.coords
-    uu = -((u * u) @ w)
-    vv = -((v * v) @ w)
-    uv = -((u * v) @ w)
-    gram = Sym2(uu, uv, vv)
-    (lam1, lam2), _ = eigen_sym2(gram)
+    if gram is None:
+        w = h.h12.signature.weights
+        u = 0.5 * (h.h11.coords - h.h22.coords)
+        v = h.h12.coords
+        gram = (u * u) @ w, (u * v) @ w, (v * v) @ w
+    uu, uv, vv = (-x for x in gram)
+    (lam1, lam2), _ = eigen_sym2(Sym2(uu, uv, vv))
     a = np.sqrt(np.maximum(lam1, 0.0))
     b = np.sqrt(np.maximum(lam2, 0.0))
     is_point = np.sqrt(np.maximum(uu + vv, 0.0)) <= _POINT_TOL
@@ -583,16 +598,37 @@ def point_report(imm: Immersion, p: tuple, with_canonical: bool = True) -> Curva
     """Full pointwise pipeline at a node or a batch: frames, h, invariants, ellipse.
 
     The shape operators, and with them the normal pair, are computed only
-    for the canonical frame.
+    for the canonical frame.  A single point of real numbers is row 0 of
+    the nested-stencil build at _FD_STEP (_kept_nested), the build the FD
+    checks at that point read next, so a point probe evaluates and frames
+    its point once; with the canonical frame the normal pair is completed
+    at every stencil node, once for the report and the checks.  Its values
+    are those of the same node in verify's batch (_stencil_checks), bit for
+    bit.  When a stencil node fails, the point is built alone, so the
+    report raises exactly when the point itself fails.
     """
-    frames = build_frames(imm, p)
+    s, t = p
+    if _real(s, t):
+        try:
+            nodes, nested = _kept_nested(imm, s, t, _FD_STEP, build_frames)
+        except NeutralSurfError:
+            pass  # some stencil node failed: the point's own build decides
+        else:
+            if with_canonical:
+                nested._completed()
+            return _frames_report(imm, nodes, nested, False)._take(0, with_canonical)
+    return _frames_report(imm, p, build_frames(imm, p), with_canonical)
+
+
+def _frames_report(imm: Immersion, p: tuple, frames: FrameData, with_canonical: bool) -> CurvatureReport:
+    """point_report at the nodes p of frames."""
     h = second_fundamental_form(imm, p, frames)
-    big_h, h2, k, kd, defect = _h_invariants(h, frames.jets, imm.ambient.curvature)
+    big_h, h2, k, kd, defect, gram = _h_invariants(h, frames.jets, imm.ambient.curvature)
     a3, a4 = shape_operators(h, frames) if with_canonical else (None, None)
     return CurvatureReport(
         a3, a4, big_h, h2, k, kd, defect,
         canonical=canonical_equality_frame(a3, a4) if with_canonical else None,
-        ellipse=ellipse_of_curvature(h, big_h),
+        ellipse=ellipse_of_curvature(h, big_h, gram),
         frames=frames,
         h=h,
     )
@@ -642,7 +678,7 @@ def _on_frame(fr: FrameData, forms: np.ndarray) -> np.ndarray:
     return a * forms[:, :1] + b * forms[:, 1:]
 
 
-def connection_forms(imm: Immersion, p: tuple, step: float = 1e-3) -> ConnectionSample:
+def connection_forms(imm: Immersion, p: tuple, step: float = _FD_STEP) -> ConnectionSample:
     """Connection forms of the tangent and normal bundles on (e1, e2).
 
     Defined by nabla_X e1 = w12(X) e2 and D_X e3 = w34(X) e4; with the
@@ -660,7 +696,7 @@ def connection_forms(imm: Immersion, p: tuple, step: float = 1e-3) -> Connection
 
 
 def structure_equation_check(
-    imm: Immersion, p: tuple, step: float = 1e-3
+    imm: Immersion, p: tuple, step: float = _FD_STEP
 ) -> tuple[float, float]:
     """Curvatures recovered from the structure equations.
 
@@ -685,7 +721,7 @@ def _structure(fr: FrameData, p: tuple, step: float) -> tuple:
     return tuple(-d_w / np.sqrt(fr.metric.det[0]))
 
 
-def codazzi_residual(imm: Immersion, p: tuple, step: float = 1e-3) -> float:
+def codazzi_residual(imm: Immersion, p: tuple, step: float = _FD_STEP) -> float:
     """Finite-difference residual of the Codazzi symmetry of the covariant
     derivative of h.
 
@@ -722,9 +758,8 @@ def _codazzi(fr: FrameData, h: SecondFF, step: float) -> np.ndarray:
 
 def _nested_stencil(p: tuple, step: float) -> tuple:
     """(s, t) arrays of the 13 nested-stencil nodes of every point of p, shape (13,) + batch shape."""
-    di, dj = np.transpose(_NESTED_NODES)
     s, t = np.broadcast_arrays(*p)
-    return np.add.outer(step * di, s), np.add.outer(step * dj, t)
+    return np.add.outer(step * _NESTED_DS, s), np.add.outer(step * _NESTED_DT, t)
 
 
 def _nested_frames(imm: Immersion, p: tuple, step: float) -> tuple:
@@ -734,22 +769,31 @@ def _nested_frames(imm: Immersion, p: tuple, step: float) -> tuple:
     (_kept_nested).
     """
     s, t = p
-    if all(isinstance(x, numbers.Real) for x in (s, t, step)):
+    if _real(s, t, step):
         return _kept_nested(imm, s, t, step, build_frames)
     nodes = _nested_stencil(p, step)
     return nodes, build_frames(imm, nodes)
+
+
+def _real(*values) -> bool:
+    """Whether every value is a real number, i.e. p is a single point that may be kept."""
+    return all(isinstance(x, numbers.Real) for x in values)
 
 
 @functools.lru_cache(maxsize=1)
 def _kept_nested(imm: Immersion, s, t, step, build) -> tuple:
     """_nested_frames at a single point of real numbers, the last one kept.
 
-    A point probe calls structure_equation_check and then codazzi_residual
-    at the same point; the second reads this build, whichever FD check made
-    it.  build is the build_frames of the call, and imm compares by
-    identity, so a patched build_frames or another Immersion never meets
-    frames built before it; h is not kept.  Equal numbers share the entry
-    (s = 0.0 and -0.0 among them), and they give bit-identical nodes.
+    A point probe calls point_report, structure_equation_check and
+    codazzi_residual at the same point: the report makes this build at
+    _FD_STEP and reads its row 0 (completing the normal pair at every node
+    when it takes the canonical frame), and both FD checks read it after
+    it; any single-point FD check reads it, whichever call made it.  build
+    is the build_frames of the call, and imm compares by identity, so a
+    patched build_frames or another Immersion never meets frames built
+    before it; h is not kept.  A build that raises is not kept.  Equal
+    numbers share the entry (s = 0.0 and -0.0 among them), and they give
+    bit-identical nodes.
     """
     nodes = _nested_stencil((s, t), step)
     return nodes, build(imm, nodes)

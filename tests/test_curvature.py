@@ -77,6 +77,10 @@ CURVED_SPHERE = (
     f"x3 = {R_CURVED}*cos(s)*cos(t)\nx4 = {R_CURVED}*cos(s)*sin(t)\nx5 = {R_CURVED}*sin(s)"
 )
 
+# space-like only for |s| < 1 (E = 1 - s^2): at s = 0.9995 the point is on
+# the surface and its +s stencil neighbours are not
+BAND = "ambient E(2,2)\ndomain -0.5:0.999, -1:1\nx1 = s^2/2\nx2 = 0\nx3 = s\nx4 = t"
+
 # (surface, parameters, point) where the FD checks must agree with the invariants
 FD_CASES = [
     ("phi_h42", {}, (0.25, 0.3)),
@@ -784,6 +788,15 @@ class TestStackedStages:
         assert bits(codazzi_residual(imm, p)) == bits(codazzi_residual_per_component(imm, p))
 
     @pytest.mark.parametrize("name", sorted(STACKED_SURFACES))
+    def test_the_invariants_gram_gives_the_ellipse_bit_for_bit(self, name):
+        # point_report hands the ellipse the <u,u>, <u,v>, <v,v> of _h_invariants
+        imm = self.surface(name)
+        rep = point_report(imm, self.inset_grid(imm), with_canonical=False)
+        own = ellipse_of_curvature(rep.h, rep.H)
+        for key in ("a", "b", "is_circle", "is_point"):
+            assert bits(getattr(rep.ellipse, key)) == bits(getattr(own, key)), key
+
+    @pytest.mark.parametrize("name", sorted(STACKED_SURFACES))
     def test_single_points_agree_to_rounding(self, name):
         imm = self.surface(name)
         ss, ts = self.inset_grid(imm, 3)
@@ -817,6 +830,21 @@ class TestStencilChecks:
         for got, expected in zip(structure, structure_equation_check(imm, p, 1e-3)):
             assert np.array_equal(got, expected)
         assert np.array_equal(codazzi, codazzi_residual(imm, p, 1e-3))
+
+    @pytest.mark.parametrize("name", sorted(STACKED_SURFACES))
+    def test_single_points_equal_the_stencil_rows_bit_for_bit(self, name):
+        # a single-point report is row 0 of the nested-stencil build that the
+        # FD checks at that point read, as in verify's batch
+        imm = TestStackedStages.surface(name)
+        for p in zip(*(x.tolist() for x in _fd_sample_points(imm.domain, 1e-3))):
+            nested = point_report(imm, curvature._nested_stencil(p, 1e-3), with_canonical=False)
+            want, structure, codazzi = curvature._stencil_checks(nested, p, 1e-3, with_canonical=True)
+            rep = point_report(imm, p)
+            for key in ("K", "KD", "H2", "defect"):
+                assert bits(getattr(rep, key)) == bits(getattr(want, key)), (key, p)
+            assert bits(rep.canonical.residual) == bits(want.canonical.residual), p
+            assert [bits(x) for x in structure_equation_check(imm, p)] == [bits(x) for x in structure], p
+            assert bits(codazzi_residual(imm, p)) == bits(codazzi), p
 
 
 def five_point_checks(imm, p, step):
@@ -956,6 +984,53 @@ class TestNestedMemo:
         assert builds == []
         curvature._kept_nested.cache_clear()
         assert bits(codazzi_residual(imm, (0.0, 0.1))) == bits(cold)
+
+    @pytest.mark.parametrize("with_canonical", [True, False])
+    def test_a_point_report_is_row_0_of_the_kept_build(self, builds, with_canonical):
+        # a probe builds once: the report makes the nested build at the FD
+        # step, and the FD checks at that point read it; so does a report
+        # after an FD check there
+        imm = catalog_get("random_polynomial", {"seed": 7})
+        p, q = (0.2, 0.1), (-0.3, 0.4)
+        rep = point_report(imm, p, with_canonical)
+        assert [b[0].shape for b in builds] == [(13,)] and rep.frames.jets.shape == ()
+        structure_equation_check(imm, p)
+        codazzi_residual(imm, p)
+        connection_forms(imm, p)
+        point_report(imm, p, not with_canonical)
+        assert len(builds) == 1
+        codazzi_residual(imm, q)
+        point_report(imm, q, with_canonical)
+        assert len(builds) == 2
+        # a batch report builds its own nodes and leaves the kept build alone
+        point_report(imm, (np.array([0.2]), np.array([0.1])), with_canonical)
+        assert [b[0].shape for b in builds[2:]] == [(1,)]
+        structure_equation_check(imm, q)
+        assert len(builds) == 3
+
+    def test_a_stencil_node_off_the_surface_leaves_the_report_alone(self, builds):
+        # the report builds the point alone when its nested build fails, so
+        # it raises exactly where the point itself fails, and a failed build
+        # is not kept: the FD checks still raise at a stencil node
+        imm = from_definition(parse_surface(BAND))
+        p, q = (0.9995, 0.0), (0.5, 0.0)
+        structure_equation_check(imm, q)
+        for with_canonical in (True, False):
+            rep = point_report(imm, p, with_canonical)
+            assert rep.K == 0.0 and rep.KD == 0.0
+        assert [np.shape(b[0]) for b in builds] == [(13,), (13,), (), (13,), ()]
+        off = "surface 'user_surface' is not space-like at (s,t)={}: E={}, EG-F^2={}"
+        for check in (structure_equation_check, codazzi_residual, connection_forms):
+            with pytest.raises(DegeneracyError) as exc:
+                check(imm, p)
+            assert str(exc.value) == off.format((1.0005, 0.0), -0.00100025, -0.00100025)
+        with pytest.raises(DegeneracyError) as exc:
+            point_report(imm, (1.5, 0.0))
+        assert str(exc.value) == off.format((1.5, 0.0), -1.25, -1.25)
+        # the build kept before the failures is still kept
+        builds.clear()
+        codazzi_residual(imm, q)
+        assert builds == []
 
     def test_scale_h12_fault_after_a_warm_call(self, builds, scale_h12):
         phi = catalog_get("phi_h42")
@@ -1143,9 +1218,14 @@ class TestNormalPairOnFirstRead:
         assert completions == [(9, 9)]
 
     def test_a_point_report_completes_once(self, completions):
-        fr = point_report(catalog_get("phi_h42"), (0.3, -0.4)).frames
-        assert completions == [()]
-        assert fr.scan.tolist() == [0, 1] and completions == [()]
+        # at the 13 nested-stencil nodes, which the FD checks at that point read next
+        imm, p = catalog_get("phi_h42"), (0.3, -0.4)
+        fr = point_report(imm, p).frames
+        assert completions == [(13,)]
+        assert fr.scan.tolist() == [0, 1] and completions == [(13,)]
+        structure_equation_check(imm, p)
+        codazzi_residual(imm, p)
+        assert completions == [(13,)]
 
     @pytest.mark.parametrize("name,params", FRAME_SURFACES)
     def test_taken_rows_complete_alone(self, name, params):
