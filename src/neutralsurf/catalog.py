@@ -34,16 +34,17 @@ class JetPoint(Record):
     read-only table of shape (6, *shape, ncomp), broadcasting the scalar
     fields; the vectors are views of it.  Immersion.evaluate sets the shape
     to that of the broadcast nodes; a JetPoint built directly broadcasts
-    the shapes of its fields on first use.
+    the shapes of its fields on first use.  _minors holds the jets' signed
+    minors once curvature has formed them (curvature._minors_of), else None.
     """
 
-    __slots__ = ("ambient", "components", "_shape", "_table")
+    __slots__ = ("ambient", "components", "_shape", "_table", "_minors")
     _fields = ("ambient", "components")
 
     def __init__(self, ambient: AmbientSpace, components: tuple):
         self.ambient = ambient
         self.components = components
-        self._shape = self._table = None
+        self._shape = self._table = self._minors = None
 
     @property
     def shape(self) -> tuple:

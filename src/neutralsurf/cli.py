@@ -24,7 +24,7 @@ from .catalog import (
     catalog_get,
     from_definition,
 )
-from .curvature import _nested_stencil, _stencil_checks
+from .curvature import _FD_STEP, _nested_stencil, _stencil_checks
 from .errors import (
     DegeneracyError,
     FieldDomainError,
@@ -58,7 +58,7 @@ DEFAULT_TOLERANCES = {
     "codazzi": 1e-4,
     "identity_abs": 1e-3,
     "identity_rel": 5e-3,
-    "fd_step": 1e-3,
+    "fd_step": _FD_STEP,
 }
 
 

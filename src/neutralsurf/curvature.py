@@ -14,9 +14,11 @@ ellipse of curvature), so a report needs no normal basis: a FrameData
 completes its normal pair e3, e4 on the first read, at its own nodes, and
 a report holds the shape operators A3, A4 only with the canonical frame.
 Only the canonical frame and the FD checks of the frame field read the
-normal pair.  Frame-derivative quantities
-(connection forms, structure equations, Codazzi residual) are estimated by
-central differences of the deterministic frame field.
+normal pair.  KD's sign and the normal pair's orientation both read the
+jets' signed minors, formed once per jets object (_minors_of).
+Frame-derivative quantities (connection forms, structure equations,
+Codazzi residual) are estimated by central differences of the
+deterministic frame field.
 
 Every stage takes a point or a batch of nodes alike: p = (s, t) may hold
 floats or arrays, and each field then holds one value per node.  The
@@ -24,13 +26,13 @@ finite-difference checks take their frames from one place, _nested_frames:
 one batched call builds the 13 nested-stencil nodes of every point, which
 list the 5-point stencil first, so row 0 holds the points and rows 0-4
 their 5-point stencils.  At a single point that build is kept, one entry,
-and point_report and any FD check at that point read it (see
-_kept_nested): a single-point report is its row 0, so a point probe
-evaluates and frames its point once, as a row of the same batch that
-verify reads, with the same values bit for bit.  verify
-appends the same nodes to its grid batch and reads them back with
-FrameData._take (_stencil_checks), which completes the normal pair of the
-stencil nodes only, not of the grid.
+with the h projected on it (_nested_h), and point_report and any FD check
+at that point read them (see _kept_nested): a single-point report is
+their row 0, so a point probe evaluates and frames its point once and
+projects h once, as a row of the same batch that verify reads, with the
+same values bit for bit.  verify appends the same nodes to its grid batch
+and reads them back with FrameData._take (_stencil_checks), which
+completes the normal pair of the stencil nodes only, not of the grid.
 
 Inside a stage the vectors are (..., dim) coordinate arrays under the
 signature's weights, stacked so that one array operation serves all
@@ -390,34 +392,45 @@ def _complete_normals(fr: FrameData) -> tuple:
         if (found == 2).all():
             break
         seeded = found.any()
-    # the orientation (see above): the signed minors of every pair within the
-    # rows 0..i the scan visited, read at each node's pair
+    # the orientation (see above): the jets' signed minors, read at each
+    # node's pair, one of the first i (i + 1) / 2 pairs (rows 0..i visited)
     pair = scan[..., 1] * (scan[..., 1] - 1) // 2 + scan[..., 0]
-    minor = np.take_along_axis(_jet_minors(jp, i * (i + 1) // 2), pair[..., None], axis=-1)
+    minor = np.take_along_axis(_minors_of(jp), pair[..., None], axis=-1)
     flipped = minor[..., 0] * _ORIENT_SIGN[jp.ambient.kind] < 0
     e4 = np.where(flipped[..., None], -normals[1], normals[1])
     return PVector(normals[0], sig), PVector(e4, sig), scan, flipped
 
 
-def _jet_minors(jp: JetPoint, count: int) -> np.ndarray:
-    """The jets' minors on the columns other than each of the first count pairs, signed by _PAIR_SIGN.
+def _minors_of(jp: JetPoint) -> np.ndarray:
+    """_jet_minors(jp), formed on first use and kept on jp: the normal
+    completion and the invariants at the same jets read one table."""
+    if jp._minors is None:
+        jp._minors = _jet_minors(jp)
+    return jp._minors
+
+
+def _jet_minors(jp: JetPoint) -> np.ndarray:
+    """The jets' minors on the columns other than each pair, signed by _PAIR_SIGN.
 
     The jets are the rows (x, psi_s, psi_t), or (psi_s, psi_t) for a flat
     ambient; pair (i, j) gets (-1)^(i+j+1) times the minor off columns i
     and j, its cofactor in a determinant whose last two rows are expanded.
     A 3x3 minor expands along the row of x into the 2x2 minors of
-    (psi_s, psi_t), formed once for every pair.
+    (psi_s, psi_t), formed once for every pair.  Every pair of the
+    ambient's columns gets an entry, in _PAIRS order, and each entry is
+    elementwise, so the first k entries equal those of the first k pairs
+    formed alone.
     """
-    off = _OFF_PAIR[jp.ambient.signature.total_dim][:count].T
+    off = _OFF_PAIR[jp.ambient.signature.total_dim].T
     if jp.ambient.is_flat:
         b, c = jp._rows(slice(1, 3))
         minors = b[..., off[0]] * c[..., off[1]] - b[..., off[1]] * c[..., off[0]]
     else:
         a, b, c = jp._rows(slice(0, 3))
         bc = b[..., _PAIR_I] * c[..., _PAIR_J] - b[..., _PAIR_J] * c[..., _PAIR_I]
-        lm, km, kl = (bc[..., q] for q in _OFF_SUB[:count].T)
+        lm, km, kl = (bc[..., q] for q in _OFF_SUB.T)
         minors = a[..., off[0]] * lm - a[..., off[1]] * km + a[..., off[2]] * kl
-    return minors * _PAIR_SIGN[:count]
+    return minors * _PAIR_SIGN[: off.shape[1]]
 
 
 def _basis_remainders(frame: list[np.ndarray], w: np.ndarray, nodes_ndim: int):
@@ -474,7 +487,7 @@ def second_fundamental_form(imm: Immersion, p: tuple, frames: FrameData) -> Seco
 def shape_operators(h: SecondFF, frames: FrameData) -> tuple[Sym2, Sym2]:
     """A3, A4 with <h(ei,ej), er> = <A_er ei, ej>; reads the normal pair of frames."""
     w = frames.e3.signature.weights
-    hs = np.stack([v.coords for v in h.components()])
+    hs = np.array([v.coords for v in h.components()])
     a3, a4 = (hs * frames.e3.coords) @ w, (hs * frames.e4.coords) @ w
     return Sym2(*a3), Sym2(*a4)
 
@@ -502,13 +515,13 @@ def _h_invariants(h: SecondFF, jets: JetPoint, c: float) -> tuple:
     h11, v, h22 = (x.coords for x in h.components())
     mean = 0.5 * (h11 + h22)
     u = 0.5 * (h11 - h22)
-    k_sum, h2, uu, uv, vv = np.stack([h11 * h22 - v * v, mean * mean, u * u, u * v, v * v]) @ w
+    k_sum, h2, uu, uv, vv = np.array([h11 * h22 - v * v, mean * mean, u * u, u * v, v * v]) @ w
     v_off_u = v - np.where(uu != 0.0, uv / np.where(uu != 0.0, uu, 1.0), 0.0)[..., None] * u
     abs_kd = 2.0 * np.sqrt(np.maximum(uu * ((v_off_u * v_off_u) @ w), 0.0))
     pairs = dim * (dim - 1) // 2
     i, j = _PAIR_I[:pairs], _PAIR_J[:pairs]
     minors = u[..., i] * v[..., j] - u[..., j] * v[..., i]
-    side = (_jet_minors(jets, pairs) * minors).sum(axis=-1) * _ORIENT_SIGN[jets.ambient.kind]
+    side = (_minors_of(jets) * minors).sum(axis=-1) * _ORIENT_SIGN[jets.ambient.kind]
     k = c + k_sum
     kd = np.where(side > 0, -abs_kd, abs_kd)[()]
     return PVector(mean, sig), h2, k, kd, k - abs_kd - h2 - c, (uu, uv, vv)
@@ -599,30 +612,31 @@ def point_report(imm: Immersion, p: tuple, with_canonical: bool = True) -> Curva
 
     The shape operators, and with them the normal pair, are computed only
     for the canonical frame.  A single point of real numbers is row 0 of
-    the nested-stencil build at _FD_STEP (_kept_nested), the build the FD
-    checks at that point read next, so a point probe evaluates and frames
-    its point once; with the canonical frame the normal pair is completed
-    at every stencil node, once for the report and the checks.  Its values
-    are those of the same node in verify's batch (_stencil_checks), bit for
-    bit.  When a stencil node fails, the point is built alone, so the
-    report raises exactly when the point itself fails.
+    the nested-stencil build at _FD_STEP (_kept_nested), and of the h kept
+    beside it (_nested_h), which the FD checks at that point read next, so
+    a point probe evaluates and frames its point once and projects h once;
+    with the canonical frame the normal pair is completed at every stencil
+    node, once for the report and the checks.  Its values are those of the
+    same node in verify's batch (_stencil_checks), bit for bit.  When a
+    stencil node fails, the point is built alone, so the report raises
+    exactly when the point itself fails.
     """
     s, t = p
     if _real(s, t):
         try:
-            nodes, nested = _kept_nested(imm, s, t, _FD_STEP, build_frames)
+            nested = _kept_nested(imm, s, t, _FD_STEP, build_frames)
         except NeutralSurfError:
             pass  # some stencil node failed: the point's own build decides
         else:
             if with_canonical:
-                nested._completed()
-            return _frames_report(imm, nodes, nested, False)._take(0, with_canonical)
-    return _frames_report(imm, p, build_frames(imm, p), with_canonical)
+                nested[1]._completed()
+            return _frames_report(imm, nested[1], _nested_h(imm, nested), False)._take(0, with_canonical)
+    frames = build_frames(imm, p)
+    return _frames_report(imm, frames, second_fundamental_form(imm, p, frames), with_canonical)
 
 
-def _frames_report(imm: Immersion, p: tuple, frames: FrameData, with_canonical: bool) -> CurvatureReport:
-    """point_report at the nodes p of frames."""
-    h = second_fundamental_form(imm, p, frames)
+def _frames_report(imm: Immersion, frames: FrameData, h: SecondFF, with_canonical: bool) -> CurvatureReport:
+    """point_report from the frames and h at its nodes."""
     big_h, h2, k, kd, defect, gram = _h_invariants(h, frames.jets, imm.ambient.curvature)
     a3, a4 = shape_operators(h, frames) if with_canonical else (None, None)
     return CurvatureReport(
@@ -657,9 +671,9 @@ def _coordinate_forms(lead: list, trail: list, w: np.ndarray, step: float) -> np
     wrap-arounds of derived frame fields.
     """
     e1 = lead[0]
-    lead = np.stack([np.where(((e1 * e1[0]) @ w < 0)[..., None], -e1, e1)] + lead[1:])
+    lead = np.array([np.where(((e1 * e1[0]) @ w < 0)[..., None], -e1, e1)] + lead[1:])
     d = (1.0 / (2.0 * step)) * (lead[:, [1, 3]] - lead[:, [2, 4]])
-    forms = (d * np.stack(trail)[:, :1]) @ w
+    forms = (d * np.array(trail)[:, :1]) @ w
     forms[1:] = -forms[1:]
     return forms
 
@@ -673,7 +687,7 @@ def _on_frame(fr: FrameData, forms: np.ndarray) -> np.ndarray:
     vel = fr.jets._rows(slice(1, 3))[:, 0]  # (psi_s, psi_t) at the center
     E, F, G = fr.metric.E[0], fr.metric.F[0], fr.metric.G[0]
     det = E * G - F * F
-    x, y = (vel[:, None] * np.stack([fr.e1.coords[0], fr.e2.coords[0]])) @ fr.e1.signature.weights
+    x, y = (vel[:, None] * np.array([fr.e1.coords[0], fr.e2.coords[0]])) @ fr.e1.signature.weights
     a, b = (G * x - F * y) / det, (E * y - F * x) / det
     return a * forms[:, :1] + b * forms[:, 1:]
 
@@ -728,18 +742,19 @@ def codazzi_residual(imm: Immersion, p: tuple, step: float = _FD_STEP) -> float:
     Compares (nabla-bar_{e1} h)(e2, .) against (nabla-bar_{e2} h)(e1, .) on
     both tangent slots and returns the larger coordinate norm per point of
     p; O(step^2) for a genuine immersion.  h and w12 come from rows 0-4,
-    the 5-point stencils, of the nested-stencil build (_nested_frames).
-    h, D h and w12 do not depend on the normal basis, so the stencil needs
-    no common scan branch, and the normal pair is not completed for it.
+    the 5-point stencils, of the nested-stencil build (_nested_frames) and
+    its h (_nested_h).  h, D h and w12 do not depend on the normal basis,
+    so the stencil needs no common scan branch, and the normal pair is not
+    completed for it.
     """
-    nodes, fr = _nested_frames(imm, p, step)
-    return _codazzi(fr, second_fundamental_form(imm, nodes, fr), step)
+    nested = _nested_frames(imm, p, step)
+    return _codazzi(nested[1], _nested_h(imm, nested), step)
 
 
 def _codazzi(fr: FrameData, h: SecondFF, step: float) -> np.ndarray:
     """codazzi_residual from the frames and h whose rows 0-4 are 5-point stencils."""
     w = fr.e1.signature.weights
-    hs = np.stack([v.coords for v in h.components()])
+    hs = np.array([v.coords for v in h.components()])
     # (D_s, D_t) of (h11, h12, h22), projected on the normal plane at p
     dh = (1.0 / (2.0 * step)) * (hs[:, [1, 3]] - hs[:, [2, 4]])
     dh = project_off(dh, [f[0] for f in fr.gram_schmidt], w)
@@ -763,16 +778,33 @@ def _nested_stencil(p: tuple, step: float) -> tuple:
 
 
 def _nested_frames(imm: Immersion, p: tuple, step: float) -> tuple:
-    """(nodes, frames) of the nested stencils of p, the only FD frame build.
+    """(nodes, frames, kept) of the nested stencils of p, the only FD frame build.
 
     Builds the 13 nodes of every point; at a single point the build is kept
-    (_kept_nested).
+    (_kept_nested).  kept is the dict in which _nested_h keeps h beside the
+    frames; a batch's is its own, and goes with the batch.
     """
     s, t = p
     if _real(s, t, step):
         return _kept_nested(imm, s, t, step, build_frames)
     nodes = _nested_stencil(p, step)
-    return nodes, build_frames(imm, nodes)
+    return nodes, build_frames(imm, nodes), {}
+
+
+def _nested_h(imm: Immersion, nested: tuple) -> SecondFF:
+    """h of a nested build (nodes, frames, kept) by the second_fundamental_form in force.
+
+    kept holds one h, keyed by the function that projected it: the report
+    and the Codazzi check at a kept point read one h, and a patched
+    second_fundamental_form (an injected fault) projects its own from the
+    kept frames, with no new frame build.
+    """
+    nodes, frames, kept = nested
+    sff = second_fundamental_form
+    if sff not in kept:
+        kept.clear()
+        kept[sff] = sff(imm, nodes, frames)
+    return kept[sff]
 
 
 def _real(*values) -> bool:
@@ -791,12 +823,14 @@ def _kept_nested(imm: Immersion, s, t, step, build) -> tuple:
     it; any single-point FD check reads it, whichever call made it.  build
     is the build_frames of the call, and imm compares by identity, so a
     patched build_frames or another Immersion never meets frames built
-    before it; h is not kept.  A build that raises is not kept.  Equal
-    numbers share the entry (s = 0.0 and -0.0 among them), and they give
-    bit-identical nodes.
+    before it.  The entry's dict keeps h beside the frames, keyed by the
+    second_fundamental_form that projected it (_nested_h), so the report
+    and Codazzi share one h and a patched one never meets h projected
+    before it.  A build that raises is not kept.  Equal numbers share the
+    entry (s = 0.0 and -0.0 among them), and they give bit-identical nodes.
     """
     nodes = _nested_stencil((s, t), step)
-    return nodes, build(imm, nodes)
+    return nodes, build(imm, nodes), {}
 
 
 def _stencil_checks(nested: CurvatureReport, p: tuple, step: float, with_canonical: bool) -> tuple:

@@ -49,3 +49,6 @@ def test_tiny_traced_run_is_correct(workload):
         # stencil it builds at its point, and structure_equation_check and
         # codazzi_residual read that kept build
         assert metrics["curvature.build_frames.calls"] == probes
+        # one h per probe: the report and codazzi_residual read the h kept
+        # beside that build
+        assert metrics["curvature.second_fundamental_form.calls"] == probes

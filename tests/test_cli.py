@@ -10,6 +10,7 @@ from neutralsurf import fields
 from neutralsurf.catalog import _membership_residual, catalog_get, check_membership, from_definition
 from neutralsurf.cli import DEFAULT_TOLERANCES, _fd_sample_points, build_verification_report, main
 from neutralsurf.curvature import (
+    _FD_STEP,
     _nested_stencil,
     _stencil_checks,
     codazzi_residual,
@@ -450,6 +451,10 @@ class TestOnePass:
             assert membership == check_membership(imm, [(s, t) for s in ss[::a] for t in ts[::b]])
             report = build_verification_report(imm, grid, None, DEFAULT_TOLERANCES)
             assert report["membership_residual"] == membership
+
+    def test_the_default_fd_step_is_the_engine_step(self):
+        # verify's FD rows and a probe's kept build are the same rows only at one step
+        assert DEFAULT_TOLERANCES["fd_step"] == _FD_STEP
 
     def test_70x70_has_two_blocks(self):
         # the case above where the stencil nodes join the second of two blocks

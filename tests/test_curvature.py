@@ -1040,7 +1040,7 @@ class TestNestedMemo:
         scale_h12(1.1)
         builds.clear()
         assert codazzi_residual(phi, p) > 1e-2
-        assert builds == []  # h is not kept: the kept frames reach the fault
+        assert builds == []  # the faulty projection reads the kept frames
 
     def test_switch_branch_fault_after_a_warm_call(self, builds, switch_branch):
         imm = catalog_get("phi_h42")
@@ -1053,6 +1053,106 @@ class TestNestedMemo:
         assert str(exc.value) == "frame branch switch within the stencil at (s,t)=(-0.2, 0.5)"
         # Codazzi does not depend on the scan branch, from whichever build
         assert codazzi_residual(imm, target) == want
+
+
+    def test_one_h_per_probe(self, builds, monkeypatch):
+        # the report and Codazzi read the h kept beside the kept build
+        imm, p = catalog_get("random_polynomial", {"seed": 7}), (0.2, 0.1)
+        projections, engine = [], curvature.second_fundamental_form
+        monkeypatch.setattr(
+            curvature, "second_fundamental_form",
+            lambda imm, p, fr: projections.append(fr.jets.shape) or engine(imm, p, fr),
+        )
+        for with_canonical in (True, False):
+            point_report(imm, p, with_canonical)
+            structure_equation_check(imm, p)
+            codazzi_residual(imm, p)
+        assert projections == [(13,)] and len(builds) == 1
+        # a batch projects its own h, and neither reads nor evicts the kept one
+        batch = (np.array([0.2]), np.array([0.1]))
+        codazzi_residual(imm, batch)
+        codazzi_residual(imm, batch)
+        codazzi_residual(imm, p)
+        assert projections == [(13,), (13, 1), (13, 1)] and len(builds) == 3
+
+    def test_a_patched_projection_after_a_warm_probe(self, builds, scale_h12, monkeypatch):
+        # h is kept by the second_fundamental_form in force: a fault moves the
+        # next report and Codazzi with no new frame build, and undoing it
+        # gives the original bits back
+        imm, p = catalog_get("phi_h42"), (0.3, -0.4)
+        engine = curvature.second_fundamental_form
+
+        def probe():
+            rep = point_report(imm, p)
+            values = {key: getattr(rep, key) for key in ("K", "KD", "H2", "defect")}
+            values["residual"] = rep.canonical.residual
+            values["codazzi"] = codazzi_residual(imm, p)
+            return values
+
+        want = probe()
+        structure_equation_check(imm, p)
+        assert len(builds) == 1 and want["codazzi"] <= 1e-4
+        scale_h12(1.1)
+        faulty = probe()
+        assert faulty["codazzi"] > 1e-2
+        for key in ("K", "KD", "defect", "residual"):
+            assert faulty[key] != want[key], key
+        assert bits(faulty["H2"]) == bits(want["H2"])  # H = (h11 + h22) / 2 reads no h12
+        monkeypatch.setattr(curvature, "second_fundamental_form", engine)
+        assert {key: bits(x) for key, x in probe().items()} == {key: bits(x) for key, x in want.items()}
+        assert len(builds) == 1
+
+
+def first_pairs_minors(jp, count: int) -> np.ndarray:
+    """The jets' signed minors of the first count pairs alone, the table the
+    normal completion read before it read the all-pairs table's prefix."""
+    off = curvature._OFF_PAIR[jp.ambient.signature.total_dim][:count].T
+    if jp.ambient.is_flat:
+        b, c = jp._rows(slice(1, 3))
+        minors = b[..., off[0]] * c[..., off[1]] - b[..., off[1]] * c[..., off[0]]
+    else:
+        a, b, c = jp._rows(slice(0, 3))
+        i, j = curvature._PAIR_I, curvature._PAIR_J
+        bc = b[..., i] * c[..., j] - b[..., j] * c[..., i]
+        lm, km, kl = (bc[..., q] for q in curvature._OFF_SUB[:count].T)
+        minors = a[..., off[0]] * lm - a[..., off[1]] * km + a[..., off[2]] * kl
+    return minors * curvature._PAIR_SIGN[:count]
+
+
+class TestJetMinors:
+    """The jets' signed minors are formed once per jets object, for every
+    pair; the normal completion reads the first pairs, the invariants all."""
+
+    @pytest.mark.parametrize("with_canonical", [True, False])
+    def test_one_table_per_probe(self, monkeypatch, with_canonical):
+        # the report completes the pair before its invariants with the
+        # canonical frame; without it the structure equations complete it after
+        imm, p = catalog_get("phi_h42"), (0.3, -0.4)
+        tables, engine = [], curvature._jet_minors
+        monkeypatch.setattr(curvature, "_jet_minors", lambda jp: tables.append(jp.shape) or engine(jp))
+        curvature._kept_nested.cache_clear()
+        point_report(imm, p, with_canonical)
+        structure_equation_check(imm, p)
+        codazzi_residual(imm, p)
+        curvature._kept_nested.cache_clear()
+        assert tables == [(13,)]
+
+    @pytest.mark.parametrize("name", ["random_polynomial", "phi_h42", "curved_sphere"])
+    def test_the_prefix_is_the_first_pairs_bit_for_bit(self, name):
+        # flat, pseudo-hyperbolic and pseudo-sphere ambients
+        if name == "curved_sphere":
+            imm = from_definition(parse_surface(CURVED_SPHERE))
+        else:
+            imm = catalog_get(name, {"seed": 3} if name == "random_polynomial" else {})
+        ss, ts = imm.domain.grid(9, 9)
+        dim = imm.ambient.signature.total_dim
+        for p in [(float(ss[3]), float(ts[5])), curvature._nested_stencil((float(ss[6]), float(ts[2])), 1e-3),
+                  tuple(np.meshgrid(ss, ts, indexing="ij"))]:
+            jp = imm.evaluate(*p)
+            table = curvature._jet_minors(jp)
+            assert table.shape == jp.shape + (dim * (dim - 1) // 2,)
+            for count in range(1, table.shape[-1] + 1):
+                assert bits(table[..., :count]) == bits(first_pairs_minors(jp, count)), count
 
 
 class TestOneFrameSource:
