@@ -96,11 +96,5 @@ class DomainRect(ValueRecord):
 
         return np.linspace(self.s0, self.s1, nx), np.linspace(self.t0, self.t1, ny)
 
-    def sample(self, rng, n: int):
-        """n uniform random points as (s, t) pairs."""
-        s = rng.uniform(self.s0, self.s1, size=n)
-        t = rng.uniform(self.t0, self.t1, size=n)
-        return list(zip(s.tolist(), t.tolist()))
-
     def as_tuple(self):
         return (self.s0, self.s1, self.t0, self.t1)

@@ -35,7 +35,8 @@ class JetPoint(Record):
     fields; the vectors are views of it.  Immersion.evaluate sets the shape
     to that of the broadcast nodes; a JetPoint built directly broadcasts
     the shapes of its fields on first use.  _minors holds the jets' signed
-    minors once curvature has formed them (curvature._minors_of), else None.
+    minors once curvature has formed them (curvature._minors_of), else None;
+    _take carries the taken rows of both tables.
     """
 
     __slots__ = ("ambient", "components", "_shape", "_table", "_minors")
@@ -74,6 +75,10 @@ class JetPoint(Record):
         jp = JetPoint(self.ambient, tuple(Jet2(*table[..., i]) for i in range(table.shape[-1])))
         table.flags.writeable = False
         jp._shape, jp._table = table.shape[1:-1], table
+        # each minor is elementwise in the nodes, so the taken rows are the
+        # minors of the taken jets bit for bit
+        if self._minors is not None:
+            jp._minors = self._minors[nodes]
         return jp
 
     def position(self) -> PVector:
@@ -416,6 +421,69 @@ def _random_poly_eval(
     return evaluate
 
 
+# random_polynomial's coefficients: numpy's default_rng(seed) stream,
+# reproduced without importing numpy's random module, which costs a fresh
+# process about 6 MB and 13 ms for the twenty draws a surface takes
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _hashmix(const: int, mult: int) -> Callable[[int], int]:
+    """SeedSequence's hashmix, over its own running 32-bit constant."""
+    h = [const]
+
+    def mix(value: int) -> int:
+        value ^= h[0]
+        h[0] = h[0] * mult & _M32
+        value = value * h[0] & _M32
+        return value ^ value >> 16
+
+    return mix
+
+
+def _seed_words(seed: int) -> list[int]:
+    """numpy's SeedSequence(seed).generate_state(4, uint64), for a seed >= 0."""
+    entropy = [seed >> k & _M32 for k in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
+
+    def mix(x: int, y: int) -> int:
+        # SeedSequence's mix(x, hashmix(y))
+        r = (0xCA01F9DD * x - 0x4973F715 * hashmix(y)) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], pool[src])
+    for word in entropy[4:]:
+        pool = [mix(x, word) for x in pool]
+    out = _hashmix(0x8B51F9DD, 0x58F38DED)
+    words = [out(pool[i % 4]) for i in range(8)]
+    return [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+def _uniform_draws(seed: int):
+    """Doubles in [0, 1), bit for bit numpy's default_rng(seed).random() stream.
+
+    numpy's PCG64 (O'Neill, HMC-CS-2014-0905: a 128-bit LCG with the XSL-RR
+    output), seeded from SeedSequence(seed); a double is an output's top 53
+    bits times 2**-53.
+    """
+    w = _seed_words(seed)
+    mult, inc = 0x2360ED051FC65DA44385DF649FCCF645, (w[2] << 65 | w[3] << 1 | 1) & _M128
+    state = ((inc + (w[0] << 64 | w[1])) * mult + inc) & _M128
+    while True:
+        state = (state * mult + inc) & _M128
+        x, rot = (state >> 64 ^ state) & _M64, state >> 122
+        x = (x >> rot | x << (64 - rot)) & _M64
+        yield (x >> 11) * 2.0**-53
+
+
+def _coefficients(draws, amplitude: float) -> np.ndarray:
+    """The next default_rng(seed).uniform(-amplitude, amplitude, size=10), as numpy forms it."""
+    return np.array([-amplitude + (amplitude + amplitude) * next(draws) for _ in _MONOMIALS])
+
+
 def _build_random_polynomial(params: dict) -> Immersion:
     params = dict(params)
     seed = params.pop("seed", 0)
@@ -428,11 +496,10 @@ def _build_random_polynomial(params: dict) -> Immersion:
     if not 0 < amplitude <= 0.1:
         raise InputMismatchError("random_polynomial amplitude must be in (0, 0.1]")
     ambient = AmbientSpace.flat()
-    rng = np.random.default_rng(seed_value)
+    draws = _uniform_draws(seed_value)
     domain = DomainRect(-0.5, 0.5, -0.5, 0.5)
     for _ in range(100):
-        coeff_p = rng.uniform(-amplitude, amplitude, size=len(_MONOMIALS))
-        coeff_q = rng.uniform(-amplitude, amplitude, size=len(_MONOMIALS))
+        coeff_p, coeff_q = _coefficients(draws, amplitude), _coefficients(draws, amplitude)
         imm = Immersion(
             name="random_polynomial",
             ambient=ambient,

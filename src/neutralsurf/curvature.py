@@ -15,7 +15,8 @@ completes its normal pair e3, e4 on the first read, at its own nodes, and
 a report holds the shape operators A3, A4 only with the canonical frame.
 Only the canonical frame and the FD checks of the frame field read the
 normal pair.  KD's sign and the normal pair's orientation both read the
-jets' signed minors, formed once per jets object (_minors_of).
+jets' signed minors, formed once per jets object (_minors_of) and carried
+to the rows taken from it (JetPoint._take), so verify forms them once.
 Frame-derivative quantities (connection forms, structure equations,
 Codazzi residual) are estimated by central differences of the
 deterministic frame field.

@@ -288,6 +288,13 @@ def random_isometry(sig, rng, generic: bool = True) -> np.ndarray:
     return (np.eye(dim)[order] * rng.choice([-1.0, 1.0], size=dim)[:, None]) @ iso
 
 
+def sample_points(domain: DomainRect, rng, n: int) -> list[tuple[float, float]]:
+    """n uniform random points of domain as (s, t) pairs, drawn from a numpy Generator."""
+    s = rng.uniform(domain.s0, domain.s1, size=n)
+    t = rng.uniform(domain.t0, domain.t1, size=n)
+    return list(zip(s.tolist(), t.tolist()))
+
+
 def bits(x) -> tuple:
     """Shape and IEEE bytes of a float or float array: equal only when bit-identical."""
     return np.shape(x), np.asarray(x, dtype=np.float64).tobytes()

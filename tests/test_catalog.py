@@ -8,7 +8,9 @@ from neutralsurf.ambient import DomainRect
 from neutralsurf.catalog import (
     Immersion,
     JetPoint,
+    _coefficients,
     _poly_coeffs_from_param,
+    _uniform_draws,
     catalog_get,
     catalog_names,
     check_membership,
@@ -17,7 +19,7 @@ from neutralsurf.catalog import (
 from neutralsurf.errors import DegeneracyError, InputMismatchError
 from neutralsurf.expr import parse_surface
 from neutralsurf.jets import FIELDS
-from oracles import accel_ss, accel_st, accel_tt, bits, induced_metric, random_polynomial_reference
+from oracles import accel_ss, accel_st, accel_tt, bits, induced_metric, random_polynomial_reference, sample_points
 
 
 def scaled_copy(imm: Immersion, factor: float) -> Immersion:
@@ -137,12 +139,12 @@ class TestMembership:
     def test_phi_on_random_points(self):
         phi = catalog_get("phi_h42")
         rng = np.random.default_rng(2)
-        assert check_membership(phi, phi.domain.sample(rng, 100)) <= 1e-10
+        assert check_membership(phi, sample_points(phi.domain, rng, 100)) <= 1e-10
 
     def test_flat_l(self):
         fl = catalog_get("flat_L")
         rng = np.random.default_rng(2)
-        assert check_membership(fl, fl.domain.sample(rng, 100)) <= 1e-10
+        assert check_membership(fl, sample_points(fl.domain, rng, 100)) <= 1e-10
 
     def test_scaled_copy_breaks_membership(self):
         phi = catalog_get("phi_h42")
@@ -160,7 +162,7 @@ class TestInducedMetric:
     def test_phi_metric_closed_form(self):
         phi = catalog_get("phi_h42")
         rng = np.random.default_rng(4)
-        for s, t in phi.domain.sample(rng, 60):
+        for s, t in sample_points(phi.domain, rng, 60):
             m = induced_metric(phi, (s, t))
             assert abs(m.E - 1.0) <= 1e-10
             assert abs(m.F) <= 1e-10
@@ -247,6 +249,26 @@ def test_shared_powers_equal_jpow_monomials(seed):
         for k, (a, b) in enumerate(zip(got, want)):
             for name in FIELDS:
                 assert bits(getattr(a, name)) == bits(getattr(b, name)), (seed, k, name)
+
+
+class TestUniformDraws:
+    """random_polynomial's coefficients are numpy's default_rng(seed).uniform
+    stream bit for bit, drawn without numpy's random module."""
+
+    @pytest.mark.parametrize("amplitude", [0.1, 1e-3])
+    @pytest.mark.parametrize("seeds", [range(500), [2**32 - 1, 2**32, 2**64 + 7, 10**30, 2**130 + 5]], ids=["small", "multi_word"])
+    def test_coefficients_equal_numpy_uniform(self, seeds, amplitude):
+        for seed_value in seeds:
+            rng, draws = np.random.default_rng(seed_value), _uniform_draws(seed_value)
+            for k in range(2):
+                want = rng.uniform(-amplitude, amplitude, size=10)
+                assert bits(_coefficients(draws, amplitude)) == bits(want), (seed_value, k)
+
+    def test_a_200_draw_stream(self):
+        # twenty coefficient vectors: ten tries of the space-like validation
+        draws = _uniform_draws(12345)
+        got = np.concatenate([_coefficients(draws, 0.1) for _ in range(20)])
+        assert bits(got) == bits(np.random.default_rng(12345).uniform(-0.1, 0.1, size=200))
 
 
 VECTORS = (JetPoint.position, JetPoint.velocity_s, JetPoint.velocity_t, accel_ss, accel_st, accel_tt)

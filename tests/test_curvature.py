@@ -41,6 +41,7 @@ from oracles import (
     random_isometry,
     reference_frames,
     rotate_pair,
+    sample_points,
     second_fundamental_form_per_component,
     shape_operators_per_component,
     stencil_frames,
@@ -137,7 +138,7 @@ class TestBuildFrames:
     def test_phi_frame_orthonormality(self):
         phi = catalog_get("phi_h42")
         rng = np.random.default_rng(6)
-        for p in phi.domain.sample(rng, 20):
+        for p in sample_points(phi.domain, rng, 20):
             fr = build_frames(phi, p)
             x = phi.evaluate(*p).position()
             assert frame_orthonormality_errors(fr, position=x) <= 1e-10
@@ -323,7 +324,7 @@ class TestSecondFundamentalForm:
     def test_totally_geodesic_vanishes(self):
         geo = catalog_get("totally_geodesic_h42")
         rng = np.random.default_rng(8)
-        for p in geo.domain.sample(rng, 15):
+        for p in sample_points(geo.domain, rng, 15):
             fr = build_frames(geo, p)
             h = second_fundamental_form(geo, p, fr)
             assert all(v.euclid_norm() <= 1e-9 for v in h.components())
@@ -331,7 +332,7 @@ class TestSecondFundamentalForm:
     def test_phi_equality_structure(self):
         phi = catalog_get("phi_h42")
         rng = np.random.default_rng(9)
-        for p in phi.domain.sample(rng, 15):
+        for p in sample_points(phi.domain, rng, 15):
             fr = build_frames(phi, p)
             h = second_fundamental_form(phi, p, fr)
             assert inner(h.h11, h.h11) == pytest.approx(-1.0 / 3.0, abs=1e-10)
@@ -350,7 +351,7 @@ class TestSecondFundamentalForm:
         for name, params in [("phi_h42", {}), ("random_polynomial", {"seed": 17})]:
             imm = catalog_get(name, params)
             rng = np.random.default_rng(10)
-            for p in imm.domain.sample(rng, 10):
+            for p in sample_points(imm.domain, rng, 10):
                 fr = build_frames(imm, p)
                 h = second_fundamental_form(imm, p, fr)
                 x = imm.evaluate(*p).position()
@@ -403,7 +404,7 @@ class TestInvariants:
     def test_phi(self):
         phi = catalog_get("phi_h42")
         rng = np.random.default_rng(12)
-        for p in phi.domain.sample(rng, 20):
+        for p in sample_points(phi.domain, rng, 20):
             rep = point_report(phi, p, with_canonical=False)
             assert rep.K == pytest.approx(-1.0 / 3.0, abs=1e-8)
             assert rep.KD == pytest.approx(-2.0 / 3.0, abs=1e-8)
@@ -507,7 +508,7 @@ class TestCanonicalEqualityFrame:
     def test_phi_pointwise(self):
         phi = catalog_get("phi_h42")
         rng = np.random.default_rng(15)
-        for p in phi.domain.sample(rng, 8):
+        for p in sample_points(phi.domain, rng, 8):
             rep = point_report(phi, p)
             can = rep.canonical
             assert can.residual <= 1e-8
@@ -1137,6 +1138,26 @@ class TestJetMinors:
         curvature._kept_nested.cache_clear()
         assert tables == [(13,)]
 
+    @pytest.mark.parametrize("name", ["phi_h42", "random_polynomial", "flat_L"])
+    def test_one_table_per_verify(self, monkeypatch, name):
+        # the stencil rows taken from verify's batch carry their minors
+        imm = catalog_get(name)
+        tables, engine = [], curvature._jet_minors
+        monkeypatch.setattr(curvature, "_jet_minors", lambda jp: tables.append(jp.shape) or engine(jp))
+        build_verification_report(imm, (33, 33), None, dict(DEFAULT_TOLERANCES))
+        assert tables == [(33 * 33 + 9 * 13,)]
+
+    @pytest.mark.parametrize("name", ["random_polynomial", "phi_h42"])
+    def test_taken_rows_carry_their_minors_bit_for_bit(self, name):
+        imm = catalog_get(name)
+        ss, ts = imm.domain.grid(9, 9)
+        jp = imm.evaluate(*np.meshgrid(ss, ts, indexing="ij"))
+        assert jp._take(3)._minors is None
+        curvature._minors_of(jp)
+        for nodes in [3, np.array([[0, 8], [5, 2]]), slice(2, 6)]:
+            taken = jp._take(nodes)
+            assert bits(taken._minors) == bits(curvature._jet_minors(taken)), nodes
+
     @pytest.mark.parametrize("name", ["random_polynomial", "phi_h42", "curved_sphere"])
     def test_the_prefix_is_the_first_pairs_bit_for_bit(self, name):
         # flat, pseudo-hyperbolic and pseudo-sphere ambients
@@ -1378,7 +1399,7 @@ class TestWintgenInequalityProperty:
         ] + [("random_polynomial", {"seed": k}) for k in range(5)]
         for name, params in specs:
             imm = catalog_get(name, params)
-            for p in imm.domain.sample(rng, 12):
+            for p in sample_points(imm.domain, rng, 12):
                 rep = point_report(imm, p, with_canonical=False)
                 assert rep.defect >= -1e-8
 
@@ -1396,7 +1417,7 @@ class TestWintgenInequalityProperty:
         ]
         for name, params in specs:
             imm = catalog_get(name, params)
-            for p in imm.domain.sample(rng, 12):
+            for p in sample_points(imm.domain, rng, 12):
                 rep = point_report(imm, p)
                 assert abs(rep.defect) <= 1e-8
                 assert rep.ellipse.is_circle or rep.ellipse.is_point

@@ -1,10 +1,13 @@
-"""Import cost guard: the package defines no dataclass beyond the one that needs it.
+"""Import cost guards, checked in fresh interpreters without timing.
 
 A frozen dataclass costs about 1 ms to define, paid by every fresh
 interpreter that imports the package (every CLI run).  The record types are
 ``__slots__`` classes; ``ConnectionSample`` stays a dataclass because
-callers use ``dataclasses.astuple`` on it.  The check counts decorations,
-so it needs no timing.
+callers use ``dataclasses.astuple`` on it.  One check counts decorations.
+
+Importing numpy's random module costs a fresh interpreter about 6 MB and
+13 ms.  random_polynomial draws its coefficients in-package, so the other
+check builds one and verifies it, and finds that module not loaded.
 """
 
 import json
@@ -34,9 +37,26 @@ print(json.dumps(sorted(name for name in seen if name.startswith("neutralsurf"))
 """
 
 
-def test_only_connection_sample_is_a_dataclass():
+RANDOM_MODULE_AFTER_VERIFY = """
+import contextlib, io, sys
+from neutralsurf import catalog_get, cli
+catalog_get("random_polynomial", {"seed": 7})
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["verify", "random_polynomial", "--seed", "7", "--grid", "9x9"])
+print(code, "numpy.random" in sys.modules)
+"""
+
+
+def run_fresh(code: str) -> str:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", COUNT_DECORATIONS], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == ["neutralsurf.curvature.ConnectionSample"]
+    return done.stdout
+
+
+def test_only_connection_sample_is_a_dataclass():
+    assert json.loads(run_fresh(COUNT_DECORATIONS)) == ["neutralsurf.curvature.ConnectionSample"]
+
+
+def test_random_polynomial_leaves_numpy_random_unloaded():
+    assert run_fresh(RANDOM_MODULE_AFTER_VERIFY).split() == ["0", "False"]

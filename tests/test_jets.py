@@ -18,7 +18,7 @@ from neutralsurf.jets import (
     jtan,
     seed,
 )
-from oracles import bits, finite_difference_jet
+from oracles import bits, finite_difference_jet, sample_points
 
 FIELDS = ("val", "d_s", "d_t", "d_ss", "d_st", "d_tt")
 
@@ -210,7 +210,7 @@ def test_catalog_jets_match_finite_differences(name, params):
     rng = np.random.default_rng(7)
     h = 1e-4
     dim = imm.ambient.embedding_dim
-    for s, t in imm.domain.sample(rng, 100):
+    for s, t in sample_points(imm.domain, rng, 100):
         stencil = {
             (ds, dt): imm.evaluate(s + ds * h, t + dt * h)
             for ds in (-1, 0, 1)
