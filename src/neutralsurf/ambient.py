@@ -9,6 +9,8 @@ the pseudo-sphere of curvature c > 0 sitting in a flat 5-space of signature
 
 from __future__ import annotations
 
+import math
+
 from .errors import InputMismatchError
 from .pseudo_linalg import Signature
 from .records import ValueRecord
@@ -83,6 +85,9 @@ class DomainRect(ValueRecord):
     __slots__ = _fields = _compared = ("s0", "s1", "t0", "t1")
 
     def __init__(self, s0: float, s1: float, t0: float, t1: float):
+        # a side that overflows (-1e308:1e308) makes the grid's nodes nan
+        if not all(map(math.isfinite, (s0, s1, t0, t1, s1 - s0, t1 - t0))):
+            raise InputMismatchError(f"domain bounds and sides must be finite, got [{s0},{s1}]x[{t0},{t1}]")
         if not (s0 < s1 and t0 < t1):
             raise InputMismatchError(f"empty domain [{s0},{s1}]x[{t0},{t1}]")
         self.s0 = s0

@@ -124,6 +124,10 @@ def _collect_tolerances(args) -> dict:
             raise InputMismatchError(f"tolerance {key} must be a number, got {value!r}") from None
     if not (np.isfinite(tols["fd_step"]) and tols["fd_step"] > 0):
         raise InputMismatchError(f"tolerance fd_step must be finite and > 0, got {tols['fd_step']}")
+    # no value passes a NaN tolerance; inf and negative values are meaningful
+    for key, value in tols.items():
+        if np.isnan(value):
+            raise InputMismatchError(f"tolerance {key} must not be nan")
     return tols
 
 

@@ -23,17 +23,15 @@ deterministic frame field.
 
 Every stage takes a point or a batch of nodes alike: p = (s, t) may hold
 floats or arrays, and each field then holds one value per node.  The
-finite-difference checks take their frames from one place, _nested_frames:
-one batched call builds the 13 nested-stencil nodes of every point, which
-list the 5-point stencil first, so row 0 holds the points and rows 0-4
-their 5-point stencils.  At a single point that build is kept, one entry,
-with the h projected on it (_nested_h), and point_report and any FD check
-at that point read them (see _kept_nested): a single-point report is
-their row 0, so a point probe evaluates and frames its point once and
-projects h once, as a row of the same batch that verify reads, with the
-same values bit for bit.  verify appends the same nodes to its grid batch
-and reads them back with FrameData._take (_stencil_checks), which
-completes the normal pair of the stencil nodes only, not of the grid.
+finite-difference checks read one report, with its frames and h, of the
+13 nested-stencil nodes of every point (_nested_report); they list the
+5-point stencil first, so row 0 holds the points and rows 0-4 their
+5-point stencils.  At a single point that report is kept (_kept_report),
+and a single-point point_report is its row 0: a point probe evaluates,
+frames and projects its point once, as a row of the same batch that
+verify reads, bit for bit.  verify appends the same nodes to its grid
+batch and reads them back (_stencil_checks), completing the normal pair
+of the stencil nodes only, not of the grid.
 
 Inside a stage the vectors are (..., dim) coordinate arrays under the
 signature's weights, stacked so that one array operation serves all
@@ -101,7 +99,7 @@ _CIRCLE_TOL = 1e-6
 _POINT_TOL = 1e-8
 
 # The default finite-difference step of the FD checks, and the step of the
-# nested-stencil build a single-point point_report reads (_kept_nested).
+# nested-stencil report a single-point point_report reads (_nested_report).
 _FD_STEP = 1e-3
 
 # Finite-difference stencils as offsets in units of the step.  The 5-point
@@ -613,31 +611,28 @@ def point_report(imm: Immersion, p: tuple, with_canonical: bool = True) -> Curva
 
     The shape operators, and with them the normal pair, are computed only
     for the canonical frame.  A single point of real numbers is row 0 of
-    the nested-stencil build at _FD_STEP (_kept_nested), and of the h kept
-    beside it (_nested_h), which the FD checks at that point read next, so
-    a point probe evaluates and frames its point once and projects h once;
-    with the canonical frame the normal pair is completed at every stencil
-    node, once for the report and the checks.  Its values are those of the
-    same node in verify's batch (_stencil_checks), bit for bit.  When a
-    stencil node fails, the point is built alone, so the report raises
-    exactly when the point itself fails.
+    the nested-stencil report at _FD_STEP (_nested_report), which the FD
+    checks at that point read next; with the canonical frame the normal
+    pair is completed at every stencil node, once for the report and the
+    checks.  When a stencil node fails, the point is built alone, so the
+    report raises exactly when the point itself fails.
     """
-    s, t = p
-    if _real(s, t):
+    if _real(*p):
         try:
-            nested = _kept_nested(imm, s, t, _FD_STEP, build_frames)
+            nested = _nested_report(imm, p, _FD_STEP)
         except NeutralSurfError:
             pass  # some stencil node failed: the point's own build decides
         else:
             if with_canonical:
-                nested[1]._completed()
-            return _frames_report(imm, nested[1], _nested_h(imm, nested), False)._take(0, with_canonical)
+                nested.frames._completed()
+            return nested._take(0, with_canonical)
+    return _build_report(imm, p, with_canonical)
+
+
+def _build_report(imm: Immersion, p: tuple, with_canonical: bool = False) -> CurvatureReport:
+    """point_report of a build of its own at the nodes p, with the frames and h."""
     frames = build_frames(imm, p)
-    return _frames_report(imm, frames, second_fundamental_form(imm, p, frames), with_canonical)
-
-
-def _frames_report(imm: Immersion, frames: FrameData, h: SecondFF, with_canonical: bool) -> CurvatureReport:
-    """point_report from the frames and h at its nodes."""
+    h = second_fundamental_form(imm, p, frames)
     big_h, h2, k, kd, defect, gram = _h_invariants(h, frames.jets, imm.ambient.curvature)
     a3, a4 = shape_operators(h, frames) if with_canonical else (None, None)
     return CurvatureReport(
@@ -699,11 +694,11 @@ def connection_forms(imm: Immersion, p: tuple, step: float = _FD_STEP) -> Connec
     Defined by nabla_X e1 = w12(X) e2 and D_X e3 = w34(X) e4; with the
     time-like normals this evaluates as w34(X) = -<D_X e3, e4>, in the
     frame field build_frames gives.  p is a point or a batch of points; the
-    forms read rows 0-4, the 5-point stencils, of the nested-stencil build
-    (_nested_frames), and each 5-point stencil must share one Gram-Schmidt
+    forms read rows 0-4, the 5-point stencils, of the nested-stencil report
+    (_nested_report), and each 5-point stencil must share one Gram-Schmidt
     branch.
     """
-    fr = _nested_frames(imm, p, step)[1]
+    fr = _nested_report(imm, p, step).frames
     _require_one_branch((fr.scan[:5] == fr.scan[0]).all(axis=(0, -1)), p)
     lead, trail = [fr.e1.coords[:5], fr.e3.coords[:5]], [fr.e2.coords[:5], fr.e4.coords[:5]]
     w12, w34 = _on_frame(fr, _coordinate_forms(lead, trail, fr.e1.signature.weights, step))
@@ -718,9 +713,9 @@ def structure_equation_check(
     Estimates the exterior derivatives of the connection forms by nested
     central differences and returns (-d w12 / area form, -d w34 / area
     form) at each point of p, which must reproduce K and KD, from the
-    frames of the 13 distinct nested-stencil nodes of every point (_nested_frames).
+    frames of the 13 distinct nested-stencil nodes of every point (_nested_report).
     """
-    return _structure(_nested_frames(imm, p, step)[1], p, step)
+    return _structure(_nested_report(imm, p, step).frames, p, step)
 
 
 def _structure(fr: FrameData, p: tuple, step: float) -> tuple:
@@ -743,13 +738,12 @@ def codazzi_residual(imm: Immersion, p: tuple, step: float = _FD_STEP) -> float:
     Compares (nabla-bar_{e1} h)(e2, .) against (nabla-bar_{e2} h)(e1, .) on
     both tangent slots and returns the larger coordinate norm per point of
     p; O(step^2) for a genuine immersion.  h and w12 come from rows 0-4,
-    the 5-point stencils, of the nested-stencil build (_nested_frames) and
-    its h (_nested_h).  h, D h and w12 do not depend on the normal basis,
-    so the stencil needs no common scan branch, and the normal pair is not
-    completed for it.
+    the 5-point stencils, of the nested-stencil report (_nested_report).
+    h, D h and w12 do not depend on the normal basis, so the stencil needs
+    no common scan branch, and the normal pair is not completed for it.
     """
-    nested = _nested_frames(imm, p, step)
-    return _codazzi(nested[1], _nested_h(imm, nested), step)
+    nested = _nested_report(imm, p, step)
+    return _codazzi(nested.frames, nested.h, step)
 
 
 def _codazzi(fr: FrameData, h: SecondFF, step: float) -> np.ndarray:
@@ -778,34 +772,13 @@ def _nested_stencil(p: tuple, step: float) -> tuple:
     return np.add.outer(step * _NESTED_DS, s), np.add.outer(step * _NESTED_DT, t)
 
 
-def _nested_frames(imm: Immersion, p: tuple, step: float) -> tuple:
-    """(nodes, frames, kept) of the nested stencils of p, the only FD frame build.
-
-    Builds the 13 nodes of every point; at a single point the build is kept
-    (_kept_nested).  kept is the dict in which _nested_h keeps h beside the
-    frames; a batch's is its own, and goes with the batch.
-    """
+def _nested_report(imm: Immersion, p: tuple, step: float) -> CurvatureReport:
+    """The report, with frames and h, at the nested stencils of p: the only
+    FD build, kept at a single point of real numbers (_kept_report)."""
     s, t = p
     if _real(s, t, step):
-        return _kept_nested(imm, s, t, step, build_frames)
-    nodes = _nested_stencil(p, step)
-    return nodes, build_frames(imm, nodes), {}
-
-
-def _nested_h(imm: Immersion, nested: tuple) -> SecondFF:
-    """h of a nested build (nodes, frames, kept) by the second_fundamental_form in force.
-
-    kept holds one h, keyed by the function that projected it: the report
-    and the Codazzi check at a kept point read one h, and a patched
-    second_fundamental_form (an injected fault) projects its own from the
-    kept frames, with no new frame build.
-    """
-    nodes, frames, kept = nested
-    sff = second_fundamental_form
-    if sff not in kept:
-        kept.clear()
-        kept[sff] = sff(imm, nodes, frames)
-    return kept[sff]
+        return _kept_report(imm, s, t, step, build_frames, second_fundamental_form)
+    return _build_report(imm, _nested_stencil(p, step))
 
 
 def _real(*values) -> bool:
@@ -814,24 +787,18 @@ def _real(*values) -> bool:
 
 
 @functools.lru_cache(maxsize=1)
-def _kept_nested(imm: Immersion, s, t, step, build) -> tuple:
-    """_nested_frames at a single point of real numbers, the last one kept.
+def _kept_report(imm: Immersion, s, t, step, build, sff) -> CurvatureReport:
+    """_nested_report at a single point of real numbers, the last one kept.
 
-    A point probe calls point_report, structure_equation_check and
-    codazzi_residual at the same point: the report makes this build at
-    _FD_STEP and reads its row 0 (completing the normal pair at every node
-    when it takes the canonical frame), and both FD checks read it after
-    it; any single-point FD check reads it, whichever call made it.  build
-    is the build_frames of the call, and imm compares by identity, so a
-    patched build_frames or another Immersion never meets frames built
-    before it.  The entry's dict keeps h beside the frames, keyed by the
-    second_fundamental_form that projected it (_nested_h), so the report
-    and Codazzi share one h and a patched one never meets h projected
-    before it.  A build that raises is not kept.  Equal numbers share the
-    entry (s = 0.0 and -0.0 among them), and they give bit-identical nodes.
+    A probe's point_report makes it at _FD_STEP and reads its row 0, and
+    any single-point FD check after it reads its frames and h.  build and
+    sff are the build_frames and second_fundamental_form in force and imm
+    compares by identity, so a patched stage or another Immersion never
+    meets a report built before it.  A build that raises is not kept.
+    Equal numbers share the entry (s = 0.0 and -0.0 among them), and they
+    give bit-identical nodes.
     """
-    nodes = _nested_stencil((s, t), step)
-    return nodes, build(imm, nodes), {}
+    return _build_report(imm, _nested_stencil((s, t), step))
 
 
 def _stencil_checks(nested: CurvatureReport, p: tuple, step: float, with_canonical: bool) -> tuple:

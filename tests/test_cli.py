@@ -149,11 +149,23 @@ class TestVerify:
         assert code == 2
         assert f"tolerance structure must be a number, got {value!r}" in err
 
-    @pytest.mark.parametrize("value,expected", [("inf", 0), ("nan", 1), ("-1", 1)])
+    @pytest.mark.parametrize("value,expected", [("inf", 0), ("-1", 1)])
     def test_any_float_tolerance_is_accepted(self, capsys, value, expected):
         code, out, _ = run(capsys, "verify", "phi_h42", "--grid", "5x5", "--tol", f"structure={value}")
         assert code == expected
         assert f"(tolerance {value})" in out
+
+    @pytest.mark.parametrize("value", ["nan", "NaN", "-nan"])
+    def test_a_nan_tolerance_exit_2(self, capsys, value):
+        # no value passes a NaN tolerance: an input error, not a FAIL (exit 1)
+        code, out, err = run(capsys, "verify", "phi_h42", "--grid", "9x9", "--tol", f"codazzi={value}")
+        assert (code, out, err) == (2, "", "error: tolerance codazzi must not be nan\n")
+
+    def test_a_negative_defect_lower_asserts_a_gap(self, capsys):
+        # flat_L's defect is 1: a strict gap of 0.5 holds, one of 2 fails
+        for gap, expected in (("-0.5", 0), ("-2", 1)):
+            code, _, _ = run(capsys, "verify", "flat_L", "--grid", "5x5", "--tol", f"defect_lower={gap}")
+            assert code == expected, gap
 
     def test_tolerance_override_can_fail(self, capsys):
         code, out, _ = run(
@@ -274,6 +286,11 @@ class TestLaplacianCheck:
         code, _, _ = run(capsys, "laplacian-check", "phi_h42", "hyperbolic", "--grid", "17x17")
         assert code == 0
 
+    @pytest.mark.parametrize("name", ["identity_abs", "identity_rel"])
+    def test_a_nan_tolerance_exit_2(self, capsys, name):
+        code, out, err = run(capsys, "laplacian-check", "phi_h42", "eq5_11", "--grid", "9x9", "--tol", f"{name}=nan")
+        assert (code, out, err) == (2, "", f"error: tolerance {name} must not be nan\n")
+
     def test_unknown_identity_exit_2(self, capsys):
         code, _, err = run(capsys, "laplacian-check", "phi_h42", "eq1_23", "--grid", "9x9")
         assert code == 2
@@ -288,6 +305,15 @@ class TestUsageErrors:
     def test_bad_domain(self, capsys):
         code, _, _ = run(capsys, "verify", "phi_h42", "--domain", "1,2,3")
         assert code == 2
+
+    @pytest.mark.parametrize("domain", ["-inf:1,-1:1", "-1:inf,-1:1", "-1:1,nan:1", "-1:1,-1:1e999", "-1e308:1e308,-1:1"])
+    def test_a_non_finite_domain_bound_exit_2(self, capsys, domain):
+        # an input error, not numpy warnings and a frame error at s = nan (exit 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "verify", "phi_h42", "--grid", "9x9", f"--domain={domain}")
+        assert code == 2 and out == ""
+        assert "argument --domain: domain bounds and sides must be finite, got [" in err
 
     def test_missing_surface(self, capsys):
         code, _, err = run(capsys, "verify")

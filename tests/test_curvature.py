@@ -857,19 +857,29 @@ def five_point_checks(imm, p, step):
     return [*w12, *w34], codazzi
 
 
+def probe_bits(imm, p) -> dict:
+    """The bits of a probe at p: the report's values, both FD checks."""
+    rep = point_report(imm, p)
+    values = {key: getattr(rep, key) for key in ("K", "KD", "H2", "defect")}
+    values["residual"] = rep.canonical.residual
+    values["structure"] = structure_equation_check(imm, p)
+    values["codazzi"] = codazzi_residual(imm, p)
+    return {key: bits(np.array(x)) for key, x in values.items()}
+
+
 class TestNestedMemo:
-    """The FD checks read one frame build, the nested stencil's; the last
-    one at a single point is kept, whichever check made it, and any FD
-    check at that point reads it."""
+    """The FD checks read one report, with frames and h, of the nested
+    stencil; the last one at a single point is kept, whichever check made
+    it, and any FD check at that point reads it."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
         """The node arrays of every build_frames call; starts and ends with no kept build."""
         calls = []
-        curvature._kept_nested.cache_clear()
+        curvature._kept_report.cache_clear()
         monkeypatch.setattr(curvature, "build_frames", lambda imm, p: calls.append(p) or build_frames(imm, p))
         yield calls
-        curvature._kept_nested.cache_clear()
+        curvature._kept_report.cache_clear()
 
     @staticmethod
     def points(imm):
@@ -882,7 +892,7 @@ class TestNestedMemo:
         # rows 0-4 of the nested build give the values of a 5-point build
         imm = TestStackedStages.surface(name)
         for p in self.points(imm):
-            curvature._kept_nested.cache_clear()
+            curvature._kept_report.cache_clear()
             cold = codazzi_residual(imm, p, step)
             forms, codazzi = five_point_checks(imm, p, step)
             assert bits(cold) == bits(codazzi), (name, p)
@@ -951,15 +961,27 @@ class TestNestedMemo:
             check(imm, at)
             assert len(builds) == new_builds, (check.__name__, at)
 
-    @pytest.mark.parametrize("cold", [connection_forms, codazzi_residual])
-    def test_a_cold_single_point_check_keeps_its_build(self, builds, cold):
+    @pytest.mark.parametrize("cold", [connection_forms, structure_equation_check, codazzi_residual])
+    def test_a_cold_single_point_check_keeps_its_build(self, builds, monkeypatch, cold):
+        # a lone FD check keeps the whole report, frames and h: a probe after
+        # it at that point builds and projects nothing, with a fresh probe's bits
         imm = catalog_get("random_polynomial", {"seed": 7})
         p = (0.2, 0.1)
+        projections, engine = [], curvature.second_fundamental_form
+        monkeypatch.setattr(
+            curvature, "second_fundamental_form",
+            lambda imm, p, fr: projections.append(fr.jets.shape) or engine(imm, p, fr),
+        )
         cold(imm, p)
-        assert len(builds) == 1 and curvature._kept_nested.cache_info().currsize == 1
+        assert len(builds) == 1 and curvature._kept_report.cache_info().currsize == 1
+        assert projections == [(13,)]
         builds.clear()
-        structure_equation_check(imm, p)
-        assert builds == []
+        projections.clear()
+        warm = probe_bits(imm, p)
+        assert builds == [] and projections == []
+        curvature._kept_report.cache_clear()
+        assert probe_bits(imm, p) == warm
+        assert len(builds) == 1 and projections == [(13,)]
 
     @pytest.mark.parametrize("check", [connection_forms, structure_equation_check, codazzi_residual])
     def test_a_batch_is_never_kept(self, builds, check):
@@ -973,7 +995,7 @@ class TestNestedMemo:
             assert len(builds) == 2
         builds.clear()
         check(imm, p)
-        assert builds == [] and curvature._kept_nested.cache_info().currsize == 1
+        assert builds == [] and curvature._kept_report.cache_info().currsize == 1
 
     def test_signed_zeros_share_one_entry(self, builds):
         # s = 0.0 and -0.0 compare equal, and their nested nodes are bit-identical
@@ -983,7 +1005,7 @@ class TestNestedMemo:
         builds.clear()
         assert bits(codazzi_residual(imm, (0.0, 0.1))) == bits(cold)
         assert builds == []
-        curvature._kept_nested.cache_clear()
+        curvature._kept_report.cache_clear()
         assert bits(codazzi_residual(imm, (0.0, 0.1))) == bits(cold)
 
     @pytest.mark.parametrize("with_canonical", [True, False])
@@ -1041,7 +1063,8 @@ class TestNestedMemo:
         scale_h12(1.1)
         builds.clear()
         assert codazzi_residual(phi, p) > 1e-2
-        assert builds == []  # the faulty projection reads the kept frames
+        # the faulty projection misses the kept report and makes its own build
+        assert [b[0].shape for b in builds] == [(13,)]
 
     def test_switch_branch_fault_after_a_warm_call(self, builds, switch_branch):
         imm = catalog_get("phi_h42")
@@ -1057,7 +1080,7 @@ class TestNestedMemo:
 
 
     def test_one_h_per_probe(self, builds, monkeypatch):
-        # the report and Codazzi read the h kept beside the kept build
+        # the report and Codazzi read the h of the kept report
         imm, p = catalog_get("random_polynomial", {"seed": 7}), (0.2, 0.1)
         projections, engine = [], curvature.second_fundamental_form
         monkeypatch.setattr(
@@ -1077,9 +1100,9 @@ class TestNestedMemo:
         assert projections == [(13,), (13, 1), (13, 1)] and len(builds) == 3
 
     def test_a_patched_projection_after_a_warm_probe(self, builds, scale_h12, monkeypatch):
-        # h is kept by the second_fundamental_form in force: a fault moves the
-        # next report and Codazzi with no new frame build, and undoing it
-        # gives the original bits back
+        # the report is kept by the second_fundamental_form in force: a fault
+        # moves the next report and Codazzi with one new build, and undoing it
+        # gives the original bits back with one more
         imm, p = catalog_get("phi_h42"), (0.3, -0.4)
         engine = curvature.second_fundamental_form
 
@@ -1095,13 +1118,13 @@ class TestNestedMemo:
         assert len(builds) == 1 and want["codazzi"] <= 1e-4
         scale_h12(1.1)
         faulty = probe()
-        assert faulty["codazzi"] > 1e-2
+        assert len(builds) == 2 and faulty["codazzi"] > 1e-2
         for key in ("K", "KD", "defect", "residual"):
             assert faulty[key] != want[key], key
         assert bits(faulty["H2"]) == bits(want["H2"])  # H = (h11 + h22) / 2 reads no h12
         monkeypatch.setattr(curvature, "second_fundamental_form", engine)
         assert {key: bits(x) for key, x in probe().items()} == {key: bits(x) for key, x in want.items()}
-        assert len(builds) == 1
+        assert len(builds) == 3
 
 
 def first_pairs_minors(jp, count: int) -> np.ndarray:
@@ -1131,11 +1154,11 @@ class TestJetMinors:
         imm, p = catalog_get("phi_h42"), (0.3, -0.4)
         tables, engine = [], curvature._jet_minors
         monkeypatch.setattr(curvature, "_jet_minors", lambda jp: tables.append(jp.shape) or engine(jp))
-        curvature._kept_nested.cache_clear()
+        curvature._kept_report.cache_clear()
         point_report(imm, p, with_canonical)
         structure_equation_check(imm, p)
         codazzi_residual(imm, p)
-        curvature._kept_nested.cache_clear()
+        curvature._kept_report.cache_clear()
         assert tables == [(13,)]
 
     @pytest.mark.parametrize("name", ["phi_h42", "random_polynomial", "flat_L"])
@@ -1177,20 +1200,36 @@ class TestJetMinors:
 
 
 class TestOneFrameSource:
-    def test_build_frames_only_in_point_report_and_nested_frames(self):
+    tree = ast.parse(Path(curvature.__file__).read_text(encoding="utf-8"))
+
+    def test_build_frames_only_in_the_builder_and_nested_report(self):
         # one FD frame source: no 5-point build and no second route to the FD values
-        tree = ast.parse(Path(curvature.__file__).read_text(encoding="utf-8"))
-        functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        functions = [node for node in self.tree.body if isinstance(node, ast.FunctionDef)]
         users = {
             fn.name
             for fn in functions
             for node in ast.walk(fn)
             if isinstance(node, ast.Name) and node.id == "build_frames"
         }
-        assert users == {"point_report", "_nested_frames"}
-        calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "build_frames"]
-        assert len(calls) == 2
+        assert users == {"_build_report", "_nested_report"}
+        calls = [
+            n for n in ast.walk(self.tree) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "build_frames"
+        ]
+        assert len(calls) == 1
         assert not {fn.name for fn in functions} & {"stencil_checks", "_report", "_stencil_nodes"}
+
+    def test_one_kept_store(self):
+        # the kept nested report is the only store: one functools cache, and
+        # nothing keeps a second one (a kept dict) beside it
+        nodes = list(ast.walk(self.tree))
+        caches = [
+            n for n in nodes
+            if isinstance(n, ast.Attribute) and n.attr in {"lru_cache", "cache", "cached_property"}
+            or isinstance(n, ast.Name) and n.id in {"lru_cache", "cache", "cached_property"}
+        ]
+        assert len(caches) == 1
+        kept = [n for n in nodes if isinstance(n, ast.arg) and n.arg == "kept" or isinstance(n, ast.Name) and n.id == "kept"]
+        assert kept == []
 
 
 class TestPlainRecords:

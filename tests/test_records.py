@@ -140,6 +140,10 @@ class TestValidationMessages:
             (lambda: AmbientSpace("round", Signature(2, 4), 0.0), "unknown ambient kind 'round'"),
             (lambda: DomainRect(1.0, 0.0, 0.0, 1.0), "empty domain [1.0,0.0]x[0.0,1.0]"),
             (lambda: DomainRect(0, 1, 2, 2), "empty domain [0,1]x[2,2]"),
+            (lambda: DomainRect(float("-inf"), 1.0, -1.0, 1.0),
+             "domain bounds and sides must be finite, got [-inf,1.0]x[-1.0,1.0]"),
+            (lambda: DomainRect(0.0, 1.0, -1e308, 1e308),
+             "domain bounds and sides must be finite, got [0.0,1.0]x[-1e+308,1e+308]"),
             (lambda: GridField(DomainRect(0, 1, 0, 1), 3, 3, np.zeros((3, 3)), np.zeros((3, 2)),
                                np.zeros((3, 3)), np.zeros((3, 3))),
              "E has shape (3, 2), expected (3, 3)"),
