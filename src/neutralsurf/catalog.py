@@ -17,7 +17,7 @@ import numpy as np
 
 from .ambient import AmbientSpace, DomainRect
 from .errors import DegeneracyError, InputMismatchError, first_flagged
-from .expr import SurfaceDefinition, eval_numeric, eval_on_jets, parse_expression
+from .expr import SurfaceDefinition, compile_jets, eval_numeric, parse_expression
 from .jets import FIELDS, Jet2, jcosh, jexp, jsinh, seed
 from .pseudo_linalg import PVector, inner
 from .records import Record
@@ -132,12 +132,17 @@ class Immersion(Record):
         self.expected = {} if expected is None else expected
 
     def evaluate(self, s, t) -> JetPoint:
-        """Jets at the node (s, t), or at every node of s and t broadcast together."""
+        """Jets at the node (s, t), or at every node of s and t broadcast together; all finite."""
         s, t = np.broadcast_arrays(np.asarray(s, float), np.asarray(t, float))
-        jp = self.evaluator(s, t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            jp = self.evaluator(s, t)
         # each field holds one value per node or one for all nodes, so the
         # nodes give the shape without broadcasting every field
         jp._shape = s.shape
+        finite = np.isfinite(jp._rows(slice(None)))
+        if not finite.all():
+            node = first_flagged(~finite.all(axis=(0, -1)), s, t)
+            raise DegeneracyError(f"surface {self.name!r} has jets that are not finite at (s,t)={node}")
         return jp
 
 
@@ -399,14 +404,15 @@ def _random_poly_eval(
         js, jt = seed(s, t)
         # s^k and t^k, k <= 3, each a jet in its own variable (in the d_s
         # slots), by repeated multiplication as jpow unrolls them; table
-        # (power, derivative order, variable, *nodes)
+        # (power, derivative order, variable, *nodes), filled a row at a
+        # time because a partial may be a structural scalar
         pw = np.zeros((4, 3, 2) + np.shape(s))
         pw[0, 0] = pw[1, 1] = 1.0
         pw[1, 0] = s, t
         x = xk = Jet2(pw[1, 0], 1.0)
         for k in (2, 3):
             xk = xk * x
-            pw[k] = xk.val, xk.d_s, xk.d_ss
+            pw[k, 0], pw[k, 1], pw[k, 2] = xk.val, xk.d_s, xk.d_ss
         # every field of every monomial s^i t^j in one product: s^i has no
         # t-derivatives and t^j no s-derivatives, so the other terms of the
         # product rule are zeros, which leave the sums below unchanged (they
@@ -605,12 +611,12 @@ def catalog_get(name: str, params: dict | None = None) -> Immersion:
 
 
 def from_definition(defn: SurfaceDefinition) -> Immersion:
-    """Wrap a parsed surface definition as an evaluable immersion."""
+    """Wrap a parsed surface definition, compiled once, as an evaluable immersion."""
     ambient = defn.ambient
+    program = compile_jets(defn.components)
 
     def evaluate(s, t) -> JetPoint:
-        js, jt = seed(s, t)
-        return JetPoint(ambient, tuple(eval_on_jets(c, js, jt) for c in defn.components))
+        return JetPoint(ambient, program(*seed(s, t)))
 
     return Immersion(
         name=defn.name,

@@ -17,7 +17,9 @@ reported as ``line:col: message``.
 from __future__ import annotations
 
 import math
+import operator
 import re
+from typing import Callable
 
 from .ambient import AmbientSpace, DomainRect
 from .errors import ExprSyntaxError, SingularityError
@@ -254,46 +256,94 @@ def parse_expression(
 
 # -- evaluation --------------------------------------------------------
 
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_UNROLLED_POWERS = 64  # the largest constant integer exponent compiled to products
+
+
+def compile_jets(asts) -> Callable[[Jet2, Jet2], tuple]:
+    """One straight-line jet program of s and t that returns a jet per tree.
+
+    A node is keyed by its operation and its children's slots, so a shared
+    subtree runs once.  A subtree without s or t folds at compile time
+    through the same jet operations, as do the reciprocal of a constant
+    divisor (a / c runs as a * (1.0 / c), which is how a jet divides) and
+    jpow's products for a constant integer exponent.  Jet singularities,
+    at compile or at run time, carry the location of their node.
+    """
+    values = [None, None]  # a slot's value if known at compile time; s and t are not
+    code = []  # (slot, operation, argument slots, location) of what runs
+    slots = {}
+
+    def emit(fn, args, node, key=None) -> int:
+        key = key or (fn, *args)
+        slot = slots.get(key)
+        if slot is None:
+            slot = slots[key] = len(values)
+            where = f"{node.line}:{node.col}"
+            if all(values[k] is not None for k in args):
+                values.append(_located(fn, [values[k] for k in args], where))
+            else:
+                values.append(None)
+                code.append((slot, fn, args, where))
+        return slot
+
+    def constant(value: float, node) -> int:
+        key = (value, math.copysign(1.0, value))
+        return slots.get(key) or emit(lambda: Jet2.constant(value), (), node, key)
+
+    def power(a: int, b: int, node) -> int:
+        e = values[b]
+        if e is None or not float(e.val).is_integer() or abs(e.val) > _UNROLLED_POWERS:
+            return emit(jpow, (a, b), node)
+        n, p = int(e.val), a
+        for _ in range(abs(n) - 1):
+            p = emit(operator.mul, (p, a), node)
+        if n > 0:
+            return p
+        return constant(1.0, node) if n == 0 else emit(operator.truediv, (constant(1.0, node), p), node)
+
+    def visit(node) -> int:
+        if isinstance(node, BinOp):
+            a, b = visit(node.left), visit(node.right)
+            if node.op == "^":
+                return power(a, b, node)
+            if node.op == "/" and values[b] is not None:
+                b = emit(operator.truediv, (constant(1.0, node), b), node)
+                return emit(operator.mul, (a, b), node)
+            return emit(_BINARY[node.op], (a, b), node)
+        if isinstance(node, Var):
+            return ("s", "t").index(node.name)
+        if isinstance(node, Num):
+            return constant(float(node.value), node)
+        if isinstance(node, Call):
+            args = tuple(map(visit, node.args))
+            return power(*args, node) if node.fn == "pow" else emit(FUNCTIONS[node.fn], args, node)
+        if isinstance(node, Neg):
+            return emit(operator.neg, (visit(node.operand),), node)
+        raise TypeError(f"not an expression node: {node!r}")
+
+    outputs = [visit(ast) for ast in asts]
+
+    def run(s: Jet2, t: Jet2) -> tuple:
+        regs = values.copy()
+        regs[0], regs[1] = s, t
+        for slot, fn, args, where in code:
+            regs[slot] = _located(fn, [regs[k] for k in args], where)
+        return tuple(regs[k] for k in outputs)
+
+    return run
+
+
+def _located(fn, args, where: str):
+    try:
+        return fn(*args)
+    except SingularityError as exc:
+        raise SingularityError(f"{where}: {exc}") from exc
+
 
 def eval_on_jets(ast: Expr, s: Jet2, t: Jet2) -> Jet2:
-    """Evaluate the tree on jet-valued s, t (floats, or arrays over a batch).
-
-    Jet singularities (division by zero, function-domain violations) are
-    re-raised with the location of the responsible node attached.
-    """
-    return _eval(ast, {"s": s, "t": t})
-
-
-def _eval(node: Expr, env: dict):
-    if isinstance(node, Num):
-        return Jet2.constant(node.value)
-    if isinstance(node, Var):
-        return env[node.name]
-    if isinstance(node, Neg):
-        return -_eval(node.operand, env)
-    try:
-        if isinstance(node, BinOp):
-            a = _eval(node.left, env)
-            b = _eval(node.right, env)
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            if node.op == "/":
-                return a / b
-            return jpow(a, b)
-        if isinstance(node, Call):
-            args = [_eval(a, env) for a in node.args]
-            if node.fn == "pow":
-                return jpow(args[0], args[1])
-            return FUNCTIONS[node.fn](args[0])
-    except SingularityError as exc:
-        if str(exc).startswith(f"{node.line}:"):
-            raise
-        raise SingularityError(f"{node.line}:{node.col}: {exc}") from exc
-    raise TypeError(f"not an expression node: {node!r}")
+    """The tree on jet-valued s, t (floats, or arrays over a batch), compiled for one call."""
+    return compile_jets((ast,))(s, t)[0]
 
 
 def eval_numeric(node: Expr, env: dict):

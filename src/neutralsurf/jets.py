@@ -10,6 +10,14 @@ elsewhere by finite differences of pointwise fields.
 The fields are floats at one node or arrays over a batch of nodes
 (vector-mode forward differentiation): every rule is elementwise, and
 the domain guards raise on the first offending node in C order.
+
+A field that is the Python float 0.0 is a structural zero, and 1.0 a
+structural one; the seeds and constants hold them.  The rules skip a term
+with a structural-zero factor and drop a structural-one factor, so a rule
+costs its nonzero terms (Griewank and Walther, Evaluating Derivatives,
+2nd ed., ch. 7).  The other terms keep their order, and x + 0.0 and
+x * 1.0 are x and x * 0.0 a zero for finite x: the values are the full
+rules' bit for bit, except that an exact zero may differ in sign.
 """
 
 from __future__ import annotations
@@ -22,13 +30,35 @@ FIELDS = ("val", "d_s", "d_t", "d_ss", "d_st", "d_tt")
 
 _LIFTABLE = (int, float, np.number, np.ndarray)
 
-# operands a jet product scales by directly (np.float64 is a float)
-_SCALARS = (int, float)
-
 
 def _value(v):
     """A float at one node, a float array over a batch."""
     return v.astype(float, copy=False) if isinstance(v, np.ndarray) and v.ndim else float(v)
+
+
+# np.float64 subclasses float, so the structural tests compare the type
+def _add(x, y):
+    """x + y, skipping a structural-zero term."""
+    if type(x) is float and x == 0.0:
+        return y
+    if type(y) is float and y == 0.0:
+        return x
+    return x + y
+
+
+def _mul(x, y):
+    """x * y; a structural zero if a factor is one, and a structural-one factor drops."""
+    if type(x) is float:
+        if x == 0.0:
+            return 0.0
+        if x == 1.0:
+            return y
+    if type(y) is float:
+        if y == 0.0:
+            return 0.0
+        if y == 1.0:
+            return x
+    return x * y
 
 
 class Jet2:
@@ -75,12 +105,12 @@ class Jet2:
         if (other := _coerce(other)) is NotImplemented:
             return NotImplemented
         return Jet2(
-            self.val + other.val,
-            self.d_s + other.d_s,
-            self.d_t + other.d_t,
-            self.d_ss + other.d_ss,
-            self.d_st + other.d_st,
-            self.d_tt + other.d_tt,
+            _add(self.val, other.val),
+            _add(self.d_s, other.d_s),
+            _add(self.d_t, other.d_t),
+            _add(self.d_ss, other.d_ss),
+            _add(self.d_st, other.d_st),
+            _add(self.d_tt, other.d_tt),
         )
 
     __radd__ = __add__
@@ -95,25 +125,19 @@ class Jet2:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, _SCALARS):
-            # the product rule against a constant jet without its zero terms;
-            # for finite fields this equals the lifted product, except that a
-            # zero keeps its sign and a scalar field is not broadcast
-            x = float(other)
-            return Jet2(
-                self.val * x, self.d_s * x, self.d_t * x,
-                self.d_ss * x, self.d_st * x, self.d_tt * x,
-            )
         if (other := _coerce(other)) is NotImplemented:
             return NotImplemented
         a, b = self, other
         return Jet2(
-            a.val * b.val,
-            a.d_s * b.val + a.val * b.d_s,
-            a.d_t * b.val + a.val * b.d_t,
-            a.d_ss * b.val + 2.0 * a.d_s * b.d_s + a.val * b.d_ss,
-            a.d_st * b.val + a.d_s * b.d_t + a.d_t * b.d_s + a.val * b.d_st,
-            a.d_tt * b.val + 2.0 * a.d_t * b.d_t + a.val * b.d_tt,
+            _mul(a.val, b.val),
+            _add(_mul(a.d_s, b.val), _mul(a.val, b.d_s)),
+            _add(_mul(a.d_t, b.val), _mul(a.val, b.d_t)),
+            _add(_add(_mul(a.d_ss, b.val), _mul(_mul(2.0, a.d_s), b.d_s)), _mul(a.val, b.d_ss)),
+            _add(
+                _add(_add(_mul(a.d_st, b.val), _mul(a.d_s, b.d_t)), _mul(a.d_t, b.d_s)),
+                _mul(a.val, b.d_st),
+            ),
+            _add(_add(_mul(a.d_tt, b.val), _mul(_mul(2.0, a.d_t), b.d_t)), _mul(a.val, b.d_tt)),
         )
 
     __rmul__ = __mul__
@@ -145,11 +169,11 @@ def _chain(a: Jet2, f0, f1, f2) -> Jet2:
     """Second-order chain rule through f given f(a), f'(a), f''(a)."""
     return Jet2(
         f0,
-        f1 * a.d_s,
-        f1 * a.d_t,
-        f2 * a.d_s * a.d_s + f1 * a.d_ss,
-        f2 * a.d_s * a.d_t + f1 * a.d_st,
-        f2 * a.d_t * a.d_t + f1 * a.d_tt,
+        _mul(f1, a.d_s),
+        _mul(f1, a.d_t),
+        _add(_mul(_mul(f2, a.d_s), a.d_s), _mul(f1, a.d_ss)),
+        _add(_mul(_mul(f2, a.d_s), a.d_t), _mul(f1, a.d_st)),
+        _add(_mul(_mul(f2, a.d_t), a.d_t), _mul(f1, a.d_tt)),
     )
 
 

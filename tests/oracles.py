@@ -9,7 +9,8 @@ connection_forms is checked in.  The *_per_component functions and
 canonical_two_candidates are the same formulas as the engine's, written
 one PVector (or one normal orientation) at a time: the engine computes
 them on stacked coordinate arrays and must give the same bytes on a
-batch.
+batch.  eval_tree walks an expression tree node by node, the route the
+compiled jet program (expr.compile_jets) must agree with bit for bit.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from neutralsurf import catalog, curvature
 from neutralsurf.ambient import AmbientSpace, DomainRect
 from neutralsurf.catalog import Immersion, JetPoint, MetricCoeffs, metric_from_velocities
 from neutralsurf.curvature import CanonicalFrame, ConnectionSample, FrameData, SecondFF
-from neutralsurf.errors import InputMismatchError
+from neutralsurf.errors import InputMismatchError, SingularityError
 from neutralsurf.expr import _BIN_PREC, _UNARY_PREC, BinOp, Call, Expr, Neg, Num, SurfaceDefinition, Var
 from neutralsurf.fields import GridField
-from neutralsurf.jets import Jet2, jpow, seed
+from neutralsurf.jets import FUNCTIONS, Jet2, jpow, seed
 from neutralsurf.pseudo_linalg import (
     LIGHTLIKE_RTOL,
     SPACE_LIKE,
@@ -579,6 +580,47 @@ def _print(node: Expr, min_prec: int) -> str:
     if _prec_of(node) < min_prec:
         return f"({text})"
     return text
+
+
+# -- expression tree-walker: the oracle of the compiled jet program --------
+
+
+def eval_tree(node: Expr, env: dict) -> Jet2:
+    """Evaluate the tree node by node on the jets env["s"], env["t"].
+
+    No subtree is shared and no constant folded: every node runs its jet
+    operation when it is reached.  Jet singularities are re-raised with
+    the location of the innermost responsible node attached.
+    """
+    if isinstance(node, Num):
+        return Jet2.constant(node.value)
+    if isinstance(node, Var):
+        return env[node.name]
+    if isinstance(node, Neg):
+        return -eval_tree(node.operand, env)
+    try:
+        if isinstance(node, BinOp):
+            a = eval_tree(node.left, env)
+            b = eval_tree(node.right, env)
+            if node.op == "+":
+                return a + b
+            if node.op == "-":
+                return a - b
+            if node.op == "*":
+                return a * b
+            if node.op == "/":
+                return a / b
+            return jpow(a, b)
+        if isinstance(node, Call):
+            args = [eval_tree(a, env) for a in node.args]
+            if node.fn == "pow":
+                return jpow(args[0], args[1])
+            return FUNCTIONS[node.fn](args[0])
+    except SingularityError as exc:
+        if str(exc).startswith(f"{node.line}:"):
+            raise
+        raise SingularityError(f"{node.line}:{node.col}: {exc}") from exc
+    raise TypeError(f"not an expression node: {node!r}")
 
 
 def definition_to_text(defn: SurfaceDefinition) -> str:

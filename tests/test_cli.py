@@ -128,6 +128,30 @@ class TestVerify:
         assert code == 3
         assert "remainder is space-like, required time-like at (s,t)=(" in err
 
+    @pytest.mark.parametrize(
+        "component,error",
+        [
+            ("s + 1/(2-2)", "4:11: division by a jet with zero value"),
+            ("s + log(0-1)", "4:10: log of non-positive value -1.0"),
+        ],
+    )
+    def test_constant_singularity_in_file_exit_3(self, capsys, tmp_path, component, error):
+        # the constant subtree folds, and raises, when the file compiles
+        path = tmp_path / "singular.surface"
+        path.write_text(f"ambient E(2,2)\nx1 = s\nx2 = t\nx3 = {component}\nx4 = t\n")
+        code, out, err = run(capsys, "verify", "--file", str(path), "--grid", "5x5")
+        assert (code, out, err) == (3, "", f"error: {error}\n")
+
+    def test_overflowing_jets_name_the_node_exit_3(self, capsys):
+        # exp overflows at s >= 625: not numpy warnings and a metric of nan
+        # (skipped structural zeros turn some nan into inf), but the first
+        # node whose jets are not finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "verify", "phi_h42", "--grid", "9x9", "--domain=600:700,-1:1")
+        assert (code, out) == (3, "")
+        assert err == "error: surface 'phi_h42' has jets that are not finite at (s,t)=(625.0, -1.0)\n"
+
     def test_unknown_surface_exit_2(self, capsys):
         code, _, err = run(capsys, "verify", "surface_that_is_not_there")
         assert code == 2

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,12 +14,13 @@ from neutralsurf.expr import (
     Neg,
     Num,
     Var,
+    compile_jets,
     eval_on_jets,
     parse_expression,
     parse_surface,
 )
-from neutralsurf.jets import seed
-from oracles import definition_to_text, expr_to_text, sample_points
+from neutralsurf.jets import FUNCTIONS, jexp, seed
+from oracles import bits, definition_to_text, eval_tree, expr_to_text, sample_points
 
 PHI_FILE = """\
 ambient H(3,2; -1)
@@ -31,6 +33,8 @@ x5 = sinh(2*s/sqrt(3)) - t^2/3 - (1/8 + t^4/18)*exp(2*s/sqrt(3))
 """
 
 JET_FIELDS = ("val", "d_s", "d_t", "d_ss", "d_st", "d_tt")
+
+SURFACE_FILE = Path(__file__).resolve().parent.parent / "bench" / "data" / "phi_h42.txt"
 
 
 class TestParseSurface:
@@ -231,3 +235,121 @@ class TestRoundTrip:
         assert again.components == defn.components
         assert again.ambient == defn.ambient
         assert again.domain == defn.domain
+
+
+# every expression this file evaluates, the flat_L file's and the
+# definition files' components
+EXPRESSIONS = [
+    "3", "sinh(2*s/sqrt(3))", "1/(s - s)", "s*s*t", "s^2*t", "(s+t)*(s+t)",
+    "s^2 + 2*s*t + t^2", "exp(s)*exp(t)", "exp(s+t)", "2^3^2", "-s^2", "2-3-4",
+    "6/3/2", "2+3*4", "2*3+4", "-s*t", "s^-2", "pow(s, 3)", "pi", "s", "t", "0",
+    "cosh(s)/sqrt(2)", "cosh(t)/sqrt(2)", "sinh(s)/sqrt(2)", "sinh(t)/sqrt(2)",
+]
+# a node, a 1-D batch and a 2-D batch, some with s <= 0 for the errors
+NODES = [
+    (0.7, -0.3),
+    (np.linspace(-0.6, 0.9, 7), np.linspace(0.4, -0.8, 7)),
+    tuple(np.meshgrid(np.linspace(0.2, 1.4, 3), np.linspace(-0.5, 0.5, 4), indexing="ij")),
+]
+
+
+# trees with small numbers and exponents: a constant exponent unrolls into
+# products, a variable one is exp(b log a)
+_small = st.builds(Num, st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]))
+_jet_tree = st.recursive(
+    st.one_of(_small, st.builds(Var, st.sampled_from(["s", "t"]))),
+    lambda children: st.one_of(
+        st.builds(Neg, children),
+        st.builds(BinOp, st.sampled_from(["+", "-", "*", "/"]), children, children),
+        st.builds(
+            BinOp,
+            st.just("^"),
+            children,
+            st.one_of(_small, st.builds(Var, st.sampled_from(["s", "t"])), st.just(Neg(Num(2.0)))),
+        ),
+        st.builds(Call, st.sampled_from(sorted(FUNCTIONS)), st.tuples(children)),
+    ),
+    max_leaves=12,
+)
+
+
+def jet_outcome(evaluate):
+    """The bits of every field of each jet, or the singularity message."""
+    try:
+        jets = evaluate()
+    except SingularityError as exc:
+        return str(exc)
+    return [[bits(getattr(j, f)) for f in JET_FIELDS] for j in jets]
+
+
+class TestCompiledProgram:
+    """compile_jets shares subtrees and folds constants, and its jets are the
+    tree-walker's (oracles.eval_tree) bit for bit."""
+
+    @staticmethod
+    def assert_equals_oracle(asts, node):
+        js, jt = seed(*node)
+        want = jet_outcome(lambda: [eval_tree(a, {"s": js, "t": jt}) for a in asts])
+        assert jet_outcome(lambda: compile_jets(asts)(js, jt)) == want
+        if len(asts) == 1:
+            assert jet_outcome(lambda: [eval_on_jets(asts[0], js, jt)]) == want
+
+    @pytest.mark.parametrize("node", range(len(NODES)), ids=["node", "1-D", "2-D"])
+    @pytest.mark.parametrize("text", EXPRESSIONS)
+    def test_expression_equals_oracle(self, text, node):
+        self.assert_equals_oracle((parse_expression(text),), NODES[node])
+
+    @pytest.mark.parametrize("node", range(len(NODES)), ids=["node", "1-D", "2-D"])
+    @pytest.mark.parametrize("text", [PHI_FILE, SURFACE_FILE.read_text()], ids=["PHI_FILE", "phi_h42.txt"])
+    def test_definition_file_equals_oracle(self, text, node):
+        self.assert_equals_oracle(parse_surface(text).components, NODES[node])
+
+    @given(_jet_tree, st.sampled_from(range(len(NODES))))
+    @settings(max_examples=150, deadline=None)
+    def test_random_tree_equals_oracle(self, ast, node):
+        js, jt = seed(*NODES[node])
+        with np.errstate(all="ignore"):
+            want = jet_outcome(lambda: [eval_tree(ast, {"s": js, "t": jt})])
+            got = jet_outcome(lambda: compile_jets((ast,))(js, jt))
+        # a constant subtree raises when it compiles, which can come
+        # before a singularity the tree-walker meets first
+        if isinstance(want, str):
+            assert isinstance(got, str)
+        else:
+            assert got == want
+
+    def test_shared_exp_runs_once(self, monkeypatch):
+        # exp(2*s/sqrt(3)) occurs five times in the file
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return jexp(a)
+
+        monkeypatch.setitem(FUNCTIONS, "exp", counted)
+        imm = from_definition(parse_surface(SURFACE_FILE.read_text()))
+        for node in NODES:
+            calls.clear()
+            imm.evaluate(*node)
+            assert len(calls) == 1
+
+    def test_integer_powers_share_their_products(self):
+        # t^2, t^3 and t^4 unroll to the three products t*t, t^2*t, t^3*t
+        program = compile_jets([parse_expression(x) for x in ("t^2", "t^3", "t^4", "pow(t, 3)")])
+        t2, t3, t4, p3 = program(*seed(0.5, 1.5))
+        assert p3 is t3
+        assert (t2.val, t3.val, t4.val) == (2.25, 3.375, 5.0625)
+
+    @pytest.mark.parametrize(
+        "component,message",
+        [
+            ("s + 1/(2-2)", "^4:11: division by a jet with zero value$"),
+            ("s + log(0-1)", "^4:10: log of non-positive value -1.0$"),
+            ("s^(1-1) + t/(1-1)", "^4:17: division by a jet with zero value$"),
+        ],
+    )
+    def test_constant_singularity_raises_at_compile_time_with_location(self, component, message):
+        text = f"ambient E(2,2)\nx1 = s\nx2 = t\nx3 = {component}\nx4 = t\n"
+        defn = parse_surface(text)
+        with pytest.raises(SingularityError, match=message):
+            from_definition(defn)

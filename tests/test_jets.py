@@ -1,12 +1,17 @@
 import math
 import operator
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from neutralsurf.catalog import catalog_get
+from neutralsurf import catalog
+from neutralsurf.catalog import catalog_get, from_definition
+from neutralsurf.curvature import _FD_STEP, _nested_stencil
 from neutralsurf.errors import SingularityError
-from neutralsurf.expr import eval_on_jets, parse_expression
+from neutralsurf.expr import eval_on_jets, parse_expression, parse_surface
 from neutralsurf.jets import (
     FUNCTIONS,
     Jet2,
@@ -129,7 +134,8 @@ class TestFunctions:
 
 
 class TestScalarProduct:
-    """Jet2 * x scales the fields directly; the result is the lifted product."""
+    """Jet2 * x is the product with the constant jet of x, which scales the
+    fields directly: its zero partials are structural and skipped."""
 
     SCALARS = [3, -2, 0.375, -1.25, np.float64(-0.7), np.float64(2.5)]
     # one node and a batch of four; every field of the jet is nonzero
@@ -146,24 +152,78 @@ class TestScalarProduct:
     @pytest.mark.parametrize("node", range(len(NODES)), ids=["node", "batch"])
     def test_equals_product_with_constant(self, x, node):
         for a in self.generic(*self.NODES[node]):
-            lifted = a * Jet2.constant(x)
-            for got in (a * x, x * a):
-                for name in FIELDS:
-                    assert bits(getattr(got, name)) == bits(getattr(lifted, name)), (x, name)
-                    assert type(getattr(got, name)) is type(getattr(lifted, name)), (x, name)
+            scaled = [getattr(a, name) * float(x) for name in FIELDS]
+            for got in (a * x, x * a, a * Jet2.constant(x)):
+                for name, want in zip(FIELDS, scaled):
+                    assert bits(getattr(got, name)) == bits(want), (x, name)
+                    assert type(getattr(got, name)) is type(want), (x, name)
 
     @pytest.mark.parametrize("x", SCALARS, ids=repr)
     def test_zero_partials_equal_up_to_their_sign(self, x):
-        # the lifted product adds val * 0.0 to a zero partial, which can turn
-        # -0.0 into +0.0 and broadcasts a scalar partial to the batch; the
-        # values are equal
+        # the seeds' zero and one partials are structural: the product skips
+        # them whether x is lifted or not, so a zero partial stays a scalar
+        # 0.0 and keeps its sign, and the scalar and lifted products agree
+        # in bits and in type, not only up to the sign of a zero
         s, t = seed(np.array([-0.5, 0.0, 0.5]), np.array([0.25, -0.75, 0.0]))
         for a in (s, t, s * t):
             lifted = a * Jet2.constant(x)
             for got in (a * x, x * a):
                 for name in FIELDS:
-                    value = np.broadcast_to(getattr(got, name), (3,))
-                    assert np.array_equal(value, getattr(lifted, name)), (x, name)
+                    assert bits(getattr(got, name)) == bits(getattr(lifted, name)), (x, name)
+                    assert type(getattr(got, name)) is type(getattr(lifted, name)), (x, name)
+            zeros = [name for name in FIELDS if not np.any(getattr(a, name))]
+            assert all(type(getattr(lifted, name)) is float for name in zeros), x
+
+
+class TestStructuralFields:
+    """Fields that are the Python floats 0.0 and 1.0 are structural: the
+    rules skip the terms they zero and drop the factors they make one.
+    For finite fields that leaves every value the full rules give, which
+    is what the same jets with every field an array give."""
+
+    SHAPE = (3,)
+    _number = st.one_of(
+        st.integers(-16, 16).map(lambda k: k / 8.0),
+        st.floats(-2.0, 2.0).filter(lambda x: abs(x) > 0.1),
+    )
+    _field = st.one_of(
+        st.just(0.0), st.just(1.0), st.lists(_number, min_size=3, max_size=3).map(np.array)
+    )
+    jets = st.builds(Jet2, _field, _field, _field, _field, _field, _field)
+
+    @classmethod
+    def lifted(cls, a: Jet2) -> Jet2:
+        return Jet2(*(np.full(cls.SHAPE, getattr(a, f), dtype=float) for f in FIELDS))
+
+    @classmethod
+    def assert_same_values(cls, op, *jets):
+        try:
+            got = op(*jets)
+        except SingularityError as exc:
+            with pytest.raises(SingularityError, match=f"^{re.escape(str(exc))}$"):
+                op(*map(cls.lifted, jets))
+            return
+        want = op(*map(cls.lifted, jets))
+        for name in FIELDS:
+            # a jet power of 0 is the constant 1 at any shape
+            field, full = (np.broadcast_to(getattr(j, name), cls.SHAPE) for j in (got, want))
+            assert np.array_equal(field, full), (name, field, full)
+
+    @given(jets, jets, st.sampled_from([operator.add, operator.sub, operator.mul, operator.truediv]))
+    @settings(max_examples=150, deadline=None)
+    def test_ring_operations(self, a, b, op):
+        self.assert_same_values(op, a, b)
+
+    @given(jets, st.integers(-3, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_integer_powers(self, a, n):
+        self.assert_same_values(lambda x: jpow(x, n), a)
+
+    @pytest.mark.parametrize("name", sorted(FUNCTIONS))
+    @given(a=jets)
+    @settings(max_examples=40, deadline=None)
+    def test_functions(self, name, a):
+        self.assert_same_values(FUNCTIONS[name], a)
 
 
 class TestArrayJets:
@@ -231,3 +291,32 @@ def test_catalog_jets_match_finite_differences(name, params):
                 d_tt=(val(0, 1) - 2 * val(0, 0) + val(0, -1)) / (h * h),
             )
             assert_jets_close(jet, fd, 1e-5)
+
+
+def dense_seed(s, t) -> tuple[Jet2, Jet2]:
+    """The coordinate jets with every partial an array over the nodes."""
+    ones, zeros = np.ones(np.shape(s)), np.zeros(np.shape(s))
+    return (
+        Jet2(np.asarray(s, float), ones, zeros, zeros, zeros, zeros),
+        Jet2(np.asarray(t, float), zeros, ones, zeros, zeros, zeros),
+    )
+
+
+SURFACE_FILE = Path(__file__).resolve().parent.parent / "bench" / "data" / "phi_h42.txt"
+
+
+@pytest.mark.parametrize("name,params", CATALOG_SPECS + [("definition_file", {})])
+def test_catalog_tables_equal_dense_seed_tables(monkeypatch, name, params):
+    """Every surface's JetPoint table at a node, a nested stencil and a 33x33
+    grid holds the values of an evaluation whose seeds have array partials."""
+    if name == "definition_file":
+        imm = from_definition(parse_surface(SURFACE_FILE.read_text()))
+    else:
+        imm = catalog_get(name, params)
+    ss, ts = imm.domain.grid(33, 33)
+    node = (float(ss[11]), float(ts[20]))
+    batches = [node, _nested_stencil(node, _FD_STEP), np.meshgrid(ss, ts, indexing="ij")]
+    structural = [imm.evaluate(*p)._rows(slice(None)) for p in batches]
+    monkeypatch.setattr(catalog, "seed", dense_seed)
+    for p, table in zip(batches, structural):
+        assert np.array_equal(table, imm.evaluate(*p)._rows(slice(None))), np.shape(p[0])
