@@ -153,14 +153,17 @@ def metric_from_velocities(
 
     Over a batch the error names the first node (C order) that is not.
     """
-    m = MetricCoeffs(inner(vs, vs), inner(vs, vt), inner(vt, vt))
-    bad = ~m.positive_definite
-    if check and np.any(bad):
-        s, t, e, det = first_flagged(bad, *p, m.E, m.det)
-        raise DegeneracyError(
-            f"surface {imm.name!r} is not space-like at (s,t)={(s, t)}: "
-            f"E={e:.6g}, EG-F^2={det:.6g}"
-        )
+    # velocities too large for their products give an inf or nan metric,
+    # which the check names as not space-like, with no numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = MetricCoeffs(inner(vs, vs), inner(vs, vt), inner(vt, vt))
+        bad = ~m.positive_definite
+        if check and np.any(bad):
+            s, t, e, det = first_flagged(bad, *p, m.E, m.det)
+            raise DegeneracyError(
+                f"surface {imm.name!r} is not space-like at (s,t)={(s, t)}: "
+                f"E={e:.6g}, EG-F^2={det:.6g}"
+            )
     return m
 
 
@@ -388,41 +391,58 @@ def _build_umbilical_flat(params: dict) -> Immersion:
 
 
 _MONOMIALS = [(i, j) for total in range(4) for i in range(total + 1) for j in [total - i]]
-# gather indices (monomial, jet field) into the power table: the power of s
-# and of t, and the order of the derivative in s and in t
-_MONO_S, _MONO_T = np.array(_MONOMIALS).T[:, :, None]
-_ORDER_S, _ORDER_T = np.array([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]).T
+# The structurally nonzero (monomial, jet field) products: s^i t^j has no
+# derivative of order above i in s or j in t.  Level m holds the m-th such
+# monomial of each field that has one, which are the first 6, 6, 6, 3, 3, 3,
+# 1, 1, 1, 1 fields in FIELDS order: 31 products, taken level by level.
+_ORDERS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+_NONZERO = [[k for k, (i, j) in enumerate(_MONOMIALS) if i >= a and j >= b] for a, b in _ORDERS]
+_LEVELS = [[ks[m] for ks in _NONZERO if m < len(ks)] for m in range(len(_MONOMIALS))]
+# per product: its monomial, and its gather indices into the power table
+# (the power of s and of t, the order of the derivative in s and in t)
+_TERM_K = [k for level in _LEVELS for k in level]
+_TERM_S, _TERM_T, _ORDER_S, _ORDER_T = np.array(
+    [(*_MONOMIALS[k], *_ORDERS[f]) for level in _LEVELS for f, k in enumerate(level)]
+).T[..., None]
+# the levels in runs of one width n, as the widths never grow: (n, the
+# run's first product, its end)
+_WIDTHS = [len(ks) for ks in _LEVELS]
+_RUNS = [(n, sum(w for w in _WIDTHS if w > n), sum(w for w in _WIDTHS if w >= n)) for n in dict.fromkeys(_WIDTHS)]
 
 
 def _random_poly_eval(
     ambient: AmbientSpace, coeff_p: np.ndarray, coeff_q: np.ndarray
 ) -> Callable[..., JetPoint]:
-    # (monomial, perturbation) coefficients
-    coeffs = np.stack([coeff_p, coeff_q], axis=-1)
+    # per product: its coefficients (product, perturbation, node)
+    coeffs = np.stack([coeff_p, coeff_q], axis=1)[_TERM_K, :, None]
 
     def evaluate(s, t) -> JetPoint:
         js, jt = seed(s, t)
         # s^k and t^k, k <= 3, each a jet in its own variable (in the d_s
         # slots), by repeated multiplication as jpow unrolls them; table
-        # (power, derivative order, variable, *nodes), filled a row at a
+        # (power, derivative order, variable, node), filled a row at a
         # time because a partial may be a structural scalar
-        pw = np.zeros((4, 3, 2) + np.shape(s))
+        pw = np.zeros((4, 3, 2, np.size(s)))
         pw[0, 0] = pw[1, 1] = 1.0
-        pw[1, 0] = s, t
+        pw[1, 0] = np.ravel(s), np.ravel(t)
         x = xk = Jet2(pw[1, 0], 1.0)
         for k in (2, 3):
             xk = xk * x
             pw[k, 0], pw[k, 1], pw[k, 2] = xk.val, xk.d_s, xk.d_ss
-        # every field of every monomial s^i t^j in one product: s^i has no
-        # t-derivatives and t^j no s-derivatives, so the other terms of the
-        # product rule are zeros, which leave the sums below unchanged (they
-        # start from 0.0, so a zero's sign never shows)
-        mono = pw[_MONO_S, _ORDER_S, 0] * pw[_MONO_T, _ORDER_T, 1]
-        c = coeffs.reshape(coeffs.shape + (1,) * mono[0].ndim)
-        acc = np.zeros((2,) + mono[0].shape)
-        for k in range(len(_MONOMIALS)):
-            acc += c[k] * mono[k]
-        return JetPoint(ambient, (Jet2(*acc[0]), Jet2(*acc[1]), js, jt))
+        # a field of s^i t^j is the product of an s^i field and a t^j field
+        # (the other terms of the product rule are zeros).  Each field sums
+        # its nonzero terms c * product in monomial order from 0.0, a level
+        # at a time: the sum over all monomials bit for bit, since a zero
+        # term leaves such a sum as it is.  The accumulator is (field,
+        # perturbation, node), so a level adds to one contiguous block.
+        prods = pw[_TERM_S, _ORDER_S, 0] * pw[_TERM_T, _ORDER_T, 1]
+        acc = np.zeros((len(_ORDERS), 2, np.size(s)))
+        for n, lo, hi in _RUNS:
+            head, terms = acc[:n], coeffs[lo:hi] * prods[lo:hi]
+            for k in range(0, hi - lo, n):
+                head += terms[k : k + n]
+        acc = acc.reshape(acc.shape[:2] + np.shape(s))
+        return JetPoint(ambient, (Jet2(*acc[:, 0]), Jet2(*acc[:, 1]), js, jt))
 
     return evaluate
 

@@ -36,7 +36,7 @@ from .errors import (
 from .expr import parse_surface
 from .fields import (
     _sample,
-    grid_to_csv,
+    grid_csv_chunks,
     grid_to_json,
     resolve_identity,
     sample_field,
@@ -401,10 +401,12 @@ def cmd_verify(args) -> int:
 def cmd_defect_map(args) -> int:
     imm = _resolve_surface(args)
     field = sample_field(imm, "defect", grid=args.grid, domain=args.domain)
-    payload = grid_to_json(field) if args.format == "json" else grid_to_csv(field)
+    # the CSV is written one s-row at a time, never held as one text
+    chunks = [grid_to_json(field)] if args.format == "json" else grid_csv_chunks(field)
     out = Path(args.out)
     try:
-        out.write_text(payload, encoding="utf-8")
+        with out.open("w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
     except OSError as exc:
         print(f"error: cannot write {out}: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -423,13 +423,18 @@ def _jet_minors(jp: JetPoint) -> np.ndarray:
     off = _OFF_PAIR[jp.ambient.signature.total_dim].T
     if jp.ambient.is_flat:
         b, c = jp._rows(slice(1, 3))
-        minors = b[..., off[0]] * c[..., off[1]] - b[..., off[1]] * c[..., off[0]]
+        minors = b[..., off[0]] * c[..., off[1]]
+        minors -= b[..., off[1]] * c[..., off[0]]
     else:
         a, b, c = jp._rows(slice(0, 3))
-        bc = b[..., _PAIR_I] * c[..., _PAIR_J] - b[..., _PAIR_J] * c[..., _PAIR_I]
+        bc = b[..., _PAIR_I] * c[..., _PAIR_J]
+        bc -= b[..., _PAIR_J] * c[..., _PAIR_I]
         lm, km, kl = (bc[..., q] for q in _OFF_SUB.T)
-        minors = a[..., off[0]] * lm - a[..., off[1]] * km + a[..., off[2]] * kl
-    return minors * _PAIR_SIGN[: off.shape[1]]
+        minors = a[..., off[0]] * lm
+        minors -= a[..., off[1]] * km
+        minors += a[..., off[2]] * kl
+    minors *= _PAIR_SIGN[: off.shape[1]]
+    return minors
 
 
 def _basis_remainders(frame: list[np.ndarray], w: np.ndarray, nodes_ndim: int):

@@ -50,9 +50,10 @@ EQUALITY_TOL = 1e-6
 _RATIO_FLOOR = 1e-10
 
 # Nodes per point_report call in sample_surface.  The pipeline keeps a few
-# dozen arrays of this many nodes alive at once, so one call over the whole
-# grid, though no faster, raised the peak RSS of a 257x257 defect map from
-# 75 to 106 MB; blocks of this size keep it at the row-by-row level.
+# dozen arrays of this many nodes alive at once, and a pass keeps one
+# block's at a time: a 257x257 defect map grows a fresh process by about
+# 10 MB (41 MB when each block's report lived to the end of the pass), and
+# a 65x65 sample traces a peak of 2.0-3.5 MB (3.0-5.2 MB then).
 _BLOCK_NODES = 4096
 
 
@@ -195,28 +196,36 @@ def _sample(
     domain = domain or imm.domain
     nx, ny = grid
     ss, ts = domain.grid(nx, ny)
-    blocks = []
+    # SurfaceSample's fields after imm, domain, nx, ny, then the positions
+    out = [np.empty(nx * ny) for _ in range(9)] + [np.empty(nx * ny, bool) for _ in range(2)]
+    if positions:
+        out.append(np.empty((nx * ny, imm.ambient.signature.total_dim)))
+    taken, done = None, 0
     chunks = np.array_split(ss, min(nx, math.ceil(nx * ny / _BLOCK_NODES)))
     for k, rows in enumerate(chunks, 1):
         s, t = (x.ravel() for x in np.meshgrid(rows, ts, indexing="ij"))
         n = s.size
-        if extra is not None and k == len(chunks):
+        last = extra is not None and k == len(chunks)
+        if last:
             s, t = (np.concatenate([a, np.ravel(b)]) for a, b in zip((s, t), extra))
         rep = point_report(imm, (s, t), with_canonical=False)
         metric, norms = rep.frames.metric, [v.euclid_norm() for v in rep.h.components()]
-        # in the order of SurfaceSample's fields after imm, domain, nx, ny
         fields = (
             rep.K, rep.KD, rep.H2, rep.defect, metric.E, metric.F, metric.G,
             rep.H.euclid_norm(), np.max(norms, axis=0), rep.ellipse.is_circle, rep.ellipse.is_point,
         )
         if positions:
             fields += (rep.frames.jets._rows(0),)
-        blocks.append([f[:n] for f in fields])
-    fields = [np.concatenate(f).reshape(nx, ny, *f[0].shape[1:]) for f in zip(*blocks)]
+        # copies, not views: a kept view would keep its whole base array alive
+        for o, f in zip(out, fields):
+            o[done : done + n] = f[:n]
+        done += n
+        if last:
+            taken = rep._take(n + np.arange(np.size(extra[0])).reshape(np.shape(extra[0])))
+        # no array of this block may live through the next block's build
+        del rep, metric, norms, fields
+    fields = [o.reshape(nx, ny, *o.shape[1:]) for o in out]
     x = PVector(fields.pop(), imm.ambient.signature) if positions else None
-    taken = None
-    if extra is not None:
-        taken = rep._take(n + np.arange(np.size(extra[0])).reshape(np.shape(extra[0])))
     return SurfaceSample(imm, domain, nx, ny, *fields), x, taken
 
 
@@ -469,15 +478,19 @@ def convergence_ratios(
 
 def grid_to_csv(f: GridField) -> str:
     """CSV with one row per node: s, t, value, E, F, G (round-trip exact)."""
+    return "".join(grid_csv_chunks(f))
+
+
+def grid_csv_chunks(f: GridField):
+    """grid_to_csv's text in pieces: the header, then the lines of one s-row at a time."""
     ss, ts = f.node_coords()
     # each s is formatted once per row and each t once per column
     t_text = [f",{t!r}," for t in ts.tolist()]
-    table = np.stack([f.values, f.E, f.F, f.G], axis=-1, dtype=float).tolist()
-    lines = ["s,t,value,E,F,G\n"]
-    for s, row in zip(ss.tolist(), table):
+    yield "s,t,value,E,F,G\n"
+    for s, *cols in zip(ss.tolist(), f.values, f.E, f.F, f.G):
         s_text = repr(s)
-        lines.extend(s_text + t + ",".join(map(repr, rest)) + "\n" for t, rest in zip(t_text, row))
-    return "".join(lines)
+        row = np.stack(cols, axis=-1, dtype=float).tolist()
+        yield "".join([s_text + t + ",".join(map(repr, rest)) + "\n" for t, rest in zip(t_text, row)])
 
 
 def grid_to_json(f: GridField) -> str:

@@ -244,7 +244,11 @@ def nodes(imm: Immersion) -> list[tuple]:
 def test_shared_powers_equal_jpow_monomials(seed):
     imm = catalog_get("random_polynomial", {"seed": seed})
     ref = random_polynomial_reference(seed)
-    for p in nodes(imm):
+    # beyond a node and a 3x4 batch: a 1206-node flat batch and a 65x65
+    # grid, where the level-wise sums run at block sizes
+    flat = (x.ravel() for x in np.meshgrid(*imm.domain.grid(18, 67), indexing="ij"))
+    grid = np.meshgrid(*imm.domain.grid(65, 65), indexing="ij")
+    for p in [*nodes(imm), tuple(flat), tuple(grid)]:
         got, want = imm.evaluate(*p).components, ref.evaluate(*p).components
         for k, (a, b) in enumerate(zip(got, want)):
             for name in FIELDS:

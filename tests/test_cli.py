@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import warnings
@@ -152,6 +153,18 @@ class TestVerify:
         assert (code, out) == (3, "")
         assert err == "error: surface 'phi_h42' has jets that are not finite at (s,t)=(625.0, -1.0)\n"
 
+    def test_overflowing_metric_names_the_node_exit_3(self, capsys):
+        # the jets are finite at s in [300, 400], but the metric's products
+        # overflow: no numpy warnings, the not-space-like error alone
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "verify", "phi_h42", "--grid", "9x9", "--domain=300:400,-1:1")
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: surface 'phi_h42' is not space-like at (s,t)=(300.0, -1.0): "
+            "E=-1.33832e+285, EG-F^2=-inf\n"
+        )
+
     def test_unknown_surface_exit_2(self, capsys):
         code, _, err = run(capsys, "verify", "surface_that_is_not_there")
         assert code == 2
@@ -273,6 +286,31 @@ class TestDefectMap:
         )
         assert code == 2
         assert "cannot write" in err
+
+    @pytest.mark.parametrize("grid", [(3, 3), (129, 65), (130, 97), (3, 4097)], ids=str)
+    def test_file_bytes_equal_grid_to_csv(self, capsys, tmp_path, grid):
+        # the streamed file is grid_to_csv's text, over one block, three
+        # blocks, and one s-row per block (3x4097: a row alone is a block)
+        out_path = tmp_path / "rand.csv"
+        code, _, _ = run(
+            capsys, "defect-map", "random_polynomial", "--seed", "7",
+            "--grid", f"{grid[0]}x{grid[1]}", "--out", str(out_path),
+        )
+        assert code == 0
+        want = fields.grid_to_csv(fields.sample_field(catalog_get("random_polynomial", {"seed": 7}), "defect", grid))
+        assert out_path.read_bytes() == want.encode()
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_failed_write_exit_2_and_closes_the_file(self, capsys):
+        # /dev/full opens but fails every write: the error path, with the
+        # file closed (no ResourceWarning)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "defect-map", "phi_h42", "--grid", "5x5", "--out", "/dev/full")
+            gc.collect()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write /dev/full: [Errno 28]")
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_file_bytes_deterministic(self, capsys, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from neutralsurf import fields
 from neutralsurf.ambient import DomainRect
 from neutralsurf.catalog import catalog_get, from_definition
 from neutralsurf.curvature import build_frames, point_report
@@ -332,6 +335,47 @@ class TestRestatedClassifications:
         sample = sample_surface(imm, (9, 9))
         assert sample.totally_geodesic
         assert float(np.var(sample.K)) <= 1e-20
+
+
+def _report_arrays(rep) -> list:
+    """Weak references to arrays the report owns: K, the jets table, h11, E, e1."""
+    arrays = (rep.K, rep.frames.jets._rows(slice(None)), rep.h.h11.coords, rep.frames.metric.E, rep.frames.e1.coords)
+    return [weakref.ref(a) for a in arrays]
+
+
+class TestMemory:
+    """A grid pass keeps at most one block's pipeline memory alive."""
+
+    def test_one_block_report_alive(self, monkeypatch):
+        imm = catalog_get("phi_h42")
+        assert math.ceil(129 * 65 / fields._BLOCK_NODES) == 3
+        kept, alive = [], []
+
+        def recording(*args, **kwargs):
+            alive.append([r() is not None for refs in kept for r in refs])
+            rep = point_report(*args, **kwargs)
+            kept.append(_report_arrays(rep))
+            return rep
+
+        monkeypatch.setattr(fields, "point_report", recording)
+        sample_surface(imm, (129, 65))
+        # when each block's build starts, no earlier block's array is alive
+        assert alive == [[], [False] * 5, [False] * 10]
+        # nor any block's, once the sample is made
+        assert [r() for refs in kept for r in refs] == [None] * 15
+
+    def test_traced_peak_of_a_129x129_defect_field(self):
+        # four blocks of random_polynomial seed 7: 4.49 MB measured (7.0 MB
+        # when every block's report lived to the end); bound 1.25 times that
+        imm = catalog_get("random_polynomial", {"seed": 7})
+        sample_field(imm, "defect", (129, 129))
+        tracemalloc.start()
+        try:
+            sample_field(imm, "defect", (129, 129))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 4.49 * 2**20
 
 
 class TestSerialization:
