@@ -37,7 +37,7 @@ from .expr import parse_surface
 from .fields import (
     _sample,
     grid_csv_chunks,
-    grid_to_json,
+    grid_json_chunks,
     resolve_identity,
     sample_field,
     verify_identity,
@@ -401,8 +401,8 @@ def cmd_verify(args) -> int:
 def cmd_defect_map(args) -> int:
     imm = _resolve_surface(args)
     field = sample_field(imm, "defect", grid=args.grid, domain=args.domain)
-    # the CSV is written one s-row at a time, never held as one text
-    chunks = [grid_to_json(field)] if args.format == "json" else grid_csv_chunks(field)
+    # the map is written in pieces, never held as one text
+    chunks = (grid_json_chunks if args.format == "json" else grid_csv_chunks)(field)
     out = Path(args.out)
     try:
         with out.open("w", encoding="utf-8") as fh:

@@ -66,17 +66,18 @@ from .pseudo_linalg import (
 )
 from .records import Record
 
-# Normal frames are completed from the ambient basis by a deterministic scan
-# and then e4 is oriented so the full ambient frame determinant has a fixed
-# sign per ambient kind.  Keeps the normal-curvature sign reproducible and
-# smooth, and makes the built-in equality surfaces report KD in their
-# equality-achieving orientation (KD = -2/3 on the hyperbolic-plane
-# immersion, KD = -K on holomorphic graphs).  KD reads the same sign off
-# det [x; psi_s; psi_t; u; v] (_h_invariants), with no normal frame.
+# Normal frames are completed from the first two usable ambient basis
+# vectors (_complete_normals), and then e4 is oriented so the full ambient
+# frame determinant has a fixed sign per ambient kind.  Keeps the
+# normal-curvature sign reproducible and smooth, and makes the built-in
+# equality surfaces report KD in their equality-achieving orientation
+# (KD = -2/3 on the hyperbolic-plane immersion, KD = -K on holomorphic
+# graphs).  KD reads the same sign off det [x; psi_s; psi_t; u; v]
+# (_h_invariants), with no normal frame.
 _ORIENT_SIGN = {"flat": 1.0, "pseudo_sphere": -1.0, "pseudo_hyperbolic": -1.0}
 
-# The pairs (i, j), i < j, of ambient basis vectors, ordered by j: the pairs
-# within rows 0..L come first, and (i, j) is pair j (j - 1) / 2 + i.  Per
+# The pairs (i, j), i < j, of ambient basis vectors, ordered by j, so that
+# (i, j) is pair j (j - 1) / 2 + i, the index _complete_normals reads.  Per
 # pair: its columns (_PAIR_I, _PAIR_J), its sign (-1)^(i+j+1) in a
 # determinant expanded along two rows (_jet_minors), and per dimension the
 # other columns (k, l[, m]).  For dimension 5, _OFF_SUB holds the pairs
@@ -349,14 +350,13 @@ def _complete_normals(fr: FrameData) -> tuple:
     basis vectors b_i, b_j (i < j) carrying a direction outside the tangent
     (and position) span, in coordinate order, then e4 is sign-normalized so
     the full ambient frame (position first, when there is one) has the
-    determinant sign _ORIENT_SIGN of the ambient kind.  Over a batch every
-    node runs its own scan, with masks, and the scan stops once every node
-    has its pair.  By Sylvester's law of inertia the complement of the
-    accepted (position, e1, e2) is negative definite, so every remainder the
-    scan takes is time-like.  Basis remainders (b_i with the frame projected
-    off) are formed only for the rows the scan visits: rows 0-1 as one
-    block, the later rows as a second block only when some node still lacks
-    its pair.
+    determinant sign _ORIENT_SIGN of the ambient kind.  Each node picks its
+    own pair in closed form: the remainders of every basis vector (b_k with
+    the frame projected off) form one (dim, ..., dim) table, i is the first
+    row of Euclidean norm^2 above SPAN_RTOL, and j the first later row that
+    still is once e3 is projected off.  By Sylvester's law of inertia the
+    complement of the accepted (position, e1, e2) is negative definite, so
+    both remainders are time-like.
 
     The orientation needs no determinant of the frame.  Gram-Schmidt with
     positive normalizers makes the frame rows T [jets; b_i; b_j] with T
@@ -368,36 +368,27 @@ def _complete_normals(fr: FrameData) -> tuple:
     jp, frame = fr.jets, fr.gram_schmidt
     sig = jp.ambient.signature
     w, dim = sig.weights, sig.total_dim
-    # normals not found yet are zero, found ones have <n,n> = -1, so adding
-    # <r,n> n projects r off e3 at the nodes that have it.  A node that can
-    # still take r has no e4 yet, so e3 is the only normal to project off,
-    # and only once some node has found it
-    normals = [np.zeros(jp.shape + (dim,))] * 2
-    found = np.zeros(jp.shape, dtype=int)
-    scan = np.zeros(jp.shape + (2,), dtype=int)
-    seeded = False
-    for i, r in enumerate(_basis_remainders(frame, w, len(jp.shape))):
-        if seeded:
-            r = r + ((r * normals[0]) @ w)[..., None] * normals[0]
-        rr = r * r
-        # basis vectors in the current span are skipped
-        take = (found < 2) & (rr.sum(axis=-1) > SPAN_RTOL)
-        unit = r * (1.0 / np.sqrt(np.where(take, -(rr @ w), 1.0)))[..., None]
-        for k in range(2):
-            now = take & (found == k)
-            normals[k] = np.where(now[..., None], unit, normals[k])
-            scan[..., k] = np.where(now, i, scan[..., k])
-        found = found + take
-        if (found == 2).all():
-            break
-        seeded = found.any()
-    # the orientation (see above): the jets' signed minors, read at each
-    # node's pair, one of the first i (i + 1) / 2 pairs (rows 0..i visited)
-    pair = scan[..., 1] * (scan[..., 1] - 1) // 2 + scan[..., 0]
-    minor = np.take_along_axis(_minors_of(jp), pair[..., None], axis=-1)
+    rows = np.arange(dim).reshape((dim,) + (1,) * len(jp.shape))
+    # the row axis first: each projection is a stacked (dim, ..., dim) @ w
+    rest = project_off(np.eye(dim).reshape(rows.shape + (dim,)), frame, w)
+    i = ((rest * rest).sum(axis=-1) > SPAN_RTOL).argmax(axis=0)
+    # a masked sum picks each node's row: the other rows add exact zeros
+    e3 = _unit((rest * (rows == i)[..., None]).sum(axis=0), w)
+    # e3 off one row at a time: a stacked matmul at a single point would
+    # round like a matrix-vector product, not like the per-row dot product
+    rest = np.array([r + ((r * e3) @ w)[..., None] * e3 for r in rest[1:]])
+    j = (((rest * rest).sum(axis=-1) > SPAN_RTOL) & (rows[1:] > i)).argmax(axis=0) + 1
+    e4 = _unit((rest * (rows[1:] == j)[..., None]).sum(axis=0), w)
+    # the orientation (see above): the jets' signed minor at each node's pair
+    minor = np.take_along_axis(_minors_of(jp), (j * (j - 1) // 2 + i)[..., None], axis=-1)
     flipped = minor[..., 0] * _ORIENT_SIGN[jp.ambient.kind] < 0
-    e4 = np.where(flipped[..., None], -normals[1], normals[1])
-    return PVector(normals[0], sig), PVector(e4, sig), scan, flipped
+    e4 = np.where(flipped[..., None], -e4, e4)
+    return PVector(e3, sig), PVector(e4, sig), np.stack((i, j), axis=-1), flipped
+
+
+def _unit(r: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Time-like coordinate arrays r scaled to <r,r> = -1."""
+    return r * (1.0 / np.sqrt(-((r * r) @ w)))[..., None]
 
 
 def _minors_of(jp: JetPoint) -> np.ndarray:
@@ -416,9 +407,7 @@ def _jet_minors(jp: JetPoint) -> np.ndarray:
     and j, its cofactor in a determinant whose last two rows are expanded.
     A 3x3 minor expands along the row of x into the 2x2 minors of
     (psi_s, psi_t), formed once for every pair.  Every pair of the
-    ambient's columns gets an entry, in _PAIRS order, and each entry is
-    elementwise, so the first k entries equal those of the first k pairs
-    formed alone.
+    ambient's columns gets an entry, in _PAIRS order.
     """
     off = _OFF_PAIR[jp.ambient.signature.total_dim].T
     if jp.ambient.is_flat:
@@ -435,20 +424,6 @@ def _jet_minors(jp: JetPoint) -> np.ndarray:
         minors += a[..., off[2]] * kl
     minors *= _PAIR_SIGN[: off.shape[1]]
     return minors
-
-
-def _basis_remainders(frame: list[np.ndarray], w: np.ndarray, nodes_ndim: int):
-    """The ambient basis vectors in order, each with the frame projected off.
-
-    Rows 0-1 come from one stacked block; the later rows from a second
-    block, formed only when the caller asks for row 2.  Keeping the row
-    axis makes each projection a stacked (k, ..., dim) @ w, which rounds
-    like one row of the whole (dim, ..., dim) table.
-    """
-    dim = len(w)
-    for rows in (slice(0, 2), slice(2, dim)):
-        rest = np.eye(dim)[rows]
-        yield from project_off(rest.reshape(rest.shape[:1] + (1,) * nodes_ndim + (dim,)), frame, w)
 
 
 def _tangent_coeffs(metric: MetricCoeffs) -> tuple:

@@ -494,6 +494,11 @@ def grid_csv_chunks(f: GridField):
 
 
 def grid_to_json(f: GridField) -> str:
+    return "".join(grid_json_chunks(f))
+
+
+def grid_json_chunks(f: GridField):
+    """grid_to_json's text in the pieces json's indenting encoder yields."""
     payload = {
         "quantity": f.quantity,
         "domain": list(f.domain.as_tuple()),
@@ -504,4 +509,4 @@ def grid_to_json(f: GridField) -> str:
         "F": f.F.tolist(),
         "G": f.G.tolist(),
     }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)

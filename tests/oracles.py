@@ -201,13 +201,14 @@ def with_normals(fr: FrameData, **normals) -> FrameData:
 
 
 def reference_frames(imm: Immersion, p: tuple) -> FrameData:
-    """build_frames by the full basis table and a determinant per node.
+    """build_frames by a masked scan and a determinant per node.
 
-    The same scan as the engine's, but every ambient basis vector's
-    remainder is formed up front in one (dim, ..., dim) table, every found
-    or unfound normal is projected off, and the orientation is the sign of
+    An independent scan over the rows of the full basis table: each row in
+    turn has every found or unfound normal projected off and is taken by
+    the nodes that still lack a normal, and the orientation is the sign of
     np.linalg.det of the whole frame (position first, when there is one).
-    build_frames must give the same bits.
+    The engine's closed-form pick (_complete_normals) must match it bit
+    for bit.
     """
     jp = imm.evaluate(*p)
     sig = imm.ambient.signature
@@ -272,7 +273,7 @@ def random_isometry(sig, rng, generic: bool = True) -> np.ndarray:
     generic, after six rotations (equal weights) or boosts (opposite
     weights) by angles in [-1.5, 1.5] in random coordinate planes.  The
     signed permutations alone keep a surface's alignment with the basis,
-    so they move which basis vectors the normal scan skips.
+    so they move which basis vectors the normal completion skips.
     """
     dim, neg = sig.total_dim, sig.negative_count
     iso = np.eye(dim)

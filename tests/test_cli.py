@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from neutralsurf import fields
+from neutralsurf import cli, fields
 from neutralsurf.catalog import _membership_residual, catalog_get, check_membership, from_definition
 from neutralsurf.cli import DEFAULT_TOLERANCES, _fd_sample_points, build_verification_report, main
 from neutralsurf.curvature import (
@@ -299,6 +299,29 @@ class TestDefectMap:
         assert code == 0
         want = fields.grid_to_csv(fields.sample_field(catalog_get("random_polynomial", {"seed": 7}), "defect", grid))
         assert out_path.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("grid", [(3, 3), (65, 33)], ids=str)
+    def test_json_file_bytes_equal_grid_to_json(self, capsys, tmp_path, monkeypatch, grid):
+        # the JSON map is streamed too: the file is grid_to_json's text, and
+        # writelines receives it in many pieces, not as one string
+        chunks, engine = [], cli.grid_json_chunks
+
+        def recording(field):
+            for chunk in engine(field):
+                chunks.append(len(chunk))
+                yield chunk
+
+        monkeypatch.setattr(cli, "grid_json_chunks", recording)
+        out_path = tmp_path / "rand.json"
+        code, _, _ = run(
+            capsys, "defect-map", "random_polynomial", "--seed", "7",
+            "--grid", f"{grid[0]}x{grid[1]}", "--out", str(out_path), "--format", "json",
+        )
+        assert code == 0
+        want = fields.grid_to_json(fields.sample_field(catalog_get("random_polynomial", {"seed": 7}), "defect", grid))
+        assert out_path.read_bytes() == want.encode()
+        assert len(chunks) > 1 and sum(chunks) == len(want)
+        assert want == json.dumps(json.loads(want), indent=2, sort_keys=True)
 
     @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
     def test_failed_write_exit_2_and_closes_the_file(self, capsys):

@@ -59,7 +59,7 @@ GAMMA_PHI = 1.0 / math.sqrt(3.0)
 OFF_QUADRIC = "ambient H(3,2; -1)\nx1 = s/100\nx2 = t/100\nx3 = 1\nx4 = s + 3/2\nx5 = t/2"
 
 # a geodesic plane bent along e3: at s = 0 the position is e0, which the
-# scan skips, so that node finds its pair one basis vector later; for
+# normal completion skips, so that node's pair is one basis vector later; for
 # |s| < 0.0115 the remainder of e0 is below SPAN_RTOL, and just above it e0
 # seeds e3 with a remainder of norm about 2 |s|^3 / 3
 BENT_PLANE = (
@@ -166,7 +166,7 @@ class TestBuildFrames:
         [("phi_h42", [0, 1]), ("flat_L", [0, 2]), ("totally_geodesic_h42", [1, 2])],
     )
     def test_scan_seeds(self, name, scan):
-        # the scan stops once every node has its normal pair; the seeds stay
+        # every node of the grid, and the lone point, picks the same pair
         imm = catalog_get(name)
         ss, ts = imm.domain.grid(33, 33)
         assert build_frames(imm, (float(ss[9]), float(ts[20]))).scan.tolist() == scan
@@ -174,7 +174,9 @@ class TestBuildFrames:
         assert grid.shape == (33, 33, 2)
         assert np.all(grid == scan)
 
-    def test_scan_continues_until_every_node_has_its_pair(self):
+    def test_each_node_of_a_batch_picks_its_own_pair(self):
+        # the node at s = 0 picks (1, 2) beside nodes that pick (0, 1), as it
+        # does alone
         imm = from_definition(parse_surface(BENT_PLANE))
         s, t = np.array([0.5, 0.0, -0.4]), np.array([0.0, 0.0, 0.2])
         batch = build_frames(imm, (s, t)).scan.tolist()
@@ -304,7 +306,7 @@ class TestNormalCompletion:
         [c for c in FRAME_SURFACES if c[0] in ("holomorphic_graph", "sphere", "phi_h42", "totally_geodesic_h42")],
     )
     def test_no_determinant(self, name, params, monkeypatch):
-        # every ambient kind, and a scan past row 1: the orientation is a
+        # every ambient kind, and a pair past row 1: the orientation is a
         # closed-form minor, not a LAPACK determinant
         imm = frame_surface(name, params)
         ss, ts = imm.domain.grid(9, 9)
@@ -690,6 +692,28 @@ class TestStructureEquations:
                 check(imm, points)
             assert str(at_point.value) == "frame branch switch within the stencil at (s,t)=(-0.2, 0.5)"
             assert str(in_batch.value) == str(at_point.value)
+
+    @pytest.mark.parametrize(
+        "s,raising",
+        [(0.0115, {"structure_equation_check", "connection_forms"}), (0.0125, {"structure_equation_check"}),
+         (0.0136, set())],
+    )
+    def test_a_natural_branch_switch_on_the_bent_plane(self, s, raising):
+        # no injected fault: the bent plane's seed pair changes from (1, 2)
+        # to (0, 1) between s = 0.0114 and 0.0116, inside the 5-point stencil
+        # (step 1e-3) at s = 0.0115 and inside the nested one (reaching
+        # 2e-3) at s = 0.0125; Codazzi needs no common branch.  Pinned for
+        # the seed rule in force: a different rule moves these cases
+        imm = from_definition(parse_surface(BENT_PLANE))
+        checks = (curvature.structure_equation_check, curvature.connection_forms, curvature.codazzi_residual)
+        for check in checks:
+            if check.__name__ in raising:
+                with pytest.raises(DegeneracyError) as exc:
+                    check(imm, (s, 0.0))
+                assert str(exc.value) == f"frame branch switch within the stencil at (s,t)=({s}, 0.0)"
+            else:
+                r = check(imm, (s, 0.0))
+                assert np.all(np.isfinite(dataclasses.astuple(r) if dataclasses.is_dataclass(r) else r))
 
 
 class TestCodazzi:
@@ -1291,7 +1315,8 @@ class TestInvariantsFromH:
     def test_kd_sign_under_isometries(self, monkeypatch):
         # an ambient isometry keeps K, H2 and the defect and multiplies KD by
         # its determinant; the images' normal pairs are seeded by every pair
-        # and flip the scan visits, and KD's sign takes no LAPACK determinant
+        # and flip the normal completion picks, and KD's sign takes no LAPACK
+        # determinant
         rng = np.random.default_rng(14)
         cases = []
         for imm in isometry_surfaces():
