@@ -28,9 +28,9 @@ class AmbientSpace(ValueRecord):
         if kind == FLAT:
             ok = sig == (2, 4) and curvature == 0.0
         elif kind == PSEUDO_SPHERE:
-            ok = sig == (2, 5) and curvature > 0.0
+            ok = sig == (2, 5) and 0.0 < curvature < math.inf
         elif kind == PSEUDO_HYPERBOLIC:
-            ok = sig == (3, 5) and curvature < 0.0
+            ok = sig == (3, 5) and -math.inf < curvature < 0.0
         else:
             raise InputMismatchError(f"unknown ambient kind {kind!r}")
         if not ok:

@@ -2,9 +2,11 @@
 
 Every entry evaluates to a JetPoint: the ambient coordinates of the map
 together with their first and second partials at the requested parameter
-point, or at every node of a batch when s and t are arrays.  Construction
-validates space-likeness on a 33x33 sample of the default domain in one
-batched evaluation; non-space-like parameter choices are rejected.
+point, or at every node of a batch when s and t are arrays.  Space-likeness
+is checked on the nodes a command samples: curvature.build_frames forms the
+metric at every node and names the first that is not space-like.  Only
+random_polynomial evaluates a surface at construction, a 33x33 sample of
+its domain per try, to search for space-like coefficients.
 """
 
 from __future__ import annotations
@@ -188,15 +190,26 @@ def _validate_spacelike(imm: Immersion) -> bool:
     return bool(np.all(m.positive_definite))
 
 
-def _require_spacelike(imm: Immersion) -> Immersion:
-    if not _validate_spacelike(imm):
-        raise DegeneracyError(
-            f"surface {imm.name!r} is not space-like on its domain"
-        )
-    return imm
-
-
 # -- built-in surfaces -------------------------------------------------
+
+
+def _fixed_h42(
+    name: str, evaluator: Callable[[AmbientSpace], Callable[..., JetPoint]], expected: dict
+) -> Callable[[dict], Immersion]:
+    """The builder of a surface with no parameters in H(3,2; -1) on [-1,1]^2."""
+
+    def build(params: dict) -> Immersion:
+        _reject_params(name, params)
+        ambient = AmbientSpace.pseudo_hyperbolic(-1.0)
+        return Immersion(
+            name=name,
+            ambient=ambient,
+            evaluator=evaluator(ambient),
+            domain=DomainRect(-1.0, 1.0, -1.0, 1.0),
+            expected=dict(expected),
+        )
+
+    return build
 
 
 def _phi_h42_eval(ambient: AmbientSpace) -> Callable[..., JetPoint]:
@@ -218,22 +231,11 @@ def _phi_h42_eval(ambient: AmbientSpace) -> Callable[..., JetPoint]:
     return evaluate
 
 
-def _build_phi_h42(params: dict) -> Immersion:
-    _reject_params("phi_h42", params)
-    ambient = AmbientSpace.pseudo_hyperbolic(-1.0)
-    return Immersion(
-        name="phi_h42",
-        ambient=ambient,
-        evaluator=_phi_h42_eval(ambient),
-        domain=DomainRect(-1.0, 1.0, -1.0, 1.0),
-        expected={
-            "K": -1.0 / 3.0,
-            "KD": -2.0 / 3.0,
-            "H2": 0.0,
-            "minimal": True,
-            "equality": True,
-        },
-    )
+_build_phi_h42 = _fixed_h42(
+    "phi_h42",
+    _phi_h42_eval,
+    {"K": -1.0 / 3.0, "KD": -2.0 / 3.0, "H2": 0.0, "minimal": True, "equality": True},
+)
 
 
 def _flat_l_eval(ambient: AmbientSpace) -> Callable[..., JetPoint]:
@@ -250,18 +252,13 @@ def _flat_l_eval(ambient: AmbientSpace) -> Callable[..., JetPoint]:
     return evaluate
 
 
-def _build_flat_l(params: dict) -> Immersion:
-    _reject_params("flat_L", params)
-    ambient = AmbientSpace.pseudo_hyperbolic(-1.0)
-    # K = KD = H2 = 0 with c = -1, so K + KD sits strictly above H2 + c:
-    # this surface never achieves equality (its defect is identically 1)
-    return Immersion(
-        name="flat_L",
-        ambient=ambient,
-        evaluator=_flat_l_eval(ambient),
-        domain=DomainRect(-1.0, 1.0, -1.0, 1.0),
-        expected={"K": 0.0, "KD": 0.0, "H2": 0.0, "minimal": True, "equality": False},
-    )
+# K = KD = H2 = 0 with c = -1, so K + KD sits strictly above H2 + c:
+# this surface never achieves equality (its defect is identically 1)
+_build_flat_l = _fixed_h42(
+    "flat_L",
+    _flat_l_eval,
+    {"K": 0.0, "KD": 0.0, "H2": 0.0, "minimal": True, "equality": False},
+)
 
 
 def _geodesic_eval(ambient: AmbientSpace) -> Callable[..., JetPoint]:
@@ -275,23 +272,11 @@ def _geodesic_eval(ambient: AmbientSpace) -> Callable[..., JetPoint]:
     return evaluate
 
 
-def _build_totally_geodesic(params: dict) -> Immersion:
-    _reject_params("totally_geodesic_h42", params)
-    ambient = AmbientSpace.pseudo_hyperbolic(-1.0)
-    return Immersion(
-        name="totally_geodesic_h42",
-        ambient=ambient,
-        evaluator=_geodesic_eval(ambient),
-        domain=DomainRect(-1.0, 1.0, -1.0, 1.0),
-        expected={
-            "K": -1.0,
-            "KD": 0.0,
-            "H2": 0.0,
-            "minimal": True,
-            "equality": True,
-            "totally_geodesic": True,
-        },
-    )
+_build_totally_geodesic = _fixed_h42(
+    "totally_geodesic_h42",
+    _geodesic_eval,
+    {"K": -1.0, "KD": 0.0, "H2": 0.0, "minimal": True, "equality": True, "totally_geodesic": True},
+)
 
 
 def _poly_coeffs_from_param(f) -> np.ndarray:
@@ -332,28 +317,20 @@ def _holomorphic_eval(
 def _build_holomorphic_graph(params: dict) -> Immersion:
     params = dict(params)
     f = params.pop("f", None)
-    domain = params.pop("domain", None)
     _reject_params("holomorphic_graph", params)
     if f is None:
         raise InputMismatchError("holomorphic_graph requires parameter 'f' (polynomial in z)")
     coeffs = _poly_coeffs_from_param(f)
     ambient = AmbientSpace.flat()
-    if domain is None:
-        domain = DomainRect(1.2, 2.0, 0.5, 1.5)
-    elif not isinstance(domain, DomainRect):
-        raise InputMismatchError(
-            f"holomorphic_graph parameter 'domain' must be a DomainRect, got {domain!r}; "
-            "on the command line, use --domain s0:s1,t0:t1"
-        )
-    imm = Immersion(
+    # space-like where |f'(z)| > 1: build_frames checks each node sampled
+    return Immersion(
         name="holomorphic_graph",
         ambient=ambient,
         evaluator=_holomorphic_eval(ambient, coeffs),
-        domain=domain,
+        domain=DomainRect(1.2, 2.0, 0.5, 1.5),
         params={"f": f if isinstance(f, str) else [complex(c) for c in coeffs]},
         expected={"H2": 0.0, "minimal": True, "equality": True},
     )
-    return _require_spacelike(imm)
 
 
 def _umbilical_eval(
@@ -386,7 +363,7 @@ def _build_umbilical_flat(params: dict) -> Immersion:
         evaluator=_umbilical_eval(ambient, radius),
         domain=DomainRect(-1.0, 1.0, -1.0, 1.0),
         params={"radius": radius},
-        expected={"K": k, "KD": 0.0, "H2": k, "equality": True, "umbilical": True},
+        expected={"K": k, "KD": 0.0, "H2": k, "equality": True},
     )
 
 

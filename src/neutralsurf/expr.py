@@ -22,7 +22,7 @@ import re
 from typing import Callable
 
 from .ambient import AmbientSpace, DomainRect
-from .errors import ExprSyntaxError, SingularityError
+from .errors import ExprSyntaxError, InputMismatchError, SingularityError
 from .jets import FUNCTIONS, Jet2, jpow
 from .records import Record, ValueRecord
 
@@ -461,9 +461,10 @@ def _parse_domain(stmt: str, line: int, col: int) -> DomainRect:
     if not m:
         raise ExprSyntaxError(line, col, "malformed domain line; expected s0:s1, t0:t1")
     vals = [_parse_float(g, line, col) for g in m.groups()]
-    if not (vals[0] < vals[1] and vals[2] < vals[3]):
-        raise ExprSyntaxError(line, col, "empty domain")
-    return DomainRect(*vals)
+    try:
+        return DomainRect(*vals)
+    except InputMismatchError as exc:
+        raise ExprSyntaxError(line, col, str(exc)) from exc
 
 
 def parse_surface(text: str, name: str = "user_surface") -> SurfaceDefinition:

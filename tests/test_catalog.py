@@ -4,7 +4,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from neutralsurf.ambient import DomainRect
 from neutralsurf.catalog import (
     Immersion,
     JetPoint,
@@ -16,6 +15,7 @@ from neutralsurf.catalog import (
     check_membership,
     from_definition,
 )
+from neutralsurf.curvature import point_report
 from neutralsurf.errors import DegeneracyError, InputMismatchError
 from neutralsurf.expr import parse_surface
 from neutralsurf.jets import FIELDS
@@ -75,23 +75,30 @@ class TestCatalogGet:
     @pytest.mark.parametrize("f,text", [(2, "2"), (1.5, "1.5")])
     def test_holomorphic_number_is_the_constant_polynomial(self, f, text):
         # as --param f=2 gives it: the polynomial of the same expression; a
-        # constant graph is not space-like, and the validation says so
+        # constant graph is not space-like, and the metric check at the
+        # sampled node says so
         assert np.array_equal(_poly_coeffs_from_param(f), _poly_coeffs_from_param(text))
         assert np.array_equal(_poly_coeffs_from_param(0.5 - 2j), [0.5 - 2j])
-        with pytest.raises(DegeneracyError, match="not space-like on its domain"):
-            catalog_get("holomorphic_graph", {"f": f})
+        imm = catalog_get("holomorphic_graph", {"f": f})
+        with pytest.raises(DegeneracyError) as err:
+            point_report(imm, (1.5, 1.0))
+        assert str(err.value) == "surface 'holomorphic_graph' is not space-like at (s,t)=(1.5, 1.0): E=-1, EG-F^2=1"
 
     def test_holomorphic_requires_f(self):
         with pytest.raises(InputMismatchError):
             catalog_get("holomorphic_graph")
 
-    def test_holomorphic_rejects_non_spacelike_domain(self):
-        # |f'(z)| = |z| < 1 near the origin: not space-like there
-        with pytest.raises(DegeneracyError):
-            catalog_get(
-                "holomorphic_graph",
-                {"f": "z^2/2", "domain": DomainRect(0.0, 0.5, 0.0, 0.5)},
-            )
+    def test_only_random_polynomial_evaluates_at_construction(self, monkeypatch):
+        # space-likeness is checked on the nodes a command samples; only
+        # random_polynomial's coefficient search samples its surface
+        calls = []
+        evaluate = Immersion.evaluate
+        monkeypatch.setattr(Immersion, "evaluate", lambda imm, s, t: calls.append(imm.name) or evaluate(imm, s, t))
+        for name in catalog_names():
+            catalog_get(name, {"f": "z^2/2"} if name == "holomorphic_graph" else None)
+        assert calls == ["random_polynomial"]
+        # each build holds its own expected dict
+        assert catalog_get("phi_h42").expected is not catalog_get("phi_h42").expected
 
     def test_random_polynomial_deterministic(self):
         a = catalog_get("random_polynomial", {"seed": 12})
@@ -114,7 +121,7 @@ class TestCatalogGet:
             ("umbilical_flat", {"radius": "inf"}, "radius must be positive and finite"),
             ("umbilical_flat", {"radius": 1e-170}, "radius^2 must be finite and nonzero"),
             ("umbilical_flat", {"radius": 1e200}, "radius^2 must be finite and nonzero"),
-            ("holomorphic_graph", {"f": "z^2/2", "domain": 1}, "parameter 'domain' must be a DomainRect, got 1"),
+            ("holomorphic_graph", {"f": "z^2/2", "domain": 1}, "does not accept parameters ['domain']"),
             ("random_polynomial", {"seed": 3.7}, "seed must be a non-negative integer, got 3.7"),
             ("random_polynomial", {"seed": "3.7"}, "seed must be a non-negative integer, got '3.7'"),
             ("random_polynomial", {"seed": math.inf}, "seed must be a non-negative integer, got inf"),

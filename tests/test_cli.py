@@ -253,6 +253,17 @@ class TestVerify:
         assert err == f"error: {on_grid.value}\n"
         assert "not space-like at (s,t)=(0.5" in err
 
+    def test_holomorphic_graph_is_checked_on_the_domain_sampled(self, capsys):
+        # f = z^2/4 is space-like where |z| > 2: on all of --domain 3:4,3:4,
+        # but not at the first node of the default domain [1.2,2]x[0.5,1.5]
+        argv = ["verify", "holomorphic_graph", "--param", "f=z^2/4", "--grid", "9x9"]
+        code, out, err = run(capsys, *argv, "--domain", "3:4,3:4")
+        assert (code, err) == (0, "")
+        assert "result: PASS" in out
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: surface 'holomorphic_graph' is not space-like at (s,t)=(1.2, 0.5): ")
+
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "verify", "random_polynomial", "--seed", "3", "--grid", "7x7", "--format", "json")
         _, out2, _ = run(capsys, "verify", "random_polynomial", "--seed", "3", "--grid", "7x7", "--format", "json")
@@ -457,7 +468,7 @@ class TestUsageErrors:
         code, out, err = run(capsys, "verify", "holomorphic_graph", "--param", "f=z^2/2", "--param", "domain=1")
         assert code == 2
         assert out == ""
-        assert "parameter 'domain' must be a DomainRect" in err and "--domain s0:s1,t0:t1" in err
+        assert err == "error: holomorphic_graph does not accept parameters ['domain']\n"
 
     @pytest.mark.parametrize("value", ["2", "1.5"])
     def test_numeric_f_is_the_constant_polynomial(self, capsys, value):
@@ -466,7 +477,7 @@ class TestUsageErrors:
         code, out, err = run(capsys, "verify", "holomorphic_graph", "--param", f"f={value}")
         assert code == 3
         assert out == ""
-        assert err == "error: surface 'holomorphic_graph' is not space-like on its domain\n"
+        assert err == "error: surface 'holomorphic_graph' is not space-like at (s,t)=(1.2, 0.5): E=-1, EG-F^2=1\n"
 
     @pytest.mark.parametrize(
         "argv,limit,step",

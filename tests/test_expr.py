@@ -96,11 +96,29 @@ class TestParseSurface:
         with pytest.raises(ExprSyntaxError):
             parse_surface("ambient H(3,2; 1)\nx1=s;x2=t;x3=s;x4=t;x5=s")
 
+    @pytest.mark.parametrize(
+        "head, message",
+        [
+            ("H(3,2; -1e400)", "1:1: invalid ambient: kind=pseudo_hyperbolic, signature=(3,2), c=-inf"),
+            ("S(2,3; 1e400)", "1:1: invalid ambient: kind=pseudo_sphere, signature=(2,3), c=inf"),
+        ],
+    )
+    def test_a_curvature_that_overflows_is_a_syntax_error(self, head, message):
+        # not a surface with K = -inf, whose defect is nan
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_surface(f"ambient {head}\nx1=s;x2=t;x3=s;x4=t;x5=s")
+        assert str(err.value) == message
+
     def test_domain_line(self):
         defn = parse_surface("ambient E(2,2)\ndomain 0:2, -3:-1\nx1=s;x2=t;x3=s;x4=t")
         assert defn.domain.as_tuple() == (0.0, 2.0, -3.0, -1.0)
-        with pytest.raises(ExprSyntaxError):
+        with pytest.raises(ExprSyntaxError) as err:
             parse_surface("ambient E(2,2)\ndomain 2:0, -3:-1\nx1=s;x2=t;x3=s;x4=t")
+        assert str(err.value) == "2:1: empty domain [2.0,0.0]x[-3.0,-1.0]"
+        # a side that overflows, as DomainRect rejects it, with its line:col
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_surface("ambient E(2,2)\ndomain -1e308:1e308, -1:1\nx1=s;x2=t;x3=s;x4=t")
+        assert str(err.value) == "2:1: domain bounds and sides must be finite, got [-1e+308,1e+308]x[-1.0,1.0]"
 
     def test_duplicate_headers_rejected(self):
         with pytest.raises(ExprSyntaxError):

@@ -1,6 +1,7 @@
 """The record types: constructors, repr, value equality and validation messages."""
 
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -138,6 +139,10 @@ class TestValidationMessages:
             (lambda: AmbientSpace("pseudo_sphere", Signature(2, 5), -1.0),
              "invalid ambient: kind=pseudo_sphere, signature=(2,3), c=-1.0"),
             (lambda: AmbientSpace("round", Signature(2, 4), 0.0), "unknown ambient kind 'round'"),
+            (lambda: AmbientSpace.pseudo_hyperbolic(-math.inf),
+             "invalid ambient: kind=pseudo_hyperbolic, signature=(3,2), c=-inf"),
+            (lambda: AmbientSpace.pseudo_sphere(math.inf),
+             "invalid ambient: kind=pseudo_sphere, signature=(2,3), c=inf"),
             (lambda: DomainRect(1.0, 0.0, 0.0, 1.0), "empty domain [1.0,0.0]x[0.0,1.0]"),
             (lambda: DomainRect(0, 1, 2, 2), "empty domain [0,1]x[2,2]"),
             (lambda: DomainRect(float("-inf"), 1.0, -1.0, 1.0),
