@@ -84,6 +84,7 @@ _ORIENT_SIGN = {"flat": 1.0, "pseudo_sphere": -1.0, "pseudo_hyperbolic": -1.0}
 # (l, m), (k, m), (k, l) of the 2x2 minors inside the 3x3 minor off (i, j).
 _PAIRS = [(i, j) for j in range(5) for i in range(j)]
 _PAIR_I, _PAIR_J = np.transpose(_PAIRS)
+_PAIR_ONES = np.ones(len(_PAIRS))
 _PAIR_SIGN = np.array([(-1.0) ** (i + j + 1) for i, j in _PAIRS])
 _OFF_PAIR = {
     dim: np.array([[c for c in range(dim) if c not in pair] for pair in _PAIRS[: dim * (dim - 1) // 2]])
@@ -371,13 +372,13 @@ def _complete_normals(fr: FrameData) -> tuple:
     rows = np.arange(dim).reshape((dim,) + (1,) * len(jp.shape))
     # the row axis first: each projection is a stacked (dim, ..., dim) @ w
     rest = project_off(np.eye(dim).reshape(rows.shape + (dim,)), frame, w)
-    i = ((rest * rest).sum(axis=-1) > SPAN_RTOL).argmax(axis=0)
+    i = ((rest * rest) @ sig.ones > SPAN_RTOL).argmax(axis=0)
     # a masked sum picks each node's row: the other rows add exact zeros
     e3 = _unit((rest * (rows == i)[..., None]).sum(axis=0), w)
     # e3 off one row at a time: a stacked matmul at a single point would
     # round like a matrix-vector product, not like the per-row dot product
     rest = np.array([r + ((r * e3) @ w)[..., None] * e3 for r in rest[1:]])
-    j = (((rest * rest).sum(axis=-1) > SPAN_RTOL) & (rows[1:] > i)).argmax(axis=0) + 1
+    j = (((rest * rest) @ sig.ones > SPAN_RTOL) & (rows[1:] > i)).argmax(axis=0) + 1
     e4 = _unit((rest * (rows[1:] == j)[..., None]).sum(axis=0), w)
     # the orientation (see above): the jets' signed minor at each node's pair
     minor = np.take_along_axis(_minors_of(jp), (j * (j - 1) // 2 + i)[..., None], axis=-1)
@@ -500,7 +501,7 @@ def _h_invariants(h: SecondFF, jets: JetPoint, c: float) -> tuple:
     pairs = dim * (dim - 1) // 2
     i, j = _PAIR_I[:pairs], _PAIR_J[:pairs]
     minors = u[..., i] * v[..., j] - u[..., j] * v[..., i]
-    side = (_minors_of(jets) * minors).sum(axis=-1) * _ORIENT_SIGN[jets.ambient.kind]
+    side = ((_minors_of(jets) * minors) @ _PAIR_ONES[:pairs]) * _ORIENT_SIGN[jets.ambient.kind]
     k = c + k_sum
     kd = np.where(side > 0, -abs_kd, abs_kd)[()]
     return PVector(mean, sig), h2, k, kd, k - abs_kd - h2 - c, (uu, uv, vv)
@@ -728,7 +729,7 @@ def codazzi_residual(imm: Immersion, p: tuple, step: float = _FD_STEP) -> float:
 
 def _codazzi(fr: FrameData, h: SecondFF, step: float) -> np.ndarray:
     """codazzi_residual from the frames and h whose rows 0-4 are 5-point stencils."""
-    w = fr.e1.signature.weights
+    w, ones = fr.e1.signature.weights, fr.e1.signature.ones
     hs = np.array([v.coords for v in h.components()])
     # (D_s, D_t) of (h11, h12, h22), projected on the normal plane at p
     dh = (1.0 / (2.0 * step)) * (hs[:, [1, 3]] - hs[:, [2, 4]])
@@ -743,7 +744,7 @@ def _codazzi(fr: FrameData, h: SecondFF, step: float) -> np.ndarray:
     r1 = d_e1[1] + w1 * h11 - w1 * h22 - d_e2[0] + 2.0 * w2 * h12
     # (nabla-bar_{e1} h)(e2, e2) - (nabla-bar_{e2} h)(e1, e2)
     r2 = d_e1[2] + 2.0 * w1 * h12 - d_e2[1] + w2 * h22 - w2 * h11
-    return np.maximum(np.linalg.norm(r1, axis=-1), np.linalg.norm(r2, axis=-1))
+    return np.sqrt(np.maximum((r1 * r1) @ ones, (r2 * r2) @ ones))
 
 
 def _nested_stencil(p: tuple, step: float) -> tuple:

@@ -28,10 +28,13 @@ TIME_LIKE = "time-like"
 class Signature(ValueRecord):
     """Diagonal metric signature: ``negative_count`` axes of weight -1 first.
 
-    weights holds the read-only diagonal of the metric.
+    weights holds the read-only diagonal of the metric, and ones a
+    read-only vector of ones: a sum over the coordinates is one matvec
+    against it, which numpy runs several times faster than a reduction
+    along a 4- or 5-long last axis.
     """
 
-    __slots__ = ("negative_count", "total_dim", "weights")
+    __slots__ = ("negative_count", "total_dim", "weights", "ones")
     _fields = _compared = ("negative_count", "total_dim")
 
     def __init__(self, negative_count: int, total_dim: int):
@@ -43,6 +46,8 @@ class Signature(ValueRecord):
             )
         self.negative_count = negative_count
         self.total_dim = total_dim
+        self.ones = np.ones(total_dim)
+        self.ones.flags.writeable = False
         w = np.ones(total_dim)
         w[:negative_count] = -1.0
         w.flags.writeable = False
@@ -108,7 +113,7 @@ class PVector:
         return inner(self, other)
 
     def euclid_norm(self):
-        return np.linalg.norm(self.coords, axis=-1)
+        return np.sqrt((self.coords * self.coords) @ self.signature.ones)
 
 
 def _check_same_signature(u: PVector, v: PVector) -> None:
@@ -153,7 +158,7 @@ def orthonormalize(vectors: list[PVector], required_characters: list[str]) -> li
         r = project_off(v.coords, out, w)
         rr = r * r
         q = rr @ w
-        scale = rr.sum(axis=-1)
+        scale = rr @ v.signature.ones
         light = (scale == 0.0) | (np.abs(q) < LIGHTLIKE_RTOL * scale)
         if light.any():
             raise _failed_at(

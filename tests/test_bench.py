@@ -30,10 +30,10 @@ def test_tiny_traced_run_is_correct(workload):
         # one pipeline pass per report: the 9x9 grid and the nested FD stencils
         # share one frame build and one evaluation, and the membership check
         # reads the grid's positions; catalog_get's space-like validation
-        # evaluates once per try
+        # is a bound on the coefficients and evaluates nothing
         reports = metrics["cli.build_verification_report.calls"]
         assert metrics["curvature.build_frames.calls"] == reports
-        assert metrics["catalog.evaluate.calls"] == reports + metrics["catalog.validate.tries"]
+        assert metrics["catalog.evaluate.calls"] == reports
         assert metrics["catalog.check_membership.calls"] == 0
     if workload == "point_probe":
         # the tracer counts constructions by patching Jet2.__init__ and

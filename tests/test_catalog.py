@@ -4,12 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from neutralsurf import catalog
+from neutralsurf.ambient import DomainRect
 from neutralsurf.catalog import (
     Immersion,
     JetPoint,
     _coefficients,
     _poly_coeffs_from_param,
     _uniform_draws,
+    _validate_spacelike,
     catalog_get,
     catalog_names,
     check_membership,
@@ -88,15 +91,15 @@ class TestCatalogGet:
         with pytest.raises(InputMismatchError):
             catalog_get("holomorphic_graph")
 
-    def test_only_random_polynomial_evaluates_at_construction(self, monkeypatch):
-        # space-likeness is checked on the nodes a command samples; only
-        # random_polynomial's coefficient search samples its surface
+    def test_no_surface_evaluates_at_construction(self, monkeypatch):
+        # space-likeness is checked on the nodes a command samples, and
+        # random_polynomial's by a bound on its coefficients
         calls = []
         evaluate = Immersion.evaluate
         monkeypatch.setattr(Immersion, "evaluate", lambda imm, s, t: calls.append(imm.name) or evaluate(imm, s, t))
         for name in catalog_names():
             catalog_get(name, {"f": "z^2/2"} if name == "holomorphic_graph" else None)
-        assert calls == ["random_polynomial"]
+        assert calls == []
         # each build holds its own expected dict
         assert catalog_get("phi_h42").expected is not catalog_get("phi_h42").expected
 
@@ -260,6 +263,39 @@ def test_shared_powers_equal_jpow_monomials(seed):
         for k, (a, b) in enumerate(zip(got, want)):
             for name in FIELDS:
                 assert bits(getattr(a, name)) == bits(getattr(b, name)), (seed, k, name)
+
+
+class TestSpacelikeBound:
+    """random_polynomial is space-like on its domain by a bound on its
+    coefficients: every first partial of p and q is at most 0.4 there, so
+    E, G >= 0.68 and EG - F^2 >= 0.36."""
+
+    @pytest.mark.parametrize("amplitude", [0.1, 0.03])
+    def test_sampled_metric_keeps_the_bound(self, amplitude):
+        # the metric of the oracle's surface on a fine grid, with no use
+        # of the engine's check
+        for seed_value in range(64):
+            imm = random_polynomial_reference(seed_value, amplitude)
+            m = induced_metric(imm, tuple(np.meshgrid(*imm.domain.grid(129, 129), indexing="ij")))
+            assert min(m.E.min(), m.G.min()) >= 0.68, seed_value
+            assert m.det.min() >= 0.36, seed_value
+
+    def test_rejects_coefficients_that_break_the_bound(self):
+        domain = DomainRect(-0.5, 0.5, -0.5, 0.5)
+        zero, s_only, t_only = np.zeros(10), np.eye(10)[1], np.eye(10)[2]
+        # p = 1.2 s: E = 1 - 1.44 < 0 everywhere
+        assert not _validate_spacelike(1.2 * s_only, zero, domain)
+        # p = 0.75 s, q = 0.75 t is space-like (E = G = 0.4375, F = 0), but
+        # A + B = 1.125: the bound is sufficient, not necessary
+        assert not _validate_spacelike(0.75 * s_only, 0.75 * t_only, domain)
+        # the largest coefficients random_polynomial draws: A + B = 0.64
+        worst = np.full(10, 0.1)
+        assert _validate_spacelike(worst, -worst, domain)
+
+    def test_a_rejected_draw_is_a_degeneracy_error(self, monkeypatch):
+        monkeypatch.setattr(catalog, "_validate_spacelike", lambda *args: False)
+        with pytest.raises(DegeneracyError, match="seed=4: coefficients outside the space-like bound"):
+            catalog_get("random_polynomial", {"seed": 4})
 
 
 class TestUniformDraws:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from neutralsurf import cli, fields
-from neutralsurf.catalog import _membership_residual, catalog_get, check_membership, from_definition
+from neutralsurf.catalog import Immersion, _membership_residual, catalog_get, check_membership, from_definition
 from neutralsurf.cli import DEFAULT_TOLERANCES, _fd_sample_points, build_verification_report, main
 from neutralsurf.curvature import (
     _FD_STEP,
@@ -57,6 +57,15 @@ class TestList:
         assert "phi_h42" in names and "random_polynomial" in names
         for entry in payload:
             assert {"name", "parameters", "default_domain", "note"} <= set(entry)
+
+    def test_listing_evaluates_no_surface(self, capsys, monkeypatch):
+        # the listing builds each surface for its default domain, a constant;
+        # no build samples its surface
+        calls = []
+        monkeypatch.setattr(Immersion, "evaluate", lambda imm, s, t: calls.append(imm.name))
+        for argv in (["list"], ["list", "--format", "json"]):
+            assert run(capsys, *argv)[0] == 0
+        assert calls == []
 
 
 class TestVerify:

@@ -107,6 +107,18 @@ coords5 = st.lists(
 )
 
 
+class TestEuclidNorm:
+    @pytest.mark.parametrize("sig", [SIG22, SIG32], ids=["dim4", "dim5"])
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 1206)])
+    def test_within_two_ulp_of_a_last_axis_reduction(self, sig, shape):
+        # the norm sums the squares by one matvec against ones, in another
+        # order than np.linalg.norm's reduction: a few ulp apart at most
+        coords = np.random.default_rng(3).normal(size=shape + (sig.total_dim,))
+        got, want = PVector(coords, sig).euclid_norm(), np.linalg.norm(coords, axis=-1)
+        assert np.shape(got) == shape
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
+
+
 class TestInnerProperties:
     @given(coords5, coords5)
     @settings(max_examples=200, deadline=None)
