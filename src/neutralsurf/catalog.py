@@ -37,16 +37,23 @@ class JetPoint(Record):
     to that of the broadcast nodes; a JetPoint built directly broadcasts
     the shapes of its fields on first use.  _minors holds the jets' signed
     minors once curvature has formed them (curvature._minors_of), else None;
-    _take carries the taken rows of both tables.
+    _take carries the taken rows of both tables, and the taken jets build
+    their Jet2 components from their table on first read.
     """
 
-    __slots__ = ("ambient", "components", "_shape", "_table", "_minors")
+    __slots__ = ("ambient", "_components", "_shape", "_table", "_minors")
     _fields = ("ambient", "components")
 
-    def __init__(self, ambient: AmbientSpace, components: tuple):
+    def __init__(self, ambient: AmbientSpace, components: tuple | None):
         self.ambient = ambient
-        self.components = components
+        self._components = components
         self._shape = self._table = self._minors = None
+
+    @property
+    def components(self) -> tuple:
+        if self._components is None:
+            self._components = tuple(Jet2(*self._table[..., i]) for i in range(self._table.shape[-1]))
+        return self._components
 
     @property
     def shape(self) -> tuple:
@@ -73,7 +80,7 @@ class JetPoint(Record):
     def _take(self, nodes) -> "JetPoint":
         """The jets at nodes, an index or index array into the leading node axis."""
         table = self._rows(slice(None))[:, nodes]
-        jp = JetPoint(self.ambient, tuple(Jet2(*table[..., i]) for i in range(table.shape[-1])))
+        jp = JetPoint(self.ambient, None)
         table.flags.writeable = False
         jp._shape, jp._table = table.shape[1:-1], table
         # each minor is elementwise in the nodes, so the taken rows are the
@@ -134,7 +141,9 @@ class Immersion(Record):
 
     def evaluate(self, s, t) -> JetPoint:
         """Jets at the node (s, t), or at every node of s and t broadcast together; all finite."""
-        s, t = np.broadcast_arrays(np.asarray(s, float), np.asarray(t, float))
+        s, t = np.asarray(s, float), np.asarray(t, float)
+        if s.shape != t.shape:
+            s, t = np.broadcast_arrays(s, t)
         with np.errstate(over="ignore", invalid="ignore"):
             jp = self.evaluator(s, t)
         # each field holds one value per node or one for all nodes, so the
@@ -157,7 +166,7 @@ def metric_from_velocities(imm: Immersion, p: tuple, vs: PVector, vt: PVector) -
     with np.errstate(over="ignore", invalid="ignore"):
         m = MetricCoeffs(inner(vs, vs), inner(vs, vt), inner(vt, vt))
         bad = ~m.positive_definite
-        if np.any(bad):
+        if bad.any():
             s, t, e, det = first_flagged(bad, *p, m.E, m.det)
             raise DegeneracyError(
                 f"surface {imm.name!r} is not space-like at (s,t)={(s, t)}: "

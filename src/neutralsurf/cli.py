@@ -72,8 +72,12 @@ def _parse_grid(text: str) -> tuple[int, int]:
     return nx, ny
 
 
+# the shape of a --domain value, s0:s1,t0:t1
+_DOMAIN = re.compile(r"([^:,]+):([^,]+),([^:]+):(.+)")
+
+
 def _parse_domain(text: str) -> DomainRect:
-    m = re.fullmatch(r"([^:,]+):([^,]+),([^:]+):(.+)", text)
+    m = _DOMAIN.fullmatch(text)
     if not m:
         raise argparse.ArgumentTypeError(
             f"domain must look like s0:s1,t0:t1, got {text!r}"
@@ -532,7 +536,26 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _joined_domains(argv: list[str]) -> list[str]:
+    """argv with each '--domain VALUE' joined into '--domain=VALUE' when VALUE
+    has the s0:s1,t0:t1 shape; '--dom VALUE' and the other abbreviations
+    argparse accepts are joined alike.
+
+    argparse takes a separate value that starts with '-' and is not a
+    number for an option, so '--domain -0.5:0.5,-1:1' would lack its
+    value; a VALUE of another shape is left as it is, and so is its error.
+    """
+    out = []
+    for arg in argv:
+        if out and len(out[-1]) > 2 and "--domain".startswith(out[-1]) and _DOMAIN.fullmatch(arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
+    argv = _joined_domains(sys.argv[1:] if argv is None else list(argv))
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:

@@ -14,7 +14,10 @@ ellipse of curvature), so a report needs no normal basis: a FrameData
 completes its normal pair e3, e4 on the first read, at its own nodes, and
 a report holds the shape operators A3, A4 only with the canonical frame.
 Only the canonical frame and the FD checks of the frame field read the
-normal pair.  KD's sign and the normal pair's orientation both read the
+normal pair.  A report forms its ellipse of curvature likewise, on the
+first read, from the Gram matrix of u and v that the invariants form, so
+a point probe, which reads the invariants and the canonical frame, forms
+none.  KD's sign and the normal pair's orientation both read the
 jets' signed minors, formed once per jets object (_minors_of) and carried
 to the rows taken from it (JetPoint._take), so verify forms them once.
 Frame-derivative quantities (connection forms, structure equations,
@@ -91,6 +94,9 @@ _OFF_PAIR = {
     for dim in (4, 5)
 }
 _OFF_SUB = np.array([[_PAIRS.index(q) for q in ((l, m), (k, m), (k, l))] for k, l, m in _OFF_PAIR[5]])
+# Per dimension, the row indices and the ambient basis that _complete_normals
+# reshapes to its batch
+_BASIS = {dim: (np.arange(dim), np.eye(dim)) for dim in (4, 5)}
 
 # Below this norm of (tr A3, tr A4) the mean curvature is treated as zero.
 _TRACE_TOL = 1e-9
@@ -111,6 +117,8 @@ _FD_STEP = 1e-3
 # first, so row 0 of a nested batch holds the centers and rows 0-4 are a
 # 5-point batch.
 _STENCIL = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]
+# the rows (+s, +t) and (-s, -t) of a 5-point stencil, as slices: views, not copies
+_PLUS, _MINUS = slice(1, 4, 2), slice(2, 5, 2)
 _NESTED_NODES = _STENCIL + sorted(
     {(i + k, j + l) for i, j in _STENCIL for k, l in _STENCIL[1:]} - set(_STENCIL)
 )
@@ -258,11 +266,14 @@ class CurvatureReport(Record):
 
     A3 and A4 are the shape operators when the canonical frame was asked
     for, and None otherwise (shape_operators(h, frames) gives them).
+    point_report's ellipse is formed on its first read, at this report's
+    nodes, from _gram: the (<u,u>, <u,v>, <v,v>) of _h_invariants, which
+    the report keeps while no ellipse is formed.  _take carries the taken
+    rows of the ellipse once it is formed, and of _gram before.
     """
 
-    __slots__ = _fields = (
-        "A3", "A4", "H", "H2", "K", "KD", "defect", "canonical", "ellipse", "frames", "h",
-    )
+    _fields = ("A3", "A4", "H", "H2", "K", "KD", "defect", "canonical", "ellipse", "frames", "h")
+    __slots__ = ("A3", "A4", "H", "H2", "K", "KD", "defect", "canonical", "_ellipse", "frames", "h", "_gram")
 
     def __init__(
         self,
@@ -286,9 +297,17 @@ class CurvatureReport(Record):
         self.KD = KD
         self.defect = defect
         self.canonical = canonical
-        self.ellipse = ellipse
+        self._ellipse = ellipse
         self.frames = frames
         self.h = h
+        self._gram = None
+
+    @property
+    def ellipse(self) -> EllipseInfo | None:
+        if self._ellipse is None and self._gram is not None:
+            self._ellipse = ellipse_of_curvature(self.h, self.H, self._gram)
+            self._gram = None
+        return self._ellipse
 
     def _take(self, nodes, with_canonical: bool = False) -> "CurvatureReport":
         """The report at nodes, an index or index array into the leading node
@@ -296,7 +315,7 @@ class CurvatureReport(Record):
         the canonical frame when asked."""
         frames, h = self.frames._take(nodes), self.h._take(nodes)
         a3, a4 = shape_operators(h, frames) if with_canonical else (None, None)
-        return CurvatureReport(
+        taken = CurvatureReport(
             a3,
             a4,
             self.H[nodes],
@@ -305,10 +324,15 @@ class CurvatureReport(Record):
             self.KD[nodes],
             self.defect[nodes],
             canonical=canonical_equality_frame(a3, a4) if with_canonical else None,
-            ellipse=None if self.ellipse is None else self.ellipse._take(nodes),
+            ellipse=None if self._ellipse is None else self._ellipse._take(nodes),
             frames=frames,
             h=h,
         )
+        # each ellipse field is elementwise in the nodes, so the taken rows
+        # of the gram form the taken rows of the ellipse bit for bit
+        if self._gram is not None:
+            taken._gram = tuple(x[nodes] for x in self._gram)
+        return taken
 
 
 @dataclass(frozen=True)
@@ -368,23 +392,26 @@ def _complete_normals(fr: FrameData) -> tuple:
     """
     jp, frame = fr.jets, fr.gram_schmidt
     sig = jp.ambient.signature
-    w, dim = sig.weights, sig.total_dim
-    rows = np.arange(dim).reshape((dim,) + (1,) * len(jp.shape))
+    w = sig.weights
+    rows, eye = _BASIS[sig.total_dim]
+    rows = rows.reshape(rows.shape + (1,) * len(jp.shape))
     # the row axis first: each projection is a stacked (dim, ..., dim) @ w
-    rest = project_off(np.eye(dim).reshape(rows.shape + (dim,)), frame, w)
+    rest = project_off(eye.reshape(rows.shape + eye.shape[-1:]), frame, w)
     i = ((rest * rest) @ sig.ones > SPAN_RTOL).argmax(axis=0)
-    # a masked sum picks each node's row: the other rows add exact zeros
-    e3 = _unit((rest * (rows == i)[..., None]).sum(axis=0), w)
+    # rest[(k,) + nodes] picks row k[n] at each node n, and table[nodes + (k,)]
+    # column k[n]
+    nodes = np.indices(jp.shape, sparse=True)
+    e3 = _unit(rest[(i,) + nodes], w)
     # e3 off one row at a time: a stacked matmul at a single point would
     # round like a matrix-vector product, not like the per-row dot product
     rest = np.array([r + ((r * e3) @ w)[..., None] * e3 for r in rest[1:]])
     j = (((rest * rest) @ sig.ones > SPAN_RTOL) & (rows[1:] > i)).argmax(axis=0) + 1
-    e4 = _unit((rest * (rows[1:] == j)[..., None]).sum(axis=0), w)
+    e4 = _unit(rest[(j - 1,) + nodes], w)
     # the orientation (see above): the jets' signed minor at each node's pair
-    minor = np.take_along_axis(_minors_of(jp), (j * (j - 1) // 2 + i)[..., None], axis=-1)
-    flipped = minor[..., 0] * _ORIENT_SIGN[jp.ambient.kind] < 0
+    minor = _minors_of(jp)[nodes + (j * (j - 1) // 2 + i,)]
+    flipped = minor * _ORIENT_SIGN[jp.ambient.kind] < 0
     e4 = np.where(flipped[..., None], -e4, e4)
-    return PVector(e3, sig), PVector(e4, sig), np.stack((i, j), axis=-1), flipped
+    return PVector(e3, sig), PVector(e4, sig), np.concatenate((i[..., None], j[..., None]), axis=-1), flipped
 
 
 def _unit(r: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -496,7 +523,8 @@ def _h_invariants(h: SecondFF, jets: JetPoint, c: float) -> tuple:
     mean = 0.5 * (h11 + h22)
     u = 0.5 * (h11 - h22)
     k_sum, h2, uu, uv, vv = np.array([h11 * h22 - v * v, mean * mean, u * u, u * v, v * v]) @ w
-    v_off_u = v - np.where(uu != 0.0, uv / np.where(uu != 0.0, uu, 1.0), 0.0)[..., None] * u
+    nonzero = uu != 0.0
+    v_off_u = v - np.where(nonzero, uv / np.where(nonzero, uu, 1.0), 0.0)[..., None] * u
     abs_kd = 2.0 * np.sqrt(np.maximum(uu * ((v_off_u * v_off_u) @ w), 0.0))
     pairs = dim * (dim - 1) // 2
     i, j = _PAIR_I[:pairs], _PAIR_J[:pairs]
@@ -578,17 +606,21 @@ def ellipse_of_curvature(h: SecondFF, center: PVector, gram: tuple | None = None
         v = h.h12.coords
         gram = (u * u) @ w, (u * v) @ w, (v * v) @ w
     uu, uv, vv = (-x for x in gram)
-    (lam1, lam2), _ = eigen_sym2(Sym2(uu, uv, vv))
-    a = np.sqrt(np.maximum(lam1, 0.0))
-    b = np.sqrt(np.maximum(lam2, 0.0))
-    is_point = np.sqrt(np.maximum(uu + vv, 0.0)) <= _POINT_TOL
-    tol = _CIRCLE_TOL * np.maximum(1.0, uu + vv)
-    is_circle = ~is_point & (np.abs(uu - vv) <= tol) & (np.abs(uv) <= tol)
+    # the eigenvalues mean +- radius of [[uu, uv], [uv, vv]] as eigen_sym2
+    # forms them, without its eigen angle, which no field reads
+    size, diff = uu + vv, uu - vv
+    mean, radius = 0.5 * size, np.hypot(0.5 * diff, uv)
+    a = np.sqrt(np.maximum(mean + radius, 0.0))
+    b = np.sqrt(np.maximum(mean - radius, 0.0))
+    is_point = np.sqrt(np.maximum(size, 0.0)) <= _POINT_TOL
+    tol = _CIRCLE_TOL * np.maximum(1.0, size)
+    is_circle = ~is_point & (np.abs(diff) <= tol) & (np.abs(uv) <= tol)
     return EllipseInfo(a=a, b=b, center=center, is_circle=is_circle, is_point=is_point)
 
 
 def point_report(imm: Immersion, p: tuple, with_canonical: bool = True) -> CurvatureReport:
-    """Full pointwise pipeline at a node or a batch: frames, h, invariants, ellipse.
+    """Full pointwise pipeline at a node or a batch: frames, h, invariants, and
+    the ellipse on its first read.
 
     The shape operators, and with them the normal pair, are computed only
     for the canonical frame.  A single point of real numbers is row 0 of
@@ -616,13 +648,14 @@ def _build_report(imm: Immersion, p: tuple, with_canonical: bool = False) -> Cur
     h = second_fundamental_form(imm, p, frames)
     big_h, h2, k, kd, defect, gram = _h_invariants(h, frames.jets, imm.ambient.curvature)
     a3, a4 = shape_operators(h, frames) if with_canonical else (None, None)
-    return CurvatureReport(
+    rep = CurvatureReport(
         a3, a4, big_h, h2, k, kd, defect,
         canonical=canonical_equality_frame(a3, a4) if with_canonical else None,
-        ellipse=ellipse_of_curvature(h, big_h, gram),
         frames=frames,
         h=h,
     )
+    rep._gram = gram
+    return rep
 
 
 # -- frame-derivative quantities ----------------------------------------
@@ -649,7 +682,7 @@ def _coordinate_forms(lead: list, trail: list, w: np.ndarray, step: float) -> np
     """
     e1 = lead[0]
     lead = np.array([np.where(((e1 * e1[0]) @ w < 0)[..., None], -e1, e1)] + lead[1:])
-    d = (1.0 / (2.0 * step)) * (lead[:, [1, 3]] - lead[:, [2, 4]])
+    d = (1.0 / (2.0 * step)) * (lead[:, _PLUS] - lead[:, _MINUS])
     forms = (d * np.array(trail)[:, :1]) @ w
     forms[1:] = -forms[1:]
     return forms
@@ -732,9 +765,11 @@ def _codazzi(fr: FrameData, h: SecondFF, step: float) -> np.ndarray:
     w, ones = fr.e1.signature.weights, fr.e1.signature.ones
     hs = np.array([v.coords for v in h.components()])
     # (D_s, D_t) of (h11, h12, h22), projected on the normal plane at p
-    dh = (1.0 / (2.0 * step)) * (hs[:, [1, 3]] - hs[:, [2, 4]])
+    dh = (1.0 / (2.0 * step)) * (hs[:, _PLUS] - hs[:, _MINUS])
     dh = project_off(dh, [f[0] for f in fr.gram_schmidt], w)
-    a, b, c = (x[0][..., None] for x in _tangent_coeffs(fr.metric))
+    # the tangent coefficients at the stencil centers alone
+    m = fr.metric
+    a, b, c = (x[..., None] for x in _tangent_coeffs(MetricCoeffs(m.E[0], m.F[0], m.G[0])))
     d_e1 = a * dh[:, 0]
     d_e2 = b * dh[:, 0] + c * dh[:, 1]
     w12_e1, w12_e2 = _on_frame(fr, _coordinate_forms([fr.e1.coords], [fr.e2.coords], w, step))[0]
@@ -749,7 +784,9 @@ def _codazzi(fr: FrameData, h: SecondFF, step: float) -> np.ndarray:
 
 def _nested_stencil(p: tuple, step: float) -> tuple:
     """(s, t) arrays of the 13 nested-stencil nodes of every point of p, shape (13,) + batch shape."""
-    s, t = np.broadcast_arrays(*p)
+    s, t = p
+    if np.shape(s) != np.shape(t):
+        s, t = np.broadcast_arrays(s, t)
     return np.add.outer(step * _NESTED_DS, s), np.add.outer(step * _NESTED_DT, t)
 
 

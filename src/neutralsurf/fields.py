@@ -498,15 +498,20 @@ def grid_to_json(f: GridField) -> str:
 
 
 def grid_json_chunks(f: GridField):
-    """grid_to_json's text in the pieces json's indenting encoder yields."""
+    """grid_to_json's text in the pieces json's indenting encoder yields.
+
+    The payload holds the grids as arrays, and the encoder turns each one
+    into nested lists (default) only when it reaches it, so one grid's lists
+    are alive at a time; the text is that of the lists' payload.
+    """
     payload = {
         "quantity": f.quantity,
         "domain": list(f.domain.as_tuple()),
         "nx": f.nx,
         "ny": f.ny,
-        "values": f.values.tolist(),
-        "E": f.E.tolist(),
-        "F": f.F.tolist(),
-        "G": f.G.tolist(),
+        "values": f.values,
+        "E": f.E,
+        "F": f.F,
+        "G": f.G,
     }
-    return json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    return json.JSONEncoder(indent=2, sort_keys=True, default=np.ndarray.tolist).iterencode(payload)

@@ -46,6 +46,16 @@ def _add(x, y):
     return x + y
 
 
+def _sub(x, y):
+    """x - y as _add(x, -y) gives it: a structural-zero x gives -y, else a
+    structural-zero y gives x.  x - y is x + (-y) in IEEE 754 arithmetic."""
+    if type(x) is float and x == 0.0:
+        return -y
+    if type(y) is float and y == 0.0:
+        return x
+    return x - y
+
+
 def _mul(x, y):
     """x * y; a structural zero if a factor is one, and a structural-one factor drops."""
     if type(x) is float:
@@ -119,14 +129,39 @@ class Jet2:
         return Jet2(-self.val, -self.d_s, -self.d_t, -self.d_ss, -self.d_st, -self.d_tt)
 
     def __sub__(self, other):
-        return self + (-other)
+        # a difference of jets is one rule per field, with no negated jet in
+        # between; a number or array is negated before it is lifted, so an
+        # int 0 stays a +0.0
+        if not isinstance(other, Jet2):
+            return self + (-other)
+        return Jet2(
+            _sub(self.val, other.val),
+            _sub(self.d_s, other.d_s),
+            _sub(self.d_t, other.d_t),
+            _sub(self.d_ss, other.d_ss),
+            _sub(self.d_st, other.d_st),
+            _sub(self.d_tt, other.d_tt),
+        )
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if (other := _coerce(other)) is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, Jet2):
+            if not isinstance(other, _LIFTABLE):
+                return NotImplemented
+            # the product with the constant jet of a number or an array: each
+            # field times it, plus the structural zeros of the constant's
+            # partials, which turn a float -0.0 into 0.0
+            c = _value(other)
+            return Jet2(
+                _mul(self.val, c),
+                _add(_mul(self.d_s, c), 0.0),
+                _add(_mul(self.d_t, c), 0.0),
+                _add(_mul(self.d_ss, c), 0.0),
+                _add(_mul(self.d_st, c), 0.0),
+                _add(_mul(self.d_tt, c), 0.0),
+            )
         a, b = self, other
         return Jet2(
             _mul(a.val, b.val),
@@ -190,11 +225,13 @@ def jexp(a: Jet2) -> Jet2:
 
 
 def jsinh(a: Jet2) -> Jet2:
-    return _chain(a, np.sinh(a.val), np.cosh(a.val), np.sinh(a.val))
+    sh, ch = np.sinh(a.val), np.cosh(a.val)
+    return _chain(a, sh, ch, sh)
 
 
 def jcosh(a: Jet2) -> Jet2:
-    return _chain(a, np.cosh(a.val), np.sinh(a.val), np.cosh(a.val))
+    sh, ch = np.sinh(a.val), np.cosh(a.val)
+    return _chain(a, ch, sh, ch)
 
 
 def jsin(a: Jet2) -> Jet2:

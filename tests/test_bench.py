@@ -52,3 +52,5 @@ def test_tiny_traced_run_is_correct(workload):
         # one h per probe: the report and codazzi_residual read the h kept
         # beside that build
         assert metrics["curvature.second_fundamental_form.calls"] == probes
+        # no probe reads the ellipse of curvature, so none is formed
+        assert metrics["curvature.ellipse_of_curvature.calls"] == 0

@@ -347,6 +347,23 @@ class TestJetPointTable:
             assert coords.shape == s.shape + (5,)
             assert bits(coords[..., 2]) == bits(np.zeros(s.shape))
 
+    @pytest.mark.parametrize("name,params", CATALOG_SPECS)
+    def test_taken_components_are_the_parents_rows(self, name, params):
+        # a taken JetPoint builds its Jet2 components from its table when
+        # they are first read: each field is the parent's, broadcast, at the nodes
+        imm = catalog_get(name, params)
+        ss, ts = imm.domain.grid(5, 6)
+        jp = imm.evaluate(*np.meshgrid(ss, ts, indexing="ij"))
+        for rows in [3, np.array([1, 4]), np.array([[0, 4], [2, 2]]), slice(1, 4)]:
+            taken = jp._take(rows)
+            assert len(taken.components) == len(jp.components)
+            for c, parent in zip(taken.components, jp.components):
+                for f in FIELDS:
+                    want = np.broadcast_to(getattr(parent, f), jp.shape)[rows]
+                    assert bits(getattr(c, f)) == bits(want), (rows, f)
+            # the components are built once
+            assert taken.components is taken.components
+
     @pytest.mark.parametrize("vector", VECTORS, ids=[v.__name__ for v in VECTORS])
     def test_vectors_are_read_only(self, vector):
         imm = catalog_get("phi_h42")

@@ -411,6 +411,50 @@ class TestUsageErrors:
         code, _, _ = run(capsys, "verify", "phi_h42", "--domain", "1,2,3")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "phi_h42", "--grid", "9x9"],
+            ["verify", "phi_h42", "--grid", "9x9", "--format", "json"],
+            ["laplacian-check", "phi_h42", "hyperbolic", "--grid", "9x9"],
+            ["defect-map", "random_polynomial", "--seed", "7", "--grid", "5x5"],
+        ],
+        ids=["verify", "verify-json", "laplacian-check", "defect-map"],
+    )
+    def test_a_negative_lower_bound_takes_the_space_form(self, capsys, tmp_path, argv):
+        # argparse alone reads '--domain -0.5:0.5,...' as an option with no value
+        domain = "-0.5:0.5,-0.25:0.5"
+        out_path = tmp_path / "map.csv"
+        if argv[0] == "defect-map":
+            argv = argv + ["--out", str(out_path)]
+
+        def outcome(*extra):
+            code, out, err = run(capsys, *argv, *extra)
+            return code, out, err, out_path.read_bytes() if argv[0] == "defect-map" else None
+
+        joined = outcome(f"--domain={domain}")
+        assert joined[0] in (0, 1)
+        # the domain is in force: the default domain gives other values
+        assert outcome() != joined
+        assert outcome("--domain", domain) == joined
+        assert outcome("--dom", domain) == joined
+
+    @pytest.mark.parametrize("value", ["-1,2,3", "-0.5:0.5", "-x"])
+    def test_a_domain_of_another_shape_keeps_its_error(self, capsys, value):
+        code, out, err = run(capsys, "verify", "phi_h42", "--domain", value)
+        assert code == 2 and out == ""
+        assert "argument --domain: expected one argument" in err
+
+    def test_a_domain_after_the_end_of_options_is_not_joined(self, capsys):
+        code, _, err = run(capsys, "verify", "phi_h42", "--", "-0.5:0.5,-0.5:0.5")
+        assert code == 2
+        assert "unrecognized arguments: -0.5:0.5,-0.5:0.5" in err
+
+    def test_domain_as_the_last_argument_keeps_its_error(self, capsys):
+        code, _, err = run(capsys, "verify", "phi_h42", "--domain")
+        assert code == 2
+        assert "argument --domain: expected one argument" in err
+
     @pytest.mark.parametrize("domain", ["-inf:1,-1:1", "-1:inf,-1:1", "-1:1,nan:1", "-1:1,-1:1e999", "-1e308:1e308,-1:1"])
     def test_a_non_finite_domain_bound_exit_2(self, capsys, domain):
         # an input error, not numpy warnings and a frame error at s = nan (exit 3)

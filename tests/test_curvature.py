@@ -26,7 +26,7 @@ from neutralsurf.curvature import (
 from neutralsurf.cli import DEFAULT_TOLERANCES, _fd_sample_points, build_verification_report
 from neutralsurf.errors import DegeneracyError
 from neutralsurf.expr import parse_surface
-from neutralsurf.fields import sample_surface
+from neutralsurf.fields import _sample, sample_surface
 from neutralsurf.pseudo_linalg import PVector, Signature, Sym2, inner
 from oracles import (
     ambient_curvature,
@@ -1433,6 +1433,73 @@ class TestNormalPairOnFirstRead:
         imm = catalog_get("phi_h42")
         report = build_verification_report(imm, (33, 33), None, dict(DEFAULT_TOLERANCES))
         assert report["equality"] and completions == [(13, 9)]
+
+
+def ellipse_bits(ell) -> list:
+    return [bits(getattr(ell, key)) for key in ("a", "b", "is_circle", "is_point")] + [bits(ell.center.coords)]
+
+
+class TestEllipseOnFirstRead:
+    """point_report forms the ellipse of curvature when it is first read,
+    from the <u,u>, <u,v>, <v,v> of the invariants, at the report's nodes."""
+
+    @pytest.fixture
+    def formed(self, monkeypatch):
+        """The node shapes of every ellipse formed."""
+        shapes, engine = [], curvature.ellipse_of_curvature
+        monkeypatch.setattr(
+            curvature, "ellipse_of_curvature",
+            lambda h, center, gram=None: shapes.append(np.shape(h.h11.coords)[:-1]) or engine(h, center, gram),
+        )
+        return shapes
+
+    def test_a_probe_forms_no_ellipse_until_it_is_read(self, formed):
+        imm, p = catalog_get("phi_h42"), (0.3, -0.4)
+        rep = point_report(imm, p)
+        structure_equation_check(imm, p)
+        codazzi_residual(imm, p)
+        assert formed == []
+        # formed once, at the point alone, not at its 13 stencil nodes
+        assert rep.ellipse is rep.ellipse
+        assert formed == [()]
+        assert rep.ellipse.is_circle and not rep.ellipse.is_point
+
+    @pytest.mark.parametrize("name,params", FRAME_SURFACES)
+    def test_equals_the_ellipse_of_h_bit_for_bit(self, name, params):
+        imm = frame_surface(name, params)
+        ss, ts = imm.domain.grid(9, 9)
+        grid = tuple(x.ravel() for x in np.meshgrid(ss, ts, indexing="ij"))
+        inset = 0.5 * (ss[1] + ss[2]), 0.5 * (ts[6] + ts[7])
+        reports = {"grid": point_report(imm, grid, with_canonical=False)}
+        # a probe is row 0 of its nested-stencil build, whose batch rounds
+        # the gram as a matrix-vector product, not as one dot product
+        nested = curvature._nested_report(imm, inset, curvature._FD_STEP)
+        want = ellipse_bits(ellipse_of_curvature(nested.h, nested.H)._take(0))
+        for with_canonical in (True, False):
+            assert ellipse_bits(point_report(imm, inset, with_canonical).ellipse) == want, with_canonical
+        # verify's stencil rows, taken from the last block of its grid batch,
+        # whose ellipse the grid's fields formed before the rows were taken
+        step = curvature._FD_STEP
+        fd = _fd_sample_points(imm.domain, step)
+        stencils = _sample(imm, (9, 9), None, curvature._nested_stencil(fd, step))[2]
+        reports["stencil rows"] = curvature._stencil_checks(stencils, fd, step, False)[0]
+        # rows taken before the ellipse is formed, from the gram's rows, and after
+        rows = np.array([[0, 40], [80, 17]])
+        for formed_first in (False, True):
+            whole = point_report(imm, grid, with_canonical=False)
+            if formed_first:
+                whole.ellipse
+            taken = reports[f"taken, formed first: {formed_first}"] = whole._take(rows)
+            assert ellipse_bits(taken.ellipse) == ellipse_bits(whole.ellipse._take(rows))
+        for key, rep in reports.items():
+            assert ellipse_bits(rep.ellipse) == ellipse_bits(ellipse_of_curvature(rep.h, rep.H)), key
+
+    def test_a_report_built_with_its_ellipse_keeps_it(self):
+        imm = catalog_get("random_polynomial", {"seed": 3})
+        rep = point_report(imm, (0.1, 0.2))
+        given = curvature.CurvatureReport(rep.A3, rep.A4, rep.H, rep.H2, rep.K, rep.KD, rep.defect, ellipse=rep.ellipse)
+        assert given.ellipse is rep.ellipse
+        assert curvature.CurvatureReport(rep.A3, rep.A4, rep.H, rep.H2, rep.K, rep.KD, rep.defect).ellipse is None
 
 
 class TestAmbientCurvature:

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 import weakref
@@ -399,6 +400,42 @@ class TestSerialization:
         assert np.array_equal(back.values, gf.values)
         assert back.quantity == gf.quantity
         assert grid_to_json(back) == text
+
+    @staticmethod
+    def random_grid(nx, ny, seed=1):
+        rng = np.random.default_rng(seed)
+        # exact zeros of both signs, and magnitudes whose repr takes an exponent
+        arrays = [rng.standard_normal((nx, ny)) * 10.0 ** rng.integers(-20, 20, (nx, ny)) for _ in range(4)]
+        arrays[0].flat[:2] = 0.0, -0.0
+        return GridField(DomainRect(-0.5, 0.5, -1.0, 2.0), nx, ny, *arrays, quantity="defect")
+
+    @pytest.mark.parametrize("shape", [(2, 3), (9, 9), (65, 33)])
+    def test_json_text_is_the_list_payloads(self, shape):
+        # the grids reach the encoder as arrays, listed as it meets them
+        gf = self.random_grid(*shape)
+        payload = {
+            "quantity": gf.quantity,
+            "domain": list(gf.domain.as_tuple()),
+            "nx": gf.nx,
+            "ny": gf.ny,
+            **{key: getattr(gf, key).tolist() for key in ("values", "E", "F", "G")},
+        }
+        want = json.dumps(payload, indent=2, sort_keys=True)
+        assert grid_to_json(gf) == want
+        assert "".join(fields.grid_json_chunks(gf)) == want
+
+    def test_traced_peak_of_streaming_a_257x257_json_map(self):
+        # one grid's lists at a time: 2.0 MB measured, 8.1 MB when the payload
+        # held all four grids as lists; bound 1.25 times the measurement
+        gf = self.random_grid(257, 257)
+        tracemalloc.start()
+        try:
+            for _ in fields.grid_json_chunks(gf):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 2.0 * 2**20
 
     def test_csv_rejects_garbage(self):
         with pytest.raises(InputMismatchError):

@@ -15,6 +15,7 @@ from neutralsurf.expr import eval_on_jets, parse_expression, parse_surface
 from neutralsurf.jets import (
     FUNCTIONS,
     Jet2,
+    jcosh,
     jexp,
     jlog,
     jpow,
@@ -67,6 +68,63 @@ class TestArithmetic:
             op(Jet2(1.0), "a")
         with pytest.raises(TypeError):
             op("a", Jet2(1.0))
+
+
+def field_bits(x) -> tuple:
+    """A jet field's type and bits: a float stays a structural constant only as a float."""
+    return type(x), bits(x)
+
+
+# jet fields: structural 0.0, -0.0 and 1.0 floats, other floats, 0-d values
+# (numpy scalars and 0-d arrays), and arrays holding zeros of both signs
+SUB_FIELDS = [
+    0.0, -0.0, 1.0, -1.0, 0.375,
+    np.float64(0.0), np.float64(-0.0), np.float64(1.0), np.array(-0.0), np.array(2.5),
+    np.array([0.0, -0.0, 1.0, -3.25]), np.array([-0.0, 0.0, -1.0, 0.0]),
+]
+# what a jet is subtracted from or subtracts: numbers, ints among them, and arrays
+SUB_OPERANDS = SUB_FIELDS + [0, 1, -2, np.array([0, 1, -1, 2])]
+
+
+class TestSubtraction:
+    """A jet difference is one rule per field; its fields keep the types and
+    bits of the sum with the negated operand."""
+
+    @staticmethod
+    def jet(x, y):
+        # x in the value and second partials, y in the first partials
+        return Jet2(x, y, y, x, y, x)
+
+    @pytest.mark.parametrize("x", range(len(SUB_FIELDS)))
+    def test_jet_minus_jet_is_the_sum_with_the_negated_jet(self, x):
+        for y in SUB_FIELDS:
+            for z in SUB_FIELDS:
+                a, b = self.jet(SUB_FIELDS[x], y), self.jet(z, SUB_FIELDS[x])
+                for got, want in ((a - b, a + (-b)), (b - a, b + (-a)), (a - a, a + (-a))):
+                    assert [field_bits(getattr(got, f)) for f in FIELDS] == [
+                        field_bits(getattr(want, f)) for f in FIELDS
+                    ], (x, y, z)
+
+    @pytest.mark.parametrize("c", range(len(SUB_OPERANDS)))
+    def test_a_number_or_array_and_a_jet(self, c):
+        c = SUB_OPERANDS[c]
+        for x in SUB_FIELDS:
+            for y in SUB_FIELDS:
+                a = self.jet(x, y)
+                for got, want in ((c - a, (-a) + c), (a - c, a + (-c))):
+                    assert [field_bits(getattr(got, f)) for f in FIELDS] == [
+                        field_bits(getattr(want, f)) for f in FIELDS
+                    ], (c, x, y)
+
+    def test_sinh_and_cosh_evaluate_each_function_once(self, monkeypatch):
+        calls = []
+        for name in ("sinh", "cosh"):
+            monkeypatch.setattr(np, name, lambda v, f=getattr(np, name), n=name: calls.append(n) or f(v))
+        a = Jet2.var_s(np.array([0.25, -0.5]))
+        for fn in (jsinh, jcosh):
+            calls.clear()
+            fn(a)
+            assert sorted(calls) == ["cosh", "sinh"]
 
 
 class TestFunctions:
@@ -157,6 +215,18 @@ class TestScalarProduct:
                 for name, want in zip(FIELDS, scaled):
                     assert bits(getattr(got, name)) == bits(want), (x, name)
                     assert type(getattr(got, name)) is type(want), (x, name)
+
+    def test_a_float_product_that_underflows(self):
+        # the constant jet's structural zero partials turn a float -0.0 partial
+        # into 0.0; the value keeps its sign
+        a = Jet2(1e-200, -1e-200, 1e-200, -1e-200, 2.5, 1.0)
+        for x in (1e-200, -1e-200, np.float64(-1e-200)):
+            want = a * Jet2.constant(x)
+            assert math.copysign(1.0, want.val) == (-1.0 if x < 0 else 1.0)
+            for got in (a * x, x * a):
+                assert [field_bits(getattr(got, f)) for f in FIELDS] == [
+                    field_bits(getattr(want, f)) for f in FIELDS
+                ], x
 
     @pytest.mark.parametrize("x", SCALARS, ids=repr)
     def test_zero_partials_equal_up_to_their_sign(self, x):
