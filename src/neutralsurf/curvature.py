@@ -17,7 +17,9 @@ Only the canonical frame and the FD checks of the frame field read the
 normal pair.  A report forms its ellipse of curvature likewise, on the
 first read, from the Gram matrix of u and v that the invariants form, so
 a point probe, which reads the invariants and the canonical frame, forms
-none.  KD's sign and the normal pair's orientation both read the
+none.  KD's sign is formed on the first read too: the defect needs |KD|
+alone, so a grid command, which reads neither KD nor the ellipse, forms
+neither.  KD's sign and the normal pair's orientation both read the
 jets' signed minors, formed once per jets object (_minors_of) and carried
 to the rows taken from it (JetPoint._take), so verify forms them once.
 Frame-derivative quantities (connection forms, structure equations,
@@ -76,7 +78,7 @@ from .records import Record
 # equality surfaces report KD in their equality-achieving orientation
 # (KD = -2/3 on the hyperbolic-plane immersion, KD = -K on holomorphic
 # graphs).  KD reads the same sign off det [x; psi_s; psi_t; u; v]
-# (_h_invariants), with no normal frame.
+# (_signed_kd), with no normal frame.
 _ORIENT_SIGN = {"flat": 1.0, "pseudo_sphere": -1.0, "pseudo_hyperbolic": -1.0}
 
 # The pairs (i, j), i < j, of ambient basis vectors, ordered by j, so that
@@ -270,10 +272,18 @@ class CurvatureReport(Record):
     nodes, from _gram: the (<u,u>, <u,v>, <v,v>) of _h_invariants, which
     the report keeps while no ellipse is formed.  _take carries the taken
     rows of the ellipse once it is formed, and of _gram before.
+
+    point_report's KD is likewise signed on its first read (_signed_kd),
+    from h and the jets' minors, at this report's nodes; abs_KD, which the
+    defect reads, is there from the start.  _take signs KD at this
+    report's nodes first: at a single taken row the sign sum would round as
+    one dot product, not as a row of a matrix-vector product.
     """
 
     _fields = ("A3", "A4", "H", "H2", "K", "KD", "defect", "canonical", "ellipse", "frames", "h")
-    __slots__ = ("A3", "A4", "H", "H2", "K", "KD", "defect", "canonical", "_ellipse", "frames", "h", "_gram")
+    __slots__ = (
+        "A3", "A4", "H", "H2", "K", "_kd", "defect", "canonical", "_ellipse", "frames", "h", "_gram", "_abs_kd",
+    )
 
     def __init__(
         self,
@@ -294,13 +304,25 @@ class CurvatureReport(Record):
         self.H = H
         self.H2 = H2
         self.K = K
-        self.KD = KD
+        self._kd = KD
         self.defect = defect
         self.canonical = canonical
         self._ellipse = ellipse
         self.frames = frames
         self.h = h
-        self._gram = None
+        self._gram = self._abs_kd = None
+
+    @property
+    def KD(self):
+        """The normal curvature, signed on the first read (_signed_kd)."""
+        if self._kd is None:
+            self._kd = _signed_kd(self.h, self.frames.jets, self._abs_kd)
+        return self._kd
+
+    @property
+    def abs_KD(self):
+        """|KD|, which needs no sign: as the invariants formed it, else |KD| of KD."""
+        return np.abs(self.KD) if self._abs_kd is None else self._abs_kd
 
     @property
     def ellipse(self) -> EllipseInfo | None:
@@ -313,6 +335,7 @@ class CurvatureReport(Record):
         """The report at nodes, an index or index array into the leading node
         axis: the invariants, frames, h and ellipse (when there is one), with
         the canonical frame when asked."""
+        kd = self.KD  # signed at this report's nodes, not at the taken rows alone
         frames, h = self.frames._take(nodes), self.h._take(nodes)
         a3, a4 = shape_operators(h, frames) if with_canonical else (None, None)
         taken = CurvatureReport(
@@ -321,7 +344,7 @@ class CurvatureReport(Record):
             self.H[nodes],
             self.H2[nodes],
             self.K[nodes],
-            self.KD[nodes],
+            kd[nodes],
             self.defect[nodes],
             canonical=canonical_equality_frame(a3, a4) if with_canonical else None,
             ellipse=None if self._ellipse is None else self._ellipse._take(nodes),
@@ -499,8 +522,8 @@ def shape_operators(h: SecondFF, frames: FrameData) -> tuple[Sym2, Sym2]:
     return Sym2(*a3), Sym2(*a4)
 
 
-def _h_invariants(h: SecondFF, jets: JetPoint, c: float) -> tuple:
-    """(H, H2, K, KD, defect, gram) from h, with no normal basis.
+def _h_invariants(h: SecondFF, c: float) -> tuple:
+    """(H, H2, K, |KD|, defect, gram) from h, with no normal basis.
 
     With u = (h11 - h22)/2 and v = h12, the axes of the ellipse of
     curvature, the Gauss equation gives K = c + <h11,h22> - <h12,h12> and
@@ -509,16 +532,11 @@ def _h_invariants(h: SecondFF, jets: JetPoint, c: float) -> tuple:
     determinant is taken as <u,u><v',v'> with v' = v - (<u,v>/<u,u>) u
     (v itself where u = 0), which keeps |KD| at roundoff where u and v are
     parallel; the difference of products loses half the digits there.
-    KD's sign is that of -_ORIENT_SIGN det [x; psi_s; psi_t; u; v], whose
-    Laplace expansion over column pairs multiplies the 2x2 minors of
-    (u, v) by the jets' signed minors (_jet_minors).  In the oriented
-    frame KD = <[A3, A4] e1, e2> = -2 _ORIENT_SIGN det [x^; e1; e2; u; v],
-    and det [x; psi_s; psi_t; .] has the sign of det [x^; e1; e2; .] (see
-    _complete_normals).  The defect takes the minimum over the e4 -> -e4
-    flip, so it is orientation-free.
+    The defect takes the minimum over the e4 -> -e4 flip, so it reads
+    |KD| alone and is orientation-free; _signed_kd gives KD's sign.
     """
     sig = h.h11.signature
-    w, dim = sig.weights, sig.total_dim
+    w = sig.weights
     h11, v, h22 = (x.coords for x in h.components())
     mean = 0.5 * (h11 + h22)
     u = 0.5 * (h11 - h22)
@@ -526,23 +544,40 @@ def _h_invariants(h: SecondFF, jets: JetPoint, c: float) -> tuple:
     nonzero = uu != 0.0
     v_off_u = v - np.where(nonzero, uv / np.where(nonzero, uu, 1.0), 0.0)[..., None] * u
     abs_kd = 2.0 * np.sqrt(np.maximum(uu * ((v_off_u * v_off_u) @ w), 0.0))
+    k = c + k_sum
+    return PVector(mean, sig), h2, k, abs_kd, k - abs_kd - h2 - c, (uu, uv, vv)
+
+
+def _signed_kd(h: SecondFF, jets: JetPoint, abs_kd) -> np.ndarray:
+    """KD from |KD| (_h_invariants) and the sign that h and the jets give it.
+
+    KD's sign is that of -_ORIENT_SIGN det [x; psi_s; psi_t; u; v], whose
+    Laplace expansion over column pairs multiplies the 2x2 minors of
+    (u, v) by the jets' signed minors (_jet_minors).  In the oriented
+    frame KD = <[A3, A4] e1, e2> = -2 _ORIENT_SIGN det [x^; e1; e2; u; v],
+    and det [x; psi_s; psi_t; .] has the sign of det [x^; e1; e2; .] (see
+    _complete_normals).
+    """
+    h11, v, h22 = (x.coords for x in h.components())
+    u = 0.5 * (h11 - h22)
+    dim = h.h11.signature.total_dim
     pairs = dim * (dim - 1) // 2
     i, j = _PAIR_I[:pairs], _PAIR_J[:pairs]
     minors = u[..., i] * v[..., j] - u[..., j] * v[..., i]
     side = ((_minors_of(jets) * minors) @ _PAIR_ONES[:pairs]) * _ORIENT_SIGN[jets.ambient.kind]
-    k = c + k_sum
-    kd = np.where(side > 0, -abs_kd, abs_kd)[()]
-    return PVector(mean, sig), h2, k, kd, k - abs_kd - h2 - c, (uu, uv, vv)
+    return np.where(side > 0, -abs_kd, abs_kd)[()]
 
 
 def invariants(a3: Sym2, a4: Sym2, frames: FrameData, c: float) -> CurvatureReport:
-    """Scalar invariants from the shape operators, through h = -A3 e3 - A4 e4 (_h_invariants)."""
+    """Scalar invariants from the shape operators, through h = -A3 e3 - A4 e4
+    (_h_invariants), with KD signed at once (_signed_kd)."""
     e3, e4 = frames.e3.coords, frames.e4.coords
     h = SecondFF(*(
         PVector(-np.asarray(x3)[..., None] * e3 - np.asarray(x4)[..., None] * e4, frames.e3.signature)
         for x3, x4 in ((a3.a11, a4.a11), (a3.a12, a4.a12), (a3.a22, a4.a22))
     ))
-    return CurvatureReport(a3, a4, *_h_invariants(h, frames.jets, c)[:5])
+    big_h, h2, k, abs_kd, defect, _ = _h_invariants(h, c)
+    return CurvatureReport(a3, a4, big_h, h2, k, _signed_kd(h, frames.jets, abs_kd), defect)
 
 
 def canonical_equality_frame(a3: Sym2, a4: Sym2) -> CanonicalFrame:
@@ -646,15 +681,15 @@ def _build_report(imm: Immersion, p: tuple, with_canonical: bool = False) -> Cur
     """point_report of a build of its own at the nodes p, with the frames and h."""
     frames = build_frames(imm, p)
     h = second_fundamental_form(imm, p, frames)
-    big_h, h2, k, kd, defect, gram = _h_invariants(h, frames.jets, imm.ambient.curvature)
+    big_h, h2, k, abs_kd, defect, gram = _h_invariants(h, imm.ambient.curvature)
     a3, a4 = shape_operators(h, frames) if with_canonical else (None, None)
     rep = CurvatureReport(
-        a3, a4, big_h, h2, k, kd, defect,
+        a3, a4, big_h, h2, k, None, defect,
         canonical=canonical_equality_frame(a3, a4) if with_canonical else None,
         frames=frames,
         h=h,
     )
-    rep._gram = gram
+    rep._gram, rep._abs_kd = gram, abs_kd
     return rep
 
 

@@ -12,6 +12,12 @@ here read as "laplacian >= 0".
 The identity checks compare lap(ln(K + shift)) against 2(2K - KD) on
 minimal equality-case surfaces, with shift +1, 0, -1 for ambient curvature
 -1, 0, +1 respectively.
+
+A grid sample forms only the fields its caller selects (sample_surface's
+select): sample_field takes its quantity and the metric, and
+verify_identity, whose KD sign comes from the equality condition, takes
+|KD| in place of KD.  So neither forms KD's sign, the ellipse of
+curvature or max |h_ij|, which verify reads.
 """
 
 from __future__ import annotations
@@ -98,7 +104,8 @@ class GridField(Record):
 
 
 class SurfaceSample(Record):
-    """Pointwise invariants of an immersion over a grid, one array per field."""
+    """Pointwise invariants of an immersion over a grid, one array per field
+    (None for a field that sample_surface was not asked to select)."""
 
     __slots__ = _fields = (
         "imm", "domain", "nx", "ny", "K", "KD", "H2", "defect", "E", "F", "G",
@@ -154,26 +161,63 @@ class SurfaceSample(Record):
         return float(np.max(self.h_max)) <= 1e-8
 
     def kd_equality_signed(self) -> np.ndarray:
-        """KD with the sign for which K + KD comes closest to H2 + c."""
-        c = self.imm.ambient.curvature
-        plus = np.abs(self.K + self.KD - self.H2 - c)
-        minus = np.abs(self.K - self.KD - self.H2 - c)
-        return np.where(plus <= minus, self.KD, -self.KD)
+        """KD with the sign for which K + KD comes closest to H2 + c.
+
+        It reads |KD| alone, so it serves a sample whose KD field holds |KD|
+        (sample_surface's "|KD|").  With X = K - H2 - c, it is +|KD| where
+        |X + |KD|| <= |X - |KD||, ties included, and -|KD| elsewhere.  A tie
+        needs X or |KD| at roundoff against the other, so at an equality
+        node, where the defect X - |KD| is at most EQUALITY_TOL, it needs X
+        below about EQUALITY_TOL.
+        """
+        c, abs_kd = self.imm.ambient.curvature, np.abs(self.KD)
+        plus = np.abs(self.K + abs_kd - self.H2 - c)
+        minus = np.abs(self.K - abs_kd - self.H2 - c)
+        return np.where(plus <= minus, abs_kd, -abs_kd)
+
+
+# What each SurfaceSample array field is sampled from, per block report,
+# under the name that selects it; "|KD|" fills the KD field with |KD|,
+# which needs no sign (curvature.CurvatureReport.KD).
+_SAMPLED = {
+    "K": lambda rep: rep.K,
+    "KD": lambda rep: rep.KD,
+    "|KD|": lambda rep: rep.abs_KD,
+    "H2": lambda rep: rep.H2,
+    "defect": lambda rep: rep.defect,
+    "E": lambda rep: rep.frames.metric.E,
+    "F": lambda rep: rep.frames.metric.F,
+    "G": lambda rep: rep.frames.metric.G,
+    "H_norm": lambda rep: rep.H.euclid_norm(),
+    "h_max": lambda rep: np.max([v.euclid_norm() for v in rep.h.components()], axis=0),
+    "ellipse_circle": lambda rep: rep.ellipse.is_circle,
+    "ellipse_point": lambda rep: rep.ellipse.is_point,
+}
+# every array field of a SurfaceSample, sample_surface's default selection
+SAMPLE_FIELDS = SurfaceSample._fields[4:]
+_METRIC = ("E", "F", "G")
 
 
 def sample_surface(
     imm: Immersion,
     grid: tuple[int, int] = (33, 33),
     domain: DomainRect | None = None,
+    *,
+    select: tuple[str, ...] = SAMPLE_FIELDS,
 ) -> SurfaceSample:
     """Evaluate the pointwise curvature pipeline on every grid node.
 
-    The grid is covered in blocks of whole s-rows, at most _BLOCK_NODES
-    nodes each (one row per block when a row alone is larger), with one
-    batched point_report call per block.  Blocks are consecutive s-rows,
-    so an error names the first offending node in s-major order.
+    select names the SurfaceSample fields to sample, every one by default;
+    "|KD|" in place of "KD" fills KD with |KD|, which needs no sign.  A
+    field not selected is None and is never formed: without "KD" no sign
+    of KD, without "ellipse_circle" and "ellipse_point" no ellipse of
+    curvature.  The grid is covered in blocks of whole s-rows, at most
+    _BLOCK_NODES nodes each (one row per block when a row alone is
+    larger), with one batched point_report call per block.  Blocks are
+    consecutive s-rows, so an error names the first offending node in
+    s-major order.
     """
-    return _sample(imm, grid, domain)[0]
+    return _sample(imm, grid, domain, select=select)[0]
 
 
 def _sample(
@@ -182,6 +226,7 @@ def _sample(
     domain: DomainRect | None,
     extra: tuple | None = None,
     positions: bool = False,
+    select: tuple[str, ...] = SAMPLE_FIELDS,
 ) -> tuple:
     """sample_surface, with the grid's positions and the report at extra nodes.
 
@@ -196,10 +241,12 @@ def _sample(
     domain = domain or imm.domain
     nx, ny = grid
     ss, ts = domain.grid(nx, ny)
-    # SurfaceSample's fields after imm, domain, nx, ny, then the positions
-    out = [np.empty(nx * ny) for _ in range(9)] + [np.empty(nx * ny, bool) for _ in range(2)]
+    # the selected fields by SurfaceSample field, then the positions
+    sampled = {"KD" if name == "|KD|" else name: _SAMPLED[name] for name in select}
+    out = {name: np.empty(nx * ny, bool if name.startswith("ellipse") else float) for name in sampled}
     if positions:
-        out.append(np.empty((nx * ny, imm.ambient.signature.total_dim)))
+        sampled["x"] = lambda rep: rep.frames.jets._rows(0)
+        out["x"] = np.empty((nx * ny, imm.ambient.signature.total_dim))
     taken, done = None, 0
     chunks = np.array_split(ss, min(nx, math.ceil(nx * ny / _BLOCK_NODES)))
     for k, rows in enumerate(chunks, 1):
@@ -209,24 +256,18 @@ def _sample(
         if last:
             s, t = (np.concatenate([a, np.ravel(b)]) for a, b in zip((s, t), extra))
         rep = point_report(imm, (s, t), with_canonical=False)
-        metric, norms = rep.frames.metric, [v.euclid_norm() for v in rep.h.components()]
-        fields = (
-            rep.K, rep.KD, rep.H2, rep.defect, metric.E, metric.F, metric.G,
-            rep.H.euclid_norm(), np.max(norms, axis=0), rep.ellipse.is_circle, rep.ellipse.is_point,
-        )
-        if positions:
-            fields += (rep.frames.jets._rows(0),)
         # copies, not views: a kept view would keep its whole base array alive
-        for o, f in zip(out, fields):
-            o[done : done + n] = f[:n]
+        for name, field_of in sampled.items():
+            out[name][done : done + n] = field_of(rep)[:n]
         done += n
         if last:
             taken = rep._take(n + np.arange(np.size(extra[0])).reshape(np.shape(extra[0])))
         # no array of this block may live through the next block's build
-        del rep, metric, norms, fields
-    fields = [o.reshape(nx, ny, *o.shape[1:]) for o in out]
-    x = PVector(fields.pop(), imm.ambient.signature) if positions else None
-    return SurfaceSample(imm, domain, nx, ny, *fields), x, taken
+        del rep
+    out = {name: o.reshape(nx, ny, *o.shape[1:]) for name, o in out.items()}
+    x = PVector(out.pop("x"), imm.ambient.signature) if positions else None
+    sample = SurfaceSample(imm, domain, nx, ny, *(out.get(name) for name in SAMPLE_FIELDS))
+    return sample, x, taken
 
 
 def _log_field(base: np.ndarray, shift: float, sample: SurfaceSample, label: str) -> np.ndarray:
@@ -252,7 +293,8 @@ def sample_field(
         raise InputMismatchError(
             f"unknown quantity {quantity!r}; choose from {', '.join(QUANTITIES)}"
         )
-    sample = sample_surface(imm, grid, domain)
+    base = quantity if quantity not in _LOG_SHIFTS else "K"
+    sample = sample_surface(imm, grid, domain, select=(base, *_METRIC))
     if quantity not in _LOG_SHIFTS:
         return sample.grid_field(getattr(sample, quantity).copy(), quantity)
     values = _log_field(sample.K, _LOG_SHIFTS[quantity], sample, quantity)
@@ -399,7 +441,8 @@ def verify_identity(
             f"identity {name!r} needs ambient kind {kind} with curvature "
             f"{c_required:g}; surface {imm.name!r} sits in {imm.ambient.describe()}"
         )
-    sample = sample_surface(imm, grid, domain)
+    # kd_equality_signed reads |KD| alone
+    sample = sample_surface(imm, grid, domain, select=("K", "|KD|", "H2", "defect", "H_norm", *_METRIC))
     if not sample.minimal:
         raise PreconditionError(
             f"surface {imm.name!r} is not minimal: max |H2| = "
@@ -489,8 +532,10 @@ def grid_csv_chunks(f: GridField):
     yield "s,t,value,E,F,G\n"
     for s, *cols in zip(ss.tolist(), f.values, f.E, f.F, f.G):
         s_text = repr(s)
-        row = np.stack(cols, axis=-1, dtype=float).tolist()
-        yield "".join([s_text + t + ",".join(map(repr, rest)) + "\n" for t, rest in zip(t_text, row)])
+        # each column's floats formatted in one pass, then one f-string per line;
+        # the cast prints an integer or bool column as floats
+        cells = [map(repr, col.astype(float, copy=False).tolist()) for col in cols]
+        yield "".join([f"{s_text}{t}{value},{E},{F},{G}\n" for t, value, E, F, G in zip(t_text, *cells)])
 
 
 def grid_to_json(f: GridField) -> str:

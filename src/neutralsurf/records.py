@@ -3,9 +3,9 @@
 A frozen dataclass costs about 1 ms to define, paid by every import of the
 package; a ``__slots__`` class costs microseconds.  Records are not frozen,
 but no code assigns a field after construction, except the lazy ones: the
-normal pair that a ``FrameData`` completes on first read, the ellipse that
-a ``CurvatureReport`` forms on first read, and the table, minors and taken
-components that a ``JetPoint`` forms on first use.
+normal pair that a ``FrameData`` completes on first read, the ellipse and
+the sign of KD that a ``CurvatureReport`` forms on first read, and the
+table, minors and taken components that a ``JetPoint`` forms on first use.
 """
 
 from __future__ import annotations

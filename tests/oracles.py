@@ -490,6 +490,26 @@ def canonical_two_candidates(a3: Sym2, a4: Sym2) -> CanonicalFrame:
 # -- accessors and serializers the engine does not use -------------------
 
 
+def eager_kd(h: SecondFF, jets: JetPoint):
+    """KD at every node of h at once, as the invariants once formed it
+    beside K and the defect: |KD| from the Gram determinant of u and v, its
+    sign from the (u, v) minors summed against the jets' signed minors, one
+    matrix-vector product over the batch (a dot product at a single node)."""
+    sig = h.h11.signature
+    w, dim = sig.weights, sig.total_dim
+    h11, v, h22 = (x.coords for x in h.components())
+    u = 0.5 * (h11 - h22)
+    uu, uv = np.array([u * u, u * v]) @ w  # stacked, as the invariants stack their inner products
+    nonzero = uu != 0.0
+    v_off_u = v - np.where(nonzero, uv / np.where(nonzero, uu, 1.0), 0.0)[..., None] * u
+    abs_kd = 2.0 * np.sqrt(np.maximum(uu * ((v_off_u * v_off_u) @ w), 0.0))
+    pairs = [(i, j) for j in range(dim) for i in range(j)]
+    i, j = np.transpose(pairs)
+    minors = u[..., i] * v[..., j] - u[..., j] * v[..., i]
+    side = ((curvature._jet_minors(jets) * minors) @ np.ones(len(pairs))) * curvature._ORIENT_SIGN[jets.ambient.kind]
+    return np.where(side > 0, -abs_kd, abs_kd)[()]
+
+
 def accel_ss(jp: JetPoint) -> PVector:
     return jp._vector(3)
 
@@ -524,6 +544,17 @@ def grid_from_csv(text: str) -> GridField:
         return data[:, k].reshape(nx, ny)
 
     return GridField(dom, nx, ny, shaped(2), shaped(3), shaped(4), shaped(5))
+
+
+def grid_csv_rows_joined(f: GridField) -> str:
+    """grid_to_csv's text built as the formatter once did: each line the
+    ",".join of a node's (value, E, F, G), stacked as floats per s-row."""
+    ss, ts = f.node_coords()
+    lines = ["s,t,value,E,F,G\n"]
+    for s, *cols in zip(ss.tolist(), f.values, f.E, f.F, f.G):
+        row = np.stack(cols, axis=-1, dtype=float).tolist()
+        lines += [repr(s) + f",{t!r}," + ",".join(map(repr, rest)) + "\n" for t, rest in zip(ts.tolist(), row)]
+    return "".join(lines)
 
 
 def grid_from_json(text: str) -> GridField:

@@ -26,6 +26,8 @@ def test_tiny_traced_run_is_correct(workload):
         assert metrics["curvature.point_report.calls"] == metrics["fields.sample_surface.calls"]
         # the invariants come from h: the grid builds no shape operators
         assert metrics["curvature.shape_operators.calls"] == 0
+        # neither grid command reads the ellipse of curvature, so none is formed
+        assert metrics["curvature.ellipse_of_curvature.calls"] == 0
     if workload == "verify_catalog":
         # one pipeline pass per report: the 9x9 grid and the nested FD stencils
         # share one frame build and one evaluation, and the membership check

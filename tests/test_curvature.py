@@ -35,6 +35,7 @@ from oracles import (
     canonical_two_candidates,
     codazzi_residual_per_component,
     connection_forms_per_component,
+    eager_kd,
     ellipse_sweep,
     equality_frame,
     isometric_image,
@@ -1500,6 +1501,85 @@ class TestEllipseOnFirstRead:
         given = curvature.CurvatureReport(rep.A3, rep.A4, rep.H, rep.H2, rep.K, rep.KD, rep.defect, ellipse=rep.ellipse)
         assert given.ellipse is rep.ellipse
         assert curvature.CurvatureReport(rep.A3, rep.A4, rep.H, rep.H2, rep.K, rep.KD, rep.defect).ellipse is None
+
+
+class TestKDOnFirstRead:
+    """point_report signs KD when it is first read, from h and the jets'
+    minors; the defect reads |KD| alone."""
+
+    @pytest.fixture
+    def signed(self, monkeypatch):
+        """The node shapes of every KD signed."""
+        shapes, engine = [], curvature._signed_kd
+        monkeypatch.setattr(
+            curvature, "_signed_kd",
+            lambda h, jets, abs_kd: shapes.append(np.shape(abs_kd)) or engine(h, jets, abs_kd),
+        )
+        return shapes
+
+    def test_a_grid_report_signs_no_kd_until_it_is_read(self, signed):
+        imm = catalog_get("phi_h42")
+        ss, ts = imm.domain.grid(5, 7)
+        rep = point_report(imm, tuple(x.ravel() for x in np.meshgrid(ss, ts, indexing="ij")), with_canonical=False)
+        rep.K, rep.H2, rep.defect, rep.abs_KD
+        # nothing read the sign, so not even the jets' minors are formed
+        assert signed == [] and rep.frames.jets._minors is None
+        assert rep.KD is rep.KD
+        assert signed == [(35,)]
+        assert np.array_equal(rep.abs_KD, np.abs(rep.KD))
+
+    def test_taken_rows_are_signed_at_the_parents_nodes(self, signed):
+        # one row alone would round its sign sum as a dot product, not as a
+        # row of a matrix-vector product; where the sum is at roundoff that
+        # can flip the sign (seen at one node of 324 isometric images of
+        # 9x9 and 17x17 grids of the catalog, the sphere and a flat-normal graph)
+        imm = catalog_get("random_polynomial", {"seed": 3})
+        ss, ts = imm.domain.grid(5, 7)
+        rep = point_report(imm, tuple(x.ravel() for x in np.meshgrid(ss, ts, indexing="ij")), with_canonical=False)
+        for nodes in (5, np.array([0, 34])):
+            rep._take(nodes).KD
+        assert signed == [(35,)]
+
+    @pytest.mark.parametrize("name,params", FRAME_SURFACES)
+    def test_equals_the_eager_kd_bit_for_bit(self, name, params):
+        imm = frame_surface(name, params)
+        ss, ts = imm.domain.grid(9, 9)
+        grid = tuple(x.ravel() for x in np.meshgrid(ss, ts, indexing="ij"))
+        inset = 0.5 * (ss[1] + ss[2]), 0.5 * (ts[6] + ts[7])
+        whole = point_report(imm, grid, with_canonical=False)
+        want = {"grid": eager_kd(whole.h, whole.frames.jets)}
+        got = {"grid": whole.KD}
+        # a probe is row 0 of its nested-stencil build, signed at the 13 nodes
+        nested = curvature._nested_report(imm, inset, curvature._FD_STEP)
+        for with_canonical in (True, False):
+            got[f"probe {with_canonical}"] = point_report(imm, inset, with_canonical).KD
+            want[f"probe {with_canonical}"] = eager_kd(nested.h, nested.frames.jets)[0]
+        # verify's stencil rows, taken from the last block of its grid batch
+        step = curvature._FD_STEP
+        fd = _fd_sample_points(imm.domain, step)
+        stencils = _sample(imm, (9, 9), None, curvature._nested_stencil(fd, step))[2]
+        got["stencil rows"] = curvature._stencil_checks(stencils, fd, step, False)[0].KD
+        want["stencil rows"] = eager_kd(stencils.h, stencils.frames.jets)[0]
+        # rows taken before KD is signed, one row among them, and after
+        for rows in (np.array([[0, 40], [80, 17]]), 5):
+            for signed_first in (False, True):
+                report = point_report(imm, grid, with_canonical=False)
+                if signed_first:
+                    report.KD
+                got[f"taken {rows!r} {signed_first}"] = report._take(rows).KD
+                want[f"taken {rows!r} {signed_first}"] = want["grid"][rows]
+        # invariants() signs KD at once, on the h that the shape operators give back
+        rep = point_report(imm, grid)
+        inv = curvature.invariants(rep.A3, rep.A4, rep.frames, imm.ambient.curvature)
+        e3, e4 = rep.frames.e3.coords, rep.frames.e4.coords
+        h = SecondFF(*(
+            PVector(-x3[..., None] * e3 - x4[..., None] * e4, rep.frames.e3.signature)
+            for x3, x4 in ((rep.A3.a11, rep.A4.a11), (rep.A3.a12, rep.A4.a12), (rep.A3.a22, rep.A4.a22))
+        ))
+        got["invariants"], want["invariants"] = inv.KD, eager_kd(h, rep.frames.jets)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert bits(got[key]) == bits(want[key]), key
 
 
 class TestAmbientCurvature:

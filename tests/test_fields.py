@@ -2,11 +2,12 @@ import json
 import math
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from neutralsurf import fields
+from neutralsurf import curvature, fields
 from neutralsurf.ambient import DomainRect
 from neutralsurf.catalog import catalog_get, from_definition
 from neutralsurf.curvature import build_frames, point_report
@@ -18,6 +19,7 @@ from neutralsurf.errors import (
 )
 from neutralsurf.expr import parse_surface
 from neutralsurf.fields import (
+    SAMPLE_FIELDS,
     GridField,
     convergence_ratios,
     grid_to_csv,
@@ -29,9 +31,10 @@ from neutralsurf.fields import (
     sample_surface,
     verify_identity,
 )
-from oracles import grid_from_csv, grid_from_json
+from oracles import bits, grid_csv_rows_joined, grid_from_csv, grid_from_json
 
 DOM = DomainRect(-1.0, 1.0, -1.0, 1.0)
+BENCH_SURFACE_FILE = Path(__file__).resolve().parent.parent / "bench" / "data" / "phi_h42.txt"
 
 
 def analytic_grid(n, f, E=None, F=None, G=None):
@@ -170,6 +173,57 @@ class TestSampleSurfaceBatches:
             assert f"not space-like at (s,t)={first}" in str(on_grid.value)
 
 
+def sample_bits(sample) -> dict:
+    return {key: None if getattr(sample, key) is None else bits(getattr(sample, key)) for key in SAMPLE_FIELDS}
+
+
+class TestSampleSelection:
+    """sample_surface forms only the fields selected, each as the full sample has it."""
+
+    # the selections of sample_field (a quantity, or K for its logarithm, and
+    # the metric) and of verify_identity, and each field alone
+    SELECTIONS = [
+        ("defect", "E", "F", "G"),
+        ("K", "E", "F", "G"),
+        ("KD", "E", "F", "G"),
+        ("K", "|KD|", "H2", "defect", "H_norm", "E", "F", "G"),
+    ] + [(name,) for name in SAMPLE_FIELDS] + [("|KD|",), ()]
+
+    @pytest.mark.parametrize("name,params", GRID_SURFACES + [("definition_file", {})])
+    def test_selected_fields_equal_the_full_sample(self, name, params, monkeypatch):
+        if name == "definition_file":
+            imm = from_definition(parse_surface(BENCH_SURFACE_FILE.read_text(encoding="utf-8")))
+        else:
+            imm = surface(name, params)
+        # 9x9 in blocks of 3 rows
+        monkeypatch.setattr(fields, "_BLOCK_NODES", 27)
+        sample = sample_surface(imm, (9, 9))
+        full, abs_kd = sample_bits(sample), bits(np.abs(sample.KD))
+        for select in self.SELECTIONS:
+            got = sample_bits(sample_surface(imm, (9, 9), select=select))
+            want = {key: full[key] if key in select else None for key in SAMPLE_FIELDS}
+            if "|KD|" in select:
+                want["KD"] = abs_kd
+            assert got == want, select
+
+    def test_grid_commands_form_no_kd_sign_and_no_ellipse(self, monkeypatch):
+        def unread(*args):
+            raise AssertionError("formed a value no field reads")
+
+        monkeypatch.setattr(curvature, "_signed_kd", unread)
+        monkeypatch.setattr(curvature, "ellipse_of_curvature", unread)
+        sample_field(catalog_get("random_polynomial", {"seed": 3}), "defect", (9, 9))
+        verify_identity(catalog_get("phi_h42"), "hyperbolic", (9, 9))
+        verify_identity(catalog_get("holomorphic_graph", {"f": "z^2/2"}), "flat", (9, 9))
+
+    def test_sample_field_kd_stays_signed(self):
+        # phi_h42 has KD = -2/3 in its equality orientation
+        imm = catalog_get("phi_h42")
+        kd = sample_field(imm, "KD", (9, 9)).values
+        assert np.max(kd) < 0.0
+        assert bits(kd) == bits(sample_surface(imm, (9, 9)).KD)
+
+
 class TestIntrinsicLaplacian:
     def test_flat_paraboloid(self):
         gf = analytic_grid(65, lambda S, T: S ** 2 + T ** 2)
@@ -196,6 +250,28 @@ class TestIntrinsicLaplacian:
         gf = analytic_grid(4, lambda S, T: S)
         with pytest.raises(InputMismatchError):
             intrinsic_laplacian(gf)
+
+
+class TestKDEqualitySigned:
+    @staticmethod
+    def sample(K, KD, H2):
+        imm = catalog_get("phi_h42")  # c = -1
+        arrays = [np.array([x], dtype=float) for x in (K, KD, H2)]
+        zero = np.zeros(1)
+        return fields.SurfaceSample(imm, imm.domain, 1, 1, arrays[0], arrays[1], arrays[2], *[zero] * 8)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize(
+        "k,abs_kd,want",
+        [(-0.75, 0.5, -0.5), (-1.25, 0.5, 0.5), (-1.0, 0.5, 0.5), (-1.0 + 2.0**-40, 1e6, 1e6)],
+        ids=["closer_minus", "closer_plus", "tie", "tie_at_roundoff"],
+    )
+    def test_picks_plus_abs_kd_on_a_tie(self, sign, k, abs_kd, want):
+        # X = K - H2 - c with c = -1; at a tie |X + |KD|| == |X - |KD|| in
+        # floats (X = 0, or X = 2^-40 against |KD| = 1e6) the pick is +|KD|,
+        # whatever KD's own sign, as for a sample holding |KD|
+        sample = self.sample(k, sign * abs_kd, 0.0)
+        assert sample.kd_equality_signed()[0] == want
 
 
 class TestVerifyIdentity:
@@ -423,6 +499,18 @@ class TestSerialization:
         want = json.dumps(payload, indent=2, sort_keys=True)
         assert grid_to_json(gf) == want
         assert "".join(fields.grid_json_chunks(gf)) == want
+
+    @pytest.mark.parametrize("shape", [(2, 3), (9, 9), (65, 33)])
+    def test_csv_text_is_the_row_joined_text(self, shape):
+        # tiny, huge and integral floats; an integer and a bool column print as floats
+        gf = self.random_grid(*shape)
+        gf.values.flat[2:6] = 1e-300, 1e22, 3.0, -7.0
+        gf.F = (gf.F > 0.0).astype(int) - 2 * (gf.F < -1.0)
+        gf.G = gf.G > 0.0
+        want = grid_csv_rows_joined(gf)
+        assert "-0.0," in want and "1e-300," in want and "1e+22," in want and ",-1.0," in want
+        assert grid_to_csv(gf) == want
+        assert "".join(fields.grid_csv_chunks(gf)) == want
 
     def test_traced_peak_of_streaming_a_257x257_json_map(self):
         # one grid's lists at a time: 2.0 MB measured, 8.1 MB when the payload
