@@ -43,7 +43,6 @@ from .fields import (
     GridField,
     LaplacianReport,
     SurfaceSample,
-    convergence_ratios,
     grid_to_csv,
     grid_to_json,
     harmonicity_verdict,

@@ -1,8 +1,9 @@
 """Built-in immersions and the jet-valued evaluation interface.
 
-Every entry evaluates to a JetPoint: the ambient coordinates of the map
-together with their first and second partials at the requested parameter
-point, or at every node of a batch when s and t are arrays.  Space-likeness
+Every entry's evaluator returns one Jet2 per ambient coordinate: the
+coordinate with its first and second partials at the requested parameter
+point, or at every node of a batch when s and t are arrays, and
+Immersion.evaluate copies them into a JetPoint's table.  Space-likeness
 is checked on the nodes a command samples: curvature.build_frames forms the
 metric at every node and names the first that is not space-like.  No
 surface is evaluated at construction: random_polynomial's coefficients are
@@ -30,64 +31,34 @@ _SQRT3 = math.sqrt(3.0)
 class JetPoint(Record):
     """Ambient coordinates of an immersion with partials at one (s,t) or a batch.
 
-    A component that does not depend on (s, t) may hold scalar fields.  On
-    first use every field of every component is copied once into a
-    read-only table of shape (6, *shape, ncomp), broadcasting the scalar
-    fields; the vectors are views of it.  Immersion.evaluate sets the shape
-    to that of the broadcast nodes; a JetPoint built directly broadcasts
-    the shapes of its fields on first use.  _minors holds the jets' signed
-    minors once curvature has formed them (curvature._minors_of), else None;
-    _take carries the taken rows of both tables, and the taken jets build
-    their Jet2 components from their table on first read.
+    table holds every field of every coordinate, read-only, with shape
+    (6, *shape, ncomp): the fields in FIELDS order first, the nodes next,
+    the coordinates last.  The vectors, the shape and the Jet2 components
+    are views of it.
     """
 
-    __slots__ = ("ambient", "_components", "_shape", "_table", "_minors")
-    _fields = ("ambient", "components")
+    __slots__ = _fields = ("ambient", "table")
 
-    def __init__(self, ambient: AmbientSpace, components: tuple | None):
+    def __init__(self, ambient: AmbientSpace, table: np.ndarray):
         self.ambient = ambient
-        self._components = components
-        self._shape = self._table = self._minors = None
-
-    @property
-    def components(self) -> tuple:
-        if self._components is None:
-            self._components = tuple(Jet2(*self._table[..., i]) for i in range(self._table.shape[-1]))
-        return self._components
+        self.table = table
 
     @property
     def shape(self) -> tuple:
-        if self._shape is None:
-            self._shape = np.broadcast_shapes(
-                *(np.shape(getattr(c, f)) for c in self.components for f in FIELDS)
-            )
-        return self._shape
+        return self.table.shape[1:-1]
 
-    def _rows(self, k) -> np.ndarray:
-        """Rows k (an index or a slice) of the table, coordinates last."""
-        if self._table is None:
-            out = np.empty((len(FIELDS),) + self.shape + (len(self.components),))
-            for i, c in enumerate(self.components):
-                for j, f in enumerate(FIELDS):
-                    out[j, ..., i] = getattr(c, f)
-            out.flags.writeable = False
-            self._table = out
-        return self._table[k]
+    @property
+    def components(self) -> tuple:
+        return tuple(Jet2(*self.table[..., i]) for i in range(self.table.shape[-1]))
 
     def _vector(self, k: int) -> PVector:
-        return PVector(self._rows(k), self.ambient.signature)
+        return PVector(self.table[k], self.ambient.signature)
 
     def _take(self, nodes) -> "JetPoint":
         """The jets at nodes, an index or index array into the leading node axis."""
-        table = self._rows(slice(None))[:, nodes]
-        jp = JetPoint(self.ambient, None)
+        table = self.table[:, nodes]
         table.flags.writeable = False
-        jp._shape, jp._table = table.shape[1:-1], table
-        # each minor is elementwise in the nodes, so the taken rows are the
-        # minors of the taken jets bit for bit
-        if self._minors is not None:
-            jp._minors = self._minors[nodes]
-        return jp
+        return JetPoint(self.ambient, table)
 
     def position(self) -> PVector:
         return self._vector(0)
@@ -127,7 +98,7 @@ class Immersion(Record):
         self,
         name: str,
         ambient: AmbientSpace,
-        evaluator: Callable[..., JetPoint],
+        evaluator: Callable[..., tuple],
         domain: DomainRect,
         params: dict | None = None,
         expected: dict | None = None,
@@ -140,20 +111,27 @@ class Immersion(Record):
         self.expected = {} if expected is None else expected
 
     def evaluate(self, s, t) -> JetPoint:
-        """Jets at the node (s, t), or at every node of s and t broadcast together; all finite."""
+        """Jets at the node (s, t), or at every node of s and t broadcast together; all finite.
+
+        The evaluator returns one Jet2 per coordinate, whose fields hold one
+        value per node or one for all nodes; they are copied into the
+        table, broadcast to the nodes' shape.
+        """
         s, t = np.asarray(s, float), np.asarray(t, float)
         if s.shape != t.shape:
             s, t = np.broadcast_arrays(s, t)
         with np.errstate(over="ignore", invalid="ignore"):
-            jp = self.evaluator(s, t)
-        # each field holds one value per node or one for all nodes, so the
-        # nodes give the shape without broadcasting every field
-        jp._shape = s.shape
-        finite = np.isfinite(jp._rows(slice(None)))
+            components = self.evaluator(s, t)
+        table = np.empty((len(FIELDS),) + s.shape + (len(components),))
+        for i, c in enumerate(components):
+            for j, f in enumerate(FIELDS):
+                table[j, ..., i] = getattr(c, f)
+        table.flags.writeable = False
+        finite = np.isfinite(table)
         if not finite.all():
             node = first_flagged(~finite.all(axis=(0, -1)), s, t)
             raise DegeneracyError(f"surface {self.name!r} has jets that are not finite at (s,t)={node}")
-        return jp
+        return JetPoint(self.ambient, table)
 
 
 def metric_from_velocities(imm: Immersion, p: tuple, vs: PVector, vt: PVector) -> MetricCoeffs:
@@ -191,18 +169,15 @@ def _membership_residual(imm: Immersion, x: PVector) -> float:
 # -- built-in surfaces -------------------------------------------------
 
 
-def _fixed_h42(
-    name: str, evaluator: Callable[[AmbientSpace], Callable[..., JetPoint]], expected: dict
-) -> Callable[[dict], Immersion]:
+def _fixed_h42(name: str, evaluator: Callable[..., tuple], expected: dict) -> Callable[[dict], Immersion]:
     """The builder of a surface with no parameters in H(3,2; -1) on [-1,1]^2."""
 
     def build(params: dict) -> Immersion:
         _reject_params(name, params)
-        ambient = AmbientSpace.pseudo_hyperbolic(-1.0)
         return Immersion(
             name=name,
-            ambient=ambient,
-            evaluator=evaluator(ambient),
+            ambient=AmbientSpace.pseudo_hyperbolic(-1.0),
+            evaluator=evaluator,
             domain=DomainRect(-1.0, 1.0, -1.0, 1.0),
             expected=dict(expected),
         )
@@ -210,23 +185,20 @@ def _fixed_h42(
     return build
 
 
-def _phi_h42_eval(ambient: AmbientSpace) -> Callable[..., JetPoint]:
-    def evaluate(s, t) -> JetPoint:
-        js, jt = seed(s, t)
-        u = (2.0 / _SQRT3) * js
-        sh = jsinh(u)
-        ex = jexp(u)
-        t2 = jt * jt
-        t3 = t2 * jt
-        t4 = t2 * t2
-        c1 = sh - t2 * (1.0 / 3.0) - (7.0 / 8.0 + t4 * (1.0 / 18.0)) * ex
-        c2 = jt + (t3 * (1.0 / 3.0) - jt * 0.25) * ex
-        c3 = 0.5 + t2 * 0.5 * ex
-        c4 = jt + (t3 * (1.0 / 3.0) + jt * 0.25) * ex
-        c5 = sh - t2 * (1.0 / 3.0) - (1.0 / 8.0 + t4 * (1.0 / 18.0)) * ex
-        return JetPoint(ambient, (c1, c2, c3, c4, c5))
-
-    return evaluate
+def _phi_h42_eval(s, t) -> tuple:
+    js, jt = seed(s, t)
+    u = (2.0 / _SQRT3) * js
+    sh = jsinh(u)
+    ex = jexp(u)
+    t2 = jt * jt
+    t3 = t2 * jt
+    t4 = t2 * t2
+    c1 = sh - t2 * (1.0 / 3.0) - (7.0 / 8.0 + t4 * (1.0 / 18.0)) * ex
+    c2 = jt + (t3 * (1.0 / 3.0) - jt * 0.25) * ex
+    c3 = 0.5 + t2 * 0.5 * ex
+    c4 = jt + (t3 * (1.0 / 3.0) + jt * 0.25) * ex
+    c5 = sh - t2 * (1.0 / 3.0) - (1.0 / 8.0 + t4 * (1.0 / 18.0)) * ex
+    return c1, c2, c3, c4, c5
 
 
 _build_phi_h42 = _fixed_h42(
@@ -236,18 +208,13 @@ _build_phi_h42 = _fixed_h42(
 )
 
 
-def _flat_l_eval(ambient: AmbientSpace) -> Callable[..., JetPoint]:
-    r = 1.0 / math.sqrt(2.0)
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-    def evaluate(s, t) -> JetPoint:
-        js, jt = seed(s, t)
-        zero = Jet2.constant(0.0)
-        return JetPoint(
-            ambient,
-            (r * jcosh(js), r * jcosh(jt), zero, r * jsinh(js), r * jsinh(jt)),
-        )
 
-    return evaluate
+def _flat_l_eval(s, t) -> tuple:
+    js, jt = seed(s, t)
+    r = _INV_SQRT2
+    return r * jcosh(js), r * jcosh(jt), Jet2.constant(0.0), r * jsinh(js), r * jsinh(jt)
 
 
 # K = KD = H2 = 0 with c = -1, so K + KD sits strictly above H2 + c:
@@ -259,15 +226,12 @@ _build_flat_l = _fixed_h42(
 )
 
 
-def _geodesic_eval(ambient: AmbientSpace) -> Callable[..., JetPoint]:
-    def evaluate(s, t) -> JetPoint:
-        js, jt = seed(s, t)
-        zero = Jet2.constant(0.0)
-        cs, ss_ = jcosh(js), jsinh(js)
-        ct, st = jcosh(jt), jsinh(jt)
-        return JetPoint(ambient, (cs * ct, zero, zero, cs * st, ss_))
-
-    return evaluate
+def _geodesic_eval(s, t) -> tuple:
+    js, jt = seed(s, t)
+    zero = Jet2.constant(0.0)
+    cs, ss_ = jcosh(js), jsinh(js)
+    ct, st = jcosh(jt), jsinh(jt)
+    return cs * ct, zero, zero, cs * st, ss_
 
 
 _build_totally_geodesic = _fixed_h42(
@@ -294,11 +258,9 @@ def _poly_coeffs_from_param(f) -> np.ndarray:
     return coeffs
 
 
-def _holomorphic_eval(
-    ambient: AmbientSpace, coeffs: np.ndarray
-) -> Callable[..., JetPoint]:
+def _holomorphic_eval(coeffs: np.ndarray) -> Callable[..., tuple]:
     # complex jets as (re, im) pairs; Horner evaluation of f(s + i t)
-    def evaluate(s, t) -> JetPoint:
+    def evaluate(s, t) -> tuple:
         js, jt = seed(s, t)
         acc_re = Jet2.constant(coeffs[-1].real)
         acc_im = Jet2.constant(coeffs[-1].imag)
@@ -307,7 +269,7 @@ def _holomorphic_eval(
                 acc_re * js - acc_im * jt + c.real,
                 acc_re * jt + acc_im * js + c.imag,
             )
-        return JetPoint(ambient, (js, jt, acc_re, acc_im))
+        return js, jt, acc_re, acc_im
 
     return evaluate
 
@@ -319,27 +281,24 @@ def _build_holomorphic_graph(params: dict) -> Immersion:
     if f is None:
         raise InputMismatchError("holomorphic_graph requires parameter 'f' (polynomial in z)")
     coeffs = _poly_coeffs_from_param(f)
-    ambient = AmbientSpace.flat()
     # space-like where |f'(z)| > 1: build_frames checks each node sampled
     return Immersion(
         name="holomorphic_graph",
-        ambient=ambient,
-        evaluator=_holomorphic_eval(ambient, coeffs),
+        ambient=AmbientSpace.flat(),
+        evaluator=_holomorphic_eval(coeffs),
         domain=DomainRect(1.2, 2.0, 0.5, 1.5),
         params={"f": f if isinstance(f, str) else [complex(c) for c in coeffs]},
         expected={"H2": 0.0, "minimal": True, "equality": True},
     )
 
 
-def _umbilical_eval(
-    ambient: AmbientSpace, radius: float
-) -> Callable[..., JetPoint]:
-    def evaluate(s, t) -> JetPoint:
+def _umbilical_eval(radius: float) -> Callable[..., tuple]:
+    def evaluate(s, t) -> tuple:
         js, jt = seed(s, t)
         zero = Jet2.constant(0.0)
         cs, ss_ = jcosh(js), jsinh(js)
         ct, st = jcosh(jt), jsinh(jt)
-        return JetPoint(ambient, (zero, radius * cs * ct, radius * ss_, radius * cs * st))
+        return zero, radius * cs * ct, radius * ss_, radius * cs * st
 
     return evaluate
 
@@ -353,12 +312,11 @@ def _build_umbilical_flat(params: dict) -> Immersion:
     # K = -1/radius^2 needs a square in float range
     if not 0.0 < radius * radius < math.inf:
         raise InputMismatchError(f"umbilical_flat radius^2 must be finite and nonzero, got radius {radius!r}")
-    ambient = AmbientSpace.flat()
     k = -1.0 / (radius * radius)
     return Immersion(
         name="umbilical_flat",
-        ambient=ambient,
-        evaluator=_umbilical_eval(ambient, radius),
+        ambient=AmbientSpace.flat(),
+        evaluator=_umbilical_eval(radius),
         domain=DomainRect(-1.0, 1.0, -1.0, 1.0),
         params={"radius": radius},
         expected={"K": k, "KD": 0.0, "H2": k, "equality": True},
@@ -385,13 +343,11 @@ _WIDTHS = [len(ks) for ks in _LEVELS]
 _RUNS = [(n, sum(w for w in _WIDTHS if w > n), sum(w for w in _WIDTHS if w >= n)) for n in dict.fromkeys(_WIDTHS)]
 
 
-def _random_poly_eval(
-    ambient: AmbientSpace, coeff_p: np.ndarray, coeff_q: np.ndarray
-) -> Callable[..., JetPoint]:
+def _random_poly_eval(coeff_p: np.ndarray, coeff_q: np.ndarray) -> Callable[..., tuple]:
     # per product: its coefficients (product, perturbation, node)
     coeffs = np.stack([coeff_p, coeff_q], axis=1)[_TERM_K, :, None]
 
-    def evaluate(s, t) -> JetPoint:
+    def evaluate(s, t) -> tuple:
         js, jt = seed(s, t)
         # s^k and t^k, k <= 3, each a jet in its own variable (in the d_s
         # slots), by repeated multiplication as jpow unrolls them; table
@@ -417,7 +373,7 @@ def _random_poly_eval(
             for k in range(0, hi - lo, n):
                 head += terms[k : k + n]
         acc = acc.reshape(acc.shape[:2] + np.shape(s))
-        return JetPoint(ambient, (Jet2(*acc[:, 0]), Jet2(*acc[:, 1]), js, jt))
+        return Jet2(*acc[:, 0]), Jet2(*acc[:, 1]), js, jt
 
     return evaluate
 
@@ -516,7 +472,6 @@ def _build_random_polynomial(params: dict) -> Immersion:
     _reject_params("random_polynomial", params)
     if not 0 < amplitude <= 0.1:
         raise InputMismatchError("random_polynomial amplitude must be in (0, 0.1]")
-    ambient = AmbientSpace.flat()
     draws = _uniform_draws(seed_value)
     coeff_p, coeff_q = _coefficients(draws, amplitude), _coefficients(draws, amplitude)
     domain = DomainRect(-0.5, 0.5, -0.5, 0.5)
@@ -526,8 +481,8 @@ def _build_random_polynomial(params: dict) -> Immersion:
         )
     return Immersion(
         name="random_polynomial",
-        ambient=ambient,
-        evaluator=_random_poly_eval(ambient, coeff_p, coeff_q),
+        ambient=AmbientSpace.flat(),
+        evaluator=_random_poly_eval(coeff_p, coeff_q),
         domain=domain,
         params={"seed": seed_value, "amplitude": amplitude},
     )
@@ -626,15 +581,10 @@ def catalog_get(name: str, params: dict | None = None) -> Immersion:
 
 def from_definition(defn: SurfaceDefinition) -> Immersion:
     """Wrap a parsed surface definition, compiled once, as an evaluable immersion."""
-    ambient = defn.ambient
     program = compile_jets(defn.components)
-
-    def evaluate(s, t) -> JetPoint:
-        return JetPoint(ambient, program(*seed(s, t)))
-
     return Immersion(
         name=defn.name,
-        ambient=ambient,
-        evaluator=evaluate,
+        ambient=defn.ambient,
+        evaluator=lambda s, t: program(*seed(s, t)),
         domain=defn.domain,
     )

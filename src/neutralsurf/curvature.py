@@ -10,18 +10,16 @@ and the inequality defect
 which is nonnegative for every space-like surface and zero exactly on the
 equality cases.  The invariants come from h alone (Gauss and Ricci
 equations in terms of u = (h11 - h22)/2 and v = h12, the axes of the
-ellipse of curvature), so a report needs no normal basis: a FrameData
-completes its normal pair e3, e4 on the first read, at its own nodes, and
-a report holds the shape operators A3, A4 only with the canonical frame.
-Only the canonical frame and the FD checks of the frame field read the
-normal pair.  A report forms its ellipse of curvature likewise, on the
-first read, from the Gram matrix of u and v that the invariants form, so
-a point probe, which reads the invariants and the canonical frame, forms
-none.  KD's sign is formed on the first read too: the defect needs |KD|
-alone, so a grid command, which reads neither KD nor the ellipse, forms
-neither.  KD's sign and the normal pair's orientation both read the
-jets' signed minors, formed once per jets object (_minors_of) and carried
-to the rows taken from it (JetPoint._take), so verify forms them once.
+ellipse of curvature), so a report needs no normal basis.  Every derived
+field follows one rule: a record forms it at its own nodes on the first
+read, and the rows taken from it (_take) carry what is already formed.
+A FrameData forms its normal pair e3, e4 and the jets' signed minors
+that orient e4 and sign KD; a report forms its canonical frame (with the
+shape operators A3, A4 it reads, and through them the normal pair), its
+ellipse of curvature (from the Gram matrix of u and v that the
+invariants form) and KD's sign (the defect needs |KD| alone).  So a grid
+command, which reads none of them, forms none, and verify forms the
+minors once for its grid and stencil batch.
 Frame-derivative quantities (connection forms, structure equations,
 Codazzi residual) are estimated by central differences of the
 deterministic frame field.
@@ -52,7 +50,6 @@ from __future__ import annotations
 
 import functools
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,7 +66,7 @@ from .pseudo_linalg import (
     project_off,
     rotate_sym2,
 )
-from .records import Record
+from .records import Record, ValueRecord
 
 # Normal frames are completed from the first two usable ambient basis
 # vectors (_complete_normals), and then e4 is oriented so the full ambient
@@ -145,11 +142,14 @@ class FrameData(Record):
     normals is (e3, e4, scan, flipped), or None until the first read of any
     of them completes all four from the Gram-Schmidt frame and the jets
     (_complete_normals) at this FrameData's nodes; build_frames leaves it
-    None.  _take of frames not yet completed gives frames that complete at
-    the taken nodes only.
+    None.  minors, the jets' signed minors that the normal pair's
+    orientation and KD's sign read (_jet_minors), are formed on the first
+    read likewise.  _take carries the taken rows of what is formed, and the
+    rest forms at the taken nodes only.
     """
 
-    __slots__ = _fields = ("e1", "e2", "metric", "jets", "gram_schmidt", "normals")
+    _fields = ("e1", "e2", "metric", "jets", "gram_schmidt", "normals")
+    __slots__ = _fields + ("_minors",)
 
     def __init__(
         self,
@@ -166,6 +166,13 @@ class FrameData(Record):
         self.jets = jets
         self.gram_schmidt = gram_schmidt
         self.normals = normals
+        self._minors = None
+
+    @property
+    def minors(self) -> np.ndarray:
+        if self._minors is None:
+            self._minors = _jet_minors(self.jets)
+        return self._minors
 
     def _completed(self) -> tuple:
         if self.normals is None:
@@ -181,7 +188,7 @@ class FrameData(Record):
         """The frames at nodes, an index or index array into the leading node axis."""
         m, sig = self.metric, self.e1.signature
         rows = [v[nodes] for v in self.gram_schmidt]
-        return FrameData(
+        taken = FrameData(
             PVector(rows[-2], sig),
             PVector(rows[-1], sig),
             MetricCoeffs(m.E[nodes], m.F[nodes], m.G[nodes]),
@@ -189,6 +196,11 @@ class FrameData(Record):
             rows,
             None if self.normals is None else tuple(x[nodes] for x in self.normals),
         )
+        # each minor is elementwise in the nodes, so the taken rows are the
+        # minors of the taken jets bit for bit
+        if self._minors is not None:
+            taken._minors = self._minors[nodes]
+        return taken
 
 
 class SecondFF(Record):
@@ -242,6 +254,10 @@ class CanonicalFrame(Record):
         self.residual = residual
         self.flip = flip
 
+    def _take(self, nodes) -> "CanonicalFrame":
+        """The frame at nodes, an index or index array into the leading node axis."""
+        return CanonicalFrame(*(getattr(self, f)[nodes] for f in self._fields))
+
 
 class EllipseInfo(Record):
     """Ellipse of curvature descriptor: {h(v,v) : |v| = 1} in the normal plane.
@@ -266,23 +282,21 @@ class EllipseInfo(Record):
 class CurvatureReport(Record):
     """Invariants at a point or per node; point_report also keeps the frames and h.
 
-    A3 and A4 are the shape operators when the canonical frame was asked
-    for, and None otherwise (shape_operators(h, frames) gives them).
-    point_report's ellipse is formed on its first read, at this report's
-    nodes, from _gram: the (<u,u>, <u,v>, <v,v>) of _h_invariants, which
-    the report keeps while no ellipse is formed.  _take carries the taken
-    rows of the ellipse once it is formed, and of _gram before.
-
-    point_report's KD is likewise signed on its first read (_signed_kd),
-    from h and the jets' minors, at this report's nodes; abs_KD, which the
-    defect reads, is there from the start.  _take signs KD at this
+    point_report forms three fields on their first read, at this report's
+    nodes.  The canonical frame: from A3 and A4, which are None until then
+    and are first filled from h and the normal pair (shape_operators).
+    The ellipse: from _gram, the (<u,u>, <u,v>, <v,v>) of _h_invariants,
+    which the report keeps while no ellipse is formed.  KD: signed
+    (_signed_kd) from h and the frames' minors; abs_KD, which the defect
+    reads, is there from the start.  _take carries the taken rows of what
+    is formed, and the rest forms at the taken rows.  It signs KD at this
     report's nodes first: at a single taken row the sign sum would round as
     one dot product, not as a row of a matrix-vector product.
     """
 
     _fields = ("A3", "A4", "H", "H2", "K", "KD", "defect", "canonical", "ellipse", "frames", "h")
     __slots__ = (
-        "A3", "A4", "H", "H2", "K", "_kd", "defect", "canonical", "_ellipse", "frames", "h", "_gram", "_abs_kd",
+        "A3", "A4", "H", "H2", "K", "_kd", "defect", "_canonical", "_ellipse", "frames", "h", "_gram", "_abs_kd",
     )
 
     def __init__(
@@ -306,7 +320,7 @@ class CurvatureReport(Record):
         self.K = K
         self._kd = KD
         self.defect = defect
-        self.canonical = canonical
+        self._canonical = canonical
         self._ellipse = ellipse
         self.frames = frames
         self.h = h
@@ -316,7 +330,7 @@ class CurvatureReport(Record):
     def KD(self):
         """The normal curvature, signed on the first read (_signed_kd)."""
         if self._kd is None:
-            self._kd = _signed_kd(self.h, self.frames.jets, self._abs_kd)
+            self._kd = _signed_kd(self.h, self.frames, self._abs_kd)
         return self._kd
 
     @property
@@ -325,19 +339,25 @@ class CurvatureReport(Record):
         return np.abs(self.KD) if self._abs_kd is None else self._abs_kd
 
     @property
+    def canonical(self) -> CanonicalFrame:
+        """The canonical frame, formed on the first read from A3 and A4."""
+        if self._canonical is None:
+            if self.A3 is None:
+                self.A3, self.A4 = shape_operators(self.h, self.frames)
+            self._canonical = canonical_equality_frame(self.A3, self.A4)
+        return self._canonical
+
+    @property
     def ellipse(self) -> EllipseInfo | None:
         if self._ellipse is None and self._gram is not None:
             self._ellipse = ellipse_of_curvature(self.h, self.H, self._gram)
             self._gram = None
         return self._ellipse
 
-    def _take(self, nodes, with_canonical: bool = False) -> "CurvatureReport":
-        """The report at nodes, an index or index array into the leading node
-        axis: the invariants, frames, h and ellipse (when there is one), with
-        the canonical frame when asked."""
+    def _take(self, nodes) -> "CurvatureReport":
+        """The report at nodes, an index or index array into the leading node axis."""
         kd = self.KD  # signed at this report's nodes, not at the taken rows alone
-        frames, h = self.frames._take(nodes), self.h._take(nodes)
-        a3, a4 = shape_operators(h, frames) if with_canonical else (None, None)
+        a3, a4 = (None, None) if self.A3 is None else (_take_sym2(a, nodes) for a in (self.A3, self.A4))
         taken = CurvatureReport(
             a3,
             a4,
@@ -346,10 +366,10 @@ class CurvatureReport(Record):
             self.K[nodes],
             kd[nodes],
             self.defect[nodes],
-            canonical=canonical_equality_frame(a3, a4) if with_canonical else None,
+            canonical=None if self._canonical is None else self._canonical._take(nodes),
             ellipse=None if self._ellipse is None else self._ellipse._take(nodes),
-            frames=frames,
-            h=h,
+            frames=self.frames._take(nodes),
+            h=self.h._take(nodes),
         )
         # each ellipse field is elementwise in the nodes, so the taken rows
         # of the gram form the taken rows of the ellipse bit for bit
@@ -358,14 +378,21 @@ class CurvatureReport(Record):
         return taken
 
 
-@dataclass(frozen=True)
-class ConnectionSample:
-    """Connection 1-forms evaluated on the tangent frame at a point."""
+def _take_sym2(a: Sym2, nodes) -> Sym2:
+    """The shape operator a at nodes, an index or index array into the leading node axis."""
+    return Sym2(a.a11[nodes], a.a12[nodes], a.a22[nodes])
 
-    w12_e1: float
-    w12_e2: float
-    w34_e1: float
-    w34_e2: float
+
+class ConnectionSample(ValueRecord):
+    """Connection 1-forms evaluated on the tangent frame at a point, or per point."""
+
+    __slots__ = _fields = _compared = ("w12_e1", "w12_e2", "w34_e1", "w34_e2")
+
+    def __init__(self, w12_e1: float, w12_e2: float, w34_e1: float, w34_e2: float):
+        self.w12_e1 = w12_e1
+        self.w12_e2 = w12_e2
+        self.w34_e1 = w34_e1
+        self.w34_e2 = w34_e2
 
 
 def build_frames(imm: Immersion, p: tuple) -> FrameData:
@@ -431,7 +458,7 @@ def _complete_normals(fr: FrameData) -> tuple:
     j = (((rest * rest) @ sig.ones > SPAN_RTOL) & (rows[1:] > i)).argmax(axis=0) + 1
     e4 = _unit(rest[(j - 1,) + nodes], w)
     # the orientation (see above): the jets' signed minor at each node's pair
-    minor = _minors_of(jp)[nodes + (j * (j - 1) // 2 + i,)]
+    minor = fr.minors[nodes + (j * (j - 1) // 2 + i,)]
     flipped = minor * _ORIENT_SIGN[jp.ambient.kind] < 0
     e4 = np.where(flipped[..., None], -e4, e4)
     return PVector(e3, sig), PVector(e4, sig), np.concatenate((i[..., None], j[..., None]), axis=-1), flipped
@@ -440,14 +467,6 @@ def _complete_normals(fr: FrameData) -> tuple:
 def _unit(r: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Time-like coordinate arrays r scaled to <r,r> = -1."""
     return r * (1.0 / np.sqrt(-((r * r) @ w)))[..., None]
-
-
-def _minors_of(jp: JetPoint) -> np.ndarray:
-    """_jet_minors(jp), formed on first use and kept on jp: the normal
-    completion and the invariants at the same jets read one table."""
-    if jp._minors is None:
-        jp._minors = _jet_minors(jp)
-    return jp._minors
 
 
 def _jet_minors(jp: JetPoint) -> np.ndarray:
@@ -462,11 +481,11 @@ def _jet_minors(jp: JetPoint) -> np.ndarray:
     """
     off = _OFF_PAIR[jp.ambient.signature.total_dim].T
     if jp.ambient.is_flat:
-        b, c = jp._rows(slice(1, 3))
+        b, c = jp.table[1:3]
         minors = b[..., off[0]] * c[..., off[1]]
         minors -= b[..., off[1]] * c[..., off[0]]
     else:
-        a, b, c = jp._rows(slice(0, 3))
+        a, b, c = jp.table[:3]
         bc = b[..., _PAIR_I] * c[..., _PAIR_J]
         bc -= b[..., _PAIR_J] * c[..., _PAIR_I]
         lm, km, kl = (bc[..., q] for q in _OFF_SUB.T)
@@ -503,7 +522,7 @@ def second_fundamental_form(imm: Immersion, p: tuple, frames: FrameData) -> Seco
     # point: a node's inner products then round as for one vector there, and
     # as a row of a matrix-vector product in a batch
     nodes = (-1, sig.total_dim)
-    accel = jp._rows(slice(3, 6)).reshape((3,) + nodes)
+    accel = jp.table[3:].reshape((3,) + nodes)
     frame = [f.reshape(nodes) for f in frames.gram_schmidt]
     normal = project_off(accel, frame, sig.weights)
     hss, hst, htt = normal.reshape((3,) + jp.shape + nodes[1:])
@@ -548,12 +567,12 @@ def _h_invariants(h: SecondFF, c: float) -> tuple:
     return PVector(mean, sig), h2, k, abs_kd, k - abs_kd - h2 - c, (uu, uv, vv)
 
 
-def _signed_kd(h: SecondFF, jets: JetPoint, abs_kd) -> np.ndarray:
-    """KD from |KD| (_h_invariants) and the sign that h and the jets give it.
+def _signed_kd(h: SecondFF, frames: FrameData, abs_kd) -> np.ndarray:
+    """KD from |KD| (_h_invariants) and the sign that h and the jets of frames give it.
 
     KD's sign is that of -_ORIENT_SIGN det [x; psi_s; psi_t; u; v], whose
     Laplace expansion over column pairs multiplies the 2x2 minors of
-    (u, v) by the jets' signed minors (_jet_minors).  In the oriented
+    (u, v) by the jets' signed minors (frames.minors).  In the oriented
     frame KD = <[A3, A4] e1, e2> = -2 _ORIENT_SIGN det [x^; e1; e2; u; v],
     and det [x; psi_s; psi_t; .] has the sign of det [x^; e1; e2; .] (see
     _complete_normals).
@@ -564,7 +583,7 @@ def _signed_kd(h: SecondFF, jets: JetPoint, abs_kd) -> np.ndarray:
     pairs = dim * (dim - 1) // 2
     i, j = _PAIR_I[:pairs], _PAIR_J[:pairs]
     minors = u[..., i] * v[..., j] - u[..., j] * v[..., i]
-    side = ((_minors_of(jets) * minors) @ _PAIR_ONES[:pairs]) * _ORIENT_SIGN[jets.ambient.kind]
+    side = ((frames.minors * minors) @ _PAIR_ONES[:pairs]) * _ORIENT_SIGN[frames.jets.ambient.kind]
     return np.where(side > 0, -abs_kd, abs_kd)[()]
 
 
@@ -577,7 +596,7 @@ def invariants(a3: Sym2, a4: Sym2, frames: FrameData, c: float) -> CurvatureRepo
         for x3, x4 in ((a3.a11, a4.a11), (a3.a12, a4.a12), (a3.a22, a4.a22))
     ))
     big_h, h2, k, abs_kd, defect, _ = _h_invariants(h, c)
-    return CurvatureReport(a3, a4, big_h, h2, k, _signed_kd(h, frames.jets, abs_kd), defect)
+    return CurvatureReport(a3, a4, big_h, h2, k, _signed_kd(h, frames, abs_kd), defect)
 
 
 def canonical_equality_frame(a3: Sym2, a4: Sym2) -> CanonicalFrame:
@@ -653,17 +672,16 @@ def ellipse_of_curvature(h: SecondFF, center: PVector, gram: tuple | None = None
     return EllipseInfo(a=a, b=b, center=center, is_circle=is_circle, is_point=is_point)
 
 
-def point_report(imm: Immersion, p: tuple, with_canonical: bool = True) -> CurvatureReport:
-    """Full pointwise pipeline at a node or a batch: frames, h, invariants, and
-    the ellipse on its first read.
+def point_report(imm: Immersion, p: tuple) -> CurvatureReport:
+    """Full pointwise pipeline at a node or a batch: frames, h and invariants,
+    with the canonical frame, the ellipse and KD's sign on their first read.
 
-    The shape operators, and with them the normal pair, are computed only
-    for the canonical frame.  A single point of real numbers is row 0 of
-    the nested-stencil report at _FD_STEP (_nested_report), which the FD
-    checks at that point read next; with the canonical frame the normal
-    pair is completed at every stencil node, once for the report and the
-    checks.  When a stencil node fails, the point is built alone, so the
-    report raises exactly when the point itself fails.
+    A single point of real numbers is row 0 of the nested-stencil report at
+    _FD_STEP (_nested_report), which the FD checks at that point read next;
+    the normal pair is completed at every stencil node first, once for the
+    canonical frame and the checks.  When a stencil node fails, the point
+    is built alone, so the report raises exactly when the point itself
+    fails.
     """
     if _real(*p):
         try:
@@ -671,24 +689,17 @@ def point_report(imm: Immersion, p: tuple, with_canonical: bool = True) -> Curva
         except NeutralSurfError:
             pass  # some stencil node failed: the point's own build decides
         else:
-            if with_canonical:
-                nested.frames._completed()
-            return nested._take(0, with_canonical)
-    return _build_report(imm, p, with_canonical)
+            nested.frames._completed()
+            return nested._take(0)
+    return _build_report(imm, p)
 
 
-def _build_report(imm: Immersion, p: tuple, with_canonical: bool = False) -> CurvatureReport:
+def _build_report(imm: Immersion, p: tuple) -> CurvatureReport:
     """point_report of a build of its own at the nodes p, with the frames and h."""
     frames = build_frames(imm, p)
     h = second_fundamental_form(imm, p, frames)
     big_h, h2, k, abs_kd, defect, gram = _h_invariants(h, imm.ambient.curvature)
-    a3, a4 = shape_operators(h, frames) if with_canonical else (None, None)
-    rep = CurvatureReport(
-        a3, a4, big_h, h2, k, None, defect,
-        canonical=canonical_equality_frame(a3, a4) if with_canonical else None,
-        frames=frames,
-        h=h,
-    )
+    rep = CurvatureReport(None, None, big_h, h2, k, None, defect, frames=frames, h=h)
     rep._gram, rep._abs_kd = gram, abs_kd
     return rep
 
@@ -729,7 +740,7 @@ def _on_frame(fr: FrameData, forms: np.ndarray) -> np.ndarray:
     forms and the result have shape (forms, 2, ...).  e = a d_s + b d_t
     comes from the Gram system of the velocities.
     """
-    vel = fr.jets._rows(slice(1, 3))[:, 0]  # (psi_s, psi_t) at the center
+    vel = fr.jets.table[1:3, 0]  # (psi_s, psi_t) at the center
     E, F, G = fr.metric.E[0], fr.metric.F[0], fr.metric.G[0]
     det = E * G - F * F
     x, y = (vel[:, None] * np.array([fr.e1.coords[0], fr.e2.coords[0]])) @ fr.e1.signature.weights
@@ -854,17 +865,16 @@ def _kept_report(imm: Immersion, s, t, step, build, sff) -> CurvatureReport:
     return _build_report(imm, _nested_stencil((s, t), step))
 
 
-def _stencil_checks(nested: CurvatureReport, p: tuple, step: float, with_canonical: bool) -> tuple:
+def _stencil_checks(nested: CurvatureReport, p: tuple, step: float) -> tuple:
     """The report at the points of p and both FD checks, from the report,
     with frames and h, at the nested stencils of p.
 
     nested has _nested_stencil's shape, as verify's batch gives it: row 0
     holds the points and rows 0-4 their 5-point stencils.  Returns (report,
-    (K, KD) from the structure equations, Codazzi residual); only the
-    canonical frame is computed here, at row 0 and when asked.
+    (K, KD) from the structure equations, Codazzi residual).
     """
     fr = nested.frames
     # the structure equations complete the normal pair at every stencil node
-    # first, so the canonical frame at row 0 takes it instead of completing it again
+    # first, so a canonical frame at row 0 takes it instead of completing it again
     structure = _structure(fr, p, step)
-    return nested._take(0, with_canonical), structure, _codazzi(fr, nested.h, step)
+    return nested._take(0), structure, _codazzi(fr, nested.h, step)

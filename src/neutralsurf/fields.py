@@ -52,9 +52,6 @@ MINIMAL_H2_TOL = 1e-9
 MINIMAL_H_TOL = 1e-6
 EQUALITY_TOL = 1e-6
 
-# Identity residuals below this are roundoff in convergence_ratios.
-_RATIO_FLOOR = 1e-10
-
 # Nodes per point_report call in sample_surface.  The pipeline keeps a few
 # dozen arrays of this many nodes alive at once, and a pass keeps one
 # block's at a time: a 257x257 defect map grows a fresh process by about
@@ -245,7 +242,7 @@ def _sample(
     sampled = {"KD" if name == "|KD|" else name: _SAMPLED[name] for name in select}
     out = {name: np.empty(nx * ny, bool if name.startswith("ellipse") else float) for name in sampled}
     if positions:
-        sampled["x"] = lambda rep: rep.frames.jets._rows(0)
+        sampled["x"] = lambda rep: rep.frames.jets.table[0]
         out["x"] = np.empty((nx * ny, imm.ambient.signature.total_dim))
     taken, done = None, 0
     chunks = np.array_split(ss, min(nx, math.ceil(nx * ny / _BLOCK_NODES)))
@@ -255,7 +252,7 @@ def _sample(
         last = extra is not None and k == len(chunks)
         if last:
             s, t = (np.concatenate([a, np.ravel(b)]) for a, b in zip((s, t), extra))
-        rep = point_report(imm, (s, t), with_canonical=False)
+        rep = point_report(imm, (s, t))
         # copies, not views: a kept view would keep its whole base array alive
         for name, field_of in sampled.items():
             out[name][done : done + n] = field_of(rep)[:n]
@@ -476,44 +473,6 @@ def verify_identity(
         residual=base.laplacian - rhs,
         threshold=base.threshold,
     )
-
-
-def convergence_ratios(
-    imm: Immersion,
-    which: str,
-    grids: tuple[int, ...] = (17, 33, 65),
-    domain: DomainRect | None = None,
-) -> list[float]:
-    """Residual-decay ratios of the identity check under grid refinement.
-
-    Second-order stencils should give ratios near 4 when each grid halves
-    the spacing.  Residuals are compared on the region interior to the
-    coarsest grid's stencil margin, so refinement does not pull nodes
-    closer to the boundary where higher derivatives may be larger.
-    Residuals below _RATIO_FLOOR are roundoff-dominated and report a
-    neutral ratio of 4.
-    """
-    dom = domain or imm.domain
-    coarsest = min(grids)
-    pad_s = 2.0 * (dom.s1 - dom.s0) / (coarsest - 1)
-    pad_t = 2.0 * (dom.t1 - dom.t0) / (coarsest - 1)
-    residuals = []
-    for n in grids:
-        report = verify_identity(imm, which, grid=(n, n), domain=dom)
-        ss, ts = dom.grid(n, n)
-        inner_s = ss[2:-2]
-        inner_t = ts[2:-2]
-        mask_s = (inner_s >= dom.s0 + pad_s - 1e-12) & (inner_s <= dom.s1 - pad_s + 1e-12)
-        mask_t = (inner_t >= dom.t0 + pad_t - 1e-12) & (inner_t <= dom.t1 - pad_t + 1e-12)
-        region = report.residual[np.ix_(mask_s, mask_t)]
-        residuals.append(float(np.max(np.abs(region))))
-    ratios = []
-    for coarse, fine in zip(residuals, residuals[1:]):
-        if coarse < _RATIO_FLOOR and fine < _RATIO_FLOOR:
-            ratios.append(4.0)
-        else:
-            ratios.append(coarse / max(fine, 1e-300))
-    return ratios
 
 
 # -- serialization -------------------------------------------------------

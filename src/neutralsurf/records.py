@@ -1,11 +1,13 @@
 """Bases of the package's record types: ``__slots__`` classes with a hand-written ``__init__``.
 
-A frozen dataclass costs about 1 ms to define, paid by every import of the
-package; a ``__slots__`` class costs microseconds.  Records are not frozen,
-but no code assigns a field after construction, except the lazy ones: the
-normal pair that a ``FrameData`` completes on first read, the ellipse and
-the sign of KD that a ``CurvatureReport`` forms on first read, and the
-table, minors and taken components that a ``JetPoint`` forms on first use.
+A frozen data class costs about 1 ms to define, paid by every import of
+the package; a ``__slots__`` class costs microseconds.  Records are not
+frozen, but no code assigns a field after construction, except the
+derived fields that a record forms at its own nodes on the first read:
+a ``FrameData``'s normal pair and jets' minors, and a
+``CurvatureReport``'s canonical frame (with its shape operators), ellipse
+and sign of KD.  The rows a record's ``_take`` gives carry what is
+already formed.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from neutralsurf.catalog import Immersion, JetPoint, MetricCoeffs, metric_from_v
 from neutralsurf.curvature import CanonicalFrame, ConnectionSample, FrameData, SecondFF
 from neutralsurf.errors import InputMismatchError, SingularityError
 from neutralsurf.expr import _BIN_PREC, _UNARY_PREC, BinOp, Call, Expr, Neg, Num, SurfaceDefinition, Var
-from neutralsurf.fields import GridField
+from neutralsurf.fields import GridField, verify_identity
 from neutralsurf.jets import FUNCTIONS, Jet2, jpow, seed
 from neutralsurf.pseudo_linalg import (
     LIGHTLIKE_RTOL,
@@ -259,9 +259,9 @@ def isometric_image(imm: Immersion, iso: np.ndarray) -> Immersion:
     """
     dim = iso.shape[0]
 
-    def evaluate(s, t) -> JetPoint:
-        table = imm.evaluate(s, t)._rows(slice(None)) @ iso.T
-        return JetPoint(imm.ambient, tuple(Jet2(*table[..., k]) for k in range(dim)))
+    def evaluate(s, t) -> tuple:
+        table = imm.evaluate(s, t).table @ iso.T
+        return tuple(Jet2(*table[..., k]) for k in range(dim))
 
     return Immersion(imm.name, imm.ambient, evaluate, imm.domain)
 
@@ -316,12 +316,11 @@ def random_polynomial_reference(seed_value: int, amplitude: float = 0.1) -> Imme
     first draw from default_rng(seed), as catalog_get takes them, so the
     same seed gives the same surface.
     """
-    ambient = AmbientSpace.flat()
     rng = np.random.default_rng(seed_value)
     coeff_p = rng.uniform(-amplitude, amplitude, size=len(catalog._MONOMIALS))
     coeff_q = rng.uniform(-amplitude, amplitude, size=len(catalog._MONOMIALS))
 
-    def evaluate(s, t) -> JetPoint:
+    def evaluate(s, t) -> tuple:
         js, jt = seed(s, t)
         p = Jet2.constant(0.0)
         q = Jet2.constant(0.0)
@@ -329,9 +328,9 @@ def random_polynomial_reference(seed_value: int, amplitude: float = 0.1) -> Imme
             mono = jpow(js, i) * jpow(jt, j)
             p = p + Jet2.constant(cp) * mono
             q = q + Jet2.constant(cq) * mono
-        return JetPoint(ambient, (p, q, js, jt))
+        return p, q, js, jt
 
-    return Immersion("random_polynomial", ambient, evaluate, DomainRect(-0.5, 0.5, -0.5, 0.5))
+    return Immersion("random_polynomial", AmbientSpace.flat(), evaluate, DomainRect(-0.5, 0.5, -0.5, 0.5))
 
 
 # -- per-component forms of the stacked curvature stages -------------------
@@ -571,6 +570,51 @@ def grid_from_json(text: str) -> GridField:
         np.array(payload["G"]),
         payload.get("quantity", "value"),
     )
+
+
+# -- convergence of the Laplacian identities ------------------------------
+
+# Identity residuals below this are roundoff in convergence_ratios.
+_RATIO_FLOOR = 1e-10
+
+
+def convergence_ratios(
+    imm: Immersion,
+    which: str,
+    grids: tuple[int, ...] = (17, 33, 65),
+    domain: DomainRect | None = None,
+) -> list[float]:
+    """Residual-decay ratios of the identity check under grid refinement.
+
+    Second-order stencils should give ratios near 4 when each grid halves
+    the spacing.  Residuals are compared on the region interior to the
+    coarsest grid's stencil margin, so refinement does not pull nodes
+    closer to the boundary where higher derivatives may be larger.
+    Residuals below _RATIO_FLOOR are roundoff-dominated and report a
+    neutral ratio of 4.
+    """
+    dom = domain or imm.domain
+    coarsest = min(grids)
+    pad_s = 2.0 * (dom.s1 - dom.s0) / (coarsest - 1)
+    pad_t = 2.0 * (dom.t1 - dom.t0) / (coarsest - 1)
+    residuals = []
+    for n in grids:
+        report = verify_identity(imm, which, grid=(n, n), domain=dom)
+        ss, ts = dom.grid(n, n)
+        inner_s = ss[2:-2]
+        inner_t = ts[2:-2]
+        mask_s = (inner_s >= dom.s0 + pad_s - 1e-12) & (inner_s <= dom.s1 - pad_s + 1e-12)
+        mask_t = (inner_t >= dom.t0 + pad_t - 1e-12) & (inner_t <= dom.t1 - pad_t + 1e-12)
+        region = report.residual[np.ix_(mask_s, mask_t)]
+        residuals.append(float(np.max(np.abs(region))))
+    ratios = []
+    for coarse, fine in zip(residuals, residuals[1:]):
+        if coarse < _RATIO_FLOOR and fine < _RATIO_FLOOR:
+            ratios.append(4.0)
+        else:
+            ratios.append(coarse / max(fine, 1e-300))
+    return ratios
+
 
 
 # -- expression printer: parse(expr_to_text(ast)) == ast ------------------

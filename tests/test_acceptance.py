@@ -26,12 +26,19 @@ from neutralsurf.curvature import (
 from neutralsurf.errors import ExprSyntaxError, PreconditionError
 from neutralsurf.expr import parse_expression, parse_surface
 from neutralsurf.fields import (
-    convergence_ratios,
     sample_surface,
     verify_identity,
 )
 from neutralsurf.pseudo_linalg import Sym2
-from oracles import as_array, ellipse_sweep, expr_to_text, rotate_pair, sample_points, wintgen_defect_formula
+from oracles import (
+    as_array,
+    convergence_ratios,
+    ellipse_sweep,
+    expr_to_text,
+    rotate_pair,
+    sample_points,
+    wintgen_defect_formula,
+)
 
 PHI_FILE = """\
 ambient H(3,2; -1)
@@ -152,7 +159,7 @@ def test_criterion_04_holomorphic_family():
                 fr = build_frames(imm, p)
                 h = second_fundamental_form(imm, p, fr)
                 a3, a4 = shape_operators(h, fr)
-                rep = point_report(imm, p, with_canonical=False)
+                rep = point_report(imm, p)
                 worst["H2"] = max(worst["H2"], abs(rep.H2))
                 worst["K+KD"] = max(worst["K+KD"], abs(rep.K + rep.KD))
                 two_ab = 2.0 * (a3.a11 ** 2 + a3.a12 ** 2)
@@ -179,7 +186,7 @@ def test_criterion_05_inequality_property_suite():
         imm = catalog_get("random_polynomial", {"seed": seed})
         ss, ts = imm.domain.grid(5, 5)
         defects = [
-            point_report(imm, (float(s), float(t)), with_canonical=False).defect
+            point_report(imm, (float(s), float(t))).defect
             for s in ss
             for t in ts
         ]
@@ -238,7 +245,7 @@ def test_criterion_07_structure_equations():
     details = []
     for name, p in (("phi_h42", (0.3, -0.4)), ("flat_L", (0.2, -0.5))):
         imm = catalog_get(name)
-        rep = point_report(imm, p, with_canonical=False)
+        rep = point_report(imm, p)
         errs = []
         for step in (2e-3, 1e-3, 5e-4):
             kw, kdw = structure_equation_check(imm, p, step=step)
@@ -344,7 +351,7 @@ def test_criterion_10_ellipse_of_curvature():
             p = (d.s0 + frac * (d.s1 - d.s0), d.t0 + (1 - frac) * (d.t1 - d.t0))
             fr = build_frames(imm, p)
             h = second_fundamental_form(imm, p, fr)
-            rep = point_report(imm, p, with_canonical=False)
+            rep = point_report(imm, p)
             mx, mn = ellipse_sweep(h, rep.H)
             sweep_err = max(sweep_err, abs(rep.ellipse.a - mx), abs(rep.ellipse.b - mn))
     assert sweep_err <= 1e-6

@@ -27,8 +27,7 @@ from oracles import accel_ss, accel_st, accel_tt, bits, induced_metric, random_p
 
 def scaled_copy(imm: Immersion, factor: float) -> Immersion:
     def evaluate(s, t):
-        jp = imm.evaluate(s, t)
-        return JetPoint(jp.ambient, tuple(factor * c for c in jp.components))
+        return tuple(factor * c for c in imm.evaluate(s, t).components)
 
     return Immersion(
         name=f"{imm.name}_x{factor}",
@@ -321,48 +320,58 @@ class TestUniformDraws:
 VECTORS = (JetPoint.position, JetPoint.velocity_s, JetPoint.velocity_t, accel_ss, accel_st, accel_tt)
 
 
+def evaluator_jets(imm: Immersion, s, t) -> tuple:
+    """The evaluator's own Jet2 per coordinate at the nodes, as evaluate calls it."""
+    return imm.evaluator(*np.broadcast_arrays(np.asarray(s, float), np.asarray(t, float)))
+
+
 class TestJetPointTable:
-    """The vectors are views of one table packed from the component jets."""
+    """evaluate copies the evaluator's jets into one read-only table; the
+    vectors, the shape and the components are views of it."""
 
     @pytest.mark.parametrize("name,params", CATALOG_SPECS)
     def test_vectors_equal_broadcast_and_stack(self, name, params):
         imm = catalog_get(name, params)
         for p in nodes(imm):
             jp = imm.evaluate(*p)
+            jets = evaluator_jets(imm, *p)
             for vector, field in zip(VECTORS, FIELDS):
-                # the construction before packing: broadcast each component, stack
-                stacked = np.stack(
-                    [np.broadcast_to(getattr(c, field), jp.shape) for c in jp.components], axis=-1
-                )
+                # the evaluator's fields, each broadcast to the nodes, stacked
+                stacked = np.stack([np.broadcast_to(getattr(c, field), jp.shape) for c in jets], axis=-1)
                 assert bits(vector(jp).coords) == bits(stacked), (name, vector.__name__)
 
     def test_scalar_component_is_broadcast(self):
-        # flat_L's third component is the constant zero jet with float fields
+        # flat_L's evaluator returns the constant zero jet, whose fields are
+        # structural float zeros, and seeds whose first partials are
+        # structural float ones and zeros: evaluate broadcasts each into the table
         imm = catalog_get("flat_L")
-        s, t = nodes(imm)[1]
-        jp = imm.evaluate(s, t)
-        assert all(np.ndim(getattr(jp.components[2], f)) == 0 for f in FIELDS)
-        for vector in VECTORS:
-            coords = vector(jp).coords
-            assert coords.shape == s.shape + (5,)
-            assert bits(coords[..., 2]) == bits(np.zeros(s.shape))
+        for s, t in shape_cases(imm):
+            shape = np.broadcast_shapes(np.shape(s), np.shape(t))
+            jets = evaluator_jets(imm, s, t)
+            assert all(type(getattr(jets[2], f)) is float for f in FIELDS)
+            assert type(jets[0].d_t) is float and type(jets[1].d_s) is float
+            jp = imm.evaluate(s, t)
+            assert jp.table.shape == (len(FIELDS),) + shape + (5,) and jp.shape == shape
+            assert bits(jp.table[..., 2]) == bits(np.zeros((len(FIELDS),) + shape))
+            assert bits(jp.table[2, ..., 0]) == bits(np.zeros(shape))
+            for vector in VECTORS:
+                assert vector(jp).coords.shape == shape + (5,)
 
     @pytest.mark.parametrize("name,params", CATALOG_SPECS)
     def test_taken_components_are_the_parents_rows(self, name, params):
-        # a taken JetPoint builds its Jet2 components from its table when
-        # they are first read: each field is the parent's, broadcast, at the nodes
+        # a taken JetPoint's components are views of its table: each field
+        # is the parent's at the nodes
         imm = catalog_get(name, params)
         ss, ts = imm.domain.grid(5, 6)
         jp = imm.evaluate(*np.meshgrid(ss, ts, indexing="ij"))
         for rows in [3, np.array([1, 4]), np.array([[0, 4], [2, 2]]), slice(1, 4)]:
             taken = jp._take(rows)
+            assert not taken.table.flags.writeable
             assert len(taken.components) == len(jp.components)
             for c, parent in zip(taken.components, jp.components):
                 for f in FIELDS:
-                    want = np.broadcast_to(getattr(parent, f), jp.shape)[rows]
-                    assert bits(getattr(c, f)) == bits(want), (rows, f)
-            # the components are built once
-            assert taken.components is taken.components
+                    assert bits(getattr(c, f)) == bits(getattr(parent, f)[rows]), (rows, f)
+                    assert np.shares_memory(getattr(c, f), taken.table)
 
     @pytest.mark.parametrize("vector", VECTORS, ids=[v.__name__ for v in VECTORS])
     def test_vectors_are_read_only(self, vector):
@@ -406,16 +415,12 @@ class TestJetPointShape:
             for vector in VECTORS:
                 assert vector(jp).coords.shape == want + (jp.ambient.signature.total_dim,)
 
-    def test_direct_construction_broadcasts_its_fields(self):
-        # as a test double builds one: flat_L's components with the constant
-        # zero jet, whose fields are floats
+    def test_direct_construction_views_its_table(self):
+        # a JetPoint holds what it is given: its shape and vectors read the table
         imm = catalog_get("flat_L")
-        for s, t in shape_cases(imm):
-            want = np.broadcast_shapes(np.shape(s), np.shape(t))
-            components = imm.evaluate(s, t).components
-            assert all(np.ndim(getattr(components[2], f)) == 0 for f in FIELDS)
-            jp = JetPoint(imm.ambient, components)
-            assert jp.shape == want
-            coords = jp.velocity_t().coords
-            assert coords.shape == want + (5,)
-            assert bits(coords[..., 2]) == bits(np.zeros(want))
+        table = np.arange(len(FIELDS) * 2 * 3 * 5, dtype=float).reshape(len(FIELDS), 2, 3, 5)
+        jp = JetPoint(imm.ambient, table)
+        assert jp.shape == (2, 3) and jp.table is table
+        for k, vector in enumerate(VECTORS):
+            assert np.shares_memory(vector(jp).coords, table)
+            assert bits(vector(jp).coords) == bits(table[k])

@@ -549,6 +549,26 @@ class TestUsageErrors:
             f"error: tolerance fd_step must be at most 1/8 of the domain's width and height ({limit!r}), got {step!r}\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv,step,point",
+        [
+            # no node moves: every check read exact zeros (exit 1 on the structure checks)
+            (["phi_h42"], 1e-300, (-0.9, -0.9)),
+            # the stencils at s = 0 move, those at |s| = 0.9 do not (half an ulp is 5.6e-17)
+            (["phi_h42"], 1e-17, (-0.9, -0.9)),
+            # s moves and t ~ 1000 does not: every check passed (exit 0)
+            (["holomorphic_graph", "--param", "f=z^2/2", "--domain", "1.2:2,1000:1001"], 1e-14, (1.24, 1000.05)),
+        ],
+        ids=["nothing_moves", "some_stencils_move", "only_s_moves"],
+    )
+    def test_fd_step_too_small_to_move_the_stencil_exit_2(self, capsys, argv, step, point):
+        # where the +-s or the +-t nodes of a stencil evaluate to one
+        # position, its differences are exact zeros and pass vacuously
+        code, out, err = run(capsys, "verify", *argv, "--tol", f"fd_step={step}", "--grid", "5x5")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: tolerance fd_step {step!r} is too small to move the FD stencil at (s,t)={point!r}\n"
+
     def test_fd_step_of_an_eighth_of_the_domain_is_accepted(self, capsys, monkeypatch):
         # the 9 FD points meet at the center; their stencils reach a quarter of the way out
         nodes = []
@@ -607,7 +627,7 @@ class TestOnePass:
         for field in SurfaceSample._fields[4:]:
             assert np.array_equal(getattr(sample, field), getattr(want, field)), field
 
-        rep, (kw, kdw), codazzi = _stencil_checks(nested, points, step, with_canonical=True)
+        rep, (kw, kdw), codazzi = _stencil_checks(nested, points, step)
         want_rep = point_report(imm, points)
         want_kw, want_kdw = structure_equation_check(imm, points, step)
         want_codazzi = codazzi_residual(imm, points, step)

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import math
 from pathlib import Path
 
@@ -54,6 +53,12 @@ from oracles import (
 SIG22 = Signature(2, 4)
 DEFINITION_FILE = Path(__file__).resolve().parent.parent / "bench" / "data" / "phi_h42.txt"
 GAMMA_PHI = 1.0 / math.sqrt(3.0)
+
+
+def forms_of(c: curvature.ConnectionSample) -> tuple:
+    """The four connection forms of a sample, in field order."""
+    return c.w12_e1, c.w12_e2, c.w34_e1, c.w34_e2
+
 
 # its position is time-like, as the pseudo-hyperbolic quadric needs, only
 # for small s + 3/2 and t
@@ -408,7 +413,7 @@ class TestInvariants:
         phi = catalog_get("phi_h42")
         rng = np.random.default_rng(12)
         for p in sample_points(phi.domain, rng, 20):
-            rep = point_report(phi, p, with_canonical=False)
+            rep = point_report(phi, p)
             assert rep.K == pytest.approx(-1.0 / 3.0, abs=1e-8)
             assert rep.KD == pytest.approx(-2.0 / 3.0, abs=1e-8)
             assert abs(rep.H2) <= 1e-10
@@ -416,7 +421,7 @@ class TestInvariants:
 
     def test_totally_geodesic(self):
         geo = catalog_get("totally_geodesic_h42")
-        rep = point_report(geo, (0.4, -0.2), with_canonical=False)
+        rep = point_report(geo, (0.4, -0.2))
         assert rep.K == pytest.approx(-1.0, abs=1e-8)
         assert abs(rep.KD) <= 1e-8
         assert abs(rep.defect) <= 1e-8
@@ -426,7 +431,7 @@ class TestInvariants:
         # so this surface does NOT achieve equality anywhere.
         fl = catalog_get("flat_L")
         for p in [(0.0, 0.0), (0.7, -0.9)]:
-            rep = point_report(fl, p, with_canonical=False)
+            rep = point_report(fl, p)
             assert abs(rep.K) <= 1e-8
             assert abs(rep.KD) <= 1e-8
             assert abs(rep.H2) <= 1e-10
@@ -627,7 +632,7 @@ class TestConnectionForms:
         # another scan branch at the node 2 steps out along +s, which the
         # nested build holds: the structure equations reject it, the forms do not
         imm, p = catalog_get("phi_h42"), (-0.2, 0.5)
-        want = dataclasses.astuple(connection_forms(imm, p))
+        want = forms_of(connection_forms(imm, p))
 
         def switched(imm, q):
             fr = build_frames(imm, q)
@@ -637,7 +642,7 @@ class TestConnectionForms:
         monkeypatch.setattr(curvature, "build_frames", switched)
         with pytest.raises(DegeneracyError):
             structure_equation_check(imm, p)
-        assert [bits(x) for x in dataclasses.astuple(connection_forms(imm, p))] == [bits(x) for x in want]
+        assert [bits(x) for x in forms_of(connection_forms(imm, p))] == [bits(x) for x in want]
 
 
 class TestStructureEquations:
@@ -661,7 +666,7 @@ class TestStructureEquations:
     def test_agreement_with_invariants_across_catalog(self):
         for name, params, p in FD_CASES:
             imm = catalog_get(name, params)
-            rep = point_report(imm, p, with_canonical=False)
+            rep = point_report(imm, p)
             kw, kdw = structure_equation_check(imm, p, step=1e-3)
             assert kw == pytest.approx(rep.K, abs=1e-3)
             assert kdw == pytest.approx(rep.KD, abs=1e-3)
@@ -673,12 +678,12 @@ class TestStructureEquations:
             ss = p[0] + np.array([0.0, 0.04, -0.03])
             kw, kdw = structure_equation_check(imm, (ss, p[1]))
             codazzi = codazzi_residual(imm, (ss, p[1]))
-            forms = np.array(dataclasses.astuple(connection_forms(imm, (ss, p[1]))))
+            forms = np.array(forms_of(connection_forms(imm, (ss, p[1]))))
             for i, s in enumerate(ss):
                 q = (float(s), p[1])
                 assert np.allclose(structure_equation_check(imm, q), (kw[i], kdw[i]), rtol=0, atol=1e-12)
                 assert abs(codazzi_residual(imm, q) - codazzi[i]) <= 1e-12, name
-                at_q = dataclasses.astuple(connection_forms(imm, q))
+                at_q = forms_of(connection_forms(imm, q))
                 assert np.allclose(at_q, forms[:, i], rtol=0, atol=1e-12), name
 
     def test_branch_switch_in_a_batch_names_that_point(self, switch_branch):
@@ -714,7 +719,7 @@ class TestStructureEquations:
                 assert str(exc.value) == f"frame branch switch within the stencil at (s,t)=({s}, 0.0)"
             else:
                 r = check(imm, (s, 0.0))
-                assert np.all(np.isfinite(dataclasses.astuple(r) if dataclasses.is_dataclass(r) else r))
+                assert np.all(np.isfinite(forms_of(r) if isinstance(r, curvature.ConnectionSample) else r))
 
 
 class TestCodazzi:
@@ -806,8 +811,8 @@ class TestStackedStages:
             assert bits(got.coords) == bits(want.coords)
         for got, want in zip(shape_operators(h, fr), shape_operators_per_component(want_h, fr)):
             assert bits(as_array(got)) == bits(as_array(want))
-        got = dataclasses.astuple(connection_forms(imm, p))
-        want = dataclasses.astuple(connection_forms_per_component(imm, p))
+        got = forms_of(connection_forms(imm, p))
+        want = forms_of(connection_forms_per_component(imm, p))
         assert [bits(x) for x in got] == [bits(x) for x in want]
         got = structure_equation_check(imm, p)
         assert [bits(x) for x in got] == [bits(x) for x in structure_equation_check_per_component(imm, p)]
@@ -817,7 +822,7 @@ class TestStackedStages:
     def test_the_invariants_gram_gives_the_ellipse_bit_for_bit(self, name):
         # point_report hands the ellipse the <u,u>, <u,v>, <v,v> of _h_invariants
         imm = self.surface(name)
-        rep = point_report(imm, self.inset_grid(imm), with_canonical=False)
+        rep = point_report(imm, self.inset_grid(imm))
         own = ellipse_of_curvature(rep.h, rep.H)
         for key in ("a", "b", "is_circle", "is_point"):
             assert bits(getattr(rep.ellipse, key)) == bits(getattr(own, key)), key
@@ -834,8 +839,8 @@ class TestStackedStages:
                 assert np.max(np.abs(got.coords - want.coords)) <= 1e-15
             for got, want in zip(shape_operators(h, fr), shape_operators_per_component(want_h, fr)):
                 assert np.max(np.abs(as_array(got) - as_array(want))) <= 1e-15
-            got = dataclasses.astuple(connection_forms(imm, p))
-            want = dataclasses.astuple(connection_forms_per_component(imm, p))
+            got = forms_of(connection_forms(imm, p))
+            want = forms_of(connection_forms_per_component(imm, p))
             assert np.max(np.abs(np.subtract(got, want))) <= 1e-15
 
 
@@ -847,8 +852,8 @@ class TestStencilChecks:
     def test_equals_the_separate_calls_bit_for_bit(self, name):
         imm = TestStackedStages.surface(name)
         p = _fd_sample_points(imm.domain, 1e-3)
-        nested = point_report(imm, curvature._nested_stencil(p, 1e-3), with_canonical=False)
-        rep, structure, codazzi = curvature._stencil_checks(nested, p, 1e-3, with_canonical=True)
+        nested = point_report(imm, curvature._nested_stencil(p, 1e-3))
+        rep, structure, codazzi = curvature._stencil_checks(nested, p, 1e-3)
         want = point_report(imm, p)
         for key in ("K", "KD", "H2", "defect"):
             assert np.array_equal(getattr(rep, key), getattr(want, key)), key
@@ -863,8 +868,8 @@ class TestStencilChecks:
         # FD checks at that point read, as in verify's batch
         imm = TestStackedStages.surface(name)
         for p in zip(*(x.tolist() for x in _fd_sample_points(imm.domain, 1e-3))):
-            nested = point_report(imm, curvature._nested_stencil(p, 1e-3), with_canonical=False)
-            want, structure, codazzi = curvature._stencil_checks(nested, p, 1e-3, with_canonical=True)
+            nested = point_report(imm, curvature._nested_stencil(p, 1e-3))
+            want, structure, codazzi = curvature._stencil_checks(nested, p, 1e-3)
             rep = point_report(imm, p)
             for key in ("K", "KD", "H2", "defect"):
                 assert bits(getattr(rep, key)) == bits(getattr(want, key)), (key, p)
@@ -925,7 +930,7 @@ class TestNestedMemo:
             structure_equation_check(imm, p, step)
             builds.clear()
             warm = codazzi_residual(imm, p, step)
-            assert [bits(x) for x in dataclasses.astuple(connection_forms(imm, p, step))] == [bits(x) for x in forms]
+            assert [bits(x) for x in forms_of(connection_forms(imm, p, step))] == [bits(x) for x in forms]
             assert builds == [], (name, p)
             assert bits(warm) == bits(cold), (name, p)
 
@@ -937,7 +942,7 @@ class TestNestedMemo:
         rng = np.random.default_rng(15)
         p = tuple(lo + (hi - lo) * (0.1 + 0.8 * rng.random(shape)) for lo, hi in ((d.s0, d.s1), (d.t0, d.t1)))
         forms, codazzi = five_point_checks(imm, p, 1e-3)
-        got = dataclasses.astuple(connection_forms(imm, p))
+        got = forms_of(connection_forms(imm, p))
         assert [bits(x) for x in got] == [bits(x) for x in forms]
         assert bits(codazzi_residual(imm, p)) == bits(codazzi)
         assert [b[0].shape[0] for b in builds] == [13, 13]
@@ -1033,25 +1038,32 @@ class TestNestedMemo:
         curvature._kept_report.cache_clear()
         assert bits(codazzi_residual(imm, (0.0, 0.1))) == bits(cold)
 
-    @pytest.mark.parametrize("with_canonical", [True, False])
-    def test_a_point_report_is_row_0_of_the_kept_build(self, builds, with_canonical):
+    @pytest.mark.parametrize("read_canonical", [True, False])
+    def test_a_point_report_is_row_0_of_the_kept_build(self, builds, read_canonical):
         # a probe builds once: the report makes the nested build at the FD
         # step, and the FD checks at that point read it; so does a report
-        # after an FD check there
+        # after an FD check there, whether or not its canonical frame is read
         imm = catalog_get("random_polynomial", {"seed": 7})
         p, q = (0.2, 0.1), (-0.3, 0.4)
-        rep = point_report(imm, p, with_canonical)
+
+        def report(at):
+            rep = point_report(imm, at)
+            if read_canonical:
+                rep.canonical
+            return rep
+
+        rep = report(p)
         assert [b[0].shape for b in builds] == [(13,)] and rep.frames.jets.shape == ()
         structure_equation_check(imm, p)
         codazzi_residual(imm, p)
         connection_forms(imm, p)
-        point_report(imm, p, not with_canonical)
+        report(p)
         assert len(builds) == 1
         codazzi_residual(imm, q)
-        point_report(imm, q, with_canonical)
+        report(q)
         assert len(builds) == 2
         # a batch report builds its own nodes and leaves the kept build alone
-        point_report(imm, (np.array([0.2]), np.array([0.1])), with_canonical)
+        report((np.array([0.2]), np.array([0.1])))
         assert [b[0].shape for b in builds[2:]] == [(1,)]
         structure_equation_check(imm, q)
         assert len(builds) == 3
@@ -1063,9 +1075,9 @@ class TestNestedMemo:
         imm = from_definition(parse_surface(BAND))
         p, q = (0.9995, 0.0), (0.5, 0.0)
         structure_equation_check(imm, q)
-        for with_canonical in (True, False):
-            rep = point_report(imm, p, with_canonical)
-            assert rep.K == 0.0 and rep.KD == 0.0
+        for _ in range(2):
+            rep = point_report(imm, p)
+            assert rep.K == 0.0 and rep.KD == 0.0 and rep.canonical is not None
         assert [np.shape(b[0]) for b in builds] == [(13,), (13,), (), (13,), ()]
         off = "surface 'user_surface' is not space-like at (s,t)={}: E={}, EG-F^2={}"
         for check in (structure_equation_check, codazzi_residual, connection_forms):
@@ -1112,8 +1124,8 @@ class TestNestedMemo:
             curvature, "second_fundamental_form",
             lambda imm, p, fr: projections.append(fr.jets.shape) or engine(imm, p, fr),
         )
-        for with_canonical in (True, False):
-            point_report(imm, p, with_canonical)
+        for _ in range(2):
+            point_report(imm, p).canonical
             structure_equation_check(imm, p)
             codazzi_residual(imm, p)
         assert projections == [(13,)] and len(builds) == 1
@@ -1157,10 +1169,10 @@ def first_pairs_minors(jp, count: int) -> np.ndarray:
     normal completion read before it read the all-pairs table's prefix."""
     off = curvature._OFF_PAIR[jp.ambient.signature.total_dim][:count].T
     if jp.ambient.is_flat:
-        b, c = jp._rows(slice(1, 3))
+        b, c = jp.table[1:3]
         minors = b[..., off[0]] * c[..., off[1]] - b[..., off[1]] * c[..., off[0]]
     else:
-        a, b, c = jp._rows(slice(0, 3))
+        a, b, c = jp.table[:3]
         i, j = curvature._PAIR_I, curvature._PAIR_J
         bc = b[..., i] * c[..., j] - b[..., j] * c[..., i]
         lm, km, kl = (bc[..., q] for q in curvature._OFF_SUB[:count].T)
@@ -1169,18 +1181,22 @@ def first_pairs_minors(jp, count: int) -> np.ndarray:
 
 
 class TestJetMinors:
-    """The jets' signed minors are formed once per jets object, for every
-    pair; the normal completion reads the first pairs, the invariants all."""
+    """The jets' signed minors are formed once per FrameData, on the first
+    read, for every pair; the normal completion reads the first pairs, KD's
+    sign all."""
 
-    @pytest.mark.parametrize("with_canonical", [True, False])
-    def test_one_table_per_probe(self, monkeypatch, with_canonical):
-        # the report completes the pair before its invariants with the
-        # canonical frame; without it the structure equations complete it after
+    @pytest.mark.parametrize("read_canonical", [True, False])
+    def test_one_table_per_probe(self, monkeypatch, read_canonical):
+        # the report completes the pair at the kept build's nodes, and its
+        # KD and canonical frame read the rows taken from them
         imm, p = catalog_get("phi_h42"), (0.3, -0.4)
         tables, engine = [], curvature._jet_minors
         monkeypatch.setattr(curvature, "_jet_minors", lambda jp: tables.append(jp.shape) or engine(jp))
         curvature._kept_report.cache_clear()
-        point_report(imm, p, with_canonical)
+        rep = point_report(imm, p)
+        rep.KD
+        if read_canonical:
+            rep.canonical
         structure_equation_check(imm, p)
         codazzi_residual(imm, p)
         curvature._kept_report.cache_clear()
@@ -1196,15 +1212,21 @@ class TestJetMinors:
         assert tables == [(33 * 33 + 9 * 13,)]
 
     @pytest.mark.parametrize("name", ["random_polynomial", "phi_h42"])
-    def test_taken_rows_carry_their_minors_bit_for_bit(self, name):
+    def test_taken_rows_carry_their_minors_bit_for_bit(self, name, monkeypatch):
         imm = catalog_get(name)
         ss, ts = imm.domain.grid(9, 9)
-        jp = imm.evaluate(*np.meshgrid(ss, ts, indexing="ij"))
-        assert jp._take(3)._minors is None
-        curvature._minors_of(jp)
+        fr = build_frames(imm, np.meshgrid(ss, ts, indexing="ij"))
+        tables, engine = [], curvature._jet_minors
+        monkeypatch.setattr(curvature, "_jet_minors", lambda jp: tables.append(jp.shape) or engine(jp))
+        # rows taken before the first read form their own minors at their nodes
+        before = fr._take(np.array([1, 4]))
+        assert bits(before.minors) == bits(engine(before.jets)) and tables == [(2, 9)]
+        assert bits(fr.minors) == bits(engine(fr.jets)) and tables == [(2, 9), (9, 9)]
         for nodes in [3, np.array([[0, 8], [5, 2]]), slice(2, 6)]:
-            taken = jp._take(nodes)
-            assert bits(taken._minors) == bits(curvature._jet_minors(taken)), nodes
+            taken = fr._take(nodes)
+            assert bits(taken.minors) == bits(engine(taken.jets)), nodes
+            assert bits(taken.minors) == bits(fr.minors[nodes]), nodes
+        assert len(tables) == 2
 
     @pytest.mark.parametrize("name", ["random_polynomial", "phi_h42", "curved_sphere"])
     def test_the_prefix_is_the_first_pairs_bit_for_bit(self, name):
@@ -1334,8 +1356,8 @@ class TestInvariantsFromH:
         seen = set()
         for imm, image, det, points in cases:
             for p in points:
-                want = point_report(imm, p, with_canonical=False)
-                got = point_report(image, p, with_canonical=False)
+                want = point_report(imm, p)
+                got = point_report(image, p)
                 for key in ("K", "H2", "defect"):
                     assert np.max(np.abs(getattr(got, key) - getattr(want, key))) <= 1e-12, (imm.name, key)
                 assert np.max(np.abs(got.KD - round(det) * want.KD)) <= 1e-12, imm.name
@@ -1352,7 +1374,7 @@ class TestInvariantsFromH:
         else:
             imm = frame_surface(name, params)
         ss, ts = imm.domain.grid(9, 9)
-        rep = point_report(imm, np.meshgrid(ss, ts, indexing="ij"), with_canonical=False)
+        rep = point_report(imm, np.meshgrid(ss, ts, indexing="ij"))
         a3, a4 = shape_operators(rep.h, rep.frames)
         commutator = a3.a12 * (a4.a11 - a4.a22) - a4.a12 * (a3.a11 - a3.a22)
         assert np.max(np.abs(rep.KD - commutator)) <= 1e-12
@@ -1371,7 +1393,7 @@ class TestInvariantsFromH:
             h = second_fundamental_form(imm, p, fr)
             a3, a4 = shape_operators(h, fr)
             got = curvature.invariants(a3, a4, fr, c)
-            want = point_report(imm, p, with_canonical=False)
+            want = point_report(imm, p)
             assert got.A3 is a3 and got.A4 is a4
             for key in ("K", "KD", "H2", "defect"):
                 assert np.max(np.abs(getattr(got, key) - getattr(want, key))) <= 1e-13, key
@@ -1394,7 +1416,7 @@ class TestNormalPairOnFirstRead:
     def test_a_report_without_the_canonical_frame_completes_nothing(self, completions):
         imm = catalog_get("random_polynomial", {"seed": 7})
         ss, ts = imm.domain.grid(9, 9)
-        rep = point_report(imm, np.meshgrid(ss, ts, indexing="ij"), with_canonical=False)
+        rep = point_report(imm, np.meshgrid(ss, ts, indexing="ij"))
         sample_surface(imm, (9, 9))
         assert completions == [] and rep.A3 is None and rep.A4 is None
         # the shape operators complete the frames' normal pair, once
@@ -1471,23 +1493,26 @@ class TestEllipseOnFirstRead:
         ss, ts = imm.domain.grid(9, 9)
         grid = tuple(x.ravel() for x in np.meshgrid(ss, ts, indexing="ij"))
         inset = 0.5 * (ss[1] + ss[2]), 0.5 * (ts[6] + ts[7])
-        reports = {"grid": point_report(imm, grid, with_canonical=False)}
+        reports = {"grid": point_report(imm, grid)}
         # a probe is row 0 of its nested-stencil build, whose batch rounds
         # the gram as a matrix-vector product, not as one dot product
         nested = curvature._nested_report(imm, inset, curvature._FD_STEP)
         want = ellipse_bits(ellipse_of_curvature(nested.h, nested.H)._take(0))
-        for with_canonical in (True, False):
-            assert ellipse_bits(point_report(imm, inset, with_canonical).ellipse) == want, with_canonical
+        for read_canonical in (True, False):
+            probe = point_report(imm, inset)
+            if read_canonical:
+                probe.canonical
+            assert ellipse_bits(probe.ellipse) == want, read_canonical
         # verify's stencil rows, taken from the last block of its grid batch,
         # whose ellipse the grid's fields formed before the rows were taken
         step = curvature._FD_STEP
         fd = _fd_sample_points(imm.domain, step)
         stencils = _sample(imm, (9, 9), None, curvature._nested_stencil(fd, step))[2]
-        reports["stencil rows"] = curvature._stencil_checks(stencils, fd, step, False)[0]
+        reports["stencil rows"] = curvature._stencil_checks(stencils, fd, step)[0]
         # rows taken before the ellipse is formed, from the gram's rows, and after
         rows = np.array([[0, 40], [80, 17]])
         for formed_first in (False, True):
-            whole = point_report(imm, grid, with_canonical=False)
+            whole = point_report(imm, grid)
             if formed_first:
                 whole.ellipse
             taken = reports[f"taken, formed first: {formed_first}"] = whole._take(rows)
@@ -1513,17 +1538,17 @@ class TestKDOnFirstRead:
         shapes, engine = [], curvature._signed_kd
         monkeypatch.setattr(
             curvature, "_signed_kd",
-            lambda h, jets, abs_kd: shapes.append(np.shape(abs_kd)) or engine(h, jets, abs_kd),
+            lambda h, frames, abs_kd: shapes.append(np.shape(abs_kd)) or engine(h, frames, abs_kd),
         )
         return shapes
 
     def test_a_grid_report_signs_no_kd_until_it_is_read(self, signed):
         imm = catalog_get("phi_h42")
         ss, ts = imm.domain.grid(5, 7)
-        rep = point_report(imm, tuple(x.ravel() for x in np.meshgrid(ss, ts, indexing="ij")), with_canonical=False)
+        rep = point_report(imm, tuple(x.ravel() for x in np.meshgrid(ss, ts, indexing="ij")))
         rep.K, rep.H2, rep.defect, rep.abs_KD
         # nothing read the sign, so not even the jets' minors are formed
-        assert signed == [] and rep.frames.jets._minors is None
+        assert signed == [] and rep.frames._minors is None
         assert rep.KD is rep.KD
         assert signed == [(35,)]
         assert np.array_equal(rep.abs_KD, np.abs(rep.KD))
@@ -1535,7 +1560,7 @@ class TestKDOnFirstRead:
         # 9x9 and 17x17 grids of the catalog, the sphere and a flat-normal graph)
         imm = catalog_get("random_polynomial", {"seed": 3})
         ss, ts = imm.domain.grid(5, 7)
-        rep = point_report(imm, tuple(x.ravel() for x in np.meshgrid(ss, ts, indexing="ij")), with_canonical=False)
+        rep = point_report(imm, tuple(x.ravel() for x in np.meshgrid(ss, ts, indexing="ij")))
         for nodes in (5, np.array([0, 34])):
             rep._take(nodes).KD
         assert signed == [(35,)]
@@ -1546,30 +1571,34 @@ class TestKDOnFirstRead:
         ss, ts = imm.domain.grid(9, 9)
         grid = tuple(x.ravel() for x in np.meshgrid(ss, ts, indexing="ij"))
         inset = 0.5 * (ss[1] + ss[2]), 0.5 * (ts[6] + ts[7])
-        whole = point_report(imm, grid, with_canonical=False)
+        whole = point_report(imm, grid)
         want = {"grid": eager_kd(whole.h, whole.frames.jets)}
         got = {"grid": whole.KD}
         # a probe is row 0 of its nested-stencil build, signed at the 13 nodes
         nested = curvature._nested_report(imm, inset, curvature._FD_STEP)
-        for with_canonical in (True, False):
-            got[f"probe {with_canonical}"] = point_report(imm, inset, with_canonical).KD
-            want[f"probe {with_canonical}"] = eager_kd(nested.h, nested.frames.jets)[0]
+        for read_canonical in (True, False):
+            probe = point_report(imm, inset)
+            if read_canonical:
+                probe.canonical
+            got[f"probe {read_canonical}"] = probe.KD
+            want[f"probe {read_canonical}"] = eager_kd(nested.h, nested.frames.jets)[0]
         # verify's stencil rows, taken from the last block of its grid batch
         step = curvature._FD_STEP
         fd = _fd_sample_points(imm.domain, step)
         stencils = _sample(imm, (9, 9), None, curvature._nested_stencil(fd, step))[2]
-        got["stencil rows"] = curvature._stencil_checks(stencils, fd, step, False)[0].KD
+        got["stencil rows"] = curvature._stencil_checks(stencils, fd, step)[0].KD
         want["stencil rows"] = eager_kd(stencils.h, stencils.frames.jets)[0]
         # rows taken before KD is signed, one row among them, and after
         for rows in (np.array([[0, 40], [80, 17]]), 5):
             for signed_first in (False, True):
-                report = point_report(imm, grid, with_canonical=False)
+                report = point_report(imm, grid)
                 if signed_first:
                     report.KD
                 got[f"taken {rows!r} {signed_first}"] = report._take(rows).KD
                 want[f"taken {rows!r} {signed_first}"] = want["grid"][rows]
         # invariants() signs KD at once, on the h that the shape operators give back
         rep = point_report(imm, grid)
+        rep.canonical  # fills A3 and A4
         inv = curvature.invariants(rep.A3, rep.A4, rep.frames, imm.ambient.curvature)
         e3, e4 = rep.frames.e3.coords, rep.frames.e4.coords
         h = SecondFF(*(
@@ -1580,6 +1609,85 @@ class TestKDOnFirstRead:
         assert got.keys() == want.keys()
         for key in want:
             assert bits(got[key]) == bits(want[key]), key
+
+
+def canonical_bits(can: CanonicalFrame) -> list:
+    return [bits(getattr(can, key)) for key in CanonicalFrame._fields]
+
+
+def sym2_bits(a: Sym2) -> list:
+    return [bits(x) for x in (a.a11, a.a12, a.a22)]
+
+
+class TestCanonicalOnFirstRead:
+    """point_report forms the canonical frame when it is first read, at the
+    report's nodes, and fills A3 and A4 from h and the normal pair for it."""
+
+    @pytest.fixture
+    def formed(self, monkeypatch):
+        """The node shapes of every canonical frame formed."""
+        shapes, engine = [], curvature.canonical_equality_frame
+        monkeypatch.setattr(
+            curvature, "canonical_equality_frame",
+            lambda a3, a4: shapes.append(np.shape(a3.a11)) or engine(a3, a4),
+        )
+        return shapes
+
+    def test_a_report_forms_no_canonical_frame_until_it_is_read(self, formed):
+        imm = catalog_get("phi_h42")
+        ss, ts = imm.domain.grid(5, 7)
+        rep = point_report(imm, np.meshgrid(ss, ts, indexing="ij"))
+        rep.K, rep.KD, rep.defect, rep.ellipse
+        assert formed == [] and rep.A3 is None and rep.A4 is None
+        assert rep.canonical is rep.canonical
+        assert formed == [(5, 7)] and rep.A3.a11.shape == (5, 7)
+        # a probe forms it at its point alone, not at its 13 stencil nodes
+        p = (0.3, -0.4)
+        probe = point_report(imm, p)
+        structure_equation_check(imm, p)
+        codazzi_residual(imm, p)
+        assert formed == [(5, 7)] and probe.A3 is None
+        assert probe.canonical.residual <= 1e-12
+        assert formed == [(5, 7), ()]
+
+    @pytest.mark.parametrize("name,params", FRAME_SURFACES)
+    def test_equals_the_canonical_frame_of_the_shape_operators_bit_for_bit(self, name, params):
+        imm = frame_surface(name, params)
+        ss, ts = imm.domain.grid(9, 9)
+        grid = tuple(x.ravel() for x in np.meshgrid(ss, ts, indexing="ij"))
+        inset = 0.5 * (ss[1] + ss[2]), 0.5 * (ts[6] + ts[7])
+        reports = {"grid": point_report(imm, grid), "probe": point_report(imm, inset)}
+        # verify's stencil rows, taken from the 13 x 9 nested stencils in the
+        # last block of its grid batch, before and after those form theirs
+        step = curvature._FD_STEP
+        fd = _fd_sample_points(imm.domain, step)
+        stencils = _sample(imm, (9, 9), None, curvature._nested_stencil(fd, step))[2]
+        reports["stencil rows"] = curvature._stencil_checks(stencils, fd, step)[0]
+        reports["stencils"] = stencils
+        stencils.canonical
+        reports["stencil rows, formed first"] = curvature._stencil_checks(stencils, fd, step)[0]
+        # rows of a grid report taken before the canonical frame is formed, and after
+        rows = np.array([[0, 40], [80, 17]])
+        for formed_first in (False, True):
+            whole = point_report(imm, grid)
+            if formed_first:
+                whole.canonical
+            taken = reports[f"taken, formed first: {formed_first}"] = whole._take(rows)
+            assert canonical_bits(taken.canonical) == canonical_bits(whole.canonical._take(rows))
+        for key, rep in reports.items():
+            a3, a4 = shape_operators(rep.h, rep.frames)
+            assert canonical_bits(rep.canonical) == canonical_bits(canonical_equality_frame(a3, a4)), key
+            assert sym2_bits(rep.A3) == sym2_bits(a3) and sym2_bits(rep.A4) == sym2_bits(a4), key
+
+    def test_a_report_built_with_its_canonical_frame_keeps_it(self):
+        imm = catalog_get("random_polynomial", {"seed": 3})
+        rep = point_report(imm, (0.1, 0.2))
+        can = rep.canonical
+        given = curvature.CurvatureReport(rep.A3, rep.A4, rep.H, rep.H2, rep.K, rep.KD, rep.defect, canonical=can)
+        assert given.canonical is can
+        # a report with the shape operators alone forms its frame from them
+        plain = curvature.CurvatureReport(rep.A3, rep.A4, rep.H, rep.H2, rep.K, rep.KD, rep.defect)
+        assert canonical_bits(plain.canonical) == canonical_bits(can)
 
 
 class TestAmbientCurvature:
@@ -1611,7 +1719,7 @@ class TestWintgenInequalityProperty:
         for name, params in specs:
             imm = catalog_get(name, params)
             for p in sample_points(imm.domain, rng, 12):
-                rep = point_report(imm, p, with_canonical=False)
+                rep = point_report(imm, p)
                 assert rep.defect >= -1e-8
 
     def test_equality_set(self):

@@ -21,7 +21,6 @@ from neutralsurf.expr import parse_surface
 from neutralsurf.fields import (
     SAMPLE_FIELDS,
     GridField,
-    convergence_ratios,
     grid_to_csv,
     grid_to_json,
     harmonicity_verdict,
@@ -31,7 +30,7 @@ from neutralsurf.fields import (
     sample_surface,
     verify_identity,
 )
-from oracles import bits, grid_csv_rows_joined, grid_from_csv, grid_from_json
+from oracles import bits, convergence_ratios, grid_csv_rows_joined, grid_from_csv, grid_from_json
 
 DOM = DomainRect(-1.0, 1.0, -1.0, 1.0)
 BENCH_SURFACE_FILE = Path(__file__).resolve().parent.parent / "bench" / "data" / "phi_h42.txt"
@@ -109,7 +108,7 @@ class TestSampleSurfaceBatches:
         ss, ts = imm.domain.grid(9, 9)
         for i, s in enumerate(ss):
             for j, t in enumerate(ts):
-                rep = point_report(imm, (s, t), with_canonical=False)
+                rep = point_report(imm, (s, t))
                 metric = rep.frames.metric
                 want = {
                     "K": rep.K,
@@ -135,7 +134,7 @@ class TestSampleSurfaceBatches:
         sample = sample_surface(imm, grid)
         ss, ts = imm.domain.grid(*grid)
         for i in (0, grid[0] // 2, grid[0] - 1):
-            rep = point_report(imm, (ss[i], ts), with_canonical=False)
+            rep = point_report(imm, (ss[i], ts))
             metric = rep.frames.metric
             want = {
                 "K": rep.K,
@@ -416,7 +415,7 @@ class TestRestatedClassifications:
 
 def _report_arrays(rep) -> list:
     """Weak references to arrays the report owns: K, the jets table, h11, E, e1."""
-    arrays = (rep.K, rep.frames.jets._rows(slice(None)), rep.h.h11.coords, rep.frames.metric.E, rep.frames.e1.coords)
+    arrays = (rep.K, rep.frames.jets.table, rep.h.h11.coords, rep.frames.metric.E, rep.frames.e1.coords)
     return [weakref.ref(a) for a in arrays]
 
 

@@ -1,9 +1,10 @@
 """Import cost guards, checked in fresh interpreters without timing.
 
 A frozen dataclass costs about 1 ms to define, paid by every fresh
-interpreter that imports the package (every CLI run).  The record types are
-``__slots__`` classes; ``ConnectionSample`` stays a dataclass because
-callers use ``dataclasses.astuple`` on it.  One check counts decorations.
+interpreter that imports the package (every CLI run), and importing the
+``dataclasses`` module costs about 2 ms more.  The record types are
+``__slots__`` classes: one check counts decorations, another finds the
+module not loaded.
 
 Importing numpy's random module costs a fresh interpreter about 6 MB and
 13 ms.  random_polynomial draws its coefficients in-package, so the other
@@ -37,6 +38,13 @@ print(json.dumps(sorted(name for name in seen if name.startswith("neutralsurf"))
 """
 
 
+DATACLASSES_LOADED = """
+import sys
+import neutralsurf, neutralsurf.cli
+print("dataclasses" in sys.modules)
+"""
+
+
 RANDOM_MODULE_AFTER_VERIFY = """
 import contextlib, io, sys
 from neutralsurf import catalog_get, cli
@@ -54,8 +62,12 @@ def run_fresh(code: str) -> str:
     return done.stdout
 
 
-def test_only_connection_sample_is_a_dataclass():
-    assert json.loads(run_fresh(COUNT_DECORATIONS)) == ["neutralsurf.curvature.ConnectionSample"]
+def test_no_class_is_a_dataclass():
+    assert json.loads(run_fresh(COUNT_DECORATIONS)) == []
+
+
+def test_the_package_leaves_dataclasses_unloaded():
+    assert run_fresh(DATACLASSES_LOADED).split() == ["False"]
 
 
 def test_random_polynomial_leaves_numpy_random_unloaded():

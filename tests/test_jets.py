@@ -386,7 +386,7 @@ def test_catalog_tables_equal_dense_seed_tables(monkeypatch, name, params):
     ss, ts = imm.domain.grid(33, 33)
     node = (float(ss[11]), float(ts[20]))
     batches = [node, _nested_stencil(node, _FD_STEP), np.meshgrid(ss, ts, indexing="ij")]
-    structural = [imm.evaluate(*p)._rows(slice(None)) for p in batches]
+    structural = [imm.evaluate(*p).table for p in batches]
     monkeypatch.setattr(catalog, "seed", dense_seed)
     for p, table in zip(batches, structural):
-        assert np.array_equal(table, imm.evaluate(*p)._rows(slice(None))), np.shape(p[0])
+        assert np.array_equal(table, imm.evaluate(*p).table), np.shape(p[0])

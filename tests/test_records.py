@@ -8,7 +8,14 @@ import pytest
 
 from neutralsurf.ambient import AmbientSpace, DomainRect
 from neutralsurf.catalog import CatalogEntry, Immersion, JetPoint, MetricCoeffs
-from neutralsurf.curvature import CanonicalFrame, CurvatureReport, EllipseInfo, FrameData, SecondFF
+from neutralsurf.curvature import (
+    CanonicalFrame,
+    ConnectionSample,
+    CurvatureReport,
+    EllipseInfo,
+    FrameData,
+    SecondFF,
+)
 from neutralsurf.errors import InputMismatchError
 from neutralsurf.expr import (
     BinOp,
@@ -31,7 +38,7 @@ CONSTRUCTORS = {
     Sym2: [("a11", REQUIRED), ("a12", REQUIRED), ("a22", REQUIRED)],
     AmbientSpace: [("kind", REQUIRED), ("signature", REQUIRED), ("curvature", REQUIRED)],
     DomainRect: [(name, REQUIRED) for name in ("s0", "s1", "t0", "t1")],
-    JetPoint: [("ambient", REQUIRED), ("components", REQUIRED)],
+    JetPoint: [("ambient", REQUIRED), ("table", REQUIRED)],
     MetricCoeffs: [("E", REQUIRED), ("F", REQUIRED), ("G", REQUIRED)],
     # params and expected default to a new empty dict per instance
     Immersion: [("name", REQUIRED), ("ambient", REQUIRED), ("evaluator", REQUIRED),
@@ -52,6 +59,7 @@ CONSTRUCTORS = {
                      ("alpha", "gamma", "delta", "mu", "theta", "rho", "residual")]
     + [("flip", False)],
     EllipseInfo: [(name, REQUIRED) for name in ("a", "b", "center", "is_circle", "is_point")],
+    ConnectionSample: [(name, REQUIRED) for name in ("w12_e1", "w12_e2", "w34_e1", "w34_e2")],
     CurvatureReport: [(name, REQUIRED) for name in ("A3", "A4", "H", "H2", "K", "KD", "defect")]
     + [(name, None) for name in ("canonical", "ellipse", "frames", "h")],
     GridField: [(name, REQUIRED) for name in ("domain", "nx", "ny", "values", "E", "F", "G")]
@@ -96,8 +104,9 @@ class TestValueEquality:
             lambda: AmbientSpace.pseudo_hyperbolic(-1.0),
             lambda: AmbientSpace.flat(),
             lambda: DomainRect(-1.0, 1.0, -0.5, 0.5),
+            lambda: ConnectionSample(0.25, -1.5, 0.0, 3.0),
         ],
-        ids=["signature", "hyperbolic", "flat", "domain"],
+        ids=["signature", "hyperbolic", "flat", "domain", "connection"],
     )
     def test_equal_by_value_and_hash(self, make):
         a, b = make(), make()
@@ -111,6 +120,7 @@ class TestValueEquality:
         assert AmbientSpace.pseudo_hyperbolic(-1.0) != AmbientSpace.pseudo_hyperbolic(-0.5)
         assert AmbientSpace.pseudo_sphere(1.0) != AmbientSpace.pseudo_hyperbolic(-1.0)
         assert DomainRect(0, 1, 0, 1) != DomainRect(0, 1, 0, 2)
+        assert ConnectionSample(0.0, 1.0, 2.0, 3.0) != ConnectionSample(0.0, 1.0, 2.0, -3.0)
         # no equality across types, even with equal fields
         assert Num(1.0) != Var(1.0)
         assert Signature(2, 4) != (2, 4)
