@@ -1,9 +1,12 @@
 """Built-in immersions and the jet-valued evaluation interface.
 
-Every entry's evaluator returns one Jet2 per ambient coordinate: the
-coordinate with its first and second partials at the requested parameter
-point, or at every node of a batch when s and t are arrays, and
-Immersion.evaluate copies them into a JetPoint's table.  Space-likeness
+An immersion's evaluator takes float arrays s and t of one shape (0-d at a
+single point) and returns its jet table: every ambient coordinate with its
+first and second partials at every node, shape (6, *nodes, ncomp), the
+fields in FIELDS order first.  The catalog's evaluators write each field
+straight into the table; from_definition packs its compiled jets into one
+(jets.pack).  Immersion.evaluate makes the table read-only and checks that
+it is finite, and a JetPoint holds it.  Space-likeness
 is checked on the nodes a command samples: curvature.build_frames forms the
 metric at every node and names the first that is not space-like.  No
 surface is evaluated at construction: random_polynomial's coefficients are
@@ -21,7 +24,7 @@ import numpy as np
 from .ambient import AmbientSpace, DomainRect
 from .errors import DegeneracyError, InputMismatchError, first_flagged
 from .expr import SurfaceDefinition, compile_jets, eval_numeric, parse_expression
-from .jets import FIELDS, Jet2, jcosh, jexp, jsinh, seed
+from .jets import FIELDS, Jet2, _add, _sub, pack, product, seed
 from .pseudo_linalg import PVector, inner
 from .records import Record
 
@@ -98,7 +101,7 @@ class Immersion(Record):
         self,
         name: str,
         ambient: AmbientSpace,
-        evaluator: Callable[..., tuple],
+        evaluator: Callable[..., np.ndarray],
         domain: DomainRect,
         params: dict | None = None,
         expected: dict | None = None,
@@ -113,19 +116,14 @@ class Immersion(Record):
     def evaluate(self, s, t) -> JetPoint:
         """Jets at the node (s, t), or at every node of s and t broadcast together; all finite.
 
-        The evaluator returns one Jet2 per coordinate, whose fields hold one
-        value per node or one for all nodes; they are copied into the
-        table, broadcast to the nodes' shape.
+        The evaluator gets s and t broadcast to one shape and returns the
+        table itself, which becomes read-only.
         """
         s, t = np.asarray(s, float), np.asarray(t, float)
         if s.shape != t.shape:
             s, t = np.broadcast_arrays(s, t)
         with np.errstate(over="ignore", invalid="ignore"):
-            components = self.evaluator(s, t)
-        table = np.empty((len(FIELDS),) + s.shape + (len(components),))
-        for i, c in enumerate(components):
-            for j, f in enumerate(FIELDS):
-                table[j, ..., i] = getattr(c, f)
+            table = self.evaluator(s, t)
         table.flags.writeable = False
         finite = np.isfinite(table)
         if not finite.all():
@@ -169,7 +167,7 @@ def _membership_residual(imm: Immersion, x: PVector) -> float:
 # -- built-in surfaces -------------------------------------------------
 
 
-def _fixed_h42(name: str, evaluator: Callable[..., tuple], expected: dict) -> Callable[[dict], Immersion]:
+def _fixed_h42(name: str, evaluator: Callable[..., np.ndarray], expected: dict) -> Callable[[dict], Immersion]:
     """The builder of a surface with no parameters in H(3,2; -1) on [-1,1]^2."""
 
     def build(params: dict) -> Immersion:
@@ -185,20 +183,66 @@ def _fixed_h42(name: str, evaluator: Callable[..., tuple], expected: dict) -> Ca
     return build
 
 
-def _phi_h42_eval(s, t) -> tuple:
-    js, jt = seed(s, t)
-    u = (2.0 / _SQRT3) * js
-    sh = jsinh(u)
-    ex = jexp(u)
-    t2 = jt * jt
-    t3 = t2 * jt
+def _table(s: np.ndarray, ncomp: int, fill=np.empty) -> tuple:
+    """A jet table for ncomp coordinates at the nodes of s, and a view of it per coordinate."""
+    table = fill((len(FIELDS),) + s.shape + (ncomp,))
+    return table, np.moveaxis(table, -1, 0)
+
+
+# The evaluators below write each field as the Jet2 rules (jets.py) form
+# it from the seeds of s and t once the structural zeros and ones are
+# resolved: the same float operations in the same order, so a table equals
+# the rules' bit for bit at a batch (at a single point a zero may differ
+# in sign, as jets.py says).
+_K = 2.0 / _SQRT3
+_THIRD = 1.0 / 3.0
+_EIGHTEENTH = 1.0 / 18.0
+
+
+def _phi_h42_eval(s, t) -> np.ndarray:
+    # u = K s; sinh u and exp u as jets in s, whose d_t fields are zero
+    u = s * _K
+    sh, ch, ex = np.sinh(u), np.cosh(u), np.exp(u)
+    ex_s = ex * _K
+    ex_ss = ex_s * _K
+    sh_s, sh_ss = ch * _K, sh * _K * _K
+    # t^2, t^3, t^4 as jets in t (val, d_t, d_tt); t^2's d_tt is 2.0
+    t2, t2_t = t * t, t + t
+    t3, t3_t, t3_tt = t2 * t, t2_t * t + t2, 2.0 * t + 2.0 * t2_t
     t4 = t2 * t2
-    c1 = sh - t2 * (1.0 / 3.0) - (7.0 / 8.0 + t4 * (1.0 / 18.0)) * ex
-    c2 = jt + (t3 * (1.0 / 3.0) - jt * 0.25) * ex
-    c3 = 0.5 + t2 * 0.5 * ex
-    c4 = jt + (t3 * (1.0 / 3.0) + jt * 0.25) * ex
-    c5 = sh - t2 * (1.0 / 3.0) - (1.0 / 8.0 + t4 * (1.0 / 18.0)) * ex
-    return c1, c2, c3, c4, c5
+    t4_t = t2_t * t2 + t2 * t2_t
+    t4_tt = 2.0 * t2 + 2.0 * t2_t * t2_t + t2 * 2.0
+    # c1 and c5 are sinh u - t^2/3 - (a + t^4/18) exp u, a = 7/8 and 1/8:
+    # they share every field but the value and the d_s fields
+    q, q_t, q_tt = t4 * _EIGHTEENTH, t4_t * _EIGHTEENTH, t4_tt * _EIGHTEENTH
+    table, (c1, c2, c3, c4, c5) = _table(s, 5)
+    head = sh - t2 * _THIRD
+    for c, a in ((c1, q + 0.875), (c5, q + 0.125)):
+        c[0] = head - a * ex
+        c[1] = sh_s - a * ex_s
+        c[3] = sh_ss - a * ex_ss
+    c1[2] = c5[2] = -(t2_t * _THIRD) - q_t * ex
+    c1[4] = c5[4] = -(q_t * ex_s)
+    c1[5] = c5[5] = -(2.0 * _THIRD) - q_tt * ex
+    # c2 and c4 are t + (t^3/3 -+ t/4) exp u
+    p, p_t, p_tt = t3 * _THIRD, t3_t * _THIRD, t3_tt * _THIRD
+    c2[5] = c4[5] = p_tt * ex
+    quarter = t * 0.25
+    for c, b, b_t in ((c2, p - quarter, p_t - 0.25), (c4, p + quarter, p_t + 0.25)):
+        c[0] = t + b * ex
+        c[1] = b * ex_s
+        c[2] = 1.0 + b_t * ex
+        c[3] = b * ex_ss
+        c[4] = b_t * ex_s
+    # c3 is 1/2 + (t^2/2) exp u, whose d_tt factor (t^2/2)'' is 1.0
+    h, h_t = t2 * 0.5, t2_t * 0.5
+    c3[0] = h * ex + 0.5
+    c3[1] = h * ex_s
+    c3[2] = h_t * ex
+    c3[3] = h * ex_ss
+    c3[4] = h_t * ex_s
+    c3[5] = ex
+    return table
 
 
 _build_phi_h42 = _fixed_h42(
@@ -211,10 +255,16 @@ _build_phi_h42 = _fixed_h42(
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def _flat_l_eval(s, t) -> tuple:
-    js, jt = seed(s, t)
-    r = _INV_SQRT2
-    return r * jcosh(js), r * jcosh(jt), Jet2.constant(0.0), r * jsinh(js), r * jsinh(jt)
+def _flat_l_eval(s, t) -> np.ndarray:
+    # (cosh s, cosh t, 0, sinh s, sinh t) / sqrt 2
+    table, (x1, x2, _, x4, x5) = _table(s, 5, np.zeros)
+    sh, ch = np.sinh(s) * _INV_SQRT2, np.cosh(s) * _INV_SQRT2
+    x1[0] = x1[3] = x4[1] = ch
+    x4[0] = x4[3] = x1[1] = sh
+    sh, ch = np.sinh(t) * _INV_SQRT2, np.cosh(t) * _INV_SQRT2
+    x2[0] = x2[5] = x5[2] = ch
+    x5[0] = x5[5] = x2[2] = sh
+    return table
 
 
 # K = KD = H2 = 0 with c = -1, so K + KD sits strictly above H2 + c:
@@ -226,12 +276,22 @@ _build_flat_l = _fixed_h42(
 )
 
 
-def _geodesic_eval(s, t) -> tuple:
-    js, jt = seed(s, t)
-    zero = Jet2.constant(0.0)
-    cs, ss_ = jcosh(js), jsinh(js)
-    ct, st = jcosh(jt), jsinh(jt)
-    return cs * ct, zero, zero, cs * st, ss_
+def _hyperbolic_plane(s, t, radius: float, x, y, z) -> None:
+    """Writes radius (cosh s cosh t, sinh s, cosh s sinh t) to the coordinate views x, y, z."""
+    sh, ch = np.sinh(s) * radius, np.cosh(s) * radius
+    sh_t, ch_t = np.sinh(t), np.cosh(t)
+    x[0] = x[3] = x[5] = z[2] = ch * ch_t
+    x[1] = z[4] = sh * ch_t
+    x[2] = z[0] = z[3] = z[5] = ch * sh_t
+    x[4] = z[1] = sh * sh_t
+    y[0] = y[3] = sh
+    y[1] = ch
+
+
+def _geodesic_eval(s, t) -> np.ndarray:
+    table, (x1, _, _, x4, x5) = _table(s, 5, np.zeros)
+    _hyperbolic_plane(s, t, 1.0, x1, x5, x4)
+    return table
 
 
 _build_totally_geodesic = _fixed_h42(
@@ -258,20 +318,80 @@ def _poly_coeffs_from_param(f) -> np.ndarray:
     return coeffs
 
 
-def _holomorphic_eval(coeffs: np.ndarray) -> Callable[..., tuple]:
-    # complex jets as (re, im) pairs; Horner evaluation of f(s + i t)
-    def evaluate(s, t) -> tuple:
-        js, jt = seed(s, t)
-        acc_re = Jet2.constant(coeffs[-1].real)
-        acc_im = Jet2.constant(coeffs[-1].imag)
-        for c in coeffs[-2::-1]:
-            acc_re, acc_im = (
-                acc_re * js - acc_im * jt + c.real,
-                acc_re * jt + acc_im * js + c.imag,
-            )
-        return js, jt, acc_re, acc_im
+def _holomorphic_eval(coeffs: np.ndarray) -> Callable[..., np.ndarray]:
+    # Horner evaluation of f(s + i t) on the fields of complex jets, (re,
+    # im) pairs, by the Jet2 rules on field tuples.  A coefficient part is
+    # a float field, so which terms drop depends on the coefficients alone:
+    # the rules run once here, on _Node fields for what varies over the
+    # nodes, and record the array operations left (the constants fold)
+    parts = [(float(c.real), float(c.imag)) for c in coeffs[::-1]]
+    program = []
+    s, t = _Node(program, 0), _Node(program, 1)
+    js, jt = (s, 1.0, 0.0, 0.0, 0.0, 0.0), (t, 0.0, 1.0, 0.0, 0.0, 0.0)
+    re, im = ((c, 0.0, 0.0, 0.0, 0.0, 0.0) for c in parts[0])
+    for c_re, c_im in parts[1:]:
+        re, im = (
+            _plus(map(_sub, product(re, js), product(im, jt)), c_re),
+            _plus(map(_add, product(re, jt), product(im, js)), c_im),
+        )
+    # per coordinate (s, t, re, im), its fields: a node's slot or a float;
+    # the operations that no field reads are dropped
+    out = [[f.slot if isinstance(f, _Node) else f for f in c] for c in (js, jt, re, im)]
+    live = {f for c in out for f in c if type(f) is int}
+    for slot, _, *args in reversed(program):
+        if slot in live:
+            live.update(a for a in args if type(a) is int)
+    program = [op for op in program if op[0] in live]
+
+    def evaluate(s, t) -> np.ndarray:
+        v = {0: s, 1: t}
+        for slot, fn, x, y in program:
+            v[slot] = fn(v[x] if type(x) is int else x, v[y] if type(y) is int else y)
+        return pack([[v[f] if type(f) is int else f for f in c] for c in out], s.shape)
 
     return evaluate
+
+
+def _plus(fields, c: float) -> tuple:
+    """The fields of a jet plus the constant c, as Jet2 adds a number."""
+    val, *partials = fields
+    return (_add(val, c), *(_add(f, 0.0) for f in partials))
+
+
+class _Node:
+    """A field that varies over the nodes, at slot `slot` of an evaluation's
+    values (s and t are slots 0 and 1): an operation on it appends (result
+    slot, ufunc, operand, operand) to program, an operand a slot or a
+    float, and gives the node of the result."""
+
+    __slots__ = ("program", "slot")
+
+    def __init__(self, program: list, slot: int):
+        self.program = program
+        self.slot = slot
+
+    def _emit(self, fn, x, y) -> "_Node":
+        slot = len(self.program) + 2
+        self.program.append((slot, fn, *(a.slot if isinstance(a, _Node) else a for a in (x, y))))
+        return _Node(self.program, slot)
+
+    def __add__(self, other):
+        return self._emit(np.add, self, other)
+
+    def __sub__(self, other):
+        return self._emit(np.subtract, self, other)
+
+    def __rsub__(self, other):
+        return self._emit(np.subtract, other, self)
+
+    def __mul__(self, other):
+        return self._emit(np.multiply, self, other)
+
+    def __neg__(self):
+        # x * -1.0 is -x exactly, signed zeros included
+        return self._emit(np.multiply, self, -1.0)
+
+    __radd__, __rmul__ = __add__, __mul__
 
 
 def _build_holomorphic_graph(params: dict) -> Immersion:
@@ -292,13 +412,12 @@ def _build_holomorphic_graph(params: dict) -> Immersion:
     )
 
 
-def _umbilical_eval(radius: float) -> Callable[..., tuple]:
-    def evaluate(s, t) -> tuple:
-        js, jt = seed(s, t)
-        zero = Jet2.constant(0.0)
-        cs, ss_ = jcosh(js), jsinh(js)
-        ct, st = jcosh(jt), jsinh(jt)
-        return zero, radius * cs * ct, radius * ss_, radius * cs * st
+def _umbilical_eval(radius: float) -> Callable[..., np.ndarray]:
+    # a radius of 1.0 scales each field by 1.0, which leaves it as it is
+    def evaluate(s, t) -> np.ndarray:
+        table, (_, x2, x3, x4) = _table(s, 4, np.zeros)
+        _hyperbolic_plane(s, t, radius, x2, x3, x4)
+        return table
 
     return evaluate
 
@@ -343,23 +462,21 @@ _WIDTHS = [len(ks) for ks in _LEVELS]
 _RUNS = [(n, sum(w for w in _WIDTHS if w > n), sum(w for w in _WIDTHS if w >= n)) for n in dict.fromkeys(_WIDTHS)]
 
 
-def _random_poly_eval(coeff_p: np.ndarray, coeff_q: np.ndarray) -> Callable[..., tuple]:
+def _random_poly_eval(coeff_p: np.ndarray, coeff_q: np.ndarray) -> Callable[..., np.ndarray]:
     # per product: its coefficients (product, perturbation, node)
     coeffs = np.stack([coeff_p, coeff_q], axis=1)[_TERM_K, :, None]
 
-    def evaluate(s, t) -> tuple:
-        js, jt = seed(s, t)
-        # s^k and t^k, k <= 3, each a jet in its own variable (in the d_s
-        # slots), by repeated multiplication as jpow unrolls them; table
-        # (power, derivative order, variable, node), filled a row at a
-        # time because a partial may be a structural scalar
+    def evaluate(s, t) -> np.ndarray:
+        # s^k and t^k, k <= 3, each with its first and second derivative,
+        # as jpow's repeated products form them: table (power, derivative
+        # order, variable, node)
         pw = np.zeros((4, 3, 2, np.size(s)))
         pw[0, 0] = pw[1, 1] = 1.0
         pw[1, 0] = np.ravel(s), np.ravel(t)
-        x = xk = Jet2(pw[1, 0], 1.0)
-        for k in (2, 3):
-            xk = xk * x
-            pw[k, 0], pw[k, 1], pw[k, 2] = xk.val, xk.d_s, xk.d_ss
+        x = pw[1, 0]
+        x2, x2_d = x * x, x + x
+        pw[2, 0], pw[2, 1], pw[2, 2] = x2, x2_d, 2.0
+        pw[3, 0], pw[3, 1], pw[3, 2] = x2 * x, x2_d * x + x2, 2.0 * x + 2.0 * x2_d
         # a field of s^i t^j is the product of an s^i field and a t^j field
         # (the other terms of the product rule are zeros).  Each field sums
         # its nonzero terms c * product in monomial order from 0.0, a level
@@ -372,8 +489,11 @@ def _random_poly_eval(coeff_p: np.ndarray, coeff_q: np.ndarray) -> Callable[...,
             head, terms = acc[:n], coeffs[lo:hi] * prods[lo:hi]
             for k in range(0, hi - lo, n):
                 head += terms[k : k + n]
-        acc = acc.reshape(acc.shape[:2] + np.shape(s))
-        return Jet2(*acc[:, 0]), Jet2(*acc[:, 1]), js, jt
+        # the coordinates (p, q, s, t)
+        table = np.zeros((len(FIELDS), np.size(s), 4))
+        table[..., :2] = np.moveaxis(acc, 1, -1)
+        table[0, :, 2:], table[1, :, 2], table[2, :, 3] = x.T, 1.0, 1.0
+        return table.reshape((len(FIELDS),) + np.shape(s) + (4,))
 
     return evaluate
 
@@ -585,6 +705,6 @@ def from_definition(defn: SurfaceDefinition) -> Immersion:
     return Immersion(
         name=defn.name,
         ambient=defn.ambient,
-        evaluator=lambda s, t: program(*seed(s, t)),
+        evaluator=lambda s, t: pack([c.fields for c in program(*seed(s, t))], s.shape),
         domain=defn.domain,
     )

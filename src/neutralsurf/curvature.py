@@ -328,21 +328,27 @@ class CurvatureReport(Record):
 
     @property
     def KD(self):
-        """The normal curvature, signed on the first read (_signed_kd)."""
-        if self._kd is None:
+        """The normal curvature, signed on the first read (_signed_kd); None
+        with neither KD nor h and the frames."""
+        if self._kd is None and self.h is not None and self.frames is not None:
             self._kd = _signed_kd(self.h, self.frames, self._abs_kd)
         return self._kd
 
     @property
     def abs_KD(self):
         """|KD|, which needs no sign: as the invariants formed it, else |KD| of KD."""
-        return np.abs(self.KD) if self._abs_kd is None else self._abs_kd
+        if self._abs_kd is None and self.KD is not None:
+            return np.abs(self.KD)
+        return self._abs_kd
 
     @property
-    def canonical(self) -> CanonicalFrame:
-        """The canonical frame, formed on the first read from A3 and A4."""
+    def canonical(self) -> CanonicalFrame | None:
+        """The canonical frame, formed on the first read from A3 and A4; None
+        with neither the frame, A3 and A4, nor h and the frames."""
         if self._canonical is None:
             if self.A3 is None:
+                if self.h is None or self.frames is None:
+                    return None
                 self.A3, self.A4 = shape_operators(self.h, self.frames)
             self._canonical = canonical_equality_frame(self.A3, self.A4)
         return self._canonical

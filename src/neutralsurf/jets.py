@@ -90,6 +90,11 @@ class Jet2:
     def __repr__(self):
         return "Jet2(" + ", ".join(f"{f}={getattr(self, f)!r}" for f in FIELDS) + ")"
 
+    @property
+    def fields(self) -> tuple:
+        """The six fields in FIELDS order."""
+        return self.val, self.d_s, self.d_t, self.d_ss, self.d_st, self.d_tt
+
     # numpy operands defer to the reflected jet operators
     __array_ufunc__ = None
 
@@ -162,18 +167,7 @@ class Jet2:
                 _add(_mul(self.d_st, c), 0.0),
                 _add(_mul(self.d_tt, c), 0.0),
             )
-        a, b = self, other
-        return Jet2(
-            _mul(a.val, b.val),
-            _add(_mul(a.d_s, b.val), _mul(a.val, b.d_s)),
-            _add(_mul(a.d_t, b.val), _mul(a.val, b.d_t)),
-            _add(_add(_mul(a.d_ss, b.val), _mul(_mul(2.0, a.d_s), b.d_s)), _mul(a.val, b.d_ss)),
-            _add(
-                _add(_add(_mul(a.d_st, b.val), _mul(a.d_s, b.d_t)), _mul(a.d_t, b.d_s)),
-                _mul(a.val, b.d_st),
-            ),
-            _add(_add(_mul(a.d_tt, b.val), _mul(_mul(2.0, a.d_t), b.d_t)), _mul(a.val, b.d_tt)),
-        )
+        return Jet2(*product(self.fields, other.fields))
 
     __rmul__ = __mul__
 
@@ -189,6 +183,31 @@ class Jet2:
         if _coerce(exponent) is NotImplemented:
             return NotImplemented
         return jpow(self, exponent)
+
+
+def product(a: tuple, b: tuple) -> tuple:
+    """The fields of the product of the jets whose fields are a and b: the
+    Leibniz rule through second order, with the structural rules above."""
+    a0, a_s, a_t, a_ss, a_st, a_tt = a
+    b0, b_s, b_t, b_ss, b_st, b_tt = b
+    return (
+        _mul(a0, b0),
+        _add(_mul(a_s, b0), _mul(a0, b_s)),
+        _add(_mul(a_t, b0), _mul(a0, b_t)),
+        _add(_add(_mul(a_ss, b0), _mul(_mul(2.0, a_s), b_s)), _mul(a0, b_ss)),
+        _add(_add(_add(_mul(a_st, b0), _mul(a_s, b_t)), _mul(a_t, b_s)), _mul(a0, b_st)),
+        _add(_add(_mul(a_tt, b0), _mul(_mul(2.0, a_t), b_t)), _mul(a0, b_tt)),
+    )
+
+
+def pack(components, shape: tuple) -> np.ndarray:
+    """The (6, *shape, ncomp) table of jets given by their fields, one
+    sequence of six per coordinate, each field broadcast to shape."""
+    table = np.empty((len(FIELDS),) + shape + (len(components),))
+    for i, fields in enumerate(components):
+        for j, f in enumerate(fields):
+            table[j, ..., i] = f
+    return table
 
 
 def _coerce(x) -> Jet2:

@@ -10,7 +10,9 @@ canonical_two_candidates are the same formulas as the engine's, written
 one PVector (or one normal orientation) at a time: the engine computes
 them on stacked coordinate arrays and must give the same bytes on a
 batch.  eval_tree walks an expression tree node by node, the route the
-compiled jet program (expr.compile_jets) must agree with bit for bit.
+compiled jet program (expr.compile_jets) must agree with bit for bit, and
+catalog_reference gives each catalog surface the Jet2 evaluator that its
+field-by-field table must equal bit for bit at a batch.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from neutralsurf.curvature import CanonicalFrame, ConnectionSample, FrameData, S
 from neutralsurf.errors import InputMismatchError, SingularityError
 from neutralsurf.expr import _BIN_PREC, _UNARY_PREC, BinOp, Call, Expr, Neg, Num, SurfaceDefinition, Var
 from neutralsurf.fields import GridField, verify_identity
-from neutralsurf.jets import FUNCTIONS, Jet2, jpow, seed
+from neutralsurf.jets import FUNCTIONS, Jet2, jcosh, jexp, jpow, jsinh, pack, seed
 from neutralsurf.pseudo_linalg import (
     LIGHTLIKE_RTOL,
     SPACE_LIKE,
@@ -259,9 +261,8 @@ def isometric_image(imm: Immersion, iso: np.ndarray) -> Immersion:
     """
     dim = iso.shape[0]
 
-    def evaluate(s, t) -> tuple:
-        table = imm.evaluate(s, t).table @ iso.T
-        return tuple(Jet2(*table[..., k]) for k in range(dim))
+    def evaluate(s, t) -> np.ndarray:
+        return imm.evaluate(s, t).table @ iso.T
 
     return Immersion(imm.name, imm.ambient, evaluate, imm.domain)
 
@@ -330,7 +331,90 @@ def random_polynomial_reference(seed_value: int, amplitude: float = 0.1) -> Imme
             q = q + Jet2.constant(cq) * mono
         return p, q, js, jt
 
-    return Immersion("random_polynomial", AmbientSpace.flat(), evaluate, DomainRect(-0.5, 0.5, -0.5, 0.5))
+    return _jet_immersion("random_polynomial", AmbientSpace.flat(), evaluate, DomainRect(-0.5, 0.5, -0.5, 0.5))
+
+
+def _jet_immersion(name: str, ambient: AmbientSpace, jets, domain: DomainRect) -> Immersion:
+    """An immersion of an evaluator that returns one Jet2 per coordinate, packed into a table."""
+    return Immersion(name, ambient, lambda s, t: pack([c.fields for c in jets(s, t)], s.shape), domain)
+
+
+# The catalog's evaluators written with Jet2 arithmetic, as the catalog
+# had them before it wrote its tables field by field: the catalog's tables
+# must equal these bit for bit at a batch.  random_polynomial's reference
+# is random_polynomial_reference above.
+
+
+def _phi_h42_jets(s, t) -> tuple:
+    js, jt = seed(s, t)
+    u = (2.0 / math.sqrt(3.0)) * js
+    sh = jsinh(u)
+    ex = jexp(u)
+    t2 = jt * jt
+    t3 = t2 * jt
+    t4 = t2 * t2
+    c1 = sh - t2 * (1.0 / 3.0) - (7.0 / 8.0 + t4 * (1.0 / 18.0)) * ex
+    c2 = jt + (t3 * (1.0 / 3.0) - jt * 0.25) * ex
+    c3 = 0.5 + t2 * 0.5 * ex
+    c4 = jt + (t3 * (1.0 / 3.0) + jt * 0.25) * ex
+    c5 = sh - t2 * (1.0 / 3.0) - (1.0 / 8.0 + t4 * (1.0 / 18.0)) * ex
+    return c1, c2, c3, c4, c5
+
+
+def _flat_l_jets(s, t) -> tuple:
+    js, jt = seed(s, t)
+    r = 1.0 / math.sqrt(2.0)
+    return r * jcosh(js), r * jcosh(jt), Jet2.constant(0.0), r * jsinh(js), r * jsinh(jt)
+
+
+def _geodesic_jets(s, t) -> tuple:
+    js, jt = seed(s, t)
+    zero = Jet2.constant(0.0)
+    cs, ss_ = jcosh(js), jsinh(js)
+    ct, st = jcosh(jt), jsinh(jt)
+    return cs * ct, zero, zero, cs * st, ss_
+
+
+def _holomorphic_jets(coeffs: np.ndarray):
+    # complex jets as (re, im) pairs; Horner evaluation of f(s + i t)
+    def evaluate(s, t) -> tuple:
+        js, jt = seed(s, t)
+        acc_re = Jet2.constant(coeffs[-1].real)
+        acc_im = Jet2.constant(coeffs[-1].imag)
+        for c in coeffs[-2::-1]:
+            acc_re, acc_im = (
+                acc_re * js - acc_im * jt + c.real,
+                acc_re * jt + acc_im * js + c.imag,
+            )
+        return js, jt, acc_re, acc_im
+
+    return evaluate
+
+
+def _umbilical_jets(radius: float):
+    def evaluate(s, t) -> tuple:
+        js, jt = seed(s, t)
+        zero = Jet2.constant(0.0)
+        cs, ss_ = jcosh(js), jsinh(js)
+        ct, st = jcosh(jt), jsinh(jt)
+        return zero, radius * cs * ct, radius * ss_, radius * cs * st
+
+    return evaluate
+
+
+def catalog_reference(name: str, params: dict | None = None) -> Immersion:
+    """catalog_get(name, params) with its Jet2 reference evaluator in place of the catalog's."""
+    imm = catalog.catalog_get(name, params)
+    if name == "random_polynomial":
+        jets = random_polynomial_reference(imm.params["seed"], imm.params["amplitude"]).evaluator
+        return Immersion(name, imm.ambient, jets, imm.domain)
+    if name == "holomorphic_graph":
+        jets = _holomorphic_jets(catalog._poly_coeffs_from_param(params["f"]))
+    elif name == "umbilical_flat":
+        jets = _umbilical_jets(imm.params["radius"])
+    else:
+        jets = {"phi_h42": _phi_h42_jets, "flat_L": _flat_l_jets, "totally_geodesic_h42": _geodesic_jets}[name]
+    return _jet_immersion(name, imm.ambient, jets, imm.domain)
 
 
 # -- per-component forms of the stacked curvature stages -------------------

@@ -37,11 +37,16 @@ def test_tiny_traced_run_is_correct(workload):
         assert metrics["curvature.build_frames.calls"] == reports
         assert metrics["catalog.evaluate.calls"] == reports
         assert metrics["catalog.check_membership.calls"] == 0
-    if workload == "point_probe":
-        # the tracer counts constructions by patching Jet2.__init__ and
-        # PVector.__post_init__; a count of 0 means construction bypasses them
+        # the tracer counts constructions by patching Jet2.__init__: the
+        # --file surface's compiled jets build Jet2s, so a count of 0 here
+        # means construction bypasses the patch
         assert metrics["jets.Jet2.created"] > 0
+    if workload == "point_probe":
+        # the tracer counts constructions by patching PVector.__post_init__;
+        # a count of 0 means construction bypasses it
         assert metrics["pseudo_linalg.PVector.created"] > 0
+        # catalog surfaces write their jet tables directly: a probe builds no Jet2
+        assert metrics["jets.Jet2.created"] == 0
         # operation budget: the stages work on stacked coordinate arrays and
         # build PVectors only for what they hand on (deterministic counts)
         probes = metrics["curvature.point_report.calls"]

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from neutralsurf import catalog
+from neutralsurf import catalog, jets
 from neutralsurf.ambient import DomainRect
 from neutralsurf.catalog import (
     Immersion,
@@ -18,16 +18,25 @@ from neutralsurf.catalog import (
     check_membership,
     from_definition,
 )
-from neutralsurf.curvature import point_report
+from neutralsurf.curvature import _FD_STEP, _nested_stencil, point_report
 from neutralsurf.errors import DegeneracyError, InputMismatchError
 from neutralsurf.expr import parse_surface
 from neutralsurf.jets import FIELDS
-from oracles import accel_ss, accel_st, accel_tt, bits, induced_metric, random_polynomial_reference, sample_points
+from oracles import (
+    accel_ss,
+    accel_st,
+    accel_tt,
+    bits,
+    catalog_reference,
+    induced_metric,
+    random_polynomial_reference,
+    sample_points,
+)
 
 
 def scaled_copy(imm: Immersion, factor: float) -> Immersion:
     def evaluate(s, t):
-        return tuple(factor * c for c in imm.evaluate(s, t).components)
+        return factor * imm.evaluate(s, t).table
 
     return Immersion(
         name=f"{imm.name}_x{factor}",
@@ -264,6 +273,69 @@ def test_shared_powers_equal_jpow_monomials(seed):
                 assert bits(getattr(a, name)) == bits(getattr(b, name)), (seed, k, name)
 
 
+REFERENCE_SPECS = [
+    ("phi_h42", {}),
+    ("flat_L", {}),
+    ("totally_geodesic_h42", {}),
+    *(("holomorphic_graph", {"f": f}) for f in (3, "z", "z^2/2", "z^3 - 2*z + 1")),
+    ("umbilical_flat", {"radius": 1.0}),
+    ("umbilical_flat", {"radius": 2.5}),
+    ("random_polynomial", {"seed": 5}),
+]
+
+
+def reference_batches(imm: Immersion) -> list[tuple]:
+    """13-node nested stencils, 1-D batches and a 2-D batch, with nodes where s or t is exactly 0.0."""
+    d = imm.domain
+    ss = np.append(np.linspace(d.s0, d.s1, 7), 0.0)
+    ts = np.append(np.linspace(d.t0, d.t1, 5), 0.0)
+    rng = np.random.default_rng(32)
+    return [
+        _nested_stencil((0.0, 0.0), _FD_STEP),
+        _nested_stencil((float(ss[2]), float(ts[1])), _FD_STEP),
+        (ss, np.append(ts, [0.5, -0.0])),
+        (rng.uniform(d.s0, d.s1, 500), rng.uniform(d.t0, d.t1, 500)),
+        tuple(np.meshgrid(ss, ts, indexing="ij")),
+    ]
+
+
+class TestReferenceEvaluators:
+    """Each catalog surface writes its table field by field as the Jet2
+    rules form it: the same float operations in the same order as its
+    Jet2 reference evaluator (oracles.catalog_reference)."""
+
+    @pytest.mark.parametrize("name,params", REFERENCE_SPECS, ids=lambda x: str(x))
+    def test_table_equals_reference_bit_for_bit(self, name, params):
+        imm, ref = catalog_get(name, params), catalog_reference(name, params)
+        for p in reference_batches(imm):
+            with np.errstate(all="ignore"):
+                got, want = imm.evaluator(*p), ref.evaluator(*p)
+            assert bits(got) == bits(want), (name, params, np.shape(p[0]))
+
+    @pytest.mark.parametrize("name,params", REFERENCE_SPECS, ids=lambda x: str(x))
+    def test_point_equals_reference(self, name, params):
+        # at a single point the rules skip a seed of exactly 0.0 as a
+        # structural zero, so a zero may differ in sign there (jets.py)
+        imm, ref = catalog_get(name, params), catalog_reference(name, params)
+        d = imm.domain
+        for p in [(0.0, 0.0), (0.0, d.t1), (d.s0, 0.0), (-0.0, 0.5 * (d.t0 + d.t1))]:
+            got, want = imm.evaluator(*map(np.asarray, p)), ref.evaluator(*map(np.asarray, p))
+            assert got.shape == want.shape and np.array_equal(got, want), (name, p)
+
+    def test_a_probe_builds_no_jet(self, monkeypatch):
+        # only from_definition's compiled programs build Jet2s
+        built = []
+        init = jets.Jet2.__init__
+        monkeypatch.setattr(jets.Jet2, "__init__", lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+        for name, params in CATALOG_SPECS:
+            imm = catalog_get(name, params)
+            ss, ts = imm.domain.grid(3, 3)
+            point_report(imm, (float(ss[1]), float(ts[1]))).canonical
+            for p in reference_batches(imm):
+                imm.evaluator(*p)
+        assert built == []
+
+
 class TestSpacelikeBound:
     """random_polynomial is space-like on its domain by a bound on its
     coefficients: every first partial of p and q is at most 0.4 there, so
@@ -320,36 +392,32 @@ class TestUniformDraws:
 VECTORS = (JetPoint.position, JetPoint.velocity_s, JetPoint.velocity_t, accel_ss, accel_st, accel_tt)
 
 
-def evaluator_jets(imm: Immersion, s, t) -> tuple:
-    """The evaluator's own Jet2 per coordinate at the nodes, as evaluate calls it."""
+def evaluator_table(imm: Immersion, s, t) -> np.ndarray:
+    """The evaluator's own table at the nodes, as evaluate calls it."""
     return imm.evaluator(*np.broadcast_arrays(np.asarray(s, float), np.asarray(t, float)))
 
 
 class TestJetPointTable:
-    """evaluate copies the evaluator's jets into one read-only table; the
-    vectors, the shape and the components are views of it."""
+    """evaluate returns the evaluator's table, read-only; the vectors, the
+    shape and the components are views of it."""
 
     @pytest.mark.parametrize("name,params", CATALOG_SPECS)
     def test_vectors_equal_broadcast_and_stack(self, name, params):
         imm = catalog_get(name, params)
         for p in nodes(imm):
             jp = imm.evaluate(*p)
-            jets = evaluator_jets(imm, *p)
-            for vector, field in zip(VECTORS, FIELDS):
-                # the evaluator's fields, each broadcast to the nodes, stacked
-                stacked = np.stack([np.broadcast_to(getattr(c, field), jp.shape) for c in jets], axis=-1)
-                assert bits(vector(jp).coords) == bits(stacked), (name, vector.__name__)
+            table = evaluator_table(imm, *p)
+            assert not jp.table.flags.writeable
+            assert bits(jp.table) == bits(table), name
+            for k, vector in enumerate(VECTORS):
+                assert bits(vector(jp).coords) == bits(table[k]), (name, vector.__name__)
 
     def test_scalar_component_is_broadcast(self):
-        # flat_L's evaluator returns the constant zero jet, whose fields are
-        # structural float zeros, and seeds whose first partials are
-        # structural float ones and zeros: evaluate broadcasts each into the table
+        # flat_L's third coordinate is the constant 0, and its first
+        # coordinate has no t-derivative: their fields are zeros at every node
         imm = catalog_get("flat_L")
         for s, t in shape_cases(imm):
             shape = np.broadcast_shapes(np.shape(s), np.shape(t))
-            jets = evaluator_jets(imm, s, t)
-            assert all(type(getattr(jets[2], f)) is float for f in FIELDS)
-            assert type(jets[0].d_t) is float and type(jets[1].d_s) is float
             jp = imm.evaluate(s, t)
             assert jp.table.shape == (len(FIELDS),) + shape + (5,) and jp.shape == shape
             assert bits(jp.table[..., 2]) == bits(np.zeros((len(FIELDS),) + shape))

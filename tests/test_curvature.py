@@ -1689,6 +1689,20 @@ class TestCanonicalOnFirstRead:
         plain = curvature.CurvatureReport(rep.A3, rep.A4, rep.H, rep.H2, rep.K, rep.KD, rep.defect)
         assert canonical_bits(plain.canonical) == canonical_bits(can)
 
+    def test_a_report_without_sources_reads_none(self):
+        # built by hand from a probe whose canonical frame was never read:
+        # no A3, A4, h or frames, so there is no canonical frame to form
+        imm = catalog_get("phi_h42")
+        rep = point_report(imm, (0.2, 0.1))
+        plain = curvature.CurvatureReport(rep.A3, rep.A4, rep.H, rep.H2, rep.K, rep.KD, rep.defect)
+        assert plain.A3 is None and plain.canonical is None
+        assert plain.KD == rep.KD and plain.abs_KD == abs(rep.KD)
+        assert "canonical=None" in repr(plain)
+        # and no KD to sign without h and the frames
+        bare = curvature.CurvatureReport(None, None, rep.H, rep.H2, rep.K, None, rep.defect)
+        assert bare.KD is None and bare.abs_KD is None and bare.canonical is None
+        assert "KD=None" in repr(bare) and "canonical=None" in repr(bare)
+
 
 class TestAmbientCurvature:
     def test_flat_gives_zero(self):

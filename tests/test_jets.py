@@ -24,7 +24,8 @@ from neutralsurf.jets import (
     jtan,
     seed,
 )
-from oracles import bits, finite_difference_jet, sample_points
+import oracles
+from oracles import bits, catalog_reference, finite_difference_jet, sample_points
 
 FIELDS = ("val", "d_s", "d_t", "d_ss", "d_st", "d_tt")
 
@@ -378,15 +379,18 @@ SURFACE_FILE = Path(__file__).resolve().parent.parent / "bench" / "data" / "phi_
 @pytest.mark.parametrize("name,params", CATALOG_SPECS + [("definition_file", {})])
 def test_catalog_tables_equal_dense_seed_tables(monkeypatch, name, params):
     """Every surface's JetPoint table at a node, a nested stencil and a 33x33
-    grid holds the values of an evaluation whose seeds have array partials."""
+    grid holds the values of an evaluation whose seeds have array partials:
+    the compiled file's with its own jets, a catalog surface's with its Jet2
+    reference (oracles.catalog_reference)."""
     if name == "definition_file":
-        imm = from_definition(parse_surface(SURFACE_FILE.read_text()))
+        imm = dense = from_definition(parse_surface(SURFACE_FILE.read_text()))
+        seeds = catalog
     else:
-        imm = catalog_get(name, params)
+        imm, dense, seeds = catalog_get(name, params), catalog_reference(name, params), oracles
     ss, ts = imm.domain.grid(33, 33)
     node = (float(ss[11]), float(ts[20]))
     batches = [node, _nested_stencil(node, _FD_STEP), np.meshgrid(ss, ts, indexing="ij")]
     structural = [imm.evaluate(*p).table for p in batches]
-    monkeypatch.setattr(catalog, "seed", dense_seed)
+    monkeypatch.setattr(seeds, "seed", dense_seed)
     for p, table in zip(batches, structural):
-        assert np.array_equal(table, imm.evaluate(*p).table), np.shape(p[0])
+        assert np.array_equal(table, dense.evaluate(*p).table), np.shape(p[0])
