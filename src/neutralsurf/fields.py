@@ -479,22 +479,53 @@ def verify_identity(
 
 
 def grid_to_csv(f: GridField) -> str:
-    """CSV with one row per node: s, t, value, E, F, G (round-trip exact)."""
+    """CSV with one row per node: s, t, value, E, F, G (round-trip exact).
+
+    Each float's text is repr's: orjson writes the ones with x = +-0.0 or
+    1e-4 <= |x| < 1e16, where the two texts agree, and repr the rest.
+    """
     return "".join(grid_csv_chunks(f))
 
 
 def grid_csv_chunks(f: GridField):
-    """grid_to_csv's text in pieces: the header, then the lines of one s-row at a time."""
+    """grid_to_csv's text in pieces: the header, then the lines of one s-row at a time.
+
+    One orjson call formats each column of an s-row; repr rewrites its cells
+    outside x = +-0.0 and 1e-4 <= |x| < 1e16, where the texts differ.
+    """
     ss, ts = f.node_coords()
     # each s is formatted once per row and each t once per column
-    t_text = [f",{t!r}," for t in ts.tolist()]
+    (s_texts,), (t_texts,) = _float_rows(ss[None]), _float_rows(ts[None])
+    t_text = [f",{t}," for t in t_texts]
     yield "s,t,value,E,F,G\n"
-    for s, *cols in zip(ss.tolist(), f.values, f.E, f.F, f.G):
-        s_text = repr(s)
-        # each column's floats formatted in one pass, then one f-string per line;
-        # the cast prints an integer or bool column as floats
-        cells = [map(repr, col.astype(float, copy=False).tolist()) for col in cols]
+    for s_text, *cells in zip(s_texts, *map(_float_rows, (f.values, f.E, f.F, f.G))):
         yield "".join([f"{s_text}{t}{value},{E},{F},{G}\n" for t, value, E, F, G in zip(t_text, *cells)])
+
+
+def _float_rows(a):
+    """The repr texts of a 2-D array's entries, one list per row, cast to
+    float (an integer or bool array prints as floats).
+
+    orjson writes a row's shortest round-trip digits in one call, and its
+    text is repr's for x = +-0.0 and 1e-4 <= |x| < 1e16.  Outside that
+    range the texts differ (0.00001 for 1e-05, 1e16 for 1e+16, null for nan
+    and inf), so repr rewrites those cells.
+    """
+    # imported on first use: its own imports cost a fresh interpreter about 10 ms
+    import orjson
+
+    # a one-byte mask of the cells repr rewrites; rows are cast one at a
+    # time, so the writer makes no float copy of the grid
+    odd = ~((np.abs(a) >= 1e-4) & (np.abs(a) < 1e16)) & (a != 0)
+    for row, row_odd, any_odd in zip(a, odd, odd.any(axis=1).tolist()):
+        row = np.ascontiguousarray(row, dtype=float)
+        text = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1]
+        texts = text.split(",") if text else []
+        if any_odd:
+            where = np.flatnonzero(row_odd)
+            for i, x in zip(where.tolist(), row[where].tolist()):
+                texts[i] = repr(x)
+        yield texts
 
 
 def grid_to_json(f: GridField) -> str:

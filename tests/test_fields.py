@@ -499,11 +499,35 @@ class TestSerialization:
         assert grid_to_json(gf) == want
         assert "".join(fields.grid_json_chunks(gf)) == want
 
-    @pytest.mark.parametrize("shape", [(2, 3), (9, 9), (65, 33)])
+    @staticmethod
+    def orjson_range_edges():
+        """Floats on and past the edges of +-0.0 and 1e-4 <= |x| < 1e16, the
+        range where orjson's text is repr's, the distinctive ones first."""
+        specials = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.5e-310, 2.0**53, 2.0**53 + 2.0]
+        integral = [10.0**k for k in range(16)] + [1e15 - 1.0, 123456789012345.0]
+        # the 200 neighbours on each side of both bounds, and the bounds
+        steps = np.arange(-200, 201)
+        near = [(np.float64(b).view(np.int64) + steps).view(np.float64) for b in (1e-4, 1e16)]
+        edges = np.concatenate([specials, integral, *near])
+        return np.concatenate([edges, -edges[1:]])
+
+    @staticmethod
+    def orjson_range_bit_patterns(n, seed=3):
+        """n seeded random bit patterns inside 1e-4 <= |x| < 1e16, both signs."""
+        rng = np.random.default_rng(seed)
+        lo, hi = np.array([1e-4, 1e16]).view(np.int64)
+        return rng.integers(lo, hi, n).view(np.float64) * rng.choice([-1.0, 1.0], n)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (9, 9), (129, 33)])
     def test_csv_text_is_the_row_joined_text(self, shape):
         # tiny, huge and integral floats; an integer and a bool column print as floats
         gf = self.random_grid(*shape)
         gf.values.flat[2:6] = 1e-300, 1e22, 3.0, -7.0
+        # orjson's range, its edges and what lies past them, as far as each grid holds
+        # them; the largest holds all the edges and 4000 bit patterns inside the range
+        edges = self.orjson_range_edges()
+        gf.values.flat[6 : 6 + edges.size] = edges
+        gf.E.flat[:4000] = self.orjson_range_bit_patterns(4000)
         gf.F = (gf.F > 0.0).astype(int) - 2 * (gf.F < -1.0)
         gf.G = gf.G > 0.0
         want = grid_csv_rows_joined(gf)

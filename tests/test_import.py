@@ -9,6 +9,10 @@ module not loaded.
 Importing numpy's random module costs a fresh interpreter about 6 MB and
 13 ms.  random_polynomial draws its coefficients in-package, so the other
 check builds one and verifies it, and finds that module not loaded.
+
+orjson's own imports (uuid, zoneinfo, json, sysconfig) cost a fresh
+interpreter about 10 ms, and only the CSV writer uses it: a run of verify
+leaves it unloaded, and writing a defect-map CSV loads it.
 """
 
 import json
@@ -55,9 +59,20 @@ print(code, "numpy.random" in sys.modules)
 """
 
 
-def run_fresh(code: str) -> str:
+ORJSON_AFTER_VERIFY_THEN_DEFECT_MAP = """
+import contextlib, io, sys
+import neutralsurf, neutralsurf.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    verified = neutralsurf.cli.main(["verify", "phi_h42", "--grid", "5x5"])
+    after_verify = "orjson" in sys.modules
+    mapped = neutralsurf.cli.main(["defect-map", "phi_h42", "--grid", "5x5", "--out", sys.argv[1]])
+print(verified, after_verify, mapped, "orjson" in sys.modules)
+"""
+
+
+def run_fresh(code: str, *args: str) -> str:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -68,6 +83,12 @@ def test_no_class_is_a_dataclass():
 
 def test_the_package_leaves_dataclasses_unloaded():
     assert run_fresh(DATACLASSES_LOADED).split() == ["False"]
+
+
+def test_only_the_csv_writer_loads_orjson(tmp_path):
+    out = tmp_path / "defect.csv"
+    assert run_fresh(ORJSON_AFTER_VERIFY_THEN_DEFECT_MAP, str(out)).split() == ["0", "False", "0", "True"]
+    assert out.read_text().startswith("s,t,value,E,F,G\n")
 
 
 def test_random_polynomial_leaves_numpy_random_unloaded():
