@@ -38,7 +38,6 @@ from .errors import (
     PreconditionError,
     SingularityError,
 )
-from .expr import SurfaceDefinition, eval_on_jets, parse_expression, parse_surface
 from .fields import (
     GridField,
     LaplacianReport,
@@ -51,7 +50,28 @@ from .fields import (
     sample_surface,
     verify_identity,
 )
-from .jets import Jet2
 from .pseudo_linalg import PVector, Signature, Sym2, eigen_sym2, inner, orthonormalize
 
 __version__ = "0.1.0"
+
+# the definition-file language and the jet algebra load on first use
+_LAZY = {
+    "Jet2": "jets",
+    "SurfaceDefinition": "expr",
+    "eval_on_jets": "expr",
+    "parse_expression": "expr",
+    "parse_surface": "expr",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

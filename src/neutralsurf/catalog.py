@@ -5,28 +5,31 @@ single point) and returns its jet table: every ambient coordinate with its
 first and second partials at every node, shape (6, *nodes, ncomp), the
 fields in FIELDS order first.  The catalog's evaluators write each field
 straight into the table; from_definition packs its compiled jets into one
-(jets.pack).  Immersion.evaluate makes the table read-only and checks that
-it is finite, and a JetPoint holds it.  Space-likeness
-is checked on the nodes a command samples: curvature.build_frames forms the
-metric at every node and names the first that is not space-like.  No
-surface is evaluated at construction: random_polynomial's coefficients are
-space-like on its whole domain by a closed-form bound (_validate_spacelike).
+(jets.pack).  The definition-file language (expr) and the jet algebra
+(jets) load on first use, by from_definition and holomorphic_graph.
+Immersion.evaluate makes the table read-only and checks that it is finite,
+and a JetPoint holds it.  Space-likeness is checked on the nodes a command
+samples: curvature.build_frames forms the metric at every node and names
+the first that is not space-like.  No surface is evaluated at
+construction: random_polynomial's coefficients are space-like on its whole
+domain by a closed-form bound (_validate_spacelike).
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .ambient import AmbientSpace, DomainRect
 from .errors import DegeneracyError, InputMismatchError, first_flagged
-from .expr import SurfaceDefinition, compile_jets, eval_numeric, parse_expression
-from .jets import FIELDS, Jet2, _add, _sub, pack, product, seed
 from .pseudo_linalg import PVector, inner
-from .records import Record
+from .records import FIELDS, Record
+
+if TYPE_CHECKING:
+    from .expr import SurfaceDefinition
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -52,6 +55,8 @@ class JetPoint(Record):
 
     @property
     def components(self) -> tuple:
+        from .jets import Jet2
+
         return tuple(Jet2(*self.table[..., i]) for i in range(self.table.shape[-1]))
 
     def _vector(self, k: int) -> PVector:
@@ -302,19 +307,27 @@ _build_totally_geodesic = _fixed_h42(
 
 
 def _poly_coeffs_from_param(f) -> np.ndarray:
-    """Polynomial coefficients of f(z), lowest degree first; a number is the constant polynomial."""
+    """Polynomial coefficients of f(z), lowest degree first, all finite; a
+    number is the constant polynomial."""
     if isinstance(f, numbers.Number):
-        return np.array([complex(f)])
-    if isinstance(f, str):
+        coeffs = np.array([complex(f)])
+    elif isinstance(f, str):
+        from .expr import eval_numeric, parse_expression
+
         ast = parse_expression(f, variables=("z",))
         z = np.polynomial.Polynomial([0.0, 1.0])
-        value = eval_numeric(ast, {"z": z})
+        # a coefficient out of float range is rejected below, with no numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = eval_numeric(ast, {"z": z})
         if not isinstance(value, np.polynomial.Polynomial):
             value = np.polynomial.Polynomial([complex(value)])
-        return np.asarray(value.coef, dtype=complex)
-    coeffs = np.asarray(list(f), dtype=complex)
-    if coeffs.ndim != 1 or coeffs.size == 0:
-        raise InputMismatchError("polynomial coefficients must be a non-empty sequence")
+        coeffs = np.asarray(value.coef, dtype=complex)
+    else:
+        coeffs = np.asarray(list(f), dtype=complex)
+        if coeffs.ndim != 1 or coeffs.size == 0:
+            raise InputMismatchError("polynomial coefficients must be a non-empty sequence")
+    if not np.isfinite(coeffs).all():
+        raise InputMismatchError(f"holomorphic_graph f must have finite coefficients, got {f!r}")
     return coeffs
 
 
@@ -324,6 +337,8 @@ def _holomorphic_eval(coeffs: np.ndarray) -> Callable[..., np.ndarray]:
     # a float field, so which terms drop depends on the coefficients alone:
     # the rules run once here, on _Node fields for what varies over the
     # nodes, and record the array operations left (the constants fold)
+    from .jets import _add, _sub, pack, product
+
     parts = [(float(c.real), float(c.imag)) for c in coeffs[::-1]]
     program = []
     s, t = _Node(program, 0), _Node(program, 1)
@@ -354,6 +369,8 @@ def _holomorphic_eval(coeffs: np.ndarray) -> Callable[..., np.ndarray]:
 
 def _plus(fields, c: float) -> tuple:
     """The fields of a jet plus the constant c, as Jet2 adds a number."""
+    from .jets import _add
+
     val, *partials = fields
     return (_add(val, c), *(_add(f, 0.0) for f in partials))
 
@@ -701,10 +718,13 @@ def catalog_get(name: str, params: dict | None = None) -> Immersion:
 
 def from_definition(defn: SurfaceDefinition) -> Immersion:
     """Wrap a parsed surface definition, compiled once, as an evaluable immersion."""
+    from . import jets
+    from .expr import compile_jets
+
     program = compile_jets(defn.components)
     return Immersion(
         name=defn.name,
         ambient=defn.ambient,
-        evaluator=lambda s, t: pack([c.fields for c in program(*seed(s, t))], s.shape),
+        evaluator=lambda s, t: jets.pack([c.fields for c in program(*jets.seed(s, t))], s.shape),
         domain=defn.domain,
     )

@@ -34,7 +34,6 @@ from .errors import (
     SingularityError,
     first_flagged,
 )
-from .expr import parse_surface
 from .fields import (
     _sample,
     grid_csv_chunks,
@@ -138,6 +137,8 @@ def _collect_tolerances(args) -> dict:
 
 def _resolve_surface(args) -> Immersion:
     if getattr(args, "file", None):
+        from .expr import parse_surface
+
         path = Path(args.file)
         text = path.read_text(encoding="utf-8")
         defn = parse_surface(text, name=path.stem)

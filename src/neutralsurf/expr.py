@@ -349,9 +349,11 @@ def eval_on_jets(ast: Expr, s: Jet2, t: Jet2) -> Jet2:
 def eval_numeric(node: Expr, env: dict):
     """Evaluate over plain numeric operands (float, complex, polynomials).
 
-    Only arithmetic is supported; the denominator of '/' must be a plain
-    number so non-scalar operand types (e.g. polynomial objects) stay
-    closed under the operations.
+    Only arithmetic is supported; the denominator of '/' must be a nonzero
+    plain number and an exponent an integer, non-negative on a polynomial,
+    so non-scalar operand types (e.g. polynomial objects) stay closed under
+    the operations.  An operation outside these rules, or a power out of
+    float range, raises ExprSyntaxError at its operator.
     """
     if isinstance(node, Num):
         return node.value
@@ -369,12 +371,21 @@ def eval_numeric(node: Expr, env: dict):
         if node.op == "*":
             return a * b
         if node.op == "/":
+            if not isinstance(b, (int, float, complex)):
+                raise ExprSyntaxError(node.line, node.col, "the denominator must be a plain number here")
+            if b == 0:
+                raise ExprSyntaxError(node.line, node.col, "division by zero")
             return a / b
-        if not isinstance(b, (int, float, complex)) or (
-            isinstance(b, float) and not b.is_integer()
-        ):
+        if not isinstance(b, (int, float)) or not float(b).is_integer():
             raise ExprSyntaxError(node.line, node.col, "exponent must be an integer here")
-        return a ** int(b)
+        if b < 0 and not isinstance(a, (int, float, complex)):
+            raise ExprSyntaxError(node.line, node.col, "exponent must not be negative here")
+        try:
+            return a ** int(b)
+        except (ZeroDivisionError, OverflowError, ValueError):
+            # 0 to a negative power, a float power out of float range, a
+            # polynomial power above numpy's limit (Polynomial.maxpower)
+            raise ExprSyntaxError(node.line, node.col, "power out of range here") from None
     raise ExprSyntaxError(node.line, node.col, "function calls are not allowed here")
 
 

@@ -22,7 +22,6 @@ curvature or max |h_ij|, which verify reads.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -539,6 +538,9 @@ def grid_json_chunks(f: GridField):
     into nested lists (default) only when it reaches it, so one grid's lists
     are alive at a time; the text is that of the lists' payload.
     """
+    # imported on first use, like orjson: only this writer needs it
+    import json
+
     payload = {
         "quantity": f.quantity,
         "domain": list(f.domain.as_tuple()),

@@ -25,8 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularityError, first_flagged
-
-FIELDS = ("val", "d_s", "d_t", "d_ss", "d_st", "d_tt")
+from .records import FIELDS
 
 _LIFTABLE = (int, float, np.number, np.ndarray)
 

@@ -12,6 +12,10 @@ already formed.
 
 from __future__ import annotations
 
+# the order of a jet's value and partials: Jet2's slots and the first axis
+# of a jet table, which the catalog's evaluators write without the jet algebra
+FIELDS = ("val", "d_s", "d_t", "d_ss", "d_st", "d_tt")
+
 
 class Record:
     """A field-by-field repr over ``_fields``, the constructor's parameters in order."""

@@ -523,6 +523,31 @@ class TestUsageErrors:
         assert out == ""
         assert err == "error: holomorphic_graph does not accept parameters ['domain']\n"
 
+    # holomorphic_graph's f -> its error message
+    F_ERRORS = {
+        "z/0": "1:2: division by zero",
+        "1/0": "1:2: division by zero",
+        "1/z": "1:2: the denominator must be a plain number here",
+        "z/(z-z)": "1:2: the denominator must be a plain number here",
+        "z^-1": "1:2: exponent must not be negative here",
+        "0^-1": "1:2: power out of range here",
+        "10^400": "1:3: power out of range here",
+        "z^1000": "1:2: power out of range here",
+        "1e400*z": "holomorphic_graph f must have finite coefficients, got '1e400*z'",
+        "z/1e-320": "holomorphic_graph f must have finite coefficients, got 'z/1e-320'",
+        "inf": "holomorphic_graph f must have finite coefficients, got inf",
+    }
+
+    @pytest.mark.parametrize("f", F_ERRORS)
+    def test_f_outside_polynomial_arithmetic_exit_2(self, capsys, f):
+        # not a ZeroDivisionError, TypeError or ValueError traceback (exit 1),
+        # nor an inf coefficient met as jets that are not finite (exit 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "verify", "holomorphic_graph", "--param", f"f={f}", "--grid", "5x5")
+        assert code == 2 and out == ""
+        assert err == f"error: {self.F_ERRORS[f]}\n"
+
     @pytest.mark.parametrize("value", ["2", "1.5"])
     def test_numeric_f_is_the_constant_polynomial(self, capsys, value):
         # --param f=2 reaches the catalog as a number: not a TypeError

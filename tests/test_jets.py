@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from neutralsurf import catalog
+from neutralsurf import jets
 from neutralsurf.catalog import catalog_get, from_definition
 from neutralsurf.curvature import _FD_STEP, _nested_stencil
 from neutralsurf.errors import SingularityError
@@ -384,13 +384,16 @@ def test_catalog_tables_equal_dense_seed_tables(monkeypatch, name, params):
     reference (oracles.catalog_reference)."""
     if name == "definition_file":
         imm = dense = from_definition(parse_surface(SURFACE_FILE.read_text()))
-        seeds = catalog
+        seeds = jets
     else:
         imm, dense, seeds = catalog_get(name, params), catalog_reference(name, params), oracles
     ss, ts = imm.domain.grid(33, 33)
     node = (float(ss[11]), float(ts[20]))
     batches = [node, _nested_stencil(node, _FD_STEP), np.meshgrid(ss, ts, indexing="ij")]
     structural = [imm.evaluate(*p).table for p in batches]
-    monkeypatch.setattr(seeds, "seed", dense_seed)
+    # the dense evaluation must reach the patched seeds, or it repeats the first
+    calls = []
+    monkeypatch.setattr(seeds, "seed", lambda s, t: calls.append(np.shape(s)) or dense_seed(s, t))
     for p, table in zip(batches, structural):
         assert np.array_equal(table, dense.evaluate(*p).table), np.shape(p[0])
+    assert len(calls) == len(batches)
