@@ -4,9 +4,11 @@ An immersion's evaluator takes float arrays s and t of one shape (0-d at a
 single point) and returns its jet table: every ambient coordinate with its
 first and second partials at every node, shape (6, *nodes, ncomp), the
 fields in FIELDS order first.  The catalog's evaluators write each field
-straight into the table; from_definition packs its compiled jets into one
-(jets.pack).  The definition-file language (expr) and the jet algebra
-(jets) load on first use, by from_definition and holomorphic_graph.
+straight into the table, except holomorphic_graph, which runs the jet
+rules on field tuples (jets.product) each time it is evaluated;
+from_definition packs its compiled jets into one (jets.pack).  The
+definition-file language (expr) and the jet algebra (jets) load on first
+use, by from_definition and holomorphic_graph.
 Immersion.evaluate makes the table read-only and checks that it is finite,
 and a JetPoint holds it.  Space-likeness is checked on the nodes a command
 samples: curvature.build_frames forms the metric at every node and names
@@ -333,82 +335,29 @@ def _poly_coeffs_from_param(f) -> np.ndarray:
 
 def _holomorphic_eval(coeffs: np.ndarray) -> Callable[..., np.ndarray]:
     # Horner evaluation of f(s + i t) on the fields of complex jets, (re,
-    # im) pairs, by the Jet2 rules on field tuples.  A coefficient part is
-    # a float field, so which terms drop depends on the coefficients alone:
-    # the rules run once here, on _Node fields for what varies over the
-    # nodes, and record the array operations left (the constants fold)
+    # im) pairs, by the Jet2 rules on field tuples (jets.product).  A
+    # coefficient part is a float field, so the structural rules drop the
+    # terms that these coefficients make zero at every node
     from .jets import _add, _sub, pack, product
 
     parts = [(float(c.real), float(c.imag)) for c in coeffs[::-1]]
-    program = []
-    s, t = _Node(program, 0), _Node(program, 1)
-    js, jt = (s, 1.0, 0.0, 0.0, 0.0, 0.0), (t, 0.0, 1.0, 0.0, 0.0, 0.0)
-    re, im = ((c, 0.0, 0.0, 0.0, 0.0, 0.0) for c in parts[0])
-    for c_re, c_im in parts[1:]:
-        re, im = (
-            _plus(map(_sub, product(re, js), product(im, jt)), c_re),
-            _plus(map(_add, product(re, jt), product(im, js)), c_im),
-        )
-    # per coordinate (s, t, re, im), its fields: a node's slot or a float;
-    # the operations that no field reads are dropped
-    out = [[f.slot if isinstance(f, _Node) else f for f in c] for c in (js, jt, re, im)]
-    live = {f for c in out for f in c if type(f) is int}
-    for slot, _, *args in reversed(program):
-        if slot in live:
-            live.update(a for a in args if type(a) is int)
-    program = [op for op in program if op[0] in live]
+
+    def plus(fields, c: float) -> tuple:
+        # the fields of a jet plus the constant c, as Jet2 adds a number
+        val, *partials = fields
+        return (_add(val, c), *(_add(f, 0.0) for f in partials))
 
     def evaluate(s, t) -> np.ndarray:
-        v = {0: s, 1: t}
-        for slot, fn, x, y in program:
-            v[slot] = fn(v[x] if type(x) is int else x, v[y] if type(y) is int else y)
-        return pack([[v[f] if type(f) is int else f for f in c] for c in out], s.shape)
+        js, jt = (s, 1.0, 0.0, 0.0, 0.0, 0.0), (t, 0.0, 1.0, 0.0, 0.0, 0.0)
+        re, im = ((c, 0.0, 0.0, 0.0, 0.0, 0.0) for c in parts[0])
+        for c_re, c_im in parts[1:]:
+            re, im = (
+                plus(map(_sub, product(re, js), product(im, jt)), c_re),
+                plus(map(_add, product(re, jt), product(im, js)), c_im),
+            )
+        return pack([js, jt, re, im], s.shape)
 
     return evaluate
-
-
-def _plus(fields, c: float) -> tuple:
-    """The fields of a jet plus the constant c, as Jet2 adds a number."""
-    from .jets import _add
-
-    val, *partials = fields
-    return (_add(val, c), *(_add(f, 0.0) for f in partials))
-
-
-class _Node:
-    """A field that varies over the nodes, at slot `slot` of an evaluation's
-    values (s and t are slots 0 and 1): an operation on it appends (result
-    slot, ufunc, operand, operand) to program, an operand a slot or a
-    float, and gives the node of the result."""
-
-    __slots__ = ("program", "slot")
-
-    def __init__(self, program: list, slot: int):
-        self.program = program
-        self.slot = slot
-
-    def _emit(self, fn, x, y) -> "_Node":
-        slot = len(self.program) + 2
-        self.program.append((slot, fn, *(a.slot if isinstance(a, _Node) else a for a in (x, y))))
-        return _Node(self.program, slot)
-
-    def __add__(self, other):
-        return self._emit(np.add, self, other)
-
-    def __sub__(self, other):
-        return self._emit(np.subtract, self, other)
-
-    def __rsub__(self, other):
-        return self._emit(np.subtract, other, self)
-
-    def __mul__(self, other):
-        return self._emit(np.multiply, self, other)
-
-    def __neg__(self):
-        # x * -1.0 is -x exactly, signed zeros included
-        return self._emit(np.multiply, self, -1.0)
-
-    __radd__, __rmul__ = __add__, __mul__
 
 
 def _build_holomorphic_graph(params: dict) -> Immersion:

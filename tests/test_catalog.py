@@ -278,6 +278,11 @@ REFERENCE_SPECS = [
     ("flat_L", {}),
     ("totally_geodesic_h42", {}),
     *(("holomorphic_graph", {"f": f}) for f in (3, "z", "z^2/2", "z^3 - 2*z + 1")),
+    # coefficient lists: complex, a -0.0 constant term, and sparse of degree 6
+    *(
+        ("holomorphic_graph", {"f": f})
+        for f in ([0.5 - 0.25j, -1.5 + 2j, 0, 0.3 + 0.1j], [-0.0, 1 - 1j], [1e-3, 0, 0, 0, 0, 0, 0.01j])
+    ),
     ("umbilical_flat", {"radius": 1.0}),
     ("umbilical_flat", {"radius": 2.5}),
     ("random_polynomial", {"seed": 5}),
