@@ -557,8 +557,15 @@ def _h_invariants(h: SecondFF, c: float) -> tuple:
     determinant is taken as <u,u><v',v'> with v' = v - (<u,v>/<u,u>) u
     (v itself where u = 0), which keeps |KD| at roundoff where u and v are
     parallel; the difference of products loses half the digits there.
-    The defect takes the minimum over the e4 -> -e4 flip, so it reads
-    |KD| alone and is orientation-free; _signed_kd gives KD's sign.
+    The defect K - |KD| - <H,H> - c takes the minimum over the e4 -> -e4
+    flip, so it reads |KD| alone and is orientation-free; _signed_kd gives
+    KD's sign.  It is (a - b)^2 for the semi-axes a >= b of the ellipse, as
+    in the paper's proof: with a^2 + b^2 = -<u,u> - <v,v> and 2ab = |KD|,
+    (a - b)^2 = (a^2 - b^2)^2 / (a + b)^2, formed as ((<u,u> - <v,v>)^2 +
+    4 <u,v>^2) / (|KD| - <u,u> - <v,v>), and 0 where that is not positive
+    (a point ellipse).  The difference of K, |KD| and <H,H>, numbers of
+    size |K|, would cancel near the light cone, where |K| grows to 1e8
+    while the defect stays 0.
     """
     sig = h.h11.signature
     w = sig.weights
@@ -569,8 +576,11 @@ def _h_invariants(h: SecondFF, c: float) -> tuple:
     nonzero = uu != 0.0
     v_off_u = v - np.where(nonzero, uv / np.where(nonzero, uu, 1.0), 0.0)[..., None] * u
     abs_kd = 2.0 * np.sqrt(np.maximum(uu * ((v_off_u * v_off_u) @ w), 0.0))
-    k = c + k_sum
-    return PVector(mean, sig), h2, k, abs_kd, k - abs_kd - h2 - c, (uu, uv, vv)
+    diff = uu - vv
+    sum_sq = abs_kd - uu - vv
+    positive = sum_sq > 0.0
+    defect = np.where(positive, (diff * diff + 4.0 * uv * uv) / np.where(positive, sum_sq, 1.0), 0.0)
+    return PVector(mean, sig), h2, c + k_sum, abs_kd, defect, (uu, uv, vv)
 
 
 def _signed_kd(h: SecondFF, frames: FrameData, abs_kd) -> np.ndarray:

@@ -438,6 +438,42 @@ class TestInvariants:
             assert rep.defect == pytest.approx(1.0, abs=1e-8)
 
 
+def semi_axes_defect(h: SecondFF) -> np.ndarray:
+    """(a - b)^2 for the semi-axes a >= b of the ellipse of curvature, from
+    the eigenvalues of the Gram matrix of u = (h11 - h22)/2 and v = h12 in
+    the normal plane's own (negated) metric."""
+    w = h.h11.signature.weights
+    u, v = 0.5 * (h.h11.coords - h.h22.coords), h.h12.coords
+    uu, uv, vv = (u * u) @ w, (u * v) @ w, (v * v) @ w
+    gram = -np.stack([np.stack([uu, uv], -1), np.stack([uv, vv], -1)], -2)
+    b, a = np.moveaxis(np.sqrt(np.maximum(np.linalg.eigvalsh(gram), 0.0)), -1, 0)
+    return (a - b) ** 2
+
+
+class TestDefectIsTheSemiAxesSquare:
+    """The defect K - |KD| - <H,H> - c is (a - b)^2 for the semi-axes of the
+    ellipse of curvature (the paper's proof; Guadalupe and Rodriguez,
+    Pacific J. Math. 1983, in the Riemannian case)."""
+
+    @pytest.mark.parametrize(
+        "name,params",
+        [(name, params) for name, params in FRAME_SURFACES if name != "sphere"]
+        + [("holomorphic_graph", {"f": "z^3"}), ("random_polynomial", {"seed": 7})],
+    )
+    def test_catalog_and_images_on_9x9(self, name, params):
+        # the 200 images of rng seed 1; at most 3.6e-12 relative at the
+        # parent of the (a - b)^2 form, where the defect was a difference
+        imm = catalog_get(name, params)
+        ss, ts = imm.domain.grid(9, 9)
+        grid = tuple(np.meshgrid(ss, ts, indexing="ij"))
+        rng = np.random.default_rng(1)
+        for k in range(201):
+            image = imm if k == 0 else isometric_image(imm, random_isometry(imm.ambient.signature, rng))
+            rep = point_report(image, grid)
+            scale = np.maximum(1.0, np.abs(rep.K) + rep.abs_KD + np.abs(rep.H2))
+            assert np.max(np.abs(rep.defect - semi_axes_defect(rep.h)) / scale) <= 1e-10, k
+
+
 class TestWintgenDefectFormula:
     def test_phi_parameters(self):
         g = math.sqrt(1.0 / 3.0)
