@@ -258,6 +258,7 @@ def parse_expression(
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 _UNROLLED_POWERS = 64  # the largest constant integer exponent compiled to products
+MAX_POLY_DEGREE = 1000  # the highest degree a power of a polynomial may reach (eval_numeric)
 
 
 def compile_jets(asts) -> Callable[[Jet2, Jet2], tuple]:
@@ -352,8 +353,9 @@ def eval_numeric(node: Expr, env: dict):
     Only arithmetic is supported; the denominator of '/' must be a nonzero
     plain number and an exponent an integer, non-negative on a polynomial,
     so non-scalar operand types (e.g. polynomial objects) stay closed under
-    the operations.  An operation outside these rules, or a power out of
-    float range, raises ExprSyntaxError at its operator.
+    the operations.  A polynomial's power is its repeated product, up to
+    degree MAX_POLY_DEGREE.  An operation outside these rules, or a power
+    out of float range, raises ExprSyntaxError at its operator.
     """
     if isinstance(node, Num):
         return node.value
@@ -378,14 +380,23 @@ def eval_numeric(node: Expr, env: dict):
             return a / b
         if not isinstance(b, (int, float)) or not float(b).is_integer():
             raise ExprSyntaxError(node.line, node.col, "exponent must be an integer here")
-        if b < 0 and not isinstance(a, (int, float, complex)):
+        n = int(b)
+        if isinstance(a, (int, float, complex)):
+            try:
+                return a ** n
+            except (ZeroDivisionError, OverflowError):
+                # 0 to a negative power, a power out of float range
+                raise ExprSyntaxError(node.line, node.col, "power out of range here") from None
+        if n < 0:
             raise ExprSyntaxError(node.line, node.col, "exponent must not be negative here")
-        try:
-            return a ** int(b)
-        except (ZeroDivisionError, OverflowError, ValueError):
-            # 0 to a negative power, a float power out of float range, a
-            # polynomial power above numpy's limit (Polynomial.maxpower)
-            raise ExprSyntaxError(node.line, node.col, "power out of range here") from None
+        # a polynomial: a ** 0 or a ** 1, then one product per further factor,
+        # which is how numpy's ** forms it below its cap of 100 (maxpower)
+        if max(a.degree(), 1) * n > MAX_POLY_DEGREE:
+            raise ExprSyntaxError(node.line, node.col, "power out of range here")
+        power = a ** min(n, 1)
+        for _ in range(n - 1):
+            power = power * a
+        return power
     raise ExprSyntaxError(node.line, node.col, "function calls are not allowed here")
 
 

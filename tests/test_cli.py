@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from neutralsurf import cli, fields
+from neutralsurf import catalog, cli, fields
 from neutralsurf.catalog import Immersion, _membership_residual, catalog_get, check_membership, from_definition
 from neutralsurf.cli import DEFAULT_TOLERANCES, _fd_sample_points, build_verification_report, main
 from neutralsurf.curvature import (
@@ -546,7 +546,8 @@ class TestUsageErrors:
         "z^-1": "1:2: exponent must not be negative here",
         "0^-1": "1:2: power out of range here",
         "10^400": "1:3: power out of range here",
-        "z^1000": "1:2: power out of range here",
+        "z^1001": "1:2: power out of range here",
+        "(z^0)^1000000000": "1:6: power out of range here",
         "1e400*z": "holomorphic_graph f must have finite coefficients, got '1e400*z'",
         "z/1e-320": "holomorphic_graph f must have finite coefficients, got 'z/1e-320'",
         "inf": "holomorphic_graph f must have finite coefficients, got inf",
@@ -561,6 +562,14 @@ class TestUsageErrors:
             code, out, err = run(capsys, "verify", "holomorphic_graph", "--param", f"f={f}", "--grid", "5x5")
         assert code == 2 and out == ""
         assert err == f"error: {self.F_ERRORS[f]}\n"
+
+    def test_a_power_above_100_is_its_repeated_product(self, capsys):
+        # numpy's Polynomial ** stops at exponent 100 (maxpower)
+        assert np.array_equal(catalog._poly_coeffs_from_param("z^101"), catalog._poly_coeffs_from_param("z^100*z"))
+        argv = ["verify", "holomorphic_graph", "--grid", "5x5", "--param"]
+        power, product = run(capsys, *argv, "f=z^101"), run(capsys, *argv, "f=z^100*z")
+        assert power[0] == product[0] == 0
+        assert power[1].replace('"z^101"', "f") == product[1].replace('"z^100*z"', "f")
 
     @pytest.mark.parametrize("value", ["2", "1.5"])
     def test_numeric_f_is_the_constant_polynomial(self, capsys, value):

@@ -14,7 +14,9 @@ from neutralsurf.expr import (
     Neg,
     Num,
     Var,
+    MAX_POLY_DEGREE,
     compile_jets,
+    eval_numeric,
     eval_on_jets,
     parse_expression,
     parse_surface,
@@ -371,3 +373,22 @@ class TestCompiledProgram:
         defn = parse_surface(text)
         with pytest.raises(SingularityError, match=message):
             from_definition(defn)
+
+
+class TestPolynomialPowers:
+    def test_repeated_products_equal_numpy_powers(self):
+        # below numpy's cap, a power keeps the coefficients numpy's ** gives
+        rng = np.random.default_rng(36)
+        ast = parse_expression("p^n", variables=("p", "n"))
+        for _ in range(40):
+            p = np.polynomial.Polynomial(rng.normal(size=rng.integers(1, 5)) + 1j * rng.normal(size=1))
+            for n in range(30):
+                got, want = eval_numeric(ast, {"p": p, "n": float(n)}).coef, (p**n).coef
+                assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), n
+
+    def test_the_degree_bound(self):
+        z = np.polynomial.Polynomial([0.0, 1.0])
+        assert eval_numeric(parse_expression(f"z^{MAX_POLY_DEGREE}", variables=("z",)), {"z": z}).degree() == MAX_POLY_DEGREE
+        for text in (f"z^{MAX_POLY_DEGREE + 1}", f"(z^2)^{MAX_POLY_DEGREE // 2 + 1}", "(z^0)^1e300"):
+            with pytest.raises(ExprSyntaxError, match="power out of range here"):
+                eval_numeric(parse_expression(text, variables=("z",)), {"z": z})
