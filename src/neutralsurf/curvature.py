@@ -576,10 +576,10 @@ def _h_invariants(h: SecondFF, c: float) -> tuple:
     nonzero = uu != 0.0
     v_off_u = v - np.where(nonzero, uv / np.where(nonzero, uu, 1.0), 0.0)[..., None] * u
     abs_kd = 2.0 * np.sqrt(np.maximum(uu * ((v_off_u * v_off_u) @ w), 0.0))
-    diff = uu - vv
-    sum_sq = abs_kd - uu - vv
+    # (a^2 - b^2)^2 and (a + b)^2
+    diff, sum_sq = uu - vv, abs_kd - uu - vv
     positive = sum_sq > 0.0
-    defect = np.where(positive, (diff * diff + 4.0 * uv * uv) / np.where(positive, sum_sq, 1.0), 0.0)
+    defect = np.where(positive, (diff * diff + 4.0 * uv * uv) / np.where(positive, sum_sq, 1.0), 0.0)[()]
     return PVector(mean, sig), h2, c + k_sum, abs_kd, defect, (uu, uv, vv)
 
 

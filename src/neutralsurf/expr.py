@@ -390,7 +390,8 @@ def eval_numeric(node: Expr, env: dict):
         if n < 0:
             raise ExprSyntaxError(node.line, node.col, "exponent must not be negative here")
         # a polynomial: a ** 0 or a ** 1, then one product per further factor,
-        # which is how numpy's ** forms it below its cap of 100 (maxpower)
+        # as numpy's ** forms it below its cap of 100 (maxpower); the bound
+        # holds both the degree and the count of products
         if max(a.degree(), 1) * n > MAX_POLY_DEGREE:
             raise ExprSyntaxError(node.line, node.col, "power out of range here")
         power = a ** min(n, 1)
