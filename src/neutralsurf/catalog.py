@@ -5,7 +5,7 @@ single point) and returns its jet table: every ambient coordinate with its
 first and second partials at every node, shape (6, *nodes, ncomp), the
 fields in FIELDS order first.  The catalog's evaluators write each field
 straight into the table, except holomorphic_graph, which runs the jet
-rules on field tuples (jets.product) each time it is evaluated;
+rules on field tuples (jets._add, _sub and product) at each evaluation;
 from_definition packs its compiled jets into one (jets.pack).  The
 definition-file language (expr) and the jet algebra (jets) load on first
 use, by from_definition and holomorphic_graph.
@@ -335,25 +335,21 @@ def _poly_coeffs_from_param(f) -> np.ndarray:
 
 def _holomorphic_eval(coeffs: np.ndarray) -> Callable[..., np.ndarray]:
     # Horner evaluation of f(s + i t) on the fields of complex jets, (re,
-    # im) pairs, by the Jet2 rules on field tuples (jets.product).  A
+    # im) pairs, by the Jet2 rules on field tuples (_add, _sub, product).  A
     # coefficient part is a float field, so the structural rules drop the
     # terms that these coefficients make zero at every node
     from .jets import _add, _sub, pack, product
 
-    parts = [(float(c.real), float(c.imag)) for c in coeffs[::-1]]
-
-    def plus(fields, c: float) -> tuple:
-        # the fields of a jet plus the constant c, as Jet2 adds a number
-        val, *partials = fields
-        return (_add(val, c), *(_add(f, 0.0) for f in partials))
+    # each coefficient part as the fields of its constant jet
+    parts = [[(float(x), 0.0, 0.0, 0.0, 0.0, 0.0) for x in (c.real, c.imag)] for c in coeffs[::-1]]
 
     def evaluate(s, t) -> np.ndarray:
         js, jt = (s, 1.0, 0.0, 0.0, 0.0, 0.0), (t, 0.0, 1.0, 0.0, 0.0, 0.0)
-        re, im = ((c, 0.0, 0.0, 0.0, 0.0, 0.0) for c in parts[0])
+        re, im = parts[0]
         for c_re, c_im in parts[1:]:
             re, im = (
-                plus(map(_sub, product(re, js), product(im, jt)), c_re),
-                plus(map(_add, product(re, jt), product(im, js)), c_im),
+                tuple(map(_add, map(_sub, product(re, js), product(im, jt)), c_re)),
+                tuple(map(_add, map(_add, product(re, jt), product(im, js)), c_im)),
             )
         return pack([js, jt, re, im], s.shape)
 

@@ -1,11 +1,11 @@
 """Forward-mode second-order automatic differentiation on a 2-parameter domain.
 
 A Jet2 carries a value together with its first and second partials with
-respect to the domain parameters (s, t).  Mixed-partial symmetry is
-structural: there is a single d_st slot.  Arithmetic propagates the
-exact Leibniz/chain rules through second order, which is all the
-pointwise curvature pipeline needs; higher derivatives are obtained
-elsewhere by finite differences of pointwise fields.
+respect to the domain parameters (s, t); a single d_st slot makes the mixed
+partials symmetric.  Arithmetic propagates the exact Leibniz/chain rules
+through second order; higher derivatives come from finite differences.
+The ring rules are stated once, on tuples of the six fields: _add, _sub,
+_mul and product.  Jet2's +, - and * run them, and so does holomorphic_graph.
 
 The fields are floats at one node or arrays over a batch of nodes
 (vector-mode forward differentiation): every rule is elementwise, and
@@ -112,20 +112,13 @@ class Jet2:
         return Jet2(_value(v), d_t=1.0)
 
     # -- ring operations ------------------------------------------------
-    # operands that are neither jets, numbers nor arrays give NotImplemented,
-    # so Python raises TypeError
+    # _add, _sub and product on the fields; an operand that is neither a jet,
+    # a number nor an array gives NotImplemented, so Python raises TypeError
 
     def __add__(self, other):
         if (other := _coerce(other)) is NotImplemented:
             return NotImplemented
-        return Jet2(
-            _add(self.val, other.val),
-            _add(self.d_s, other.d_s),
-            _add(self.d_t, other.d_t),
-            _add(self.d_ss, other.d_ss),
-            _add(self.d_st, other.d_st),
-            _add(self.d_tt, other.d_tt),
-        )
+        return Jet2(*map(_add, self.fields, other.fields))
 
     __radd__ = __add__
 
@@ -133,39 +126,18 @@ class Jet2:
         return Jet2(-self.val, -self.d_s, -self.d_t, -self.d_ss, -self.d_st, -self.d_tt)
 
     def __sub__(self, other):
-        # a difference of jets is one rule per field, with no negated jet in
-        # between; a number or array is negated before it is lifted, so an
-        # int 0 stays a +0.0
+        # a number or array is negated and then added: lifted, its structural-zero
+        # partials would give _sub(0.0, 0.0), a -0.0
         if not isinstance(other, Jet2):
             return self + (-other)
-        return Jet2(
-            _sub(self.val, other.val),
-            _sub(self.d_s, other.d_s),
-            _sub(self.d_t, other.d_t),
-            _sub(self.d_ss, other.d_ss),
-            _sub(self.d_st, other.d_st),
-            _sub(self.d_tt, other.d_tt),
-        )
+        return Jet2(*map(_sub, self.fields, other.fields))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, Jet2):
-            if not isinstance(other, _LIFTABLE):
-                return NotImplemented
-            # the product with the constant jet of a number or an array: each
-            # field times it, plus the structural zeros of the constant's
-            # partials, which turn a float -0.0 into 0.0
-            c = _value(other)
-            return Jet2(
-                _mul(self.val, c),
-                _add(_mul(self.d_s, c), 0.0),
-                _add(_mul(self.d_t, c), 0.0),
-                _add(_mul(self.d_ss, c), 0.0),
-                _add(_mul(self.d_st, c), 0.0),
-                _add(_mul(self.d_tt, c), 0.0),
-            )
+        if (other := _coerce(other)) is NotImplemented:
+            return NotImplemented
         return Jet2(*product(self.fields, other.fields))
 
     __rmul__ = __mul__
