@@ -24,7 +24,7 @@ from .catalog import (
     catalog_get,
     from_definition,
 )
-from .curvature import _FD_STEP, _MINUS, _PLUS, _nested_stencil, _stencil_checks
+from .curvature import _FD_STEP, _nested_stencil, _stencil_checks
 from .errors import (
     DegeneracyError,
     FieldDomainError,
@@ -32,7 +32,6 @@ from .errors import (
     NeutralSurfError,
     PreconditionError,
     SingularityError,
-    first_flagged,
 )
 from .fields import (
     _sample,
@@ -227,16 +226,6 @@ def build_verification_report(
     sample, positions, nested = _sample(
         imm, grid, domain, _nested_stencil(fd_points, step), positions=not imm.ambient.is_flat
     )
-    # a step that leaves the +-s or the +-t nodes of a 5-point stencil at one
-    # position makes every difference there an exact zero: the FD checks
-    # would pass vacuously
-    x = nested.frames.jets.table[0]
-    still = (x[_PLUS] == x[_MINUS]).all(axis=-1).any(axis=0)
-    if still.any():
-        raise InputMismatchError(
-            f"tolerance fd_step {step!r} is too small to move the FD stencil at "
-            f"(s,t)={first_flagged(still, *fd_points)}"
-        )
     checks: list[dict] = []
 
     def add_check(name: str, value: float, tolerance: float, passed: bool):
@@ -309,7 +298,7 @@ def build_verification_report(
     rep, (kw, kdw), codazzi = _stencil_checks(nested, fd_points, step)
     # canonical frame residual where the surface achieves equality
     if equality:
-        canonical_max = float(np.max(rep.canonical.residual[::2]))
+        canonical_max = float(np.max(rep.canonical.residual))
         add_check(
             "canonical equality-frame residual",
             canonical_max,
@@ -577,8 +566,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DegeneracyError, PreconditionError, FieldDomainError, SingularityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (NeutralSurfError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (NeutralSurfError, OSError, MemoryError, RecursionError) as exc:
+        # an input too large or too deeply nested for this process is an argument error
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -54,7 +54,7 @@ import numbers
 import numpy as np
 
 from .catalog import Immersion, JetPoint, MetricCoeffs, metric_from_velocities
-from .errors import DegeneracyError, NeutralSurfError, first_flagged
+from .errors import DegeneracyError, InputMismatchError, NeutralSurfError, first_flagged
 from .pseudo_linalg import (
     SPACE_LIKE,
     TIME_LIKE,
@@ -887,9 +887,21 @@ def _stencil_checks(nested: CurvatureReport, p: tuple, step: float) -> tuple:
 
     nested has _nested_stencil's shape, as verify's batch gives it: row 0
     holds the points and rows 0-4 their 5-point stencils.  Returns (report,
-    (K, KD) from the structure equations, Codazzi residual).
+    (K, KD) from the structure equations, Codazzi residual); raises
+    InputMismatchError where step leaves a stencil's +-s or +-t nodes at one
+    position.
     """
     fr = nested.frames
+    # a step that leaves the +-s or the +-t nodes of a 5-point stencil at one
+    # position makes every difference there an exact zero: the FD checks
+    # would pass vacuously
+    x = fr.jets.table[0]
+    still = (x[_PLUS] == x[_MINUS]).all(axis=-1).any(axis=0)
+    if still.any():
+        raise InputMismatchError(
+            f"tolerance fd_step {step!r} is too small to move the FD stencil at "
+            f"(s,t)={first_flagged(still, *p)}"
+        )
     # the structure equations complete the normal pair at every stencil node
     # first, so a canonical frame at row 0 takes it instead of completing it again
     structure = _structure(fr, p, step)

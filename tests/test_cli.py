@@ -1,13 +1,17 @@
 import gc
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from neutralsurf import catalog, cli, fields
+from neutralsurf import catalog, cli, curvature, fields
 from neutralsurf.catalog import Immersion, _membership_residual, catalog_get, check_membership, from_definition
 from neutralsurf.cli import DEFAULT_TOLERANCES, _fd_sample_points, build_verification_report, main
 from neutralsurf.curvature import (
@@ -287,6 +291,24 @@ class TestVerify:
         assert passed["wintgen-inequality (min defect >= -tol)"]
         assert passed["equality verdict matches expected True"]
 
+    @pytest.mark.parametrize("surface", ["phi_h42", "umbilical_flat"])
+    def test_canonical_check_reads_every_fd_point(self, capsys, monkeypatch, surface):
+        # a canonical frame off equality at FD point 1 alone, which is neither
+        # a corner nor the centre of the 3x3 FD sample, fails the check
+        original = curvature.canonical_equality_frame
+
+        def off_at_point_1(a3, a4):
+            fields = {f: getattr(original(a3, a4), f) for f in curvature.CanonicalFrame._fields}
+            fields["residual"] = fields["residual"] + (np.arange(9) == 1)
+            return curvature.CanonicalFrame(**fields)
+
+        monkeypatch.setattr(curvature, "canonical_equality_frame", off_at_point_1)
+        code, out, _ = run(capsys, "verify", surface, "--grid", "9x9", "--format", "json")
+        (check,) = [c for c in json.loads(out)["checks"] if c["name"] == "canonical equality-frame residual"]
+        assert code == 1
+        assert not check["passed"]
+        assert check["value"] == pytest.approx(1.0)
+
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "verify", "random_polynomial", "--seed", "3", "--grid", "7x7", "--format", "json")
         _, out2, _ = run(capsys, "verify", "random_polynomial", "--seed", "3", "--grid", "7x7", "--format", "json")
@@ -420,6 +442,34 @@ class TestUsageErrors:
     def test_bad_grid(self, capsys):
         code, _, _ = run(capsys, "verify", "phi_h42", "--grid", "abc")
         assert code == 2
+
+    def test_a_grid_too_large_for_memory_exits_2(self):
+        # address space capped at 1 GB: the grid's first array cannot be allocated
+        script = "import sys; from neutralsurf.cli import main; sys.exit(main(sys.argv[1:]))"
+        argv = [sys.executable, "-c", script, "verify", "phi_h42", "--grid", "2000000x2000000"]
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, preexec_fn=cap, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: Unable to allocate ")
+        assert proc.stderr.count("\n") == 1
+
+    def test_a_deeply_nested_f_exits_2(self, capsys):
+        f = "(" * 3000 + "z" + ")" * 3000
+        code, out, err = run(capsys, "verify", "holomorphic_graph", "--param", f"f={f}", "--grid", "5x5")
+        assert (code, out) == (2, "")
+        assert err == "error: maximum recursion depth exceeded\n"
+
+    def test_a_deeply_nested_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "deep.txt"
+        path.write_text(f"ambient E(2,2)\nx1 = {'-' * 3000}s\nx2 = t\nx3 = s\nx4 = t\n")
+        code, out, err = run(capsys, "verify", "--file", str(path), "--grid", "5x5")
+        assert (code, out) == (2, "")
+        assert err == "error: maximum recursion depth exceeded\n"
 
     def test_bad_domain(self, capsys):
         code, _, _ = run(capsys, "verify", "phi_h42", "--domain", "1,2,3")

@@ -8,7 +8,8 @@ fixture).  A cell that verify misses is a strict xfail, listed in MISSED
 and FLAT: no check compares the jets with the positions they claim to
 differentiate, so a fault that leaves the checked equations consistent
 passes.  A cell in NOT_SPACELIKE bends the surface out of the space-like
-cone on the grid: verify refuses it as a degenerate input (exit 3).
+cone on the grid: verify refuses it as a degenerate input (exit 3).  The
+surfaces lie in E(2,2), in H(3,2; -1) and in the unit pseudo-sphere S(2,3; 1).
 """
 
 import contextlib
@@ -24,6 +25,8 @@ from neutralsurf.expr import parse_surface
 from neutralsurf.records import FIELDS
 
 SURFACE_FILE = Path(__file__).resolve().parent.parent / "bench" / "data" / "phi_h42.txt"
+# a surface in the unit pseudo-sphere S(2,3; 1) with KD between 0.12 and 0.36
+SPHERE_FILE = Path(__file__).resolve().parent / "data" / "curved_sphere.txt"
 
 # surface -> (verify's surface arguments, the immersion they build)
 SURFACES = {
@@ -43,6 +46,10 @@ SURFACES = {
         ["--file", str(SURFACE_FILE)],
         lambda: from_definition(parse_surface(SURFACE_FILE.read_text(), name=SURFACE_FILE.stem)),
     ),
+    "curved_sphere.txt": (
+        ["--file", str(SPHERE_FILE)],
+        lambda: from_definition(parse_surface(SPHERE_FILE.read_text(), name=SPHERE_FILE.stem)),
+    ),
 }
 EPS = (1e-1, 1e-3, 1e-5)
 GRID = "9x9"
@@ -61,6 +68,9 @@ MISSED = {
     ("random_polynomial seed 7", 1e-3): "d_s x1, d_s x2, d_s x3, d_t x1, d_t x2, d_t x4, d_ss x2",
     ("random_polynomial seed 7", 1e-5): "d_s x1, d_s x2, d_s x3, d_t x1, d_t x2, d_t x4, "
     "d_ss x1, d_ss x2, d_st x1, d_st x2, d_tt x1, d_tt x2",
+    ("curved_sphere.txt", 1e-3): "d_t x5, d_st x5, d_tt x5",
+    ("curved_sphere.txt", 1e-5): "d_s x1, d_s x2, d_s x3, d_s x4, d_s x5, d_t x1, d_t x2, d_t x3, d_t x4, "
+    "d_t x5, d_ss x2, d_ss x3, d_ss x4, d_ss x5, d_st x1, d_st x3, d_st x4, d_st x5, d_tt x3, d_tt x4, d_tt x5",
 }
 NOT_SPACELIKE = {("phi_h42.txt", "val", 3, 1e-1), ("phi_h42.txt", "d_t", 1, 1e-1)}
 
