@@ -193,8 +193,8 @@ class TestFunctions:
 
 
 class TestScalarProduct:
-    """Jet2 * x is the product with the constant jet of x, which scales the
-    fields directly: its zero partials are structural and skipped."""
+    """Jet2 * x lifts x to its constant jet and runs the jet product rule:
+    the constant's zero partials are structural and their terms skipped."""
 
     SCALARS = [3, -2, 0.375, -1.25, np.float64(-0.7), np.float64(2.5)]
     # one node and a batch of four; every field of the jet is nonzero
