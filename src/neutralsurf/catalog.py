@@ -47,10 +47,6 @@ class JetPoint(Record):
 
     __slots__ = _fields = ("ambient", "table")
 
-    def __init__(self, ambient: AmbientSpace, table: np.ndarray):
-        self.ambient = ambient
-        self.table = table
-
     @property
     def shape(self) -> tuple:
         return self.table.shape[1:-1]
@@ -84,11 +80,6 @@ class MetricCoeffs(Record):
     """First fundamental form coefficients E, F, G at a point or per node."""
 
     __slots__ = _fields = ("E", "F", "G")
-
-    def __init__(self, E: float | np.ndarray, F: float | np.ndarray, G: float | np.ndarray):
-        self.E = E
-        self.F = F
-        self.G = G
 
     @property
     def det(self):
@@ -585,12 +576,6 @@ def _reject_params(name: str, params: dict) -> None:
 
 class CatalogEntry(Record):
     __slots__ = _fields = ("name", "builder", "param_schema", "note")
-
-    def __init__(self, name: str, builder: Callable[[dict], Immersion], param_schema: str, note: str):
-        self.name = name
-        self.builder = builder
-        self.param_schema = param_schema
-        self.note = note
 
 
 _CATALOG = [

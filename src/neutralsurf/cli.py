@@ -24,7 +24,7 @@ from .catalog import (
     catalog_get,
     from_definition,
 )
-from .curvature import _FD_STEP, _nested_stencil, _stencil_checks
+from .curvature import _FD_STEP, _nested_stencil, _require_fd_step, _stencil_checks
 from .errors import (
     DegeneracyError,
     FieldDomainError,
@@ -125,8 +125,7 @@ def _collect_tolerances(args) -> dict:
             tols[key] = float(value)
         except ValueError:
             raise InputMismatchError(f"tolerance {key} must be a number, got {value!r}") from None
-    if not (np.isfinite(tols["fd_step"]) and tols["fd_step"] > 0):
-        raise InputMismatchError(f"tolerance fd_step must be finite and > 0, got {tols['fd_step']}")
+    _require_fd_step(tols["fd_step"])
     # no value passes a NaN tolerance; inf and negative values are meaningful
     for key, value in tols.items():
         if np.isnan(value):

@@ -49,6 +49,7 @@ depend neither on the stacking nor on the batch it is in.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 
 import numpy as np
@@ -186,12 +187,12 @@ class FrameData(Record):
 
     def _take(self, nodes) -> "FrameData":
         """The frames at nodes, an index or index array into the leading node axis."""
-        m, sig = self.metric, self.e1.signature
+        sig = self.e1.signature
         rows = [v[nodes] for v in self.gram_schmidt]
         taken = FrameData(
             PVector(rows[-2], sig),
             PVector(rows[-1], sig),
-            MetricCoeffs(m.E[nodes], m.F[nodes], m.G[nodes]),
+            self.metric._take(nodes),
             self.jets._take(nodes),
             rows,
             None if self.normals is None else tuple(x[nodes] for x in self.normals),
@@ -208,17 +209,8 @@ class SecondFF(Record):
 
     __slots__ = _fields = ("h11", "h12", "h22")
 
-    def __init__(self, h11: PVector, h12: PVector, h22: PVector):
-        self.h11 = h11
-        self.h12 = h12
-        self.h22 = h22
-
     def components(self) -> tuple[PVector, PVector, PVector]:
         return (self.h11, self.h12, self.h22)
-
-    def _take(self, nodes) -> "SecondFF":
-        """h at nodes, an index or index array into the leading node axis."""
-        return SecondFF(self.h11[nodes], self.h12[nodes], self.h22[nodes])
 
 
 class CanonicalFrame(Record):
@@ -233,30 +225,7 @@ class CanonicalFrame(Record):
     """
 
     __slots__ = _fields = ("alpha", "gamma", "delta", "mu", "theta", "rho", "residual", "flip")
-
-    def __init__(
-        self,
-        alpha: float,
-        gamma: float,
-        delta: float,
-        mu: float,
-        theta: float,
-        rho: float,
-        residual: float,
-        flip: bool = False,
-    ):
-        self.alpha = alpha
-        self.gamma = gamma
-        self.delta = delta
-        self.mu = mu
-        self.theta = theta
-        self.rho = rho
-        self.residual = residual
-        self.flip = flip
-
-    def _take(self, nodes) -> "CanonicalFrame":
-        """The frame at nodes, an index or index array into the leading node axis."""
-        return CanonicalFrame(*(getattr(self, f)[nodes] for f in self._fields))
+    _defaults = {"flip": False}
 
 
 class EllipseInfo(Record):
@@ -266,17 +235,6 @@ class EllipseInfo(Record):
     """
 
     __slots__ = _fields = ("a", "b", "center", "is_circle", "is_point")
-
-    def __init__(self, a: float, b: float, center: PVector, is_circle: bool, is_point: bool):
-        self.a = a
-        self.b = b
-        self.center = center
-        self.is_circle = is_circle
-        self.is_point = is_point
-
-    def _take(self, nodes) -> "EllipseInfo":
-        """The ellipse at nodes, an index or index array into the leading node axis."""
-        return EllipseInfo(*(x[nodes] for x in (self.a, self.b, self.center, self.is_circle, self.is_point)))
 
 
 class CurvatureReport(Record):
@@ -363,7 +321,7 @@ class CurvatureReport(Record):
     def _take(self, nodes) -> "CurvatureReport":
         """The report at nodes, an index or index array into the leading node axis."""
         kd = self.KD  # signed at this report's nodes, not at the taken rows alone
-        a3, a4 = (None, None) if self.A3 is None else (_take_sym2(a, nodes) for a in (self.A3, self.A4))
+        a3, a4 = (None, None) if self.A3 is None else (a._take(nodes) for a in (self.A3, self.A4))
         taken = CurvatureReport(
             a3,
             a4,
@@ -384,21 +342,10 @@ class CurvatureReport(Record):
         return taken
 
 
-def _take_sym2(a: Sym2, nodes) -> Sym2:
-    """The shape operator a at nodes, an index or index array into the leading node axis."""
-    return Sym2(a.a11[nodes], a.a12[nodes], a.a22[nodes])
-
-
 class ConnectionSample(ValueRecord):
     """Connection 1-forms evaluated on the tangent frame at a point, or per point."""
 
     __slots__ = _fields = _compared = ("w12_e1", "w12_e2", "w34_e1", "w34_e2")
-
-    def __init__(self, w12_e1: float, w12_e2: float, w34_e1: float, w34_e2: float):
-        self.w12_e1 = w12_e1
-        self.w12_e2 = w12_e2
-        self.w34_e1 = w34_e1
-        self.w34_e2 = w34_e2
 
 
 def build_frames(imm: Immersion, p: tuple) -> FrameData:
@@ -858,7 +805,16 @@ def _nested_report(imm: Immersion, p: tuple, step: float) -> CurvatureReport:
     s, t = p
     if _real(s, t, step):
         return _kept_report(imm, s, t, step, build_frames, second_fundamental_form)
-    return _build_report(imm, _nested_stencil(p, step))
+    return _nested_build(imm, p, step)
+
+
+def _nested_build(imm: Immersion, p: tuple, step: float) -> CurvatureReport:
+    """A build of the report at the nested stencils of p, for a step that
+    moves every stencil (_require_fd_step, _require_moving)."""
+    _require_fd_step(step)
+    nested = _build_report(imm, _nested_stencil(p, step))
+    _require_moving(nested.frames.jets, p, step)
+    return nested
 
 
 def _real(*values) -> bool:
@@ -878,7 +834,30 @@ def _kept_report(imm: Immersion, s, t, step, build, sff) -> CurvatureReport:
     Equal numbers share the entry (s = 0.0 and -0.0 among them), and they
     give bit-identical nodes.
     """
-    return _build_report(imm, _nested_stencil((s, t), step))
+    return _nested_build(imm, (s, t), step)
+
+
+def _require_fd_step(step: float) -> None:
+    """Raise InputMismatchError unless the FD step is finite and > 0."""
+    if not (math.isfinite(step) and step > 0):
+        raise InputMismatchError(f"tolerance fd_step must be finite and > 0, got {step}")
+
+
+def _require_moving(jets: JetPoint, p: tuple, step: float) -> None:
+    """Raise InputMismatchError where step leaves the +-s or the +-t nodes of
+    a 5-point stencil at one position.
+
+    jets has _nested_stencil's node axes, so rows 0-4 are the 5-point
+    stencils of the points of p.  At such a stencil every difference is an
+    exact zero, and the FD checks would pass vacuously.
+    """
+    x = jets.table[0]
+    moved = (x[_PLUS] != x[_MINUS]).any(axis=-1)
+    if not moved.all():
+        raise InputMismatchError(
+            f"tolerance fd_step {step!r} is too small to move the FD stencil at "
+            f"(s,t)={first_flagged(~moved.all(axis=0), *p)}"
+        )
 
 
 def _stencil_checks(nested: CurvatureReport, p: tuple, step: float) -> tuple:
@@ -892,16 +871,7 @@ def _stencil_checks(nested: CurvatureReport, p: tuple, step: float) -> tuple:
     position.
     """
     fr = nested.frames
-    # a step that leaves the +-s or the +-t nodes of a 5-point stencil at one
-    # position makes every difference there an exact zero: the FD checks
-    # would pass vacuously
-    x = fr.jets.table[0]
-    still = (x[_PLUS] == x[_MINUS]).all(axis=-1).any(axis=0)
-    if still.any():
-        raise InputMismatchError(
-            f"tolerance fd_step {step!r} is too small to move the FD stencil at "
-            f"(s,t)={first_flagged(still, *p)}"
-        )
+    _require_moving(fr.jets, p, step)
     # the structure equations complete the normal pair at every stencil node
     # first, so a canonical frame at row 0 takes it instead of completing it again
     structure = _structure(fr, p, step)

@@ -37,60 +37,38 @@ DEFAULT_VARIABLES = ("s", "t")
 
 # -- AST ---------------------------------------------------------------
 # Nodes compare and hash by their content; line and col (the source
-# position, for error messages) take no part.
+# position, for error messages) take no part, and default to 0.
+_UNPLACED = {"line": 0, "col": 0}
 
 
 class Num(ValueRecord):
     __slots__ = _fields = ("value", "line", "col")
     _compared = ("value",)
-
-    def __init__(self, value: float, line: int = 0, col: int = 0):
-        self.value = value
-        self.line = line
-        self.col = col
+    _defaults = _UNPLACED
 
 
 class Var(ValueRecord):
     __slots__ = _fields = ("name", "line", "col")
     _compared = ("name",)
-
-    def __init__(self, name: str, line: int = 0, col: int = 0):
-        self.name = name
-        self.line = line
-        self.col = col
+    _defaults = _UNPLACED
 
 
 class Neg(ValueRecord):
     __slots__ = _fields = ("operand", "line", "col")
     _compared = ("operand",)
-
-    def __init__(self, operand: "Expr", line: int = 0, col: int = 0):
-        self.operand = operand
-        self.line = line
-        self.col = col
+    _defaults = _UNPLACED
 
 
 class BinOp(ValueRecord):
     __slots__ = _fields = ("op", "left", "right", "line", "col")
     _compared = ("op", "left", "right")
-
-    def __init__(self, op: str, left: "Expr", right: "Expr", line: int = 0, col: int = 0):
-        self.op = op
-        self.left = left
-        self.right = right
-        self.line = line
-        self.col = col
+    _defaults = _UNPLACED
 
 
 class Call(ValueRecord):
     __slots__ = _fields = ("fn", "args", "line", "col")
     _compared = ("fn", "args")
-
-    def __init__(self, fn: str, args: tuple, line: int = 0, col: int = 0):
-        self.fn = fn
-        self.args = args
-        self.line = line
-        self.col = col
+    _defaults = _UNPLACED
 
 
 Expr = Num | Var | Neg | BinOp | Call
@@ -99,25 +77,15 @@ Expr = Num | Var | Neg | BinOp | Call
 class SurfaceDefinition(Record):
     __slots__ = _fields = ("name", "ambient", "components", "domain")
 
-    def __init__(self, name: str, ambient: AmbientSpace, components: tuple, domain: DomainRect):
-        self.name = name
-        self.ambient = ambient
-        self.components = components
-        self.domain = domain
-
 
 # -- tokenizer ---------------------------------------------------------
 
 
 class _Token(Record):
-    __slots__ = _fields = ("kind", "text", "line", "col", "value")
+    """A token: kind is NUMBER, IDENT, OP or END, and value a NUMBER's value."""
 
-    def __init__(self, kind: str, text: str, line: int, col: int, value: float = 0.0):
-        self.kind = kind  # NUMBER | IDENT | OP | END
-        self.text = text
-        self.line = line
-        self.col = col
-        self.value = value
+    __slots__ = _fields = ("kind", "text", "line", "col", "value")
+    _defaults = {"value": 0.0}
 
 
 _NUMBER_RE = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")

@@ -108,40 +108,6 @@ class SurfaceSample(Record):
         "H_norm", "h_max", "ellipse_circle", "ellipse_point",
     )
 
-    def __init__(
-        self,
-        imm: Immersion,
-        domain: DomainRect,
-        nx: int,
-        ny: int,
-        K: np.ndarray,
-        KD: np.ndarray,
-        H2: np.ndarray,
-        defect: np.ndarray,
-        E: np.ndarray,
-        F: np.ndarray,
-        G: np.ndarray,
-        H_norm: np.ndarray,
-        h_max: np.ndarray,
-        ellipse_circle: np.ndarray,
-        ellipse_point: np.ndarray,
-    ):
-        self.imm = imm
-        self.domain = domain
-        self.nx = nx
-        self.ny = ny
-        self.K = K
-        self.KD = KD
-        self.H2 = H2
-        self.defect = defect
-        self.E = E
-        self.F = F
-        self.G = G
-        self.H_norm = H_norm
-        self.h_max = h_max
-        self.ellipse_circle = ellipse_circle
-        self.ellipse_point = ellipse_point
-
     def grid_field(self, values: np.ndarray, quantity: str) -> GridField:
         return GridField(self.domain, self.nx, self.ny, values, self.E, self.F, self.G, quantity)
 
@@ -309,30 +275,7 @@ class LaplacianReport(Record):
         "quantity", "domain", "nx", "ny", "margin", "laplacian", "lhs", "rhs", "residual",
         "threshold",
     )
-
-    def __init__(
-        self,
-        quantity: str,
-        domain: DomainRect,
-        nx: int,
-        ny: int,
-        margin: int,
-        laplacian: np.ndarray,
-        lhs: np.ndarray | None = None,
-        rhs: np.ndarray | None = None,
-        residual: np.ndarray | None = None,
-        threshold: float = 1e-3,
-    ):
-        self.quantity = quantity
-        self.domain = domain
-        self.nx = nx
-        self.ny = ny
-        self.margin = margin
-        self.laplacian = laplacian
-        self.lhs = lhs
-        self.rhs = rhs
-        self.residual = residual
-        self.threshold = threshold
+    _defaults = {"lhs": None, "rhs": None, "residual": None, "threshold": 1e-3}
 
     @property
     def max_abs_laplacian(self) -> float:

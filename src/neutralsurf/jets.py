@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularityError, first_flagged
-from .records import FIELDS
+from .records import FIELDS, Record
 
 _LIFTABLE = (int, float, np.number, np.ndarray)
 
@@ -70,24 +70,15 @@ def _mul(x, y):
     return x * y
 
 
-class Jet2:
-    """Value and first and second partials in (s, t), at a node or per node.
+class Jet2(Record):
+    """Value and first and second partials in (s, t), at a node or per node;
+    the partials default to structural zeros.
 
     Operations return new jets; no method changes one in place.
     """
 
-    __slots__ = FIELDS
-
-    def __init__(self, val, d_s=0.0, d_t=0.0, d_ss=0.0, d_st=0.0, d_tt=0.0):
-        self.val = val
-        self.d_s = d_s
-        self.d_t = d_t
-        self.d_ss = d_ss
-        self.d_st = d_st
-        self.d_tt = d_tt
-
-    def __repr__(self):
-        return "Jet2(" + ", ".join(f"{f}={getattr(self, f)!r}" for f in FIELDS) + ")"
+    __slots__ = _fields = FIELDS
+    _defaults = dict.fromkeys(FIELDS[1:], 0.0)
 
     @property
     def fields(self) -> tuple:
@@ -165,10 +156,17 @@ def product(a: tuple, b: tuple) -> tuple:
         _mul(a0, b0),
         _add(_mul(a_s, b0), _mul(a0, b_s)),
         _add(_mul(a_t, b0), _mul(a0, b_t)),
-        _add(_add(_mul(a_ss, b0), _mul(_mul(2.0, a_s), b_s)), _mul(a0, b_ss)),
+        _add(_add(_mul(a_ss, b0), _doubled(a_s, b_s)), _mul(a0, b_ss)),
         _add(_add(_add(_mul(a_st, b0), _mul(a_s, b_t)), _mul(a_t, b_s)), _mul(a0, b_st)),
-        _add(_add(_mul(a_tt, b0), _mul(_mul(2.0, a_t), b_t)), _mul(a0, b_tt)),
+        _add(_add(_mul(a_tt, b0), _doubled(a_t, b_t)), _mul(a0, b_tt)),
     )
+
+
+def _doubled(x, y):
+    """_mul(_mul(2.0, x), y), without forming 2x when y is a structural zero."""
+    if type(y) is float and y == 0.0:
+        return 0.0
+    return _mul(_mul(2.0, x), y)
 
 
 def pack(components, shape: tuple) -> np.ndarray:

@@ -193,11 +193,6 @@ class Sym2(Record):
 
     __slots__ = _fields = ("a11", "a12", "a22")
 
-    def __init__(self, a11: float | np.ndarray, a12: float | np.ndarray, a22: float | np.ndarray):
-        self.a11 = a11
-        self.a12 = a12
-        self.a22 = a22
-
     @property
     def trace(self):
         return self.a11 + self.a22

@@ -23,7 +23,7 @@ from neutralsurf.curvature import (
     structure_equation_check,
 )
 from neutralsurf.cli import DEFAULT_TOLERANCES, _fd_sample_points, build_verification_report
-from neutralsurf.errors import DegeneracyError
+from neutralsurf.errors import DegeneracyError, InputMismatchError
 from neutralsurf.expr import parse_surface
 from neutralsurf.fields import _sample, sample_surface
 from neutralsurf.pseudo_linalg import PVector, Signature, Sym2, inner
@@ -78,11 +78,7 @@ SPHERE = "ambient S(2,3; 1)\nx1 = 0\nx2 = 0\nx3 = cos(s)*cos(t)\nx4 = cos(s)*sin
 
 # a surface in the unit pseudo-sphere with KD between 0.12 and 0.36:
 # x3..x5 = r (cos s cos t, cos s sin t, sin s) with r^2 = 1 + x1^2 + x2^2
-R_CURVED = "sqrt(1 + (0.3*s*t)^2 + (0.2*s^2 - 0.1*t)^2)"
-CURVED_SPHERE = (
-    "ambient S(2,3; 1)\ndomain -0.6:0.6, -0.6:0.6\nx1 = 0.3*s*t\nx2 = 0.2*s^2 - 0.1*t\n"
-    f"x3 = {R_CURVED}*cos(s)*cos(t)\nx4 = {R_CURVED}*cos(s)*sin(t)\nx5 = {R_CURVED}*sin(s)"
-)
+CURVED_SPHERE = (Path(__file__).resolve().parent / "data" / "curved_sphere.txt").read_text()
 
 # space-like only for |s| < 1 (E = 1 - s^2): at s = 0.9995 the point is on
 # the surface and its +s stencil neighbours are not
@@ -912,6 +908,51 @@ class TestStencilChecks:
             assert bits(rep.canonical.residual) == bits(want.canonical.residual), p
             assert [bits(x) for x in structure_equation_check(imm, p)] == [bits(x) for x in structure], p
             assert bits(codazzi_residual(imm, p)) == bits(codazzi), p
+
+
+class TestStepGuard:
+    """The public FD checks reject a step as verify does, once per nested
+    build: one that is not finite and > 0, and one that leaves the +-s or
+    the +-t nodes of a stencil at one position, where every difference is
+    an exact zero."""
+
+    CHECKS = [structure_equation_check, codazzi_residual, connection_forms]
+    # a single point, kept, and a batch; the first point is the one flagged
+    POINTS = [(0.3, -0.2), (np.array([0.3, 0.0]), np.array([-0.2, 0.0]))]
+
+    @pytest.fixture(autouse=True)
+    def no_kept_build(self):
+        curvature._kept_report.cache_clear()
+        yield
+        curvature._kept_report.cache_clear()
+
+    @pytest.mark.parametrize("p", POINTS, ids=["point", "batch"])
+    @pytest.mark.parametrize("step", [0.0, -1e-3, math.inf, math.nan])
+    @pytest.mark.parametrize("check", CHECKS, ids=lambda f: f.__name__)
+    def test_step_must_be_finite_and_positive(self, check, step, p):
+        with pytest.raises(InputMismatchError) as err:
+            check(catalog_get("phi_h42", {}), p, step)
+        assert str(err.value) == f"tolerance fd_step must be finite and > 0, got {step}"
+
+    @pytest.mark.parametrize("p", POINTS, ids=["point", "batch"])
+    @pytest.mark.parametrize("step", [1e-300, 1e-17])
+    @pytest.mark.parametrize("check", CHECKS, ids=lambda f: f.__name__)
+    def test_step_must_move_every_stencil(self, check, step, p):
+        # 1e-17 moves the stencil at (0, 0), not the one at (0.3, -0.2)
+        with pytest.raises(InputMismatchError) as err:
+            check(catalog_get("phi_h42", {}), p, step)
+        assert str(err.value) == f"tolerance fd_step {step!r} is too small to move the FD stencil at (s,t)=(0.3, -0.2)"
+
+    def test_a_point_report_where_the_default_step_cannot_move_falls_back_to_the_point(self):
+        # s +- _FD_STEP round to s = 1e17, so the nested build raises and the
+        # point is built alone
+        imm = catalog_get("holomorphic_graph", {"f": "z^2/2"})
+        p = (1e17, 0.3)
+        with pytest.raises(InputMismatchError):
+            structure_equation_check(imm, p)
+        rep, alone = point_report(imm, p), curvature._build_report(imm, p)
+        for key in ("K", "KD", "H2", "defect"):
+            assert bits(getattr(rep, key)) == bits(getattr(alone, key)), key
 
 
 def five_point_checks(imm, p, step):

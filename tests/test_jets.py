@@ -245,6 +245,24 @@ class TestScalarProduct:
             zeros = [name for name in FIELDS if not np.any(getattr(a, name))]
             assert all(type(getattr(lifted, name)) is float for name in zeros), x
 
+    @pytest.mark.parametrize("node", range(len(NODES)), ids=["node", "batch"])
+    def test_forms_no_doubled_term_against_a_lifted_constant(self, monkeypatch, node):
+        # the constant's structural-zero partials zero the 2 a_s b_s and
+        # 2 a_t b_t terms, so 2 a_s and 2 a_t are never formed
+        a = self.generic(*self.NODES[node])[0]
+        doubled = []
+
+        def spy(x, y, mul=jets._mul):
+            if type(x) is float and x == 2.0:
+                doubled.append(y)
+            return mul(x, y)
+
+        monkeypatch.setattr(jets, "_mul", spy)
+        a * 2.5, 2.5 * a
+        assert doubled == []
+        a * a  # the spy sees the doubled terms of a jet product
+        assert len(doubled) == 2
+
 
 class TestStructuralFields:
     """Fields that are the Python floats 0.0 and 1.0 are structural: the

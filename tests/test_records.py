@@ -1,7 +1,9 @@
 """The record types: constructors, repr, value equality and validation messages."""
 
+import ast
 import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from neutralsurf.expr import (
 )
 from neutralsurf.fields import GridField, LaplacianReport, SurfaceSample
 from neutralsurf.pseudo_linalg import Signature, Sym2
+from neutralsurf.records import Record
 
 REQUIRED = inspect.Parameter.empty
 
@@ -81,6 +84,76 @@ def test_constructor_parameters_and_repr_fields(cls):
     assert cls._fields == tuple(name for name, _ in CONSTRUCTORS[cls])
     # every class up to object declares __slots__, so instances carry no __dict__
     assert all("__slots__" in vars(k) for k in cls.__mro__[:-1])
+
+
+# the constructors that do more than copy their parameters into slots
+KEPT = (Signature, AmbientSpace, DomainRect, Immersion, FrameData, CurvatureReport, GridField)
+SRC = Path(__file__).resolve().parent.parent / "src" / "neutralsurf"
+
+
+class _Local(Record):
+    __slots__ = _fields = ("a", "b", "c")
+    _defaults = {"b": 1, "c": None}
+
+
+def test_generated_constructor_takes_fields_and_defaults():
+    params = inspect.signature(_Local).parameters.values()
+    assert [(p.name, p.default) for p in params] == [("a", REQUIRED), ("b", 1), ("c", None)]
+    assert repr(_Local(0)) == "_Local(a=0, b=1, c=None)"
+    assert repr(_Local("x", c=2.5)) == "_Local(a='x', b=1, c=2.5)"
+    assert _Local.__init__.__qualname__ == "_Local.__init__"
+    assert _Local.__init__.__module__ == __name__
+
+
+@pytest.mark.parametrize("cls", CONSTRUCTORS, ids=lambda cls: cls.__name__)
+def test_missing_argument_names_the_constructor(cls):
+    with pytest.raises(TypeError, match=rf"^{cls.__qualname__}\.__init__\(\) missing "):
+        cls()
+
+
+def test_kept_constructors_are_the_classes_own():
+    own = {cls for cls in CONSTRUCTORS if cls.__init__.__code__.co_filename == inspect.getsourcefile(cls)}
+    assert own == set(KEPT)
+
+
+def copy_only_inits(src: Path) -> list[str]:
+    """The Record subclasses in src/*.py whose __init__ only copies its
+    parameters into the slots of the same names."""
+    classes = [node for path in sorted(src.glob("*.py")) for node in ast.parse(path.read_text()).body
+               if isinstance(node, ast.ClassDef)]
+    records, size = {"Record"}, 0
+    while len(records) != size:
+        size = len(records)
+        records |= {c.name for c in classes if any(ast.unparse(b) in records for b in c.bases)}
+    found = []
+    for c in classes:
+        inits = [fn for fn in c.body if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"]
+        if c.name in records and inits:
+            args = inits[0].args
+            copies = {f"self.{a.arg} = {a.arg}" for a in [*args.posonlyargs, *args.args, *args.kwonlyargs][1:]}
+            body = inits[0].body[1:] if ast.get_docstring(inits[0]) else inits[0].body
+            if all(ast.unparse(st) in copies for st in body):
+                found.append(c.name)
+    return found
+
+
+def test_no_record_writes_a_copy_only_constructor():
+    # such a constructor restates _fields: leave __init__ out and let Record build it
+    assert copy_only_inits(SRC) == []
+
+
+def test_copy_only_scan_finds_a_copying_record_subclass(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class Base(Record):\n    pass\n"
+        "class Plain:\n    def __init__(self, a):\n        self.a = a\n"
+        "class Checks(Record):\n    def __init__(self, a):\n        if a < 0:\n            raise ValueError\n"
+        "        self.a = a\n"
+    )
+    (tmp_path / "b.py").write_text(
+        'class Copies(Base):\n    def __init__(self, a, *, b=0):\n        """Doc."""\n'
+        "        self.a = a\n        self.b = b\n"
+    )
+    assert copy_only_inits(tmp_path) == ["Copies"]
 
 
 def test_repr_lists_fields_in_order():
